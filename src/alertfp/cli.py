@@ -44,6 +44,7 @@ from .scorer import (
     write_ranked,
 )
 from .store import ClassifierModel, load_model, save_model, score_new
+from .textio import atomic_write
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,36 +59,77 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# Argument types reject bad values before any input is read or output
+# written; argparse reports ArgumentTypeError as a usage error (exit 1).
+
+
 def _parse_minisupport(text: str):
     text = text.strip()
-    if text.endswith("%"):
-        return Fraction(text[:-1]) / 100
-    return int(text)
+    try:
+        value = Fraction(text[:-1]) / 100 if text.endswith("%") else int(text)
+        MiningConfig(minisupport=value).minisupport_abs(1)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a count N >= 1 or a percentage P% with 0 < P <= 100, got {text!r}"
+        ) from None
+    return value
+
+
+def _parse_minisupport_list(text: str):
+    values = [_parse_minisupport(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of N or P%")
+    return values
+
+
+def _parse_positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _parse_max_patterns(text: str):
     if text.strip().lower() in ("off", "none", "0"):
         return None
-    return int(text)
+    return _parse_positive_int(text)
 
 
-def _default_workers() -> int:
+def _parse_top_p(text: str) -> float:
     try:
-        return max(1, int(os.environ.get("ALERTFP_WORKERS", "1")))
+        value = float(text)
     except ValueError:
-        return 1
+        value = 0.0
+    if not 0 < value <= 100:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"expected a percentage P with 0 < P <= 100, got {text!r}"
+        )
+    return value
+
+
+def _parse_delimiter(text: str) -> str:
+    try:
+        LogFormat(delimiter=text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="alertfp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common_io(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", required=True, help="alert log file")
-            p.add_argument("--schema", required=True, help="schema config file")
-            p.add_argument("--delimiter", default="\t", help="field delimiter (default tab)")
-            p.add_argument("--rejects-out", help="write rejected lines report here")
+    def add_common_io(p):
+        p.add_argument("--input", required=True, help="alert log file")
+        p.add_argument("--schema", required=True, help="schema config file")
+        p.add_argument(
+            "--delimiter", type=_parse_delimiter, default="\t", help="field delimiter (default tab)"
+        )
+        p.add_argument("--rejects-out", help="write rejected lines report here")
+        p.add_argument("--workers", type=int, help="deprecated; has no effect")
 
     def add_mining(p):
         p.add_argument(
@@ -102,20 +144,18 @@ def build_parser() -> argparse.ArgumentParser:
             default=5_000_000,
             help="pattern explosion guard; 'off' disables (default 5000000)",
         )
-        p.add_argument("--max-pattern-len", type=int, default=None)
+        p.add_argument("--max-pattern-len", type=_parse_positive_int, default=None)
 
     def add_scoring(p):
         p.add_argument("--score", choices=("simple", "fpof"), default="simple")
-        p.add_argument("--top-p", type=float, default=None, help="write top P%% candidate tids")
+        p.add_argument(
+            "--top-p", type=_parse_top_p, default=None, help="write top P%% candidate tids"
+        )
         p.add_argument("--candidates-out", help="candidate-set output path")
-
-    def add_workers(p):
-        p.add_argument("--workers", type=int, default=_default_workers())
 
     p_mine = sub.add_parser("mine", help="mine a log into a classifier model")
     add_common_io(p_mine)
     add_mining(p_mine)
-    add_workers(p_mine)
     p_mine.add_argument("--out", required=True, help="model output path")
     p_mine.add_argument("--emit-tidlists", action="store_true", help="store tidlists for audit")
 
@@ -123,13 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_io(p_rank)
     add_mining(p_rank)
     add_scoring(p_rank)
-    add_workers(p_rank)
     p_rank.add_argument("--out", required=True, help="ranked output path")
 
     p_score = sub.add_parser("score", help="rank new alerts against a stored model")
     add_common_io(p_score)
     add_scoring(p_score)
-    add_workers(p_score)
     p_score.add_argument("--model", required=True)
     p_score.add_argument("--out", required=True)
     p_score.add_argument(
@@ -141,13 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--attacks", required=True, help="attack-id file (tid or field=value per line)")
     p_eval.add_argument("--input", help="original log, needed for field=value selectors")
     p_eval.add_argument("--schema", help="schema config, needed for field=value selectors")
-    p_eval.add_argument("--delimiter", default="\t")
+    p_eval.add_argument("--delimiter", type=_parse_delimiter, default="\t")
 
     p_sweep = sub.add_parser("sweep", help="mine/rank/evaluate across minisupport values")
     add_common_io(p_sweep)
-    add_workers(p_sweep)
     p_sweep.add_argument(
         "--minisupport",
+        type=_parse_minisupport_list,
         required=True,
         help="comma-separated list, each N or P%%",
     )
@@ -173,6 +211,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
         return int(exit_.code or 0)
+    if getattr(args, "workers", None) is not None or "ALERTFP_WORKERS" in os.environ:
+        print(
+            "alertfp: --workers and ALERTFP_WORKERS are deprecated and have no effect",
+            file=sys.stderr,
+        )
     try:
         return _dispatch(args)
     except PatternExplosionError as exc:
@@ -212,8 +255,7 @@ def _load_inputs(args):
 def _mining_config(args) -> MiningConfig:
     return MiningConfig(
         minisupport=args.minisupport,
-        max_pattern_len=getattr(args, "max_pattern_len", None),
-        emit_tidlists=getattr(args, "emit_tidlists", False),
+        max_pattern_len=args.max_pattern_len,
         max_patterns=args.max_patterns,
     )
 
@@ -222,10 +264,10 @@ def _cmd_mine(args) -> int:
     schema, dataset = _load_inputs(args)
     config = _mining_config(args)
     started = time.perf_counter()
-    fps = mine(dataset, config, workers=args.workers)
+    fps = mine(dataset, config)
     elapsed = time.perf_counter() - started
     model = ClassifierModel.from_pattern_set(
-        fps, schema, include_tidlists=config.emit_tidlists
+        fps, schema, include_tidlists=args.emit_tidlists
     )
     save_model(model, args.out)
     print(
@@ -241,8 +283,8 @@ def _cmd_rank(args) -> int:
     config = _mining_config(args)
     score_config = ScoreConfig(metric=args.score)
     started = time.perf_counter()
-    fps = mine(dataset, config, workers=args.workers)
-    ranked = rank(dataset, fps, score_config, workers=args.workers)
+    fps = mine(dataset, config)
+    ranked = rank(dataset, fps, score_config)
     elapsed = time.perf_counter() - started
     write_ranked(args.out, ranked, dataset, args.score, args.delimiter)
     _write_candidates(args, ranked)
@@ -258,9 +300,7 @@ def _cmd_score(args) -> int:
     _, dataset = _load_inputs(args)
     model = load_model(args.model)
     score_config = ScoreConfig(metric=args.score)
-    ranked = score_new(
-        dataset, model, score_config, force_schema=args.force_schema, workers=args.workers
-    )
+    ranked = score_new(dataset, model, score_config, force_schema=args.force_schema)
     write_ranked(args.out, ranked, dataset, args.score, args.delimiter)
     _write_candidates(args, ranked)
     print(
@@ -308,13 +348,8 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     _, dataset = _load_inputs(args)
     attack_tids = _read_attack_file(args, dataset)
-    values = [_parse_minisupport(v) for v in args.minisupport.split(",") if v.strip()]
     rows = sweep(
-        dataset,
-        values,
-        attack_tids,
-        MiningConfig(max_patterns=args.max_patterns),
-        workers=args.workers,
+        dataset, args.minisupport, attack_tids, MiningConfig(max_patterns=args.max_patterns)
     )
     write_sweep_report(args.out, rows)
     failures = sum(1 for r in rows if r.error)
@@ -332,7 +367,7 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
     )
     dataset, attack_tids = gen_synthetic(spec)
-    with open(args.out, "w", encoding="utf-8", newline="") as out:
+    with atomic_write(args.out) as out:
         out.write(
             f"# alertfp-gen v1 records={spec.n_records} attacks={spec.n_attack} "
             f"profiles={spec.routine_profiles} seed={spec.seed}\n"

@@ -15,14 +15,14 @@ combinations from a single source address.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 from .errors import AlertFpError
 from .miner import MiningConfig, mine
 from .model import Alert, AlertDataset, snort_schema
 from .scorer import ScoreConfig, ScoredAlert, rank
+from .textio import Target, atomic_write
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ def sweep(
     attack_tids: Iterable[int],
     config: MiningConfig | None = None,
     score_config: ScoreConfig | None = None,
-    workers: int = 1,
 ) -> list[SweepRow]:
     """mine, rank, locate, reduce at each threshold; one row per value.
 
@@ -78,17 +77,12 @@ def sweep(
     attack_tids = tuple(attack_tids)
     rows: list[SweepRow] = []
     for value in minisupports:
-        row_config = MiningConfig(
-            minisupport=value,
-            max_pattern_len=base.max_pattern_len,
-            emit_tidlists=base.emit_tidlists,
-            max_patterns=base.max_patterns,
-        )
+        row_config = replace(base, minisupport=value)
         n = data.n if isinstance(data, AlertDataset) else len(data)
         s_abs = row_config.minisupport_abs(n)
         try:
-            fps = mine(data, row_config, workers=workers)
-            ranked = rank(data, fps, score_config, workers=workers)
+            fps = mine(data, row_config)
+            ranked = rank(data, fps, score_config)
             worst = max(locate_attacks(ranked, attack_tids))
             rows.append(SweepRow(s_abs, fps.count, worst, reduction(n, worst)))
         except AlertFpError as exc:
@@ -96,16 +90,10 @@ def sweep(
     return rows
 
 
-def write_sweep_report(target: Union[str, Path, IO[str]], rows: Iterable[SweepRow]) -> None:
+def write_sweep_report(target: Target, rows: Iterable[SweepRow]) -> None:
     """One `minisupport<TAB>pattern_count<TAB>last_attack_rank<TAB>reduction_pct`
     row per threshold, reduction at 3 decimals; failed rows carry the error."""
-    handle = None
-    if isinstance(target, (str, Path)):
-        handle = open(target, "w", encoding="utf-8", newline="")
-        out = handle
-    else:
-        out = target
-    try:
+    with atomic_write(target) as out:
         for row in rows:
             if row.error is None:
                 out.write(
@@ -114,9 +102,6 @@ def write_sweep_report(target: Union[str, Path, IO[str]], rows: Iterable[SweepRo
                 )
             else:
                 out.write(f"{row.minisupport_abs}\t-\t-\t-\t# {row.error}\n")
-    finally:
-        if handle is not None:
-            handle.close()
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +109,10 @@ def write_sweep_report(target: Union[str, Path, IO[str]], rows: Iterable[SweepRo
 # ---------------------------------------------------------------------------
 
 
-def write_attack_ids(target: Union[str, Path, IO[str]], tids: Iterable[int]) -> None:
-    handle = None
-    if isinstance(target, (str, Path)):
-        handle = open(target, "w", encoding="utf-8", newline="")
-        out = handle
-    else:
-        out = target
-    try:
+def write_attack_ids(target: Target, tids: Iterable[int]) -> None:
+    with atomic_write(target) as out:
         for tid in tids:
             out.write(f"{tid}\n")
-    finally:
-        if handle is not None:
-            handle.close()
 
 
 def resolve_attack_selectors(

@@ -8,10 +8,8 @@ one corrupt record.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import Iterable
 
 from .errors import EmptyDatasetError, SchemaError, ValueParseError
 from .model import (
@@ -23,8 +21,7 @@ from .model import (
     canonicalize_value,
     split_timestamp,
 )
-
-Source = Union[str, Path, IO[str], IO[bytes]]
+from .textio import Source, Target, atomic_write, open_text
 
 
 @dataclass(frozen=True)
@@ -57,17 +54,6 @@ class ParseResult:
     rejects: tuple[RejectedLine, ...]
 
 
-def _open_lines(source: Source):
-    """Yield (owned_handle, line_iterable) for a path or stream."""
-    if isinstance(source, (str, Path)):
-        handle = open(source, "r", encoding="utf-8", newline="")
-        return handle, handle
-    if isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
-        return None, source
-    # byte stream
-    return None, io.TextIOWrapper(source, encoding="utf-8")
-
-
 def parse_log(
     source: Source, schema: AttributeSchema, fmt: LogFormat = LogFormat()
 ) -> ParseResult:
@@ -80,10 +66,9 @@ def parse_log(
     """
     if not schema.itemizable_indexes():
         raise SchemaError("schema has no itemizable fields; nothing to mine")
-    handle, lines = _open_lines(source)
     alerts: list[Alert] = []
     rejects: list[RejectedLine] = []
-    try:
+    with open_text(source) as lines:
         header_pending = fmt.has_header
         for line_number, raw_line in enumerate(lines, start=1):
             line = raw_line.rstrip("\r\n")
@@ -111,9 +96,6 @@ def parse_log(
                 rejects.append(RejectedLine(line_number, str(exc)))
                 continue
             alerts.append(Alert(len(alerts), values))
-    finally:
-        if handle is not None:
-            handle.close()
     if not alerts:
         raise EmptyDatasetError(
             f"no valid alert records in input ({len(rejects)} rejected)"
@@ -135,39 +117,21 @@ def _canonical_field(raw: str, f: SchemaField) -> str:
     return raw.strip()
 
 
-def write_log(target: Source, dataset: AlertDataset, fmt: LogFormat = LogFormat()) -> None:
+def write_log(target: Target, dataset: AlertDataset, fmt: LogFormat = LogFormat()) -> None:
     """Serialize a dataset back to its delimited form (debug writer; also
     used to emit synthetic logs). Round-trips value-identically with
     parse_log on canonical input."""
-    handle = None
-    if isinstance(target, (str, Path)):
-        handle = open(target, "w", encoding="utf-8", newline="")
-        out = handle
-    else:
-        out = target
-    try:
+    with atomic_write(target) as out:
         for alert in dataset.alerts:
             out.write(fmt.delimiter.join(alert.values))
             out.write("\n")
-    finally:
-        if handle is not None:
-            handle.close()
 
 
-def write_rejects(target: Source, rejects: Iterable[RejectedLine]) -> None:
+def write_rejects(target: Target, rejects: Iterable[RejectedLine]) -> None:
     """Rejects report: one `line_number<TAB>reason` row per rejected line."""
-    handle = None
-    if isinstance(target, (str, Path)):
-        handle = open(target, "w", encoding="utf-8", newline="")
-        out = handle
-    else:
-        out = target
-    try:
+    with atomic_write(target) as out:
         for r in rejects:
             out.write(f"{r.line_number}\t{r.reason}\n")
-    finally:
-        if handle is not None:
-            handle.close()
 
 
 _KINDS_BY_NAME = {k.value: k for k in FieldKind}
@@ -176,9 +140,8 @@ _KINDS_BY_NAME = {k.value: k for k in FieldKind}
 def load_schema(source: Source) -> AttributeSchema:
     """Read a schema config: one `name<TAB>kind` entry per line, order
     defining column order. Blank lines and `#` comments are skipped."""
-    handle, lines = _open_lines(source)
     fields: list[SchemaField] = []
-    try:
+    with open_text(source) as lines:
         for line_number, raw_line in enumerate(lines, start=1):
             line = raw_line.strip()
             if not line or line.startswith("#"):
@@ -195,24 +158,12 @@ def load_schema(source: Source) -> AttributeSchema:
                     f"schema line {line_number}: unknown field kind {kind_text!r}"
                 )
             fields.append(SchemaField(name, kind))
-    finally:
-        if handle is not None:
-            handle.close()
     if not fields:
         raise SchemaError("schema config defines no fields")
     return AttributeSchema(tuple(fields))
 
 
-def write_schema(target: Source, schema: AttributeSchema) -> None:
-    handle = None
-    if isinstance(target, (str, Path)):
-        handle = open(target, "w", encoding="utf-8", newline="")
-        out = handle
-    else:
-        out = target
-    try:
+def write_schema(target: Target, schema: AttributeSchema) -> None:
+    with atomic_write(target) as out:
         for f in schema.fields:
             out.write(f"{f.name}\t{f.kind.value}\n")
-    finally:
-        if handle is not None:
-            handle.close()

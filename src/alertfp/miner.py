@@ -20,7 +20,6 @@ the level-wise miner.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, groupby
@@ -64,13 +63,11 @@ class MiningConfig:
     minisupport is either an absolute count (int >= 1) or a ratio in
     (0, 1] that converts to ceil(ratio * n): half of 4 transactions means
     2, never 1. max_patterns guards against candidate explosion on low
-    thresholds (None disables). emit_tidlists controls whether persisted
-    models carry tidlists; mining itself always tracks them.
+    thresholds (None disables).
     """
 
     minisupport: int | float | Fraction = 2
     max_pattern_len: int | None = None
-    emit_tidlists: bool = False
     max_patterns: int | None = DEFAULT_PATTERN_CAP
 
     def minisupport_abs(self, n: int) -> int:
@@ -194,43 +191,21 @@ def _support(tids) -> int:
     return tids.bit_count() if isinstance(tids, int) else len(tids)
 
 
-def candidate_gen(
-    frequent_k: Sequence[tuple[Itemset, int]], workers: int = 1
-) -> list[tuple[Itemset, int]]:
+def candidate_gen(frequent_k: Sequence[tuple[Itemset, int]]) -> list[tuple[Itemset, int]]:
     """Join frequent k-itemsets into (k+1)-candidates.
 
     Two k-itemsets sharing their first k-1 items combine; candidates with
     any infrequent k-subset are dropped; each survivor's tidlist bitset is
-    the intersection of its generators'. Output order and content are
-    independent of the worker count.
+    the intersection of its generators'.
     """
     if not frequent_k:
         return []
     frequent_itemsets = {itemset for itemset, _ in frequent_k}
     entries = sorted(frequent_k, key=lambda e: e[0])
-    groups = [
-        list(group) for _, group in groupby(entries, key=lambda e: e[0][:-1])
-    ]
-    if workers <= 1 or len(groups) < 2 * workers:
-        out: list[tuple[Itemset, int]] = []
-        for members in groups:
-            out.extend(_join_group(members, frequent_itemsets))
-        return out
-    chunks = [groups[i::workers] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(lambda chunk: _join_chunk(chunk, frequent_itemsets), chunks)
-        )
-    # reassemble in original group order
-    out = []
-    indexed = [iter(part) for part in parts]
-    for i in range(len(groups)):
-        out.extend(next(indexed[i % workers]))
+    out: list[tuple[Itemset, int]] = []
+    for _, group in groupby(entries, key=lambda e: e[0][:-1]):
+        out.extend(_join_group(list(group), frequent_itemsets))
     return out
-
-
-def _join_chunk(groups, frequent_itemsets):
-    return [_join_group(members, frequent_itemsets) for members in groups]
 
 
 def _join_group(members, frequent_itemsets) -> list[tuple[Itemset, int]]:
@@ -249,13 +224,13 @@ def _join_group(members, frequent_itemsets) -> list[tuple[Itemset, int]]:
     return out
 
 
-def mine(data: Minable, config: MiningConfig | None = None, workers: int = 1) -> PatternSet:
+def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     """Mine every frequent itemset with its exact tidlist and support.
 
     Levels proceed candidate-1 scan, prune, join, prune, ... until a level
-    comes up empty or max_pattern_len is reached. Output is canonical and
-    bit-identical regardless of worker count. Raises PatternExplosionError
-    when the running pattern count exceeds the configured cap.
+    comes up empty or max_pattern_len is reached. Output is canonical.
+    Raises PatternExplosionError when the running pattern count exceeds
+    the configured cap.
     """
     config = config or MiningConfig()
     txns = _as_transactions(data)
@@ -274,7 +249,7 @@ def mine(data: Minable, config: MiningConfig | None = None, workers: int = 1) ->
     _check_cap(total, cap, 1)
     length = 1
     while level and (config.max_pattern_len is None or length < config.max_pattern_len):
-        level = prune(candidate_gen(level, workers=workers), s_abs)
+        level = prune(candidate_gen(level), s_abs)
         length += 1
         total += len(level)
         _check_cap(total, cap, length)

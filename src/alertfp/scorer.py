@@ -10,17 +10,16 @@ high and sink; alerts matching nothing float to the top for review.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import fsum
-from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-from .errors import AlertFpError, EmptyPatternSetError
+from .errors import AlertFpError, EmptyPatternSetError, ModelFormatError
 from .miner import Minable, PatternSet, _as_transactions
 from .model import AlertDataset, Item, Transaction
+from .textio import Source, Target, atomic_write, open_text
 
 RANKED_MAGIC = "# alertfp-ranked v1"
 
@@ -31,17 +30,13 @@ _MAX_ENUM_ITEMS = 20
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """metric picks the sort key ("simple" or "fpof"); top_p is the
-    percentage of the ranking flagged as candidate true alerts."""
+    """metric picks the sort key ("simple" or "fpof")."""
 
     metric: str = "simple"
-    top_p: float = 100.0
 
     def __post_init__(self) -> None:
         if self.metric not in ("simple", "fpof"):
             raise ValueError(f"unknown metric {self.metric!r}")
-        if not 0 < self.top_p <= 100:
-            raise ValueError("top_p must be in (0, 100]")
 
 
 @dataclass(frozen=True)
@@ -61,6 +56,8 @@ class PatternScorer:
     frequent items or scans the pattern list, whichever is cheaper; both
     routes produce bit-identical results (the ratio sum uses fsum, which
     is order-independent), and results are cached by frequent-item set.
+    An itemset given twice would count twice on the scan route only, so
+    it raises ModelFormatError.
     """
 
     def __init__(self, patterns: Iterable[tuple[Iterable[Item], int]], n: int):
@@ -76,6 +73,11 @@ class PatternScorer:
                 self._item_ids.setdefault(item, len(self._item_ids))
                 for item in itemset
             )
+            if ids in lookup:
+                rendered = ",".join(
+                    f"{item.field_index}={item.value}" for item in sorted(set(itemset))
+                )
+                raise ModelFormatError(f"itemset {rendered} occurs more than once")
             ratio = support_count / n
             id_sets.append(ids)
             ratios.append(ratio)
@@ -118,46 +120,61 @@ class PatternScorer:
         return result
 
 
+def _shared_scorer(fps: PatternSet) -> PatternScorer:
+    """One scorer per pattern set, built on first use and kept on it.
+
+    For the per-alert `simple_fpof`/`fpof` calls only. `rank` builds its
+    own scorer, which dies with the ranking: kept on the set, the scorer's
+    per-transaction cache would outlive it, and in a sweep it would still
+    be held while the next threshold is mined.
+    """
+    cached = fps.__dict__.get("_scorer")
+    if cached is None:
+        cached = PatternScorer.from_pattern_set(fps)
+        object.__setattr__(fps, "_scorer", cached)
+    return cached
+
+
 def simple_fpof(t: Transaction, fps: PatternSet) -> int:
     """Number of frequent patterns contained in the transaction."""
-    return PatternScorer.from_pattern_set(fps).score(t.items)[0]
+    return _shared_scorer(fps).score(t.items)[0]
 
 
 def fpof(t: Transaction, fps: PatternSet) -> float:
     """Sum of contained patterns' support ratios over the pattern count."""
     if fps.count == 0:
         raise EmptyPatternSetError("score is undefined over an empty pattern set")
-    return PatternScorer.from_pattern_set(fps).score(t.items)[1] / fps.count
+    return _shared_scorer(fps).score(t.items)[1] / fps.count
 
 
 def rank(
     data: Minable,
     fps: PatternSet,
     config: ScoreConfig | None = None,
-    workers: int = 1,
 ) -> list[ScoredAlert]:
     """Score every alert and sort ascending by the configured metric.
 
     Both scores are always populated. Ties break by ascending tid, so the
-    output is fully determined by the scores and the input order, and it
-    is identical for any worker count.
+    output is fully determined by the scores and the input order.
     """
     config = config or ScoreConfig()
     if fps.count == 0:
         raise EmptyPatternSetError("ranking is undefined over an empty pattern set")
     scorer = PatternScorer.from_pattern_set(fps)
-    return rank_with_scorer(_as_transactions(data), scorer, config, workers)
+    return rank_with_scorer(_as_transactions(data), scorer, config)
 
 
 def rank_with_scorer(
     transactions: Sequence[Transaction],
     scorer: PatternScorer,
     config: ScoreConfig,
-    workers: int = 1,
 ) -> list[ScoredAlert]:
     if scorer.count == 0:
         raise EmptyPatternSetError("ranking is undefined over an empty pattern set")
-    raw = _score_all(transactions, scorer, workers)
+    raw = []
+    for t in transactions:
+        simple, total = scorer.score(t.items)
+        raw.append((t.tid, simple, total))
     if config.metric == "simple":
         raw.sort(key=lambda row: (row[1], row[0]))
     else:
@@ -166,28 +183,6 @@ def rank_with_scorer(
         ScoredAlert(tid, simple, total / scorer.count, position + 1)
         for position, (tid, simple, total) in enumerate(raw)
     ]
-
-
-def _score_all(
-    transactions: Sequence[Transaction], scorer: PatternScorer, workers: int
-) -> list[tuple[int, int, float]]:
-    def score_chunk(chunk: Sequence[Transaction]) -> list[tuple[int, int, float]]:
-        out = []
-        for t in chunk:
-            simple, total = scorer.score(t.items)
-            out.append((t.tid, simple, total))
-        return out
-
-    if workers <= 1 or len(transactions) < 2 * workers:
-        return score_chunk(transactions)
-    size = -(-len(transactions) // workers)
-    chunks = [transactions[i : i + size] for i in range(0, len(transactions), size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(score_chunk, chunks)
-    merged: list[tuple[int, int, float]] = []
-    for part in parts:
-        merged.extend(part)
-    return merged
 
 
 def top_candidates(ranked: Sequence[ScoredAlert], top_p: float) -> list[int]:
@@ -223,9 +218,6 @@ class RankedFile:
     rows: tuple[RankedRow, ...]
 
 
-Target = Union[str, Path, IO[str]]
-
-
 def write_ranked(
     target: Target,
     ranked: Sequence[ScoredAlert],
@@ -235,30 +227,17 @@ def write_ranked(
 ) -> None:
     """Write the ranked log: header, then one
     rank<TAB>tid<TAB>simple_fpof<TAB>fpof<TAB>original_record row per alert."""
-    handle = None
-    if isinstance(target, (str, Path)):
-        handle = open(target, "w", encoding="utf-8", newline="")
-        out = handle
-    else:
-        out = target
-    try:
+    with atomic_write(target) as out:
         out.write(f"{RANKED_MAGIC} n={dataset.n} metric={metric}\n")
         for sa in ranked:
             original = delimiter.join(dataset.alerts[sa.tid].values)
             out.write(f"{sa.rank}\t{sa.tid}\t{sa.simple_fpof}\t{sa.fpof:.6f}\t{original}\n")
-    finally:
-        if handle is not None:
-            handle.close()
 
 
-def read_ranked(source: Union[str, Path, IO[str]]) -> RankedFile:
-    handle = None
-    if isinstance(source, (str, Path)):
-        handle = open(source, "r", encoding="utf-8", newline="")
-        stream = handle
-    else:
-        stream = source
-    try:
+def read_ranked(source: Source) -> RankedFile:
+    """Read a ranked file back; a row count that differs from the header's
+    n= (a truncated or concatenated file) raises AlertFpError."""
+    with open_text(source) as stream:
         header = stream.readline().rstrip("\n")
         if not header.startswith(RANKED_MAGIC):
             raise AlertFpError(f"not a ranked alert file: {header!r}")
@@ -276,12 +255,11 @@ def read_ranked(source: Union[str, Path, IO[str]]) -> RankedFile:
             if not line:
                 continue
             parts = line.split("\t", 4)
-            if len(parts) != 5:
-                raise AlertFpError(f"ranked file line {line_number}: malformed row")
-            rows.append(
-                RankedRow(int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]), parts[4])
-            )
-        return RankedFile(n, metric, tuple(rows))
-    finally:
-        if handle is not None:
-            handle.close()
+            try:
+                rank_, tid, simple = int(parts[0]), int(parts[1]), int(parts[2])
+                rows.append(RankedRow(rank_, tid, simple, float(parts[3]), parts[4]))
+            except (IndexError, ValueError):
+                raise AlertFpError(f"ranked file line {line_number}: malformed row") from None
+    if len(rows) != n:
+        raise AlertFpError(f"ranked file header declares n={n} but carries {len(rows)} rows")
+    return RankedFile(n, metric, tuple(rows))

@@ -8,15 +8,13 @@ patterns in canonical order. `%`-escaping covers the five characters that
 would break the framing: `,` `=` `%` tab newline. Tidlists can optionally
 be appended as a third tab-separated column for audit.
 
-Writes are atomic (temp file + rename), so a reader racing a nightly
+Writes go through `textio.atomic_write`, so a reader racing a nightly
 rebuild sees the old model or the new one, never a torn file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,6 +24,7 @@ from .errors import EmptyPatternSetError, ModelFormatError, SchemaMismatchError
 from .miner import Itemset, PatternSet
 from .model import AlertDataset, AttributeSchema, Item
 from .scorer import PatternScorer, ScoreConfig, ScoredAlert, rank_with_scorer
+from .textio import atomic_write
 
 MODEL_MAGIC = "# alertfp-model v1"
 
@@ -110,7 +109,6 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
     """Write the model atomically. Saving a loaded model reproduces the
     file byte for byte."""
     model.validate()
-    path = Path(path)
     lines = [
         MODEL_MAGIC,
         f"n_train={model.n_train}",
@@ -125,20 +123,8 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
         if model.tidlists is not None:
             row += "\t" + ",".join(str(tid) for tid in model.tidlists[position])
         lines.append(row)
-    payload = "\n".join(lines) + "\n"
-    fd, temp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent or Path(".")
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as out:
-            out.write(payload)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as out:
+        out.write("\n".join(lines) + "\n")
 
 
 def load_model(path: Union[str, Path]) -> ClassifierModel:
@@ -225,7 +211,6 @@ def score_new(
     model: ClassifierModel,
     config: ScoreConfig | None = None,
     force_schema: bool = False,
-    workers: int = 1,
 ) -> list[ScoredAlert]:
     """Rank fresh alerts against a stored model.
 
@@ -242,4 +227,4 @@ def score_new(
             "pass force_schema to override"
         )
     scorer = PatternScorer(model.patterns, model.n_train)
-    return rank_with_scorer(alerts.transactions(), scorer, config, workers)
+    return rank_with_scorer(alerts.transactions(), scorer, config)

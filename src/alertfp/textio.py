@@ -1,0 +1,83 @@
+"""Path-or-stream text I/O shared by the log, schema, ranked, model,
+sweep and attack-id readers and writers.
+
+`open_text` reads a path, a text stream or a byte stream. `atomic_write`
+writes a path through a temp file in the same directory that replaces
+the target only once the whole output is written, so a reader racing a
+writer (a daytime scorer against a nightly rebuild) sees the old file or
+the new one, never a torn one. Streams pass through both unchanged and
+are left open.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import stat
+from contextlib import contextmanager
+from itertools import count
+from pathlib import Path
+from typing import IO, Iterator, Union
+
+Source = Union[str, Path, IO[str], IO[bytes]]
+Target = Union[str, Path, IO[str]]
+
+
+@contextmanager
+def open_text(source: Source) -> Iterator[IO[str]]:
+    """Yield a UTF-8 text stream over source. A path is opened here and
+    closed on exit."""
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8", newline="") as handle:
+            yield handle
+    elif isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
+        yield source
+    else:
+        wrapper = io.TextIOWrapper(source, encoding="utf-8")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()  # leave the caller's byte stream open
+
+
+@contextmanager
+def atomic_write(target: Target) -> Iterator[IO[str]]:
+    """Yield a UTF-8 text stream that ends up at target.
+
+    For a path, the text goes to a new temp file beside it, created with
+    the process umask, and `os.replace` moves it onto the target when the
+    block exits cleanly. On any exception the temp file is deleted and
+    the target is left as it was. A path whose own entry (not followed)
+    is a symlink, a device or a pipe is written in place, through the
+    link: replacing it would replace the link or the device itself, and
+    `/dev/stdout` is a symlink even when stdout is redirected to a file.
+    """
+    if not isinstance(target, (str, Path)):
+        yield target
+        return
+    path = Path(target)
+    try:
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            yield out
+        return
+    for attempt in count():
+        temp = path.parent / f"{path.name}.{os.getpid()}.{attempt}.tmp"
+        try:
+            out = open(temp, "x", encoding="utf-8", newline="")
+            break
+        except FileExistsError:  # left by a crashed run with the same pid
+            continue
+    try:
+        with out:
+            yield out
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+        raise

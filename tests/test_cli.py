@@ -1,8 +1,12 @@
 import os
+import stat
+
+import pytest
 
 from alertfp.cli import main
+from alertfp.model import snort_schema
 from alertfp.scorer import read_ranked
-from alertfp.store import load_model
+from alertfp.store import load_model, schema_fingerprint
 
 from conftest import SNORT_SAMPLE
 
@@ -67,6 +71,38 @@ class TestMineCommand:
         )
         assert code == 3
         assert "minisupport" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mine", "--minisupport", "0"],
+        ["mine", "--minisupport", "150%"],
+        ["rank", "--top-p", "0"],
+        ["rank", "--top-p", "nan"],
+        ["sweep", "--minisupport", "5,abc"],
+        ["mine", "--max-pattern-len", "0"],
+        ["mine", "--max-patterns", "-5"],
+        ["mine", "--delimiter", "ab"],
+    ],
+    ids="_".join,
+)
+def test_bad_value_is_a_usage_error_before_any_output(
+    argv, sample_log_path, snort_schema_path, tmp_path, capsys
+):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    args = argv + [
+        "--input", str(sample_log_path),
+        "--schema", str(snort_schema_path),
+        "--out", str(out_dir / "result"),
+    ]
+    if argv[0] == "sweep":
+        args += ["--attacks", str(tmp_path / "attacks.txt")]
+    assert main(args) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and argv[1] in errors[0]
+    assert list(out_dir.iterdir()) == []
 
 
 class TestRankCommand:
@@ -192,6 +228,33 @@ class TestScoreCommand:
         assert rows[0].tid == 3
         assert rows[0].simple_fpof == 0
 
+    def test_repeated_itemset_in_model_is_exit_2(
+        self, sample_log_path, snort_schema_path, tmp_path, capsys
+    ):
+        model = tmp_path / "model.fps"
+        model.write_text(
+            "# alertfp-model v1\nn_train=5\nminisupport=2\n"
+            f"schema_fp={schema_fingerprint(snort_schema())}\n"
+            "built_at=2010-06-22T00:00:00+00:00\npatterns=3\n"
+            "2\t0=a\n2\t0=a\n2\t1=b,0=a\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "ranked.tsv"
+        code = main(
+            [
+                "score",
+                "--input", str(sample_log_path),
+                "--schema", str(snort_schema_path),
+                "--model", str(model),
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "alertfp: itemset 0=a occurs more than once"
+        ]
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_prints_ranks_and_reduction(
@@ -218,6 +281,20 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "attack_ranks=1" in out
         assert "reduction=66.667" in out
+
+    def test_truncated_ranked_file_is_exit_2(
+        self, sample_log_path, snort_schema_path, tmp_path, capsys
+    ):
+        ranked = tmp_path / "ranked.tsv"
+        args = ["--input", str(sample_log_path), "--schema", str(snort_schema_path)]
+        assert main(["rank", *args, "--minisupport", "2", "--out", str(ranked)]) == 0
+        lines = ranked.read_text(encoding="utf-8").splitlines(keepends=True)
+        ranked.write_text("".join(lines[:-1]), encoding="utf-8")
+        attacks = tmp_path / "attacks.txt"
+        attacks.write_text("2\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--ranked", str(ranked), "--attacks", str(attacks)]) == 2
+        assert "n=3 but carries 2 rows" in capsys.readouterr().err
 
     def test_cid_selector_requires_log(self, sample_log_path, snort_schema_path, tmp_path, capsys):
         ranked = tmp_path / "ranked.tsv"
@@ -364,37 +441,61 @@ class TestGenCommand:
         assert read_ranked(out).n == 50
 
 
+DEPRECATED_WORKERS = "alertfp: --workers and ALERTFP_WORKERS are deprecated and have no effect"
+
+
 class TestWorkersAndEnv:
-    def test_workers_flag_does_not_change_output(
-        self, sample_log_path, snort_schema_path, tmp_path
-    ):
-        base = [
+    def rank_args(self, sample_log_path, snort_schema_path, out):
+        return [
             "rank",
             "--input", str(sample_log_path),
             "--schema", str(snort_schema_path),
             "--minisupport", "2",
+            "--out", str(out),
         ]
-        out1, out4 = tmp_path / "w1.tsv", tmp_path / "w4.tsv"
-        assert main(base + ["--workers", "1", "--out", str(out1)]) == 0
-        assert main(base + ["--workers", "4", "--out", str(out4)]) == 0
-        assert out1.read_bytes() == out4.read_bytes()
 
-    def test_env_var_sets_default_workers(self, sample_log_path, snort_schema_path, tmp_path):
-        out = tmp_path / "ranked.tsv"
-        os.environ["ALERTFP_WORKERS"] = "4"
+    def test_workers_flag_does_not_change_output(
+        self, sample_log_path, snort_schema_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("ALERTFP_WORKERS", raising=False)
+        plain, flagged = tmp_path / "plain.tsv", tmp_path / "flagged.tsv"
+        assert main(self.rank_args(sample_log_path, snort_schema_path, plain)) == 0
+        assert DEPRECATED_WORKERS not in capsys.readouterr().err
+        args = self.rank_args(sample_log_path, snort_schema_path, flagged)
+        assert main(args + ["--workers", "4"]) == 0
+        assert capsys.readouterr().err.count(DEPRECATED_WORKERS) == 1
+        assert plain.read_bytes() == flagged.read_bytes()
+
+    def test_env_var_sets_default_workers(
+        self, sample_log_path, snort_schema_path, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("ALERTFP_WORKERS", raising=False)
+        plain, with_env = tmp_path / "plain.tsv", tmp_path / "env.tsv"
+        assert main(self.rank_args(sample_log_path, snort_schema_path, plain)) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("ALERTFP_WORKERS", "4")
+        assert main(self.rank_args(sample_log_path, snort_schema_path, with_env)) == 0
+        assert capsys.readouterr().err.count(DEPRECATED_WORKERS) == 1
+        assert plain.read_bytes() == with_env.read_bytes()
+
+
+class TestOutputFiles:
+    def test_model_and_ranked_files_take_the_umask(
+        self, sample_log_path, snort_schema_path, tmp_path
+    ):
+        args = ["--input", str(sample_log_path), "--schema", str(snort_schema_path)]
+        model, ranked = tmp_path / "model.fps", tmp_path / "ranked.tsv"
+        previous = os.umask(0o027)
         try:
-            code = main(
-                [
-                    "rank",
-                    "--input", str(sample_log_path),
-                    "--schema", str(snort_schema_path),
-                    "--minisupport", "2",
-                    "--out", str(out),
-                ]
-            )
+            assert main(["mine", *args, "--minisupport", "2", "--out", str(model)]) == 0
+            assert main(["score", *args, "--model", str(model), "--out", str(ranked)]) == 0
         finally:
-            del os.environ["ALERTFP_WORKERS"]
-        assert code == 0
+            os.umask(previous)
+        assert stat.S_IMODE(model.stat().st_mode) == 0o640
+        assert stat.S_IMODE(ranked.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "model.fps", "ranked.tsv", "sample.tsv", "snort.schema"
+        ]
 
 
 class TestRejects:

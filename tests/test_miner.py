@@ -159,13 +159,6 @@ class TestCandidateGen:
         f2 = level_from([(("a", "b"), (0, 1)), (("a", "c"), (0, 1))])
         assert candidate_gen(f2) == []
 
-    def test_worker_count_does_not_change_output(self, baskets4):
-        f1 = [
-            ((item,), bits_of(tids))
-            for item, tids in prune(build_candidates_1(baskets4), 1)
-        ]
-        assert candidate_gen(f1, workers=1) == candidate_gen(f1, workers=4)
-
 
 class TestMine:
     def test_half_support_yields_nine_patterns(self, baskets4):
@@ -323,13 +316,12 @@ class TestMinerProperties:
                 assert itemsets <= previous
             previous = itemsets
 
-    def test_repeat_runs_and_workers_identical(self):
+    def test_repeat_runs_identical(self):
         rng = random.Random(3)
         txns = random_baskets(rng, max_transactions=25)
         config = MiningConfig(minisupport=2)
         first = mine(txns, config)
         assert first == mine(txns, config)
-        assert first == mine(txns, config, workers=4)
 
 
 class TestPatternSet:

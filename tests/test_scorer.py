@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from alertfp.errors import AlertFpError, EmptyPatternSetError
+from alertfp.errors import AlertFpError, EmptyPatternSetError, ModelFormatError
 from alertfp.miner import MiningConfig, mine
-from alertfp.model import Transaction
+from alertfp.model import Item, Transaction
 from alertfp.scorer import (
     PatternScorer,
     ScoreConfig,
@@ -98,12 +98,6 @@ class TestRank:
         empty = mine(baskets4, MiningConfig(minisupport=4))
         with pytest.raises(EmptyPatternSetError):
             rank(baskets4, empty)
-
-    def test_worker_count_invariance(self):
-        rng = random.Random(17)
-        txns = random_baskets(rng, max_transactions=30)
-        fps = mine(txns, MiningConfig(minisupport=1))
-        assert rank(txns, fps, workers=1) == rank(txns, fps, workers=4)
 
 
 class TestTopCandidates:
@@ -211,6 +205,13 @@ class TestScorerProperties:
             assert by_policy == by_scan
 
 
+    def test_repeated_itemset_rejected(self):
+        # counted twice by the scan route and once by enumeration
+        a, b = Item(0, "a"), Item(1, "b")
+        with pytest.raises(ModelFormatError, match="itemset 0=a occurs more than once"):
+            PatternScorer([((a,), 2), ((a,), 2), ((b, a), 2)], 5)
+
+
 def scan_score(fps, t):
     from math import fsum
 
@@ -249,14 +250,19 @@ class TestRankedFile:
         with pytest.raises(AlertFpError):
             read_ranked(path)
 
+    def test_reject_non_numeric_field(self):
+        text = "# alertfp-ranked v1 n=1 metric=simple\nx\t0\t1\t0.5\tweb\n"
+        with pytest.raises(AlertFpError, match="line 2: malformed row"):
+            read_ranked(io.StringIO(text))
+
 
 class TestScoreConfig:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
             ScoreConfig(metric="weird")
 
-    def test_top_p_bounds(self):
-        with pytest.raises(ValueError):
-            ScoreConfig(top_p=0)
-        with pytest.raises(ValueError):
-            ScoreConfig(top_p=101)
+    def test_top_p_bounds(self, baskets4, basket_fps):
+        ranked = rank(baskets4, basket_fps)
+        for bad in (0, 101, float("nan")):
+            with pytest.raises(ValueError):
+                top_candidates(ranked, bad)
