@@ -44,7 +44,7 @@ from .scorer import (
     write_ranked,
 )
 from .store import ClassifierModel, load_model, save_model, score_new
-from .textio import atomic_write
+from .textio import atomic_write, open_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -194,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max-patterns", type=_parse_max_patterns, default=5_000_000)
 
     p_gen = sub.add_parser("gen", help="generate a seeded synthetic log with planted attacks")
-    p_gen.add_argument("--records", type=int, required=True)
-    p_gen.add_argument("--attacks", type=int, default=5, dest="n_attack")
-    p_gen.add_argument("--profiles", type=int, default=7)
+    p_gen.add_argument("--records", type=_parse_positive_int, required=True)
+    p_gen.add_argument("--attacks", type=_parse_positive_int, default=5, dest="n_attack")
+    p_gen.add_argument("--profiles", type=_parse_positive_int, default=7)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", required=True, help="log output path")
     p_gen.add_argument("--attacks-out", required=True, help="attack-id output path")
@@ -321,9 +321,8 @@ def _write_candidates(args, ranked) -> None:
 
 
 def _read_attack_file(args, dataset=None) -> set[int]:
-    with open(args.attacks, "r", encoding="utf-8") as stream:
-        lines = stream.readlines()
-    return resolve_attack_selectors(lines, dataset)
+    with open_text(args.attacks) as stream:
+        return resolve_attack_selectors(stream, dataset)
 
 
 def _cmd_eval(args) -> int:

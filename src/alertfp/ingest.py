@@ -62,7 +62,10 @@ def parse_log(
     Input record order is preserved and tids are assigned 0..n-1 over the
     accepted records. Malformed lines (wrong column count, unparseable
     numeric or timestamp values) are collected into the rejects report and
-    parsing continues. Raises EmptyDatasetError when nothing parses.
+    parsing continues. Raises EmptyDatasetError when nothing parses. A
+    line holding the delimiter is a record even when every field is
+    empty, and its empty fields canonicalize to null like any other;
+    only a line of whitespace alone is skipped as blank.
     """
     if not schema.itemizable_indexes():
         raise SchemaError("schema has no itemizable fields; nothing to mine")
@@ -72,7 +75,7 @@ def parse_log(
         header_pending = fmt.has_header
         for line_number, raw_line in enumerate(lines, start=1):
             line = raw_line.rstrip("\r\n")
-            if not line.strip():
+            if not line.strip() and fmt.delimiter not in line:
                 continue
             if fmt.comment_prefix and line.startswith(fmt.comment_prefix):
                 continue

@@ -39,11 +39,20 @@ DEFAULT_PATTERN_CAP = 5_000_000
 
 
 def bits_of(tids: Iterable[int]) -> int:
-    """Pack transaction ids into a bitset."""
-    bits = 0
+    """Pack transaction ids into a bitset.
+
+    The bits are set in a bytearray and converted once: or-ing each tid
+    into an int copies the whole int every time, which is quadratic.
+    """
+    tids = tuple(tids)
+    if not tids:
+        return 0
+    if min(tids) < 0:
+        raise ValueError(f"negative transaction id {min(tids)}")
+    buffer = bytearray((max(tids) >> 3) + 1)
     for tid in tids:
-        bits |= 1 << tid
-    return bits
+        buffer[tid >> 3] |= 1 << (tid & 7)
+    return int.from_bytes(buffer, "little")
 
 
 def tids_of(bits: int) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import SchemaError, ValueParseError
 
@@ -128,12 +129,12 @@ def split_timestamp(raw: str) -> tuple[str, str]:
     return date_part, f"{int(hour)}:{minute}{meridiem.upper()}"
 
 
-@dataclass(frozen=True, order=True)
-class Item:
+class Item(NamedTuple):
     """One (column, canonical value) pair.
 
-    Equality and ordering are on the (field_index, value) pair, so equal
-    strings in different columns never collide.
+    Equality, hashing and ordering are those of the (field_index, value)
+    tuple, so equal strings in different columns never collide. An Item
+    equals the plain tuple (field_index, value).
     """
 
     field_index: int

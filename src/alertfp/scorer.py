@@ -64,59 +64,51 @@ class PatternScorer:
         if n < 1:
             raise ValueError("dataset size must be >= 1")
         self.n = n
-        self._item_ids: dict[Item, int] = {}
-        id_sets: list[frozenset[int]] = []
+        itemsets: list[frozenset[Item]] = []
         ratios: list[float] = []
-        lookup: dict[frozenset[int], float] = {}
+        lookup: dict[frozenset[Item], float] = {}
         for itemset, support_count in patterns:
-            ids = frozenset(
-                self._item_ids.setdefault(item, len(self._item_ids))
-                for item in itemset
-            )
-            if ids in lookup:
-                rendered = ",".join(
-                    f"{item.field_index}={item.value}" for item in sorted(set(itemset))
-                )
+            key = frozenset(itemset)
+            if key in lookup:
+                rendered = ",".join(f"{item.field_index}={item.value}" for item in sorted(key))
                 raise ModelFormatError(f"itemset {rendered} occurs more than once")
             ratio = support_count / n
-            id_sets.append(ids)
+            itemsets.append(key)
             ratios.append(ratio)
-            lookup[ids] = ratio
-        self._id_sets = id_sets
+            lookup[key] = ratio
+        self._itemsets = itemsets
         self._ratios = ratios
         self._lookup = lookup
-        self.count = len(id_sets)
-        self._cache: dict[frozenset[int], tuple[int, float]] = {}
+        self._frequent = frozenset().union(*itemsets)
+        self.count = len(itemsets)
+        self._cache: dict[frozenset[Item], tuple[int, float]] = {}
 
     @classmethod
     def from_pattern_set(cls, fps: PatternSet) -> "PatternScorer":
         return cls(((p.itemset, p.support_count) for p in fps), fps.n)
 
-    def score(self, items: frozenset[Item]) -> tuple[int, float]:
+    def score(self, items: Iterable[Item]) -> tuple[int, float]:
         """Return (contained-pattern count, ratio sum) for one item set."""
-        ids = frozenset(
-            self._item_ids[item] for item in items if item in self._item_ids
-        )
-        cached = self._cache.get(ids)
+        key = self._frequent.intersection(items)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
-        width = len(ids)
+        width = len(key)
         if width <= _MAX_ENUM_ITEMS and (1 << width) <= max(64, 2 * self.count):
             hits = []
-            ordered = sorted(ids)
             for size in range(1, width + 1):
-                for combo in combinations(ordered, size):
+                for combo in combinations(key, size):
                     ratio = self._lookup.get(frozenset(combo))
                     if ratio is not None:
                         hits.append(ratio)
         else:
             hits = [
                 ratio
-                for id_set, ratio in zip(self._id_sets, self._ratios)
-                if id_set <= ids
+                for itemset, ratio in zip(self._itemsets, self._ratios)
+                if itemset <= key
             ]
         result = (len(hits), fsum(hits))
-        self._cache[ids] = result
+        self._cache[key] = result
         return result
 
 

@@ -24,7 +24,7 @@ from .errors import EmptyPatternSetError, ModelFormatError, SchemaMismatchError
 from .miner import Itemset, PatternSet
 from .model import AlertDataset, AttributeSchema, Item
 from .scorer import PatternScorer, ScoreConfig, ScoredAlert, rank_with_scorer
-from .textio import atomic_write
+from .textio import atomic_write, open_text
 
 MODEL_MAGIC = "# alertfp-model v1"
 
@@ -129,7 +129,7 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
 
 def load_model(path: Union[str, Path]) -> ClassifierModel:
     """Read and fully validate a model file."""
-    with open(path, "r", encoding="utf-8", newline="") as stream:
+    with open_text(path) as stream:
         lines = stream.read().splitlines()
     if not lines:
         raise ModelFormatError("empty model file")
@@ -159,6 +159,7 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
     built_at = header.get("built_at", "")
 
     patterns: list[tuple[Itemset, int]] = []
+    seen: set[Itemset] = set()
     tidlists: list[tuple[int, ...]] = []
     saw_tidlists = False
     for offset, line in enumerate(lines[cursor:], start=cursor + 1):
@@ -172,6 +173,15 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
             itemset = tuple(_parse_item(token, offset) for token in parts[1].split(","))
         except ValueError:
             raise ModelFormatError("malformed pattern row", line_number=offset) from None
+        if any(left >= right for left, right in zip(itemset, itemset[1:])):
+            raise ModelFormatError(
+                f"items of itemset {parts[1]} are not strictly ascending", line_number=offset
+            )
+        if itemset in seen:
+            raise ModelFormatError(
+                f"itemset {parts[1]} repeats an earlier row", line_number=offset
+            )
+        seen.add(itemset)
         patterns.append((itemset, support_count))
         if len(parts) == 3:
             saw_tidlists = True

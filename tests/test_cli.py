@@ -105,6 +105,26 @@ def test_bad_value_is_a_usage_error_before_any_output(
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--records", "0"), ("--attacks", "0"), ("--profiles", "0"), ("--records", "-3")],
+    ids=str,
+)
+def test_gen_bad_count_is_a_usage_error_before_any_output(flag, value, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    counts = {"--records": "50", "--attacks": "2", "--profiles": "3", flag: value}
+    args = ["gen", "--seed", "1"] + [part for pair in counts.items() for part in pair] + [
+        "--out", str(out_dir / "log.tsv"),
+        "--attacks-out", str(out_dir / "attacks.txt"),
+        "--schema-out", str(out_dir / "log.schema"),
+    ]
+    assert main(args) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
+    assert list(out_dir.iterdir()) == []
+
+
 class TestRankCommand:
     def test_sample_order(self, sample_log_path, snort_schema_path, tmp_path):
         out = tmp_path / "ranked.tsv"
@@ -251,7 +271,7 @@ class TestScoreCommand:
         )
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
-            "alertfp: itemset 0=a occurs more than once"
+            "alertfp: line 8: itemset 0=a repeats an earlier row"
         ]
         assert not out.exists()
 

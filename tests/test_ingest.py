@@ -67,6 +67,17 @@ class TestParseLog:
         assert result.dataset.n == 1
         assert result.dataset.alerts[0].values == ("web", "80")
 
+    @pytest.mark.parametrize("delimiter", ["\t", ","], ids=["tab", "comma"])
+    def test_all_empty_record_is_kept_as_nulls(self, delimiter):
+        d = delimiter
+        text = f"web{d}80\n{d}\n   \nssh{d}22\n"
+        result = parse_log(io.StringIO(text), two_col_schema(), LogFormat(delimiter=d))
+        assert [a.values for a in result.dataset.alerts] == [
+            ("web", "80"), ("null", "null"), ("ssh", "22")
+        ]
+        assert [a.tid for a in result.dataset.alerts] == [0, 1, 2]
+        assert result.rejects == ()
+
     def test_custom_delimiter(self):
         result = parse_log(io.StringIO("web|80\n"), two_col_schema(), LogFormat(delimiter="|"))
         assert result.dataset.alerts[0].values == ("web", "80")

@@ -40,6 +40,10 @@ class TestBits:
         assert bits_of([]) == 0
         assert tids_of(0) == ()
 
+    def test_negative_tid_rejected(self):
+        with pytest.raises(ValueError):
+            bits_of([3, -1])
+
 
 class TestMinisupport:
     def test_half_of_four_is_two(self):

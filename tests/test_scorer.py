@@ -2,9 +2,11 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alertfp.errors import AlertFpError, EmptyPatternSetError, ModelFormatError
-from alertfp.miner import MiningConfig, mine
+from alertfp.miner import MiningConfig, PatternSet, mine
 from alertfp.model import Item, Transaction
 from alertfp.scorer import (
     PatternScorer,
@@ -20,6 +22,11 @@ from alertfp.scorer import (
 from conftest import basket, random_baskets
 
 HALF = MiningConfig(minisupport=0.5)
+
+#: Items the property test draws its baskets from, and items no basket
+#: holds, so no pattern contains them.
+KNOWN_ITEMS = [Item(field, f"v{value}") for field in range(3) for value in range(3)]
+UNSEEN_ITEMS = [Item(0, "unseen"), Item(5, "v0")]
 
 
 @pytest.fixture
@@ -204,6 +211,29 @@ class TestScorerProperties:
             by_scan = scan_score(fps, t)
             assert by_policy == by_scan
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.frozensets(st.sampled_from(KNOWN_ITEMS), min_size=1, max_size=6),
+            min_size=1,
+            max_size=10,
+        ),
+        keep_share=st.floats(min_value=0.0, max_value=1.0),
+        queries=st.lists(st.sets(st.sampled_from(KNOWN_ITEMS + UNSEEN_ITEMS)), max_size=6),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_score_equals_brute_containment_hypothesis(self, rows, keep_share, queries, rng):
+        # a random subset of a mined set, so patterns need not be downward closed
+        txns = [Transaction(tid, items) for tid, items in enumerate(rows)]
+        mined = mine(txns, MiningConfig(minisupport=1))
+        kept = tuple(p for p in mined if rng.random() < keep_share)
+        fps = PatternSet(kept, mined.n, mined.minisupport_abs)
+        scorer = PatternScorer.from_pattern_set(fps)
+        everything = set(KNOWN_ITEMS + UNSEEN_ITEMS)  # wide, so often the scan route
+        for items in [set(UNSEEN_ITEMS), everything, *queries, *rows]:
+            expected = scan_score(fps, Transaction(0, frozenset(items)))
+            assert scorer.score(set(items)) == expected
+            assert scorer.score(frozenset(items)) == expected
 
     def test_repeated_itemset_rejected(self):
         # counted twice by the scan route and once by enumeration

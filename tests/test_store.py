@@ -130,6 +130,27 @@ class TestSaveLoad:
             load_model(path)
         assert info.value.line_number == 9
 
+    @pytest.mark.parametrize(
+        "rows, line_number, message",
+        [
+            (["2\t0=a,0=a"], 7, "not strictly ascending"),
+            (["2\t1=b,0=a"], 7, "not strictly ascending"),
+            (["2\t0=a", "2\t1=b", "2\t0=a"], 9, "repeats an earlier row"),
+            (["2\t0=a,1=b", "2\t0=a,1=b"], 8, "repeats an earlier row"),
+        ],
+        ids=["repeated-item", "descending-items", "repeated-1-itemset", "repeated-2-itemset"],
+    )
+    def test_non_canonical_row_reports_line_number(self, rows, line_number, message, tmp_path):
+        path = tmp_path / "model.fps"
+        path.write_text(
+            f"# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\n"
+            f"built_at={FIXED_TIME}\npatterns={len(rows)}\n" + "\n".join(rows) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ModelFormatError, match=message) as info:
+            load_model(path)
+        assert info.value.line_number == line_number
+
     def test_pattern_count_mismatch_detected(self, sample_model, tmp_path):
         path = tmp_path / "model.fps"
         save_model(sample_model, path)
