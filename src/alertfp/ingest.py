@@ -16,6 +16,8 @@ from .model import (
     Alert,
     AlertDataset,
     AttributeSchema,
+    ITEMIZABLE_KINDS,
+    NULL_VALUE,
     FieldKind,
     SchemaField,
     canonicalize_value,
@@ -71,6 +73,9 @@ def parse_log(
         raise SchemaError("schema has no itemizable fields; nothing to mine")
     alerts: list[Alert] = []
     rejects: list[RejectedLine] = []
+    # raw field -> canonical value, one memo per itemizable column; values
+    # repeat across lines, identifiers (cid) do not, so those get no memo
+    memos = [{} if f.kind in ITEMIZABLE_KINDS else None for f in schema.fields]
     with open_text(source) as lines:
         header_pending = fmt.has_header
         for line_number, raw_line in enumerate(lines, start=1):
@@ -93,7 +98,8 @@ def parse_log(
                 continue
             try:
                 values = tuple(
-                    _canonical_field(raw, f) for raw, f in zip(fields, schema.fields)
+                    _canonical_field(raw, f, memo)
+                    for raw, f, memo in zip(fields, schema.fields, memos)
                 )
             except ValueParseError as exc:
                 rejects.append(RejectedLine(line_number, str(exc)))
@@ -106,18 +112,21 @@ def parse_log(
     return ParseResult(AlertDataset(schema, tuple(alerts)), tuple(rejects))
 
 
-def _canonical_field(raw: str, f: SchemaField) -> str:
-    if f.kind in (FieldKind.NUMERIC, FieldKind.TIMESTAMP):
+def _canonical_field(raw: str, f: SchemaField, memo: dict[str, str] | None) -> str:
+    """Canonical value of one field, worked once per distinct raw value of
+    an itemizable column; other columns are only trimmed."""
+    if memo is None:
+        return raw.strip()
+    value = memo.get(raw)
+    if value is None:
         value = canonicalize_value(raw, f.kind)
-        if f.kind is FieldKind.TIMESTAMP and value != "null":
+        if f.kind is FieldKind.TIMESTAMP and value != NULL_VALUE:
             try:
                 split_timestamp(value)
             except ValueParseError as exc:
                 raise ValueParseError(str(exc), field=f.name) from None
-        return value
-    if f.kind is FieldKind.CATEGORICAL:
-        return canonicalize_value(raw, f.kind)
-    return raw.strip()
+        memo[raw] = value
+    return value
 
 
 def write_log(target: Target, dataset: AlertDataset, fmt: LogFormat = LogFormat()) -> None:

@@ -56,12 +56,18 @@ def bits_of(tids: Iterable[int]) -> int:
 
 
 def tids_of(bits: int) -> tuple[int, ...]:
-    """Unpack a bitset into the sorted transaction-id tuple."""
+    """Unpack a bitset into the sorted transaction-id tuple.
+
+    The bits are read from one binary rendering, least significant bit
+    first: clearing the lowest bit of the int instead copies the whole
+    int once per set bit, which is quadratic.
+    """
+    digits = bin(bits)[:1:-1]
     out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
+    tid = digits.find("1")
+    while tid >= 0:
+        out.append(tid)
+        tid = digits.find("1", tid + 1)
     return tuple(out)
 
 

@@ -5,7 +5,9 @@ transaction whose items are (column, canonical value) pairs, so the same
 string in two different columns is two different items. Identifier and
 ignored columns contribute nothing; a timestamp column contributes two
 items, the calendar-day part and the minute-resolution time part, which
-lets the two halves recur independently across alerts.
+lets the two halves recur independently across alerts. A dataset
+itemizes each distinct value of a column once, so its transactions share
+one Item object per distinct value.
 """
 
 from __future__ import annotations
@@ -160,25 +162,40 @@ class Transaction:
 
 def itemize(alert: Alert, schema: AttributeSchema) -> Transaction:
     """Convert an alert into its transaction. Pure and deterministic."""
+    return _itemize(alert, schema, _column_memos(schema))
+
+
+_ColumnMemos = list[tuple[int, SchemaField, dict[str, tuple[Item, ...]]]]
+
+
+def _column_memos(schema: AttributeSchema) -> _ColumnMemos:
+    """One (index, field, memo) entry per itemizable column. A memo maps
+    a raw value to its items, so each distinct value is itemized once."""
+    return [(i, f, {}) for i, f in enumerate(schema.fields) if f.kind in ITEMIZABLE_KINDS]
+
+
+def _itemize(alert: Alert, schema: AttributeSchema, columns: _ColumnMemos) -> Transaction:
     if len(alert.values) != schema.field_count:
         raise SchemaError(
             f"alert tid {alert.tid} has {len(alert.values)} values, "
             f"schema defines {schema.field_count} fields"
         )
     items: list[Item] = []
-    for index, (f, raw) in enumerate(zip(schema.fields, alert.values)):
-        if f.kind not in ITEMIZABLE_KINDS:
-            continue
-        try:
-            value = canonicalize_value(raw, f.kind)
-            if f.kind is FieldKind.TIMESTAMP and value != NULL_VALUE:
-                date_part, time_part = split_timestamp(value)
-                items.append(Item(index, date_part))
-                items.append(Item(index, time_part))
-            else:
-                items.append(Item(index, value))
-        except ValueParseError as exc:
-            raise ValueParseError(str(exc), field=f.name, tid=alert.tid) from None
+    for index, f, memo in columns:
+        raw = alert.values[index]
+        parts = memo.get(raw)
+        if parts is None:
+            try:
+                value = canonicalize_value(raw, f.kind)
+                if f.kind is FieldKind.TIMESTAMP and value != NULL_VALUE:
+                    date_part, time_part = split_timestamp(value)
+                    parts = (Item(index, date_part), Item(index, time_part))
+                else:
+                    parts = (Item(index, value),)
+            except ValueParseError as exc:
+                raise ValueParseError(str(exc), field=f.name, tid=alert.tid) from None
+            memo[raw] = parts
+        items.extend(parts)
     return Transaction(alert.tid, frozenset(items))
 
 
@@ -205,7 +222,8 @@ class AlertDataset:
         """Itemize every alert. Computed once and cached."""
         cached = self.__dict__.get("_transactions")
         if cached is None:
-            cached = tuple(itemize(a, self.schema) for a in self.alerts)
+            columns = _column_memos(self.schema)
+            cached = tuple(_itemize(a, self.schema, columns) for a in self.alerts)
             object.__setattr__(self, "_transactions", cached)
         return cached
 

@@ -130,9 +130,13 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
 def load_model(path: Union[str, Path]) -> ClassifierModel:
     """Read and fully validate a model file."""
     with open_text(path) as stream:
-        lines = stream.read().splitlines()
-    if not lines:
+        text = stream.read()
+    if not text:
         raise ModelFormatError("empty model file")
+    # split on "\n" alone: it is the only line break the escaping covers, and
+    # a value may hold "\r", "\x0c", "\x85" or "\u2028", which splitlines()
+    # would also break on
+    lines = text.split("\n")
     if lines[0] != MODEL_MAGIC:
         if lines[0].startswith("# alertfp-model "):
             raise ModelFormatError(
@@ -160,6 +164,7 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
 
     patterns: list[tuple[Itemset, int]] = []
     seen: set[Itemset] = set()
+    items: dict[str, Item] = {}  # token text -> Item; tokens repeat across rows
     tidlists: list[tuple[int, ...]] = []
     saw_tidlists = False
     for offset, line in enumerate(lines[cursor:], start=cursor + 1):
@@ -170,9 +175,15 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
             raise ModelFormatError("malformed pattern row", line_number=offset)
         try:
             support_count = int(parts[0])
-            itemset = tuple(_parse_item(token, offset) for token in parts[1].split(","))
+            itemset = tuple(_parse_item(token, offset, items) for token in parts[1].split(","))
         except ValueError:
             raise ModelFormatError("malformed pattern row", line_number=offset) from None
+        if not minisupport_abs <= support_count <= n_train:
+            raise ModelFormatError(
+                f"support {support_count} outside [{minisupport_abs}, {n_train}] "
+                f"for itemset {parts[1]}",
+                line_number=offset,
+            )
         if any(left >= right for left, right in zip(itemset, itemset[1:])):
             raise ModelFormatError(
                 f"items of itemset {parts[1]} are not strictly ascending", line_number=offset
@@ -197,7 +208,7 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
         )
     if not patterns:
         raise ModelFormatError("model contains no patterns")
-    model = ClassifierModel(
+    return ClassifierModel(
         schema_fingerprint=fingerprint,
         built_at=built_at,
         n_train=n_train,
@@ -205,15 +216,17 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
         patterns=tuple(patterns),
         tidlists=tuple(tidlists) if saw_tidlists else None,
     )
-    model.validate()
-    return model
 
 
-def _parse_item(token: str, line_number: int) -> Item:
-    index_text, sep, value_text = token.partition("=")
-    if not sep or not index_text:
-        raise ModelFormatError(f"malformed item token {token!r}", line_number=line_number)
-    return Item(int(index_text), _unescape(value_text))
+def _parse_item(token: str, line_number: int, items: dict[str, Item]) -> Item:
+    """The Item a token names, parsed once per distinct token of a load."""
+    item = items.get(token)
+    if item is None:
+        index_text, sep, value_text = token.partition("=")
+        if not sep or not index_text:
+            raise ModelFormatError(f"malformed item token {token!r}", line_number=line_number)
+        item = items[token] = Item(int(index_text), _unescape(value_text))
+    return item
 
 
 def score_new(

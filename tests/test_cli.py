@@ -1,8 +1,12 @@
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import alertfp
 from alertfp.cli import main
 from alertfp.model import snort_schema
 from alertfp.scorer import read_ranked
@@ -430,6 +434,28 @@ class TestGenCommand:
             )
         assert first_log.read_bytes() == second_log.read_bytes()
         assert first_attacks.read_bytes() == second_attacks.read_bytes()
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        def gen_args(stem):
+            return [
+                "gen", "--records", "40", "--seed", "5",
+                "--out", str(tmp_path / f"{stem}.tsv"),
+                "--attacks-out", str(tmp_path / f"{stem}.txt"),
+            ]
+
+        src = str(Path(alertfp.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        completed = subprocess.run(
+            [sys.executable, "-m", "alertfp", *gen_args("module")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert main(gen_args("direct")) == 0
+        for suffix in (".tsv", ".txt"):
+            assert (tmp_path / f"module{suffix}").read_bytes() == (
+                tmp_path / f"direct{suffix}"
+            ).read_bytes()
 
     def test_generated_log_parses_under_generated_schema(self, tmp_path):
         log = tmp_path / "syn.tsv"

@@ -54,6 +54,15 @@ class TestParseLog:
         assert result.rejects[0].line_number == 1
         assert "numeric" in result.rejects[0].reason
 
+    def test_repeated_bad_value_rejected_on_every_line(self):
+        text = "web\teighty\nweb\t80\nssh\teighty\nweb\t080\nssh\t 8,0 \n"
+        result = parse_log(io.StringIO(text), two_col_schema())
+        assert [r.line_number for r in result.rejects] == [1, 3]
+        assert result.rejects[0].reason == result.rejects[1].reason
+        assert [a.values for a in result.dataset.alerts] == [
+            ("web", "80"), ("web", "80"), ("ssh", "80")
+        ]
+
     def test_bad_timestamp_rejected(self):
         schema = AttributeSchema((SchemaField("ts", FieldKind.TIMESTAMP),))
         result = parse_log(io.StringIO("6/11/2010 8:57 AM\nnot-a-time\n"), schema)

@@ -36,6 +36,11 @@ class TestBits:
     def test_round_trip(self):
         assert tids_of(bits_of([5, 1, 3])) == (1, 3, 5)
 
+    def test_round_trip_wide_dense(self):
+        tids = sorted(random.Random(11).sample(range(114_680), 60_000))
+        assert tids_of(bits_of(tids)) == tuple(tids)
+        assert tids_of(1 << 200_000 | 1) == (0, 200_000)
+
     def test_empty(self):
         assert bits_of([]) == 0
         assert tids_of(0) == ()

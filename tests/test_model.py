@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alertfp.errors import SchemaError, ValueParseError
 from alertfp.model import (
@@ -180,6 +182,25 @@ class TestItemize:
         )
         assert len(itemize(alert, schema).items) == schema.items_per_alert()
 
+    def test_repeated_bad_value_raises_with_each_alerts_tid(self):
+        schema = AttributeSchema(
+            (SchemaField("sig", FieldKind.CATEGORICAL), SchemaField("port", FieldKind.NUMERIC))
+        )
+        alerts = (
+            Alert(0, ("web", "80")),
+            Alert(1, ("web", "eighty")),
+            Alert(2, ("ssh", "eighty")),
+        )
+        for alert in alerts[1:]:
+            with pytest.raises(ValueParseError) as info:
+                itemize(alert, schema)
+            assert info.value.tid == alert.tid
+        dataset = AlertDataset(schema, alerts)
+        for _ in range(2):  # a failed itemization is not cached
+            with pytest.raises(ValueParseError) as info:
+                dataset.transactions()
+            assert info.value.tid == 1
+
     def test_distinct_field_indexes_except_timestamp(self):
         schema = snort_schema()
         alert = Alert(
@@ -206,3 +227,54 @@ class TestAlertDataset:
         first = ds.transactions()
         assert first is ds.transactions()
         assert [t.tid for t in first] == [0, 1]
+
+
+def mixed_schema():
+    return AttributeSchema(
+        (
+            SchemaField("sig", FieldKind.CATEGORICAL),
+            SchemaField("cid", FieldKind.IDENTIFIER),
+            SchemaField("port", FieldKind.NUMERIC),
+            SchemaField("ts", FieldKind.TIMESTAMP),
+        )
+    )
+
+
+# values that canonicalize alike, nulls, and timestamps that share a date part
+PORTS = ["80", "080", " 80 ", "8,0", "443", "-0", "null", "", "NULL"]
+STAMPS = [
+    "6/11/2010 8:57 AM", "6/11/2010  8:57 am", "6/11/2010 9:02:33 PM", "7/1/2010 8:57AM",
+    "null", " ",
+]
+
+
+class TestSharedItemization:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["web", " web", "null", "", "x,y"]) | st.text(max_size=3),
+                st.text(max_size=2),
+                st.sampled_from(PORTS),
+                st.sampled_from(STAMPS),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_transactions_equal_per_alert_itemize(self, rows):
+        schema = mixed_schema()
+        dataset = AlertDataset(schema, tuple(Alert(i, row) for i, row in enumerate(rows)))
+        assert dataset.transactions() == tuple(itemize(a, schema) for a in dataset.alerts)
+
+    def test_equal_raw_values_share_one_item_object(self):
+        row = ("web", "1", "80", "6/11/2010 8:57 AM")
+        dataset = AlertDataset(
+            mixed_schema(), (Alert(0, row), Alert(1, ("ssh",) + row[1:]), Alert(2, row))
+        )
+        first, second, third = (
+            {item: item for item in t.items} for t in dataset.transactions()
+        )
+        for item in (Item(2, "80"), Item(3, "6/11/2010"), Item(3, "8:57AM")):
+            assert first[item] is second[item] is third[item]
+        assert first[Item(0, "web")] is third[Item(0, "web")]

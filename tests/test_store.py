@@ -1,6 +1,11 @@
 import random
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alertfp.errors import (
     EmptyPatternSetError,
@@ -13,6 +18,7 @@ from alertfp.model import (
     AlertDataset,
     AttributeSchema,
     FieldKind,
+    Item,
     SchemaField,
     snort_schema,
 )
@@ -137,8 +143,21 @@ class TestSaveLoad:
             (["2\t1=b,0=a"], 7, "not strictly ascending"),
             (["2\t0=a", "2\t1=b", "2\t0=a"], 9, "repeats an earlier row"),
             (["2\t0=a,1=b", "2\t0=a,1=b"], 8, "repeats an earlier row"),
+            (["11\t0=a,1=b"], 7, re.escape("support 11 outside [2, 5] for itemset 0=a,1=b")),
+            (
+                ["2\t0=a", "1\t1=b%2Cc"],
+                8,
+                re.escape("support 1 outside [2, 5] for itemset 1=b%2Cc"),
+            ),
         ],
-        ids=["repeated-item", "descending-items", "repeated-1-itemset", "repeated-2-itemset"],
+        ids=[
+            "repeated-item",
+            "descending-items",
+            "repeated-1-itemset",
+            "repeated-2-itemset",
+            "support-above-n-train",
+            "support-below-minisupport",
+        ],
     )
     def test_non_canonical_row_reports_line_number(self, rows, line_number, message, tmp_path):
         path = tmp_path / "model.fps"
@@ -150,6 +169,13 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match=message) as info:
             load_model(path)
         assert info.value.line_number == line_number
+
+    def test_save_refuses_support_out_of_bounds(self, tmp_path):
+        model = ClassifierModel("x", FIXED_TIME, 5, 2, (((Item(0, "a"),), 9),))
+        path = tmp_path / "model.fps"
+        with pytest.raises(ModelFormatError, match="support 9 outside"):
+            save_model(model, path)
+        assert not path.exists()
 
     def test_pattern_count_mismatch_detected(self, sample_model, tmp_path):
         path = tmp_path / "model.fps"
@@ -196,6 +222,34 @@ class TestSaveLoad:
         save_model(sample_model, path)
         assert path.read_bytes() == first
         assert not list(tmp_path.glob("*.tmp"))
+
+
+# framing characters, their escape codes as literal text, and line breaks
+# other than "\n" that the escaping leaves alone
+ESCAPE_PROBES = [
+    "%", "%2C", "%252C", ",", "=", "%3D", "\t", "\n", "%0A", "\r", "\r\n",
+    "\x0c", "\x85", "\u2028", "a=b,c%d\te", "",
+]
+
+
+class TestEscapingProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.sampled_from(ESCAPE_PROBES) | st.text(), min_size=1, max_size=12, unique=True)
+    )
+    # tokens that differ only in escaping ("0=%2C" vs "0=%252C") stay two items
+    @example([",", "%2C", "%252C", "%", "%25"])
+    def test_arbitrary_values_round_trip(self, values):
+        items = sorted(Item(index, value) for value in values for index in (0, 1))
+        patterns = tuple(((item,), 2) for item in items) + ((tuple(items), 3),)
+        model = ClassifierModel("x", FIXED_TIME, 5, 2, patterns)
+        with tempfile.TemporaryDirectory() as scratch:
+            first, second = Path(scratch, "a.fps"), Path(scratch, "b.fps")
+            save_model(model, first)
+            loaded = load_model(first)
+            save_model(loaded, second)
+            assert first.read_bytes() == second.read_bytes()
+        assert loaded == model
 
 
 class TestScoreNew:
