@@ -3,8 +3,9 @@
 The headline metric is the reduction percentage: with the worst-placed
 known attack at rank k in an n-alert ranking, an analyst reading top-down
 sees every attack after k records and can skip the remaining n-k, a
-100*(n-k)/n saving. A minisupport sweep reruns mine/rank/locate across
-thresholds to chart how pattern count and attack placement respond.
+100*(n-k)/n saving. A minisupport sweep ranks and locates at each of
+several thresholds, filtering one mine, to chart how pattern count and
+attack placement respond.
 
 The generator builds one day of routine traffic from a handful of
 repeating attribute profiles with a skewed mix (a few signatures dominate,
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import AlertFpError
-from .miner import MiningConfig, mine
+from .miner import MiningConfig, PatternSet, mine
 from .model import Alert, AlertDataset, snort_schema
 from .scorer import ScoreConfig, ScoredAlert, rank
 from .textio import Target, atomic_write
@@ -66,6 +67,13 @@ def sweep(
 ) -> list[SweepRow]:
     """mine, rank, locate, reduce at each threshold; one row per value.
 
+    Support is anti-monotone, so the pattern set at a threshold is exactly
+    the patterns of any lower threshold's set that reach it, in the same
+    canonical order. The distinct thresholds are mined in ascending order
+    until one mine succeeds; every higher threshold filters that set. A
+    cap or max_pattern_len the lowest mine passed cannot trip on a subset
+    of it.
+
     A failing threshold (explosion guard, empty pattern set) produces a
     row carrying the error instead of aborting the sweep: partial results
     are the point of a diagnostic run.
@@ -75,13 +83,27 @@ def sweep(
     base = config or MiningConfig()
     score_config = score_config or ScoreConfig()
     attack_tids = tuple(attack_tids)
-    rows: list[SweepRow] = []
-    for value in minisupports:
-        row_config = replace(base, minisupport=value)
-        n = data.n if isinstance(data, AlertDataset) else len(data)
-        s_abs = row_config.minisupport_abs(n)
+    n = data.n if isinstance(data, AlertDataset) else len(data)
+    thresholds = [replace(base, minisupport=value).minisupport_abs(n) for value in minisupports]
+    failed: dict[int, str] = {}
+    lowest = None
+    for s_abs in sorted(set(thresholds)):
         try:
-            fps = mine(data, row_config)
+            lowest = mine(data, replace(base, minisupport=s_abs))
+            break
+        except AlertFpError as exc:
+            failed[s_abs] = str(exc)
+    rows: list[SweepRow] = []
+    for s_abs in thresholds:
+        if s_abs in failed:
+            rows.append(SweepRow(s_abs, None, None, None, error=failed[s_abs]))
+            continue
+        fps = lowest
+        if s_abs != lowest.minisupport_abs:
+            fps = PatternSet(
+                tuple(p for p in lowest if p.support_count >= s_abs), lowest.n, s_abs
+            )
+        try:
             ranked = rank(data, fps, score_config)
             worst = max(locate_attacks(ranked, attack_tids))
             rows.append(SweepRow(s_abs, fps.count, worst, reduction(n, worst)))

@@ -6,13 +6,18 @@ contained in the alert's transaction; the full score is the sum of the
 contained patterns' support ratios divided by the pattern-set size, so it
 always lands in [0, 1]. Alerts containing many common patterns score
 high and sink; alerts matching nothing float to the top for review.
+
+Counting takes one route: the patterns sit in a prefix trie, and each
+distinct set of frequent items walks it along its own items in ascending
+order, the Apriori subset function (Agrawal & Srikant, VLDB 1994) laid
+out as a prefix tree in the manner of FP-growth (Han, Pei & Yin, SIGMOD
+2000).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import fsum
 from typing import Iterable, Sequence
 
@@ -22,11 +27,6 @@ from .model import AlertDataset, Item, Transaction
 from .textio import Source, Target, atomic_write, open_text
 
 RANKED_MAGIC = "# alertfp-ranked v1"
-
-#: Subset enumeration is skipped for transactions with more frequent items
-#: than this, falling back to a scan over the pattern list.
-_MAX_ENUM_ITEMS = 20
-
 
 @dataclass(frozen=True)
 class ScoreConfig:
@@ -51,36 +51,51 @@ class PatternScorer:
     """Counts and weighs the frequent patterns contained in a transaction.
 
     Works from bare (itemset, support_count) pairs so a freshly mined
-    pattern set and a loaded classifier model score identically. Per
-    transaction it either enumerates subsets of the transaction's
-    frequent items or scans the pattern list, whichever is cheaper; both
-    routes produce bit-identical results (the ratio sum uses fsum, which
-    is order-independent), and results are cached by frequent-item set.
-    An itemset given twice would count twice on the scan route only, so
-    it raises ModelFormatError.
+    pattern set and a loaded classifier model score identically. The
+    patterns sit in a prefix trie keyed by item along each itemset's
+    strictly ascending items; a node is [support ratio or None, children
+    dict or None]. A walk probes only the transaction's frequent items
+    after the node's own, so its work grows with the patterns the
+    transaction contains, not with the pattern count or the transaction's
+    width. The ratio sum uses fsum, which is exact and so independent of
+    the walk's order, and results are cached by frequent-item set.
+
+    An empty itemset, one whose items are not strictly ascending, or one
+    given twice raises ModelFormatError.
     """
 
-    def __init__(self, patterns: Iterable[tuple[Iterable[Item], int]], n: int):
+    def __init__(self, patterns: Iterable[tuple[Sequence[Item], int]], n: int):
         if n < 1:
             raise ValueError("dataset size must be >= 1")
         self.n = n
-        itemsets: list[frozenset[Item]] = []
-        ratios: list[float] = []
-        lookup: dict[frozenset[Item], float] = {}
-        for itemset, support_count in patterns:
-            key = frozenset(itemset)
-            if key in lookup:
-                rendered = ",".join(f"{item.field_index}={item.value}" for item in sorted(key))
-                raise ModelFormatError(f"itemset {rendered} occurs more than once")
-            ratio = support_count / n
-            itemsets.append(key)
-            ratios.append(ratio)
-            lookup[key] = ratio
-        self._itemsets = itemsets
-        self._ratios = ratios
-        self._lookup = lookup
-        self._frequent = frozenset().union(*itemsets)
-        self.count = len(itemsets)
+        root: dict[Item, list] = {}
+        frequent: set[Item] = set()
+        count = 0
+        for count, (itemset, support_count) in enumerate(patterns, 1):
+            children = root
+            node = previous = None
+            for item in itemset:
+                if children is None:
+                    children = node[1] = {}
+                node = children.get(item)
+                if node is None:
+                    # a path that exists was checked when it was made
+                    if previous is not None and not previous < item:
+                        raise ModelFormatError(
+                            f"items of itemset {_render(itemset)} are not strictly ascending"
+                        )
+                    node = children[item] = [None, None]
+                    frequent.add(item)
+                children = node[1]
+                previous = item
+            if node is None or node[0] is not None:  # one test per pattern
+                if node is None:
+                    raise ModelFormatError("empty itemset")
+                raise ModelFormatError(f"itemset {_render(itemset)} occurs more than once")
+            node[0] = support_count / n
+        self._root = root
+        self._frequent = frozenset(frequent)
+        self.count = count
         self._cache: dict[frozenset[Item], tuple[int, float]] = {}
 
     @classmethod
@@ -93,23 +108,28 @@ class PatternScorer:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        width = len(key)
-        if width <= _MAX_ENUM_ITEMS and (1 << width) <= max(64, 2 * self.count):
-            hits = []
-            for size in range(1, width + 1):
-                for combo in combinations(key, size):
-                    ratio = self._lookup.get(frozenset(combo))
-                    if ratio is not None:
-                        hits.append(ratio)
-        else:
-            hits = [
-                ratio
-                for itemset, ratio in zip(self._itemsets, self._ratios)
-                if itemset <= key
-            ]
+        members = sorted(key)
+        width = len(members)
+        hits = []
+        # (children, position): the node's children may extend its itemset
+        # by any member at or after position
+        stack = [(self._root, 0)]
+        while stack:
+            children, start = stack.pop()
+            for position in range(start, width):
+                node = children.get(members[position])
+                if node is not None:
+                    if node[0] is not None:
+                        hits.append(node[0])
+                    if node[1]:
+                        stack.append((node[1], position + 1))
         result = (len(hits), fsum(hits))
         self._cache[key] = result
         return result
+
+
+def _render(itemset: Iterable[Item]) -> str:
+    return ",".join(f"{item.field_index}={item.value}" for item in itemset)
 
 
 def _shared_scorer(fps: PatternSet) -> PatternScorer:
@@ -117,8 +137,8 @@ def _shared_scorer(fps: PatternSet) -> PatternScorer:
 
     For the per-alert `simple_fpof`/`fpof` calls only. `rank` builds its
     own scorer, which dies with the ranking: kept on the set, the scorer's
-    per-transaction cache would outlive it, and in a sweep it would still
-    be held while the next threshold is mined.
+    per-transaction cache would outlive it, and in a sweep the lowest
+    threshold's set, which every later row filters, would hold it to the end.
     """
     cached = fps.__dict__.get("_scorer")
     if cached is None:

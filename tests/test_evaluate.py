@@ -1,9 +1,13 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alertfp.errors import AlertFpError
 from alertfp.evaluate import (
+    SweepRow,
     SyntheticSpec,
     gen_synthetic,
     locate_attacks,
@@ -14,7 +18,11 @@ from alertfp.evaluate import (
     write_sweep_report,
 )
 from alertfp.miner import MiningConfig, mine
-from alertfp.scorer import ScoredAlert, rank, simple_fpof
+from alertfp.model import Item, Transaction
+from alertfp.scorer import ScoreConfig, ScoredAlert, rank, simple_fpof
+
+#: Items the sweep property test draws its baskets from.
+SWEEP_ITEMS = [Item(field, f"v{value}") for field in range(2) for value in range(3)]
 
 
 def ranking_with_attacks_at(ranks, n=10):
@@ -123,6 +131,60 @@ class TestSweep:
         assert fields[0] == "2" and fields[1] == "9"
         assert fields[3] == f"{rows[0].reduction_pct:.3f}"
         assert lines[1].startswith("5\t-\t-\t-\t#")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.frozensets(st.sampled_from(SWEEP_ITEMS), min_size=1, max_size=5),
+            min_size=1,
+            max_size=12,
+        ),
+        values=st.lists(
+            st.one_of(st.integers(1, 14), st.sampled_from([0.1, 0.25, 0.5, 1.0])),
+            min_size=1,
+            max_size=5,
+        ),
+        max_patterns=st.one_of(st.none(), st.integers(1, 40)),
+        max_pattern_len=st.one_of(st.none(), st.integers(1, 3)),
+        metric=st.sampled_from(["simple", "fpof"]),
+        attack_picks=st.sets(st.integers(0, 11), min_size=1),
+    )
+    # 1 and 3 trip the cap, 4 is mined, 6 and 13 filter it; 13 exceeds n,
+    # so its set is empty
+    @example(
+        rows=[frozenset(SWEEP_ITEMS[:4])] * 3
+        + [frozenset(SWEEP_ITEMS[:2])] * 2
+        + [frozenset(SWEEP_ITEMS[:1]), frozenset(SWEEP_ITEMS[4:])],
+        values=[4, 1, 13, 6, 3, 4],
+        max_patterns=8,
+        max_pattern_len=None,
+        metric="simple",
+        attack_picks={6},
+    )
+    def test_filtering_equals_mining_each_threshold_hypothesis(
+        self, rows, values, max_patterns, max_pattern_len, metric, attack_picks
+    ):
+        txns = [Transaction(tid, items) for tid, items in enumerate(rows)]
+        attacks = sorted({pick % len(txns) for pick in attack_picks})
+        config = MiningConfig(max_patterns=max_patterns, max_pattern_len=max_pattern_len)
+        score_config = ScoreConfig(metric=metric)
+        expected = sweep_each_threshold(txns, values, attacks, config, score_config)
+        assert sweep(txns, values, attacks, config, score_config) == expected
+
+
+def sweep_each_threshold(txns, values, attacks, config, score_config):
+    """Reference sweep: mine, rank and locate at each threshold on its own."""
+    rows = []
+    for value in values:
+        row_config = replace(config, minisupport=value)
+        s_abs = row_config.minisupport_abs(len(txns))
+        try:
+            fps = mine(txns, row_config)
+            worst = max(locate_attacks(rank(txns, fps, score_config), attacks))
+            rows.append(SweepRow(s_abs, fps.count, worst, reduction(len(txns), worst)))
+        except AlertFpError as exc:
+            rows.append(SweepRow(s_abs, None, None, None, error=str(exc)))
+    return rows
 
 
 class TestAttackSelectors:

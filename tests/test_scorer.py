@@ -1,8 +1,9 @@
 import io
 import random
+from math import fsum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alertfp.errors import AlertFpError, EmptyPatternSetError, ModelFormatError
@@ -27,6 +28,8 @@ HALF = MiningConfig(minisupport=0.5)
 #: holds, so no pattern contains them.
 KNOWN_ITEMS = [Item(field, f"v{value}") for field in range(3) for value in range(3)]
 UNSEEN_ITEMS = [Item(0, "unseen"), Item(5, "v0")]
+#: A pool wide enough for keys of more than 20 frequent items.
+WIDE_ITEMS = [Item(field, f"w{value}") for field in range(4) for value in range(8)]
 
 
 @pytest.fixture
@@ -201,15 +204,15 @@ class TestScorerProperties:
         )
         assert [sa.simple_fpof for sa in ranked] == [sa.simple_fpof for sa in reranked]
 
-    def test_enumeration_and_scan_strategies_agree(self):
+    def test_scorer_agrees_with_direct_scan(self):
         rng = random.Random(8)
         txns = random_baskets(rng, max_transactions=20, max_distinct_items=10)
         fps = mine(txns, MiningConfig(minisupport=1))
         scorer = PatternScorer.from_pattern_set(fps)
         for t in txns:
-            by_policy = scorer.score(t.items)
+            by_trie = scorer.score(t.items)
             by_scan = scan_score(fps, t)
-            assert by_policy == by_scan
+            assert by_trie == by_scan
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -229,22 +232,88 @@ class TestScorerProperties:
         kept = tuple(p for p in mined if rng.random() < keep_share)
         fps = PatternSet(kept, mined.n, mined.minisupport_abs)
         scorer = PatternScorer.from_pattern_set(fps)
-        everything = set(KNOWN_ITEMS + UNSEEN_ITEMS)  # wide, so often the scan route
+        everything = set(KNOWN_ITEMS + UNSEEN_ITEMS)  # holds every frequent item
         for items in [set(UNSEEN_ITEMS), everything, *queries, *rows]:
             expected = scan_score(fps, Transaction(0, frozenset(items)))
             assert scorer.score(set(items)) == expected
             assert scorer.score(frozenset(items)) == expected
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.lists(
+            st.frozensets(st.sampled_from(WIDE_ITEMS), min_size=1, max_size=7),
+            min_size=1,
+            max_size=8,
+        ),
+        keep_share=st.floats(min_value=0.0, max_value=1.0),
+        queries=st.lists(st.sets(st.sampled_from(WIDE_ITEMS), min_size=20), max_size=4),
+        rng=st.randoms(use_true_random=False),
+    )
+    @example(
+        rows=[frozenset(WIDE_ITEMS[start : start + 6]) for start in range(0, 30, 6)],
+        keep_share=1.0,
+        queries=[],
+        rng=random.Random(0),
+    )
+    def test_wide_keys_equal_brute_containment_hypothesis(self, rows, keep_share, queries, rng):
+        # up to 32 frequent items in one key, over patterns that need not be
+        # downward closed
+        txns = [Transaction(tid, items) for tid, items in enumerate(rows)]
+        mined = mine(txns, MiningConfig(minisupport=1))
+        kept = tuple(p for p in mined if rng.random() < keep_share)
+        fps = PatternSet(kept, mined.n, mined.minisupport_abs)
+        scorer = PatternScorer.from_pattern_set(fps)
+        for items in [set(WIDE_ITEMS), *queries, *rows]:
+            assert scorer.score(items) == scan_score(fps, Transaction(0, frozenset(items)))
+
+    def test_all_pairs_over_25_items(self):
+        items = [Item(0, f"w{k:02d}") for k in range(25)]
+        n = 100
+        patterns = [((a,), 50 + k) for k, a in enumerate(items)]
+        patterns += [
+            ((a, b), 1 + (7 * i + 3 * j) % 49)
+            for i, a in enumerate(items)
+            for j, b in enumerate(items)
+            if i < j
+        ]
+        assert len(patterns) == 325
+        scorer = PatternScorer(patterns, n)
+        assert scorer.score(items) == (325, fsum(count / n for _, count in patterns))
+        dropped = items[12]
+        rest = [(itemset, count) for itemset, count in patterns if dropped not in itemset]
+        assert scorer.score(items[:12] + items[13:]) == (300, fsum(count / n for _, count in rest))
+
     def test_repeated_itemset_rejected(self):
-        # counted twice by the scan route and once by enumeration
+        # would count twice as a pattern of its own
         a, b = Item(0, "a"), Item(1, "b")
         with pytest.raises(ModelFormatError, match="itemset 0=a occurs more than once"):
             PatternScorer([((a,), 2), ((a,), 2), ((b, a), 2)], 5)
 
+    def test_empty_itemset_rejected(self):
+        # contained in every transaction, so it would count for every alert
+        a = Item(0, "a")
+        with pytest.raises(ModelFormatError, match="empty itemset"):
+            PatternScorer([((a,), 2), ((), 5)], 5)
+
+    @pytest.mark.parametrize(
+        "itemsets,rendered",
+        [
+            ([("b", "a")], "1=b,0=a"),
+            ([("a", "a")], "0=a,0=a"),
+            ([("a",), ("a", "b"), ("a", "b", "a")], "0=a,1=b,0=a"),
+        ],
+        ids=["descending", "repeated-item", "past-an-existing-path"],
+    )
+    def test_unordered_itemset_rejected(self, itemsets, rendered):
+        by_name = {"a": Item(0, "a"), "b": Item(1, "b")}
+        patterns = [(tuple(by_name[name] for name in names), 2) for names in itemsets]
+        with pytest.raises(
+            ModelFormatError, match=f"items of itemset {rendered} are not strictly ascending"
+        ):
+            PatternScorer(patterns, 5)
+
 
 def scan_score(fps, t):
-    from math import fsum
-
     hits = [p.support_ratio for p in fps if frozenset(p.itemset) <= t.items]
     return (len(hits), fsum(hits))
 
