@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import EmptyDatasetError, SchemaError, ValueParseError
+from .errors import AlertFpError, EmptyDatasetError, SchemaError, ValueParseError
 from .model import (
     Alert,
     AlertDataset,
@@ -132,11 +132,41 @@ def _canonical_field(raw: str, f: SchemaField, memo: dict[str, str] | None) -> s
 def write_log(target: Target, dataset: AlertDataset, fmt: LogFormat = LogFormat()) -> None:
     """Serialize a dataset back to its delimited form (debug writer; also
     used to emit synthetic logs). Round-trips value-identically with
-    parse_log on canonical input."""
+    parse_log on canonical input.
+
+    There is no quoting, so a value holding the delimiter, "\\n" or "\\r",
+    or a first value starting with the comment prefix, would read back
+    as another record or none: it raises AlertFpError naming its tid and
+    field, and the target is left as it was.
+    """
+    delimiter, prefix = fmt.delimiter, fmt.comment_prefix
     with atomic_write(target) as out:
         for alert in dataset.alerts:
-            out.write(fmt.delimiter.join(alert.values))
+            line = delimiter.join(alert.values)
+            if (
+                line.count(delimiter) != len(alert.values) - 1
+                or "\n" in line
+                or "\r" in line
+                or (prefix and line.startswith(prefix))
+            ):
+                raise AlertFpError(_framing_fault(alert, dataset.schema, fmt, line))
+            out.write(line)
             out.write("\n")
+
+
+def _framing_fault(alert: Alert, schema: AttributeSchema, fmt: LogFormat, line: str) -> str:
+    """Why write_log cannot frame alert's line, naming the value at fault."""
+    prefix = fmt.comment_prefix
+    for position, (value, f) in enumerate(zip(alert.values, schema.fields)):
+        held = [char for char in (fmt.delimiter, "\n", "\r") if char in value]
+        if held:
+            fault = f"holds {held[0]!r}"
+        elif position == 0 and prefix and value.startswith(prefix):
+            fault = f"starts with the comment prefix {prefix!r}"
+        else:
+            continue
+        return f"cannot write tid {alert.tid} field {f.name!r}: value {value!r} {fault}"
+    return f"cannot write tid {alert.tid}: line {line!r} would not read back as one record"
 
 
 def write_rejects(target: Target, rejects: Iterable[RejectedLine]) -> None:

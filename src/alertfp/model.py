@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import SchemaError, ValueParseError
 
@@ -141,6 +141,28 @@ class Item(NamedTuple):
 
     field_index: int
     value: str
+
+
+# `%`-escapes of the characters that would break a model row's framing
+_ESCAPES = [("%", "%25"), (",", "%2C"), ("=", "%3D"), ("\t", "%09"), ("\n", "%0A")]
+
+
+def _escape(value: str) -> str:
+    for char, code in _ESCAPES:
+        value = value.replace(char, code)
+    return value
+
+
+def unescape_value(value: str) -> str:
+    for char, code in reversed(_ESCAPES):
+        value = value.replace(code, char)
+    return value
+
+
+def render_itemset(itemset: Iterable[Item]) -> str:
+    """An itemset as a model row writes it, `index=value,...` with each
+    value escaped; every diagnostic names an itemset in this form."""
+    return ",".join(f"{item.field_index}={_escape(item.value)}" for item in itemset)
 
 
 @dataclass(frozen=True)

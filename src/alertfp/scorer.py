@@ -11,7 +11,11 @@ Counting takes one route: the patterns sit in a prefix trie, and each
 distinct set of frequent items walks it along its own items in ascending
 order, the Apriori subset function (Agrawal & Srikant, VLDB 1994) laid
 out as a prefix tree in the manner of FP-growth (Han, Pei & Yin, SIGMOD
-2000).
+2000). Building the trie is the one check of an itemset's shape, for
+mined sets and for models saved or loaded alike. A scorer meant to be
+reused is kept in a `_scorer` slot on what it scores for
+(`cached_scorer`): a PatternSet for the per-alert calls, a
+ClassifierModel for `store.score_new`.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import AlertFpError, EmptyPatternSetError, ModelFormatError
 from .miner import Minable, PatternSet, _as_transactions
-from .model import AlertDataset, Item, Transaction
+from .model import AlertDataset, Item, Transaction, render_itemset
 from .textio import Source, Target, atomic_write, open_text
 
 RANKED_MAGIC = "# alertfp-ranked v1"
@@ -61,7 +65,8 @@ class PatternScorer:
     the walk's order, and results are cached by frequent-item set.
 
     An empty itemset, one whose items are not strictly ascending, or one
-    given twice raises ModelFormatError.
+    given twice raises ModelFormatError, naming the itemset as a model
+    row writes it.
     """
 
     def __init__(self, patterns: Iterable[tuple[Sequence[Item], int]], n: int):
@@ -82,7 +87,8 @@ class PatternScorer:
                     # a path that exists was checked when it was made
                     if previous is not None and not previous < item:
                         raise ModelFormatError(
-                            f"items of itemset {_render(itemset)} are not strictly ascending"
+                            f"items of itemset {render_itemset(itemset)} "
+                            "are not strictly ascending"
                         )
                     node = children[item] = [None, None]
                     frequent.add(item)
@@ -91,7 +97,7 @@ class PatternScorer:
             if node is None or node[0] is not None:  # one test per pattern
                 if node is None:
                     raise ModelFormatError("empty itemset")
-                raise ModelFormatError(f"itemset {_render(itemset)} occurs more than once")
+                raise ModelFormatError(f"itemset {render_itemset(itemset)} repeats an earlier row")
             node[0] = support_count / n
         self._root = root
         self._frequent = frozenset(frequent)
@@ -128,8 +134,16 @@ class PatternScorer:
         return result
 
 
-def _render(itemset: Iterable[Item]) -> str:
-    return ",".join(f"{item.field_index}={item.value}" for item in itemset)
+def cached_scorer(owner: object, build: Callable[[], PatternScorer]) -> PatternScorer:
+    """The scorer kept in owner's `_scorer` slot, made by build() on first
+    use. Owners are frozen dataclasses (a PatternSet, a ClassifierModel),
+    so the slot is set past their frozen __setattr__; it is no field, so
+    equality and repr ignore it."""
+    scorer = owner.__dict__.get("_scorer")
+    if scorer is None:
+        scorer = build()
+        object.__setattr__(owner, "_scorer", scorer)
+    return scorer
 
 
 def _shared_scorer(fps: PatternSet) -> PatternScorer:
@@ -140,11 +154,7 @@ def _shared_scorer(fps: PatternSet) -> PatternScorer:
     per-transaction cache would outlive it, and in a sweep the lowest
     threshold's set, which every later row filters, would hold it to the end.
     """
-    cached = fps.__dict__.get("_scorer")
-    if cached is None:
-        cached = PatternScorer.from_pattern_set(fps)
-        object.__setattr__(fps, "_scorer", cached)
-    return cached
+    return cached_scorer(fps, lambda: PatternScorer.from_pattern_set(fps))
 
 
 def simple_fpof(t: Transaction, fps: PatternSet) -> int:

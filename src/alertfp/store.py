@@ -4,9 +4,20 @@ against it.
 Model file, line-oriented text: a magic/version line, `key=value` header
 lines, then one pattern per line as
 `support_count<TAB>field_index=value,field_index=value[,...]` with the
-patterns in canonical order. `%`-escaping covers the five characters that
-would break the framing: `,` `=` `%` tab newline. Tidlists can optionally
-be appended as a third tab-separated column for audit.
+patterns in canonical order. `%`-escaping (`model.render_itemset`) covers
+the five characters that would break the framing: `,` `=` `%` tab
+newline. Tidlists can optionally be appended as a third tab-separated
+column for audit.
+
+A model's rules are checked in one place, `_build_scorer`, which both
+`save_model` (through `ClassifierModel.validate`) and `load_model` run:
+the header's `n_train >= 1` and `minisupport` in `[1, n_train]`, each
+row's support in `[minisupport, n_train]` and tidlist of exactly
+`support_count` strictly ascending tids in `[0, n_train)`, and, in the
+build of the scorer's trie, each itemset's shape. So save refuses any
+model that load would refuse, and load reports the line of the row at
+fault. The scorer that the load builds is kept on the model, and
+`score_new` uses it.
 
 Writes go through `textio.atomic_write`, so a reader racing a nightly
 rebuild sees the old model or the new one, never a torn file.
@@ -17,30 +28,20 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import EmptyPatternSetError, ModelFormatError, SchemaMismatchError
 from .miner import Itemset, PatternSet
-from .model import AlertDataset, AttributeSchema, Item
-from .scorer import PatternScorer, ScoreConfig, ScoredAlert, rank_with_scorer
+from .model import AlertDataset, AttributeSchema, Item, render_itemset, unescape_value
+from .scorer import PatternScorer, ScoreConfig, ScoredAlert, cached_scorer, rank_with_scorer
 from .textio import atomic_write, open_text
 
 MODEL_MAGIC = "# alertfp-model v1"
 
-_ESCAPES = [("%", "%25"), (",", "%2C"), ("=", "%3D"), ("\t", "%09"), ("\n", "%0A")]
-
-
-def _escape(value: str) -> str:
-    for char, code in _ESCAPES:
-        value = value.replace(char, code)
-    return value
-
-
-def _unescape(value: str) -> str:
-    for char, code in reversed(_ESCAPES):
-        value = value.replace(code, char)
-    return value
+# (itemset, support_count, tidlist or None): one model row, as save and load see it
+_Row = tuple[Itemset, int, Sequence[int] | None]
 
 
 def schema_fingerprint(schema: AttributeSchema) -> str:
@@ -68,6 +69,22 @@ class ClassifierModel:
     def pattern_count(self) -> int:
         return len(self.patterns)
 
+    @property
+    def scorer(self) -> PatternScorer:
+        """The model's scorer, built on first use and kept; a loaded model
+        comes with the one its load built. Its per-transaction cache lives
+        as long as the model does."""
+        return cached_scorer(
+            self, lambda: _build_scorer(self._rows(), self.n_train, self.minisupport_abs)
+        )
+
+    def _rows(self) -> Iterator[_Row]:
+        if self.tidlists is not None and len(self.tidlists) != len(self.patterns):
+            raise ModelFormatError("tidlist count does not match pattern count")
+        tidlists = repeat(None) if self.tidlists is None else self.tidlists
+        for (itemset, support_count), tids in zip(self.patterns, tidlists):
+            yield itemset, support_count, tids
+
     @classmethod
     def from_pattern_set(
         cls,
@@ -93,16 +110,48 @@ class ClassifierModel:
         )
 
     def validate(self) -> None:
-        for itemset, support_count in self.patterns:
-            if not itemset:
-                raise ModelFormatError("model contains an empty itemset")
-            if support_count < self.minisupport_abs or support_count > self.n_train:
-                raise ModelFormatError(
-                    f"support {support_count} outside "
-                    f"[{self.minisupport_abs}, {self.n_train}] for itemset {itemset}"
-                )
-        if self.tidlists is not None and len(self.tidlists) != len(self.patterns):
-            raise ModelFormatError("tidlist count does not match pattern count")
+        """Raise ModelFormatError for any model that load_model would
+        refuse as a file, by building the model's scorer."""
+        self.scorer  # the build is the check
+
+
+def _build_scorer(rows: Iterable[_Row], n_train: int, minisupport_abs: int) -> PatternScorer:
+    """Check a model's header and rows and build its scorer: the one check
+    of a model, on save and on load. An error names no line; load_model
+    adds the line of the row being read."""
+    if n_train < 1:
+        raise ModelFormatError(f"n_train {n_train} is below 1")
+    if not 1 <= minisupport_abs <= n_train:
+        raise ModelFormatError(f"minisupport {minisupport_abs} outside [1, {n_train}]")
+    scorer = PatternScorer(_checked_rows(rows, n_train, minisupport_abs), n_train)
+    if scorer.count == 0:
+        raise ModelFormatError("model contains no patterns")
+    return scorer
+
+
+def _checked_rows(
+    rows: Iterable[_Row], n_train: int, minisupport_abs: int
+) -> Iterator[tuple[Itemset, int]]:
+    """(itemset, support_count) of each row whose support and tidlist fit
+    the header; the scorer's build checks the itemset."""
+    for itemset, support_count, tids in rows:
+        if not minisupport_abs <= support_count <= n_train:
+            raise ModelFormatError(
+                f"support {support_count} outside [{minisupport_abs}, {n_train}] "
+                f"for itemset {render_itemset(itemset)}"
+            )
+        # support_count >= 1 here, so a tidlist of that length has ends
+        if tids is not None and not (
+            len(tids) == support_count
+            and 0 <= tids[0]
+            and tids[-1] < n_train
+            and list(tids) == sorted(set(tids))
+        ):
+            raise ModelFormatError(
+                f"tidlist of itemset {render_itemset(itemset)} is not "
+                f"{support_count} strictly ascending tids in [0, {n_train})"
+            )
+        yield itemset, support_count
 
 
 def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
@@ -118,8 +167,7 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
         f"patterns={model.pattern_count}",
     ]
     for position, (itemset, support_count) in enumerate(model.patterns):
-        rendered = ",".join(f"{it.field_index}={_escape(it.value)}" for it in itemset)
-        row = f"{support_count}\t{rendered}"
+        row = f"{support_count}\t{render_itemset(itemset)}"
         if model.tidlists is not None:
             row += "\t" + ",".join(str(tid) for tid in model.tidlists[position])
         lines.append(row)
@@ -128,7 +176,8 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
 
 
 def load_model(path: Union[str, Path]) -> ClassifierModel:
-    """Read and fully validate a model file."""
+    """Read and fully validate a model file. The model comes with the
+    scorer built from its rows as they were read."""
     with open_text(path) as stream:
         text = stream.read()
     if not text:
@@ -163,59 +212,61 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
     built_at = header.get("built_at", "")
 
     patterns: list[tuple[Itemset, int]] = []
-    seen: set[Itemset] = set()
-    items: dict[str, Item] = {}  # token text -> Item; tokens repeat across rows
     tidlists: list[tuple[int, ...]] = []
-    saw_tidlists = False
-    for offset, line in enumerate(lines[cursor:], start=cursor + 1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) not in (2, 3):
-            raise ModelFormatError("malformed pattern row", line_number=offset)
-        try:
-            support_count = int(parts[0])
-            itemset = tuple(_parse_item(token, offset, items) for token in parts[1].split(","))
-        except ValueError:
-            raise ModelFormatError("malformed pattern row", line_number=offset) from None
-        if not minisupport_abs <= support_count <= n_train:
-            raise ModelFormatError(
-                f"support {support_count} outside [{minisupport_abs}, {n_train}] "
-                f"for itemset {parts[1]}",
-                line_number=offset,
-            )
-        if any(left >= right for left, right in zip(itemset, itemset[1:])):
-            raise ModelFormatError(
-                f"items of itemset {parts[1]} are not strictly ascending", line_number=offset
-            )
-        if itemset in seen:
-            raise ModelFormatError(
-                f"itemset {parts[1]} repeats an earlier row", line_number=offset
-            )
-        seen.add(itemset)
-        patterns.append((itemset, support_count))
-        if len(parts) == 3:
-            saw_tidlists = True
+    items: dict[str, Item] = {}  # token text -> Item; tokens repeat across rows
+    line_number = None  # of the row being checked; None before and after the rows
+
+    def rows() -> Iterator[_Row]:
+        nonlocal line_number
+        columns = 0  # 2, or 3 with tidlists: fixed by the first row
+        for offset, line in enumerate(lines[cursor:], start=cursor + 1):
+            if not line:
+                continue
+            line_number = offset
+            parts = line.split("\t")
+            if not columns and len(parts) in (2, 3):
+                columns = len(parts)
+            if len(parts) != columns:
+                raise ModelFormatError("malformed pattern row", line_number=offset)
             try:
-                tidlists.append(tuple(int(tid) for tid in parts[2].split(",") if tid))
+                support_count = int(parts[0])
+                tokens = parts[1].split(",")
+                itemset = tuple(map(items.get, tokens))
+                if None in itemset:  # a token not met on an earlier row
+                    itemset = tuple(_parse_item(token, offset, items) for token in tokens)
             except ValueError:
-                raise ModelFormatError("malformed tidlist", line_number=offset) from None
-        else:
-            tidlists.append(())
-    if len(patterns) != declared:
-        raise ModelFormatError(
-            f"header declares {declared} patterns, file carries {len(patterns)}"
-        )
-    if not patterns:
-        raise ModelFormatError("model contains no patterns")
-    return ClassifierModel(
+                raise ModelFormatError("malformed pattern row", line_number=offset) from None
+            tids = None
+            if columns == 3:
+                try:
+                    tids = tuple(int(tid) for tid in parts[2].split(",") if tid)
+                except ValueError:
+                    raise ModelFormatError("malformed tidlist", line_number=offset) from None
+                tidlists.append(tids)
+            patterns.append((itemset, support_count))
+            yield itemset, support_count, tids
+        line_number = None
+        if len(patterns) != declared:
+            raise ModelFormatError(
+                f"header declares {declared} patterns, file carries {len(patterns)}"
+            )
+
+    try:
+        scorer = _build_scorer(rows(), n_train, minisupport_abs)
+    except ModelFormatError as exc:
+        if exc.line_number is not None or line_number is None:
+            raise
+        raise ModelFormatError(str(exc), line_number=line_number) from None
+    model = ClassifierModel(
         schema_fingerprint=fingerprint,
         built_at=built_at,
         n_train=n_train,
         minisupport_abs=minisupport_abs,
         patterns=tuple(patterns),
-        tidlists=tuple(tidlists) if saw_tidlists else None,
+        tidlists=tuple(tidlists) if tidlists else None,
     )
+    cached_scorer(model, lambda: scorer)
+    return model
 
 
 def _parse_item(token: str, line_number: int, items: dict[str, Item]) -> Item:
@@ -225,7 +276,7 @@ def _parse_item(token: str, line_number: int, items: dict[str, Item]) -> Item:
         index_text, sep, value_text = token.partition("=")
         if not sep or not index_text:
             raise ModelFormatError(f"malformed item token {token!r}", line_number=line_number)
-        item = items[token] = Item(int(index_text), _unescape(value_text))
+        item = items[token] = Item(int(index_text), unescape_value(value_text))
     return item
 
 
@@ -249,5 +300,4 @@ def score_new(
             f"({actual[:12]}.. vs {model.schema_fingerprint[:12]}..); "
             "pass force_schema to override"
         )
-    scorer = PatternScorer(model.patterns, model.n_train)
-    return rank_with_scorer(alerts.transactions(), scorer, config)
+    return rank_with_scorer(alerts.transactions(), model.scorer, config)

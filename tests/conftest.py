@@ -92,3 +92,19 @@ def snort_schema_path(tmp_path):
     path = tmp_path / "snort.schema"
     write_schema(path, snort_schema())
     return path
+
+
+@pytest.fixture
+def scorer_builds(monkeypatch):
+    """A list that grows by one entry per PatternScorer built."""
+    from alertfp.scorer import PatternScorer
+
+    builds = []
+    original = PatternScorer.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PatternScorer, "__init__", counting_init)
+    return builds

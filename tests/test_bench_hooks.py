@@ -1,0 +1,39 @@
+"""The benchmark's span tracer (`bench/spans.py`) patches alertfp's
+functions by the names its callers look them up by. A rename or a dropped
+import of one of those names breaks the traced benchmark, so this checks
+every target here, in a fraction of a second, without running it."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+import alertfp.model
+import alertfp.store
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("spans")
+
+
+def test_traced_patches_every_target_and_restores_it(spans):
+    targets = [(owner, attr) for owner, attr, _, _ in spans._FUNCTION_PATCHES]
+    targets += [
+        (alertfp.store.ClassifierModel, "from_pattern_set"),
+        (alertfp.model.AlertDataset, "transactions"),
+    ]
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in targets if attr not in vars(owner)]
+    assert not missing
+    before = [vars(owner)[attr] for owner, attr in targets]
+    with spans.traced(spans.Tracer()):
+        assert all(
+            vars(owner)[attr] is not original
+            for (owner, attr), original in zip(targets, before)
+        )
+    assert all(
+        vars(owner)[attr] is original for (owner, attr), original in zip(targets, before)
+    )

@@ -280,6 +280,56 @@ class TestScoreCommand:
         assert not out.exists()
 
 
+    def test_model_header_out_of_range_is_exit_2(
+        self, sample_log_path, snort_schema_path, tmp_path, capsys
+    ):
+        model = tmp_path / "model.fps"
+        model.write_text(
+            "# alertfp-model v1\nn_train=0\nminisupport=0\n"
+            f"schema_fp={schema_fingerprint(snort_schema())}\n"
+            "built_at=2010-06-22T00:00:00+00:00\npatterns=1\n0\t7=a\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "ranked.tsv"
+        code = main(
+            [
+                "score",
+                "--input", str(sample_log_path),
+                "--schema", str(snort_schema_path),
+                "--model", str(model),
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["alertfp: n_train 0 is below 1"]
+        assert not out.exists()
+
+    def test_score_builds_one_scorer(
+        self, sample_log_path, snort_schema_path, tmp_path, scorer_builds
+    ):
+        model = tmp_path / "model.fps"
+        assert main(
+            [
+                "mine",
+                "--input", str(sample_log_path),
+                "--schema", str(snort_schema_path),
+                "--minisupport", "2",
+                "--out", str(model),
+            ]
+        ) == 0
+        scorer_builds.clear()  # the one save_model built to check the model
+        assert main(
+            [
+                "score",
+                "--input", str(sample_log_path),
+                "--schema", str(snort_schema_path),
+                "--model", str(model),
+                "--out", str(tmp_path / "ranked.tsv"),
+            ]
+        ) == 0
+        assert len(scorer_builds) == 1
+
+
 class TestEvalCommand:
     def test_prints_ranks_and_reduction(
         self, sample_log_path, snort_schema_path, tmp_path, capsys

@@ -1,8 +1,12 @@
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from alertfp.errors import EmptyDatasetError, SchemaError
+from alertfp.errors import AlertFpError, EmptyDatasetError, SchemaError
 from alertfp.ingest import (
     LogFormat,
     load_schema,
@@ -11,7 +15,17 @@ from alertfp.ingest import (
     write_rejects,
     write_schema,
 )
-from alertfp.model import AttributeSchema, FieldKind, SchemaField, snort_schema
+from alertfp.model import (
+    ITEMIZABLE_KINDS,
+    NULL_VALUE,
+    Alert,
+    AlertDataset,
+    AttributeSchema,
+    FieldKind,
+    SchemaField,
+    canonicalize_value,
+    snort_schema,
+)
 
 from conftest import SNORT_SAMPLE
 
@@ -129,6 +143,113 @@ class TestRoundTrip:
         write_log(path, sample_dataset)
         again = parse_log(path, snort_schema()).dataset
         assert again.alerts == sample_dataset.alerts
+
+
+# text that the log's framing has to survive or refuse: the comment
+# prefix, line breaks, delimiters and null spellings
+FRAMING_PROBES = ["#", "#x", "p\rq", "\r", "a\nb", "\t", ",", "|", "NULL", "", " x "]
+DELIMITERS = ["\t", ",", "|", " "]
+
+
+def canonical_values(kind):
+    """Values as parse_log leaves them: canonical for itemizable kinds,
+    trimmed for the rest."""
+    text = st.text(max_size=6) | st.sampled_from(FRAMING_PROBES)
+    if kind is FieldKind.NUMERIC:
+        return st.just(NULL_VALUE) | st.integers(-(10**6), 10**6).map(str)
+    if kind is FieldKind.TIMESTAMP:
+        stamps = st.builds(
+            "{}/{}/{} {}:{:02d}{}{}{}".format,
+            st.integers(1, 12), st.integers(1, 31), st.integers(1000, 9999),
+            st.integers(0, 12), st.integers(0, 59),
+            st.sampled_from(["", ":07"]), st.sampled_from(["", " "]),
+            st.sampled_from(["AM", "PM", "am", "Pm"]),
+        )
+        return st.just(NULL_VALUE) | stamps
+    if kind in ITEMIZABLE_KINDS:
+        return text.map(lambda value: canonicalize_value(value, kind))
+    return text.map(str.strip)
+
+
+@st.composite
+def canonical_datasets(draw):
+    kinds = draw(
+        st.lists(st.sampled_from(list(FieldKind)), min_size=1, max_size=5).filter(
+            lambda kinds: any(kind in ITEMIZABLE_KINDS for kind in kinds)
+        )
+    )
+    schema = AttributeSchema(tuple(SchemaField(f"f{i}", kind) for i, kind in enumerate(kinds)))
+    empty = tuple(NULL_VALUE if kind in ITEMIZABLE_KINDS else "" for kind in kinds)
+    records = draw(
+        st.lists(
+            st.just(empty) | st.tuples(*(canonical_values(kind) for kind in kinds)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return AlertDataset(schema, tuple(Alert(tid, values) for tid, values in enumerate(records)))
+
+
+def first_unframable(dataset, delimiter):
+    """(tid, field name) of the first value a line cannot carry, or None."""
+    for alert in dataset.alerts:
+        for position, (value, f) in enumerate(zip(alert.values, dataset.schema.fields)):
+            if any(char in value for char in (delimiter, "\n", "\r")) or (
+                position == 0 and value.startswith("#")
+            ):
+                return alert.tid, f.name
+    return None
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_datasets(), st.sampled_from(DELIMITERS))
+    @example(
+        AlertDataset(
+            two_col_schema(), (Alert(0, ("#x", "1")), Alert(1, ("y", "2")))
+        ),
+        "\t",
+    )
+    @example(AlertDataset(two_col_schema(), (Alert(0, ("p\rq", "1")),)), "\t")
+    def test_parse_of_write_is_identity_or_write_refuses(self, dataset, delimiter):
+        fmt = LogFormat(delimiter=delimiter)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch, "log.txt")
+            fault = first_unframable(dataset, delimiter)
+            if fault is not None:
+                tid, name = fault
+                with pytest.raises(AlertFpError, match=f"cannot write tid {tid} field '{name}'"):
+                    write_log(path, dataset, fmt)
+                assert not list(Path(scratch).iterdir())
+                return
+            write_log(path, dataset, fmt)
+            result = parse_log(path, dataset.schema, fmt)
+        assert result.rejects == ()
+        assert result.dataset == dataset
+
+
+class TestWriteLogRefusals:
+    @pytest.mark.parametrize(
+        "values, field, message",
+        [
+            (("#x", "1"), "sig", "starts with the comment prefix '#'"),
+            (("p\rq", "1"), "sig", "holds '\\r'"),
+            (("p\nq", "1"), "sig", "holds '\\n'"),
+            (("a\tb", "1"), "sig", "holds '\\t'"),
+            (("a", "1\r"), "port", "holds '\\r'"),
+        ],
+        ids=["comment-prefix", "carriage-return", "newline", "delimiter", "last-field"],
+    )
+    def test_unframable_value_raises_and_keeps_target(self, values, field, message, tmp_path):
+        dataset = AlertDataset(two_col_schema(), (Alert(0, ("x", "2")), Alert(1, values)))
+        path = tmp_path / "log.tsv"
+        path.write_text("old\t1\n", encoding="utf-8")
+        with pytest.raises(AlertFpError) as info:
+            write_log(path, dataset)
+        assert str(info.value).startswith(f"cannot write tid 1 field '{field}': value ")
+        assert str(info.value).endswith(message)
+        assert path.read_text(encoding="utf-8") == "old\t1\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["log.tsv"]
 
 
 class TestRejectsReport:

@@ -286,7 +286,7 @@ class TestScorerProperties:
     def test_repeated_itemset_rejected(self):
         # would count twice as a pattern of its own
         a, b = Item(0, "a"), Item(1, "b")
-        with pytest.raises(ModelFormatError, match="itemset 0=a occurs more than once"):
+        with pytest.raises(ModelFormatError, match="itemset 0=a repeats an earlier row"):
             PatternScorer([((a,), 2), ((a,), 2), ((b, a), 2)], 5)
 
     def test_empty_itemset_rejected(self):

@@ -34,6 +34,7 @@ from alertfp.store import (
 from conftest import random_schema_dataset
 
 FIXED_TIME = "2010-06-22T00:00:00+00:00"
+A, B = Item(0, "a"), Item(1, "b")
 
 
 @pytest.fixture
@@ -149,6 +150,11 @@ class TestSaveLoad:
                 8,
                 re.escape("support 1 outside [2, 5] for itemset 1=b%2Cc"),
             ),
+            (
+                ["2\t0=a", "2\t1=b%2Cc,0=a"],
+                8,
+                re.escape("items of itemset 1=b%2Cc,0=a are not strictly ascending"),
+            ),
         ],
         ids=[
             "repeated-item",
@@ -157,6 +163,7 @@ class TestSaveLoad:
             "repeated-2-itemset",
             "support-above-n-train",
             "support-below-minisupport",
+            "descending-escaped-value",
         ],
     )
     def test_non_canonical_row_reports_line_number(self, rows, line_number, message, tmp_path):
@@ -169,6 +176,124 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match=message) as info:
             load_model(path)
         assert info.value.line_number == line_number
+
+    @pytest.mark.parametrize(
+        "rows, line_number, message",
+        [
+            (["3\t0=a\t0,1,99,-4"], 7, "is not 3 strictly ascending tids in \\[0, 5\\)"),
+            (["3\t0=a\t0,1"], 7, "tidlist of itemset 0=a is not 3"),
+            (["3\t0=a\t0,2,1"], 7, "tidlist of itemset 0=a is not 3"),
+            (["3\t0=a\t0,1,1"], 7, "tidlist of itemset 0=a is not 3"),
+            (["2\t0=a\t0,5"], 7, "tidlist of itemset 0=a is not 2"),
+            (["2\t0=a\t-1,0"], 7, "tidlist of itemset 0=a is not 2"),
+            (["2\t0=a\t0,1", "2\t1=b%2Cc\t"], 8, re.escape("tidlist of itemset 1=b%2Cc is not 2")),
+            (["2\t0=a\t0,1", "2\t1=b"], 8, "malformed pattern row"),
+            (["2\t0=a", "2\t1=b\t0,1"], 8, "malformed pattern row"),
+        ],
+        ids=[
+            "more-tids-than-support",
+            "fewer-tids-than-support",
+            "descending",
+            "repeated-tid",
+            "tid-past-n-train",
+            "negative-tid",
+            "empty-tidlist",
+            "tidlist-column-dropped",
+            "tidlist-column-added",
+        ],
+    )
+    def test_inconsistent_tidlist_reports_line_number(self, rows, line_number, message, tmp_path):
+        path = tmp_path / "model.fps"
+        path.write_text(
+            f"# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\n"
+            f"built_at={FIXED_TIME}\npatterns={len(rows)}\n" + "\n".join(rows) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ModelFormatError, match=message) as info:
+            load_model(path)
+        assert info.value.line_number == line_number
+
+    @pytest.mark.parametrize(
+        "model, save_message, load_message",
+        [
+            (
+                ClassifierModel("x", FIXED_TIME, 5, 2, (((A,), 2), ((B, A), 2))),
+                "items of itemset 1=b,0=a are not strictly ascending",
+                "line 8: items of itemset 1=b,0=a are not strictly ascending",
+            ),
+            (
+                ClassifierModel("x", FIXED_TIME, 5, 2, (((A,), 2), ((A,), 3))),
+                "itemset 0=a repeats an earlier row",
+                "line 8: itemset 0=a repeats an earlier row",
+            ),
+            (
+                ClassifierModel("x", FIXED_TIME, 5, 2, (((), 2),)),
+                "empty itemset",
+                "line 7: malformed item token ''",
+            ),
+            (
+                ClassifierModel("x", FIXED_TIME, 5, 2, (((A,), 9),)),
+                "support 9 outside [2, 5] for itemset 0=a",
+                "line 7: support 9 outside [2, 5] for itemset 0=a",
+            ),
+            (
+                ClassifierModel("x", FIXED_TIME, 0, 0, (((Item(7, "a"),), 0),)),
+                "n_train 0 is below 1",
+                "n_train 0 is below 1",
+            ),
+            (
+                ClassifierModel("x", FIXED_TIME, 5, -3, (((Item(9, "6"),), -2),)),
+                "minisupport -3 outside [1, 5]",
+                "minisupport -3 outside [1, 5]",
+            ),
+            (
+                ClassifierModel("x", FIXED_TIME, 5, 0, (((A,), 1),)),
+                "minisupport 0 outside [1, 5]",
+                "minisupport 0 outside [1, 5]",
+            ),
+            (
+                ClassifierModel("x", FIXED_TIME, 5, 6, (((A,), 6),)),
+                "minisupport 6 outside [1, 5]",
+                "minisupport 6 outside [1, 5]",
+            ),
+            (
+                ClassifierModel("x", FIXED_TIME, 5, 2, (((A,), 3),), ((0, 1, 99, -4),)),
+                "tidlist of itemset 0=a is not 3 strictly ascending tids in [0, 5)",
+                "line 7: tidlist of itemset 0=a is not 3 strictly ascending tids in [0, 5)",
+            ),
+            (
+                ClassifierModel("x", FIXED_TIME, 5, 2, ()),
+                "model contains no patterns",
+                "model contains no patterns",
+            ),
+        ],
+        ids=[
+            "descending-itemset",
+            "repeated-itemset",
+            "empty-itemset",
+            "support-above-n-train",
+            "n-train-0",
+            "negative-minisupport",
+            "minisupport-0",
+            "minisupport-above-n-train",
+            "inconsistent-tidlist",
+            "no-patterns",
+        ],
+    )
+    def test_save_refuses_what_load_refuses(
+        self, model, save_message, load_message, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "model.fps"
+        with pytest.raises(ModelFormatError) as info:
+            save_model(model, path)
+        assert str(info.value) == save_message
+        assert not list(tmp_path.iterdir())
+        # the bytes save would have written, had it not checked
+        monkeypatch.setattr(ClassifierModel, "validate", lambda self: None)
+        save_model(model, path)
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == load_message
 
     def test_save_refuses_support_out_of_bounds(self, tmp_path):
         model = ClassifierModel("x", FIXED_TIME, 5, 2, (((Item(0, "a"),), 9),))
@@ -300,6 +425,14 @@ class TestScoreNew:
             tuple(Alert(i, tuple(row)) for i, row in enumerate(mutated)),
         )
         assert score_new(remade, sample_model) == score_new(sample_dataset, sample_model)
+
+    def test_model_builds_its_scorer_once(
+        self, sample_dataset, sample_model, scorer_builds, tmp_path
+    ):
+        first = score_new(sample_dataset, sample_model)
+        save_model(sample_model, tmp_path / "model.fps")
+        assert score_new(sample_dataset, sample_model) == first
+        assert len(scorer_builds) == 1
 
     def test_fingerprint_gate(self, sample_dataset, sample_model):
         other_schema = AttributeSchema(
