@@ -132,32 +132,35 @@ def _canonical_field(raw: str, f: SchemaField, memo: dict[str, str] | None) -> s
 def write_log(target: Target, dataset: AlertDataset, fmt: LogFormat = LogFormat()) -> None:
     """Serialize a dataset back to its delimited form (debug writer; also
     used to emit synthetic logs). Round-trips value-identically with
-    parse_log on canonical input.
+    parse_log on canonical input. With fmt.has_header the first line holds
+    the schema's field names.
 
-    There is no quoting, so a value holding the delimiter, "\\n" or "\\r",
-    or a first value starting with the comment prefix, would read back
-    as another record or none: it raises AlertFpError naming its tid and
-    field, and the target is left as it was.
+    There is no quoting, so a value or field name holding the delimiter,
+    "\\n" or "\\r", or a first one starting with the comment prefix,
+    would read back as another record or none: it raises AlertFpError
+    naming it, and the target is left as it was.
     """
-    delimiter, prefix = fmt.delimiter, fmt.comment_prefix
+    names = tuple(f.name for f in dataset.schema.fields)
     with atomic_write(target) as out:
+        if fmt.has_header:
+            out.write(_framed_line(names, names, fmt, "the header", "name"))
         for alert in dataset.alerts:
-            line = delimiter.join(alert.values)
-            if (
-                line.count(delimiter) != len(alert.values) - 1
-                or "\n" in line
-                or "\r" in line
-                or (prefix and line.startswith(prefix))
-            ):
-                raise AlertFpError(_framing_fault(alert, dataset.schema, fmt, line))
-            out.write(line)
-            out.write("\n")
+            out.write(_framed_line(alert.values, names, fmt, f"tid {alert.tid}", "value"))
 
 
-def _framing_fault(alert: Alert, schema: AttributeSchema, fmt: LogFormat, line: str) -> str:
-    """Why write_log cannot frame alert's line, naming the value at fault."""
+def _framed_line(values, names, fmt: LogFormat, place: str, noun: str) -> str:
+    """values as one line of fmt. A line that would not read back as those
+    values raises AlertFpError naming `place` and the value at fault."""
+    line = fmt.delimiter.join(values)
     prefix = fmt.comment_prefix
-    for position, (value, f) in enumerate(zip(alert.values, schema.fields)):
+    if (
+        line.count(fmt.delimiter) == len(values) - 1
+        and "\n" not in line
+        and "\r" not in line
+        and not (prefix and line.startswith(prefix))
+    ):
+        return line + "\n"
+    for position, (value, name) in enumerate(zip(values, names)):
         held = [char for char in (fmt.delimiter, "\n", "\r") if char in value]
         if held:
             fault = f"holds {held[0]!r}"
@@ -165,8 +168,8 @@ def _framing_fault(alert: Alert, schema: AttributeSchema, fmt: LogFormat, line: 
             fault = f"starts with the comment prefix {prefix!r}"
         else:
             continue
-        return f"cannot write tid {alert.tid} field {f.name!r}: value {value!r} {fault}"
-    return f"cannot write tid {alert.tid}: line {line!r} would not read back as one record"
+        raise AlertFpError(f"cannot write {place} field {name!r}: {noun} {value!r} {fault}")
+    raise AlertFpError(f"cannot write {place}: line {line!r} would not read back as one record")
 
 
 def write_rejects(target: Target, rejects: Iterable[RejectedLine]) -> None:

@@ -1,7 +1,9 @@
 """Level-wise frequent-itemset mining where every pattern keeps its tidlist.
 
-The dataset is scanned exactly once to build the candidate 1-itemsets,
-each with the full list of transactions containing it. From there the
+The first level counts items before it builds any tidlist: an
+AlertDataset is counted from its per-column value codes, without building
+a transaction per alert, and only the items that reach the threshold get
+the full list of transactions containing them. From there the
 classic join of two k-itemsets sharing a (k-1)-prefix produces each
 (k+1)-candidate, whose tidlist is simply the intersection of its two
 generators' tidlists; support falls out as the tidlist length, so no
@@ -20,9 +22,10 @@ the level-wise miner.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -30,7 +33,7 @@ from .errors import (
     EmptyDatasetError,
     PatternExplosionError,
 )
-from .model import AlertDataset, Item, Transaction
+from .model import AlertDataset, ColumnCodes, Item, Transaction
 
 Itemset = tuple[Item, ...]
 Minable = Union[AlertDataset, Sequence[Transaction]]
@@ -181,14 +184,65 @@ def _as_transactions(data: Minable) -> list[Transaction]:
     return txns
 
 
-def build_candidates_1(data: Minable) -> list[tuple[Item, tuple[int, ...]]]:
-    """Single scan of the dataset yielding every distinct item with the
-    complete, ascending tidlist of the transactions containing it."""
-    occurrences: dict[Item, list[int]] = {}
-    for t in _as_transactions(data):
+def build_candidates_1(
+    data: Minable, minisupport_abs: int = 1
+) -> list[tuple[Item, tuple[int, ...]]]:
+    """Every item occurring in at least minisupport_abs transactions, in
+    item order, with the complete, ascending tidlist of those transactions.
+
+    Items are counted first and tidlists built for the frequent ones only.
+    An AlertDataset is counted from its column codes, so no per-alert
+    transaction is built.
+    """
+    if minisupport_abs < 1:
+        raise ValueError("minisupport must be >= 1")
+    if isinstance(data, AlertDataset):
+        return _candidates_from_codes(data.columns(), minisupport_abs)
+    txns = _as_transactions(data)
+    counts = Counter(chain.from_iterable(t.items for t in txns))
+    frequent: dict[Item, list[int]] = {
+        item: [] for item, count in counts.items() if count >= minisupport_abs
+    }
+    for t in txns:
         for item in t.items:
-            occurrences.setdefault(item, []).append(t.tid)
-    return sorted((item, tuple(tids)) for item, tids in occurrences.items())
+            tids = frequent.get(item)
+            if tids is not None:
+                tids.append(t.tid)
+    return sorted((item, tuple(tids)) for item, tids in frequent.items())
+
+
+def _candidates_from_codes(
+    columns: Sequence[ColumnCodes], minisupport_abs: int
+) -> list[tuple[Item, tuple[int, ...]]]:
+    """build_candidates_1 over coded columns. A key's count sums the counts
+    of the codes that yield it, one pass over the codes fills the tidlists
+    of the frequent keys, and only those become Items."""
+    out = []
+    for column in columns:
+        code_counts = Counter(column.codes)
+        for keys in (column.keys, column.times):
+            if keys is None:
+                continue
+            counts: dict[str, int] = {}
+            for code, count in code_counts.items():
+                key = keys[code]
+                counts[key] = counts.get(key, 0) + count
+            counts.pop(None, None)  # a null timestamp has no time item
+            frequent: dict[str, list[int]] = {
+                key: [] for key, count in counts.items() if count >= minisupport_abs
+            }
+            if not frequent:
+                continue
+            feeds = {code: frequent[keys[code]] for code in code_counts if keys[code] in frequent}
+            for tid, code in enumerate(column.codes):
+                tids = feeds.get(code)
+                if tids is not None:
+                    tids.append(tid)
+            out.extend(
+                (Item(column.field_index, key), tuple(tids)) for key, tids in frequent.items()
+            )
+    out.sort()
+    return out
 
 
 def prune(candidates, minisupport_abs: int):
@@ -248,14 +302,17 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     the configured cap.
     """
     config = config or MiningConfig()
-    txns = _as_transactions(data)
-    n = len(txns)
+    if isinstance(data, AlertDataset):
+        n = data.n
+    else:
+        data = _as_transactions(data)
+        n = len(data)
     if n == 0:
         raise EmptyDatasetError("cannot mine an empty dataset")
     s_abs = config.minisupport_abs(n)
     cap = config.max_patterns
 
-    candidates_1 = build_candidates_1(txns)
+    candidates_1 = build_candidates_1(data, s_abs)
     level: list[tuple[Itemset, int]] = [
         ((item,), bits_of(tids)) for item, tids in prune(candidates_1, s_abs)
     ]

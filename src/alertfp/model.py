@@ -5,9 +5,14 @@ transaction whose items are (column, canonical value) pairs, so the same
 string in two different columns is two different items. Identifier and
 ignored columns contribute nothing; a timestamp column contributes two
 items, the calendar-day part and the minute-resolution time part, which
-lets the two halves recur independently across alerts. A dataset
-itemizes each distinct value of a column once, so its transactions share
-one Item object per distinct value.
+lets the two halves recur independently across alerts.
+
+A dataset codes each itemizable column once (`AlertDataset.columns()`):
+every alert holds an int code per column, and each distinct raw value is
+canonicalized once into the plain-string keys of its items. The miner
+counts those codes and makes Items only for frequent keys; the per-alert
+transactions are a view over the codes, built on demand, in which alerts
+with equal raw values in a column share one Item object.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import SchemaError, ValueParseError
@@ -97,6 +103,11 @@ _TIMESTAMP_RE = re.compile(
 )
 
 
+# an Enum member read off its class costs a metaclass lookup; these run
+# once per distinct value
+_NUMERIC, _TIMESTAMP = FieldKind.NUMERIC, FieldKind.TIMESTAMP
+
+
 def canonicalize_value(raw: str, kind: FieldKind) -> str:
     """Normalize one raw field value.
 
@@ -108,12 +119,12 @@ def canonicalize_value(raw: str, kind: FieldKind) -> str:
     text = raw.strip()
     if not text or text.lower() == NULL_VALUE:
         return NULL_VALUE
-    if kind is FieldKind.NUMERIC:
+    if kind is _NUMERIC:
         digits = text.replace(",", "")
         if not _NUMERIC_RE.fullmatch(digits):
             raise ValueParseError(f"not a numeric value: {raw!r}")
         return str(int(digits, 10))
-    if kind is FieldKind.TIMESTAMP:
+    if kind is _TIMESTAMP:
         return " ".join(text.split())
     return text
 
@@ -165,7 +176,7 @@ def render_itemset(itemset: Iterable[Item]) -> str:
     return ",".join(f"{item.field_index}={_escape(item.value)}" for item in itemset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alert:
     """One parsed log record: its position in the dataset plus the raw
     field values aligned to the schema."""
@@ -174,7 +185,7 @@ class Alert:
     values: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """An alert reduced to its set of items."""
 
@@ -184,41 +195,107 @@ class Transaction:
 
 def itemize(alert: Alert, schema: AttributeSchema) -> Transaction:
     """Convert an alert into its transaction. Pure and deterministic."""
-    return _itemize(alert, schema, _column_memos(schema))
+    _check_width(alert, schema)
+    items: list[Item] = []
+    for index, f in enumerate(schema.fields):
+        if f.kind in ITEMIZABLE_KINDS:
+            try:
+                key, time = _value_keys(alert.values[index], f.kind)
+            except ValueParseError as exc:
+                raise ValueParseError(str(exc), field=f.name, tid=alert.tid) from None
+            items.append(Item(index, key))
+            if time is not None:
+                items.append(Item(index, time))
+    return Transaction(alert.tid, frozenset(items))
 
 
-_ColumnMemos = list[tuple[int, SchemaField, dict[str, tuple[Item, ...]]]]
-
-
-def _column_memos(schema: AttributeSchema) -> _ColumnMemos:
-    """One (index, field, memo) entry per itemizable column. A memo maps
-    a raw value to its items, so each distinct value is itemized once."""
-    return [(i, f, {}) for i, f in enumerate(schema.fields) if f.kind in ITEMIZABLE_KINDS]
-
-
-def _itemize(alert: Alert, schema: AttributeSchema, columns: _ColumnMemos) -> Transaction:
+def _check_width(alert: Alert, schema: AttributeSchema) -> None:
     if len(alert.values) != schema.field_count:
         raise SchemaError(
             f"alert tid {alert.tid} has {len(alert.values)} values, "
             f"schema defines {schema.field_count} fields"
         )
-    items: list[Item] = []
-    for index, f, memo in columns:
-        raw = alert.values[index]
-        parts = memo.get(raw)
-        if parts is None:
+
+
+def _value_keys(raw: str, kind: FieldKind) -> tuple[str, str | None]:
+    """The item values one raw value yields: a timestamp's date and time
+    parts, or else its canonical value and None (a null timestamp too).
+    Every alert value is itemized through here."""
+    value = canonicalize_value(raw, kind)
+    if kind is _TIMESTAMP and value != NULL_VALUE:
+        return split_timestamp(value)
+    return value, None
+
+
+class ColumnCodes(NamedTuple):
+    """One itemizable column of a dataset with its values coded.
+
+    `codes[tid]` numbers alert tid's raw value among the column's distinct
+    raw values, in order of first appearance. The value with code c
+    itemizes to Item(field_index, keys[c]) and, for a timestamp, also to
+    Item(field_index, times[c]) unless that is None (a null). `times` is
+    None for other kinds. The keys are plain strings: an Item is a tuple
+    subclass, which the cyclic collector tracks for good, so Items are made
+    only where needed.
+    """
+
+    field_index: int
+    codes: tuple[int, ...]
+    keys: tuple[str, ...]
+    times: tuple[str | None, ...] | None
+
+
+def _code_columns(schema: AttributeSchema, alerts: tuple[Alert, ...]) -> tuple[ColumnCodes, ...]:
+    """Code every itemizable column, canonicalizing each distinct raw value
+    once.
+
+    Raises what itemizing alert by alert would: the error of the lowest
+    tid that has a wrong value count or a bad value, and at that tid the
+    first bad column in schema order.
+    """
+    short = next((a for a in alerts if len(a.values) != schema.field_count), None)
+    checked = alerts if short is None else alerts[: short.tid]
+    by_column = list(zip(*(a.values for a in checked))) or [()] * schema.field_count
+    columns: list[ColumnCodes] = []
+    faults: list[tuple[int, int, ValueParseError]] = []
+    for index, f in enumerate(schema.fields):
+        if f.kind not in ITEMIZABLE_KINDS:
+            continue
+        memo: dict[str, int] = {}
+        codes = tuple([memo.setdefault(raw, len(memo)) for raw in by_column[index]])
+        keys, times = [], []
+        for code, raw in enumerate(memo):
             try:
-                value = canonicalize_value(raw, f.kind)
-                if f.kind is FieldKind.TIMESTAMP and value != NULL_VALUE:
-                    date_part, time_part = split_timestamp(value)
-                    parts = (Item(index, date_part), Item(index, time_part))
-                else:
-                    parts = (Item(index, value),)
+                key, time = _value_keys(raw, f.kind)
             except ValueParseError as exc:
-                raise ValueParseError(str(exc), field=f.name, tid=alert.tid) from None
-            memo[raw] = parts
-        items.extend(parts)
-    return Transaction(alert.tid, frozenset(items))
+                # codes number values by first appearance, so this is the
+                # column's lowest bad tid
+                faults.append((codes.index(code), index, exc))
+                break
+            keys.append(key)
+            times.append(time)
+        else:
+            timed = tuple(times) if f.kind is FieldKind.TIMESTAMP else None
+            columns.append(ColumnCodes(index, codes, tuple(keys), timed))
+    if faults:
+        tid, index, exc = min(faults, key=lambda fault: fault[:2])
+        raise ValueParseError(str(exc), field=schema.fields[index].name, tid=tid)
+    if short is not None:
+        _check_width(short, schema)
+    return tuple(columns)
+
+
+def _item_tables(column: ColumnCodes) -> tuple[list[Item], ...]:
+    """The column's Items by code: one table, or for a timestamp a date and
+    a time table, where a null's lone item fills both (a frozenset keeps
+    it once)."""
+    index = column.field_index
+    items = [Item(index, key) for key in column.keys]
+    if column.times is None:
+        return (items,)
+    return items, [
+        item if time is None else Item(index, time) for item, time in zip(items, column.times)
+    ]
 
 
 @dataclass(frozen=True)
@@ -240,12 +317,28 @@ class AlertDataset:
     def n(self) -> int:
         return len(self.alerts)
 
+    def columns(self) -> tuple[ColumnCodes, ...]:
+        """Every itemizable column in code form, in schema order. Computed
+        once and cached; a failed build is not cached."""
+        cached = self.__dict__.get("_columns")
+        if cached is None:
+            cached = _code_columns(self.schema, self.alerts)
+            object.__setattr__(self, "_columns", cached)
+        return cached
+
     def transactions(self) -> tuple[Transaction, ...]:
-        """Itemize every alert. Computed once and cached."""
+        """Every alert's transaction, read off the column codes. Computed
+        once and cached; alerts with equal raw values in a column share
+        that value's Item objects."""
         cached = self.__dict__.get("_transactions")
         if cached is None:
-            columns = _column_memos(self.schema)
-            cached = tuple(_itemize(a, self.schema, columns) for a in self.alerts)
+            per_tid = [
+                map(table.__getitem__, column.codes)
+                for column in self.columns()
+                for table in _item_tables(column)
+            ]
+            rows = zip(*per_tid) if per_tid else repeat((), self.n)
+            cached = tuple(Transaction(tid, frozenset(row)) for tid, row in enumerate(rows))
             object.__setattr__(self, "_transactions", cached)
         return cached
 

@@ -1,15 +1,18 @@
 """The benchmark's span tracer (`bench/spans.py`) patches alertfp's
 functions by the names its callers look them up by. A rename or a dropped
 import of one of those names breaks the traced benchmark, so this checks
-every target here, in a fraction of a second, without running it."""
+every target here, in a fraction of a second, without running the
+benchmark, and that a traced mine still reports its first level."""
 
 import importlib
 from pathlib import Path
 
 import pytest
 
+import alertfp.miner
 import alertfp.model
 import alertfp.store
+from alertfp.miner import MiningConfig
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -37,3 +40,13 @@ def test_traced_patches_every_target_and_restores_it(spans):
     assert all(
         vars(owner)[attr] is original for (owner, attr), original in zip(targets, before)
     )
+
+
+def test_traced_mine_reports_the_first_level(spans, sample_dataset):
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        fps = alertfp.miner.mine(sample_dataset, MiningConfig(minisupport=2))
+    names = {span["name"] for span in tracer.spans}
+    assert {"miner.build_candidates_1", "miner.prune"} <= names
+    metrics = spans.layer_metrics(tracer, tracer.spans, 1.0, lambda start, end: end - start)
+    assert metrics["miner.L1.kept"] == sum(1 for p in fps if len(p) == 1) == 9

@@ -144,6 +144,15 @@ class TestRoundTrip:
         again = parse_log(path, snort_schema()).dataset
         assert again.alerts == sample_dataset.alerts
 
+    @pytest.mark.parametrize("delimiter", ["\t", ","], ids=["tab", "comma"])
+    def test_header_round_trip(self, tmp_path, delimiter):
+        dataset = AlertDataset(two_col_schema(), (Alert(0, ("web", "80")), Alert(1, ("ssh", "22"))))
+        fmt = LogFormat(delimiter=delimiter, has_header=True)
+        path = tmp_path / "log.txt"
+        write_log(path, dataset, fmt)
+        assert path.read_text(encoding="utf-8").splitlines()[0] == f"sig{delimiter}port"
+        assert parse_log(path, dataset.schema, fmt).dataset == dataset
+
 
 # text that the log's framing has to survive or refuse: the comment
 # prefix, line breaks, delimiters and null spellings
@@ -250,6 +259,25 @@ class TestWriteLogRefusals:
         assert str(info.value).endswith(message)
         assert path.read_text(encoding="utf-8") == "old\t1\n"
         assert [entry.name for entry in tmp_path.iterdir()] == ["log.tsv"]
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (("sig", "a\tb"), "cannot write the header field 'a\\tb': name 'a\\tb' holds '\\t'"),
+            (("#sig", "port"), "cannot write the header field '#sig': name '#sig' starts with"),
+        ],
+        ids=["delimiter", "comment-prefix"],
+    )
+    def test_unframable_header_raises_and_keeps_target(self, names, message, tmp_path):
+        schema = AttributeSchema(tuple(SchemaField(name, FieldKind.CATEGORICAL) for name in names))
+        dataset = AlertDataset(schema, (Alert(0, ("x", "2")),))
+        path = tmp_path / "log.tsv"
+        path.write_text("old\t1\n", encoding="utf-8")
+        with pytest.raises(AlertFpError) as info:
+            write_log(path, dataset, LogFormat(has_header=True))
+        assert str(info.value).startswith(message)
+        assert path.read_text(encoding="utf-8") == "old\t1\n"
+        write_log(path, dataset)  # without a header the names are never written
 
 
 class TestRejectsReport:

@@ -8,6 +8,8 @@ from alertfp.errors import (
     BruteForceGuardError,
     EmptyDatasetError,
     PatternExplosionError,
+    SchemaError,
+    ValueParseError,
 )
 from alertfp.miner import (
     MiningConfig,
@@ -20,7 +22,16 @@ from alertfp.miner import (
     prune,
     tids_of,
 )
-from alertfp.model import Item, Transaction
+from alertfp.model import (
+    NULL_VALUE,
+    Alert,
+    AlertDataset,
+    AttributeSchema,
+    FieldKind,
+    Item,
+    SchemaField,
+    Transaction,
+)
 
 from conftest import baskets, itemset, random_baskets
 
@@ -344,3 +355,101 @@ class TestPatternSet:
         assert fps.support_of(itemset("2", "5")) == 3
         assert fps.support_of(itemset("1", "5")) == 0
         assert fps.get(itemset("4")) is None
+
+
+CODED_SCHEMA = AttributeSchema(
+    (
+        SchemaField("sig", FieldKind.CATEGORICAL),
+        SchemaField("cid", FieldKind.IDENTIFIER),
+        SchemaField("port", FieldKind.NUMERIC),
+        SchemaField("ts", FieldKind.TIMESTAMP),
+        SchemaField("note", FieldKind.IGNORE),
+    )
+)
+# spellings that canonicalize alike, nulls, and timestamps sharing a date part
+SIGS = ["web", " web", "ssh", "null", ""]
+PORTS = ["80", "080", " 80 ", "8,0", "443", "null", ""]
+STAMPS = [
+    "6/11/2010 8:57 AM", "6/11/2010  8:57 am", "6/11/2010 9:02:33 PM", "7/1/2010 8:57AM",
+    "null", " ",
+]
+
+coded_rows = st.tuples(
+    st.sampled_from(SIGS),
+    st.text(max_size=2),
+    st.sampled_from(PORTS),
+    st.sampled_from(STAMPS),
+    st.text(max_size=2),
+)
+all_null_rows = st.builds(
+    lambda cid, note: (NULL_VALUE, cid, "", NULL_VALUE, note),
+    st.text(max_size=2),
+    st.text(max_size=2),
+)
+
+
+class TestCodedMining:
+    """Mining an AlertDataset counts its column codes and never builds the
+    per-alert transactions; it must agree with mining those transactions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(coded_rows | all_null_rows, min_size=1, max_size=30), st.data())
+    def test_three_routes_one_answer(self, rows, data):
+        ds = AlertDataset(CODED_SCHEMA, tuple(Alert(i, row) for i, row in enumerate(rows)))
+        s = data.draw(st.integers(1, len(rows)), label="minisupport")
+        config = MiningConfig(minisupport=s)
+        coded = mine(ds, config)
+        c1 = build_candidates_1(ds, s)
+        assert "_transactions" not in ds.__dict__
+        txns = list(ds.transactions())
+        assert coded == mine(txns, config) == brute_force_mine(ds, config)
+        assert c1 == prune(build_candidates_1(txns), s)
+        assert build_candidates_1(txns, s) == c1
+
+    def test_mine_never_itemizes_per_alert(self, sample_dataset, monkeypatch):
+        expected = mine(list(sample_dataset.transactions()), HALF)
+        fresh = AlertDataset(sample_dataset.schema, sample_dataset.alerts)
+
+        def refuse(self):
+            raise AssertionError("mine built per-alert transactions")
+
+        monkeypatch.setattr(AlertDataset, "transactions", refuse)
+        assert mine(fresh, HALF) == expected
+
+    def test_threshold_below_one_rejected(self, sample_dataset, baskets4):
+        for data in (sample_dataset, baskets4):
+            with pytest.raises(ValueError):
+                build_candidates_1(data, 0)
+
+    def bad_dataset(self):
+        schema = AttributeSchema(
+            (
+                SchemaField("sig", FieldKind.CATEGORICAL),
+                SchemaField("ts", FieldKind.TIMESTAMP),
+                SchemaField("port", FieldKind.NUMERIC),
+            )
+        )
+        alerts = (
+            Alert(0, ("web", "6/11/2010 8:57 AM", "80")),
+            Alert(1, ("web", "6/11/2010 8:57 AM", "eighty")),
+            Alert(2, ("ssh", "yesterday", "eighty")),
+        )
+        return AlertDataset(schema, alerts)
+
+    def test_bad_value_raises_alike_on_every_route(self):
+        ds = self.bad_dataset()
+        routes = [lambda: mine(ds), lambda: build_candidates_1(ds, 1), ds.transactions]
+        for _ in range(2):  # a failed build is not cached
+            for route in routes:
+                with pytest.raises(ValueParseError) as info:
+                    route()
+                assert (info.value.tid, info.value.field) == (1, "port")
+
+    def test_wrong_width_raises_after_earlier_bad_values_only(self):
+        ds = self.bad_dataset()
+        short = Alert(2, ("ssh", "6/11/2010 8:57 AM"))
+        with pytest.raises(ValueParseError) as info:
+            mine(AlertDataset(ds.schema, ds.alerts[:2] + (short,)))
+        assert info.value.tid == 1
+        with pytest.raises(SchemaError, match="alert tid 1 has 2 values"):
+            mine(AlertDataset(ds.schema, (ds.alerts[0], Alert(1, short.values))))
