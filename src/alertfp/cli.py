@@ -54,7 +54,7 @@ EXIT_SCHEMA = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
+    def error(self, message):  # argparse would exit with code 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -209,6 +209,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "gen":  # a limit between two counts is a usage error too
+            try:
+                args.spec = SyntheticSpec(args.records, args.n_attack, args.profiles, args.seed)
+            except AlertFpError as exc:
+                parser.error(f"argument --attacks: {exc} (got {args.n_attack})")
     except SystemExit as exit_:
         return int(exit_.code or 0)
     if getattr(args, "workers", None) is not None or "ALERTFP_WORKERS" in os.environ:
@@ -359,12 +364,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = SyntheticSpec(
-        n_records=args.records,
-        n_attack=args.n_attack,
-        routine_profiles=args.profiles,
-        seed=args.seed,
-    )
+    spec = args.spec
     dataset, attack_tids = gen_synthetic(spec)
     with atomic_write(args.out) as out:
         out.write(

@@ -15,6 +15,7 @@ class ValueParseError(AlertFpError):
     """A single field value could not be canonicalized or split."""
 
     def __init__(self, message: str, *, field: str | None = None, tid: int | None = None):
+        self.reason = message  # without the field and tid
         context = []
         if field is not None:
             context.append(f"field {field!r}")

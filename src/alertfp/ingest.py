@@ -3,7 +3,8 @@
 Log format: one record per line, delimiter-separated fields in schema
 order, optional ``#`` comment lines, optional single header line. A bad
 line is rejected and reported, never fatal; nightly rebuilds must survive
-one corrupt record.
+one corrupt record. Each line is coded by the model's column coder as it
+is read, so the parsed dataset comes with its columns coded.
 """
 
 from __future__ import annotations
@@ -12,17 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import AlertFpError, EmptyDatasetError, SchemaError, ValueParseError
-from .model import (
-    Alert,
-    AlertDataset,
-    AttributeSchema,
-    ITEMIZABLE_KINDS,
-    NULL_VALUE,
-    FieldKind,
-    SchemaField,
-    canonicalize_value,
-    split_timestamp,
-)
+from .model import Alert, AlertDataset, AttributeSchema, FieldKind, SchemaField, _RowCoder
 from .textio import Source, Target, atomic_write, open_text
 
 
@@ -67,15 +58,14 @@ def parse_log(
     parsing continues. Raises EmptyDatasetError when nothing parses. A
     line holding the delimiter is a record even when every field is
     empty, and its empty fields canonicalize to null like any other;
-    only a line of whitespace alone is skipped as blank.
+    only a line of whitespace alone is skipped as blank. A bad value's
+    reject reason names its column.
     """
     if not schema.itemizable_indexes():
         raise SchemaError("schema has no itemizable fields; nothing to mine")
+    coder = _RowCoder(schema)
     alerts: list[Alert] = []
     rejects: list[RejectedLine] = []
-    # raw field -> canonical value, one memo per itemizable column; values
-    # repeat across lines, identifiers (cid) do not, so those get no memo
-    memos = [{} if f.kind in ITEMIZABLE_KINDS else None for f in schema.fields]
     with open_text(source) as lines:
         header_pending = fmt.has_header
         for line_number, raw_line in enumerate(lines, start=1):
@@ -97,10 +87,7 @@ def parse_log(
                 )
                 continue
             try:
-                values = tuple(
-                    _canonical_field(raw, f, memo)
-                    for raw, f, memo in zip(fields, schema.fields, memos)
-                )
+                values = coder.row(fields)
             except ValueParseError as exc:
                 rejects.append(RejectedLine(line_number, str(exc)))
                 continue
@@ -109,24 +96,7 @@ def parse_log(
         raise EmptyDatasetError(
             f"no valid alert records in input ({len(rejects)} rejected)"
         )
-    return ParseResult(AlertDataset(schema, tuple(alerts)), tuple(rejects))
-
-
-def _canonical_field(raw: str, f: SchemaField, memo: dict[str, str] | None) -> str:
-    """Canonical value of one field, worked once per distinct raw value of
-    an itemizable column; other columns are only trimmed."""
-    if memo is None:
-        return raw.strip()
-    value = memo.get(raw)
-    if value is None:
-        value = canonicalize_value(raw, f.kind)
-        if f.kind is FieldKind.TIMESTAMP and value != NULL_VALUE:
-            try:
-                split_timestamp(value)
-            except ValueParseError as exc:
-                raise ValueParseError(str(exc), field=f.name) from None
-        memo[raw] = value
-    return value
+    return ParseResult(coder.dataset(tuple(alerts)), tuple(rejects))
 
 
 def write_log(target: Target, dataset: AlertDataset, fmt: LogFormat = LogFormat()) -> None:

@@ -116,10 +116,6 @@ class FrequentPattern:
         count = tid_bits.bit_count()
         return cls(itemset, tid_bits, count, count / n)
 
-    @classmethod
-    def from_tids(cls, itemset: Itemset, tids: Iterable[int], n: int) -> "FrequentPattern":
-        return cls.from_bits(itemset, bits_of(tids), n)
-
     @property
     def tidlist(self) -> tuple[int, ...]:
         return tids_of(self.tid_bits)
@@ -371,7 +367,7 @@ def brute_force_mine(
             for combo in combinations(members, size):
                 occurrences.setdefault(frozenset(combo), []).append(t.tid)
     patterns = [
-        FrequentPattern.from_tids(tuple(sorted(itemset)), tids, n)
+        FrequentPattern.from_bits(tuple(sorted(itemset)), bits_of(tids), n)
         for itemset, tids in occurrences.items()
         if len(tids) >= s_abs
     ]

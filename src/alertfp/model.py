@@ -7,10 +7,11 @@ ignored columns contribute nothing; a timestamp column contributes two
 items, the calendar-day part and the minute-resolution time part, which
 lets the two halves recur independently across alerts.
 
-A dataset codes each itemizable column once (`AlertDataset.columns()`):
-every alert holds an int code per column, and each distinct raw value is
-canonicalized once into the plain-string keys of its items. The miner
-counts those codes and makes Items only for frequent keys; the per-alert
+One column coder turns log values into canonical values, the
+plain-string keys of their items and int codes, once per distinct raw
+value of a column. parse_log drives it as it reads; a dataset built from
+Alerts drives it on its first `AlertDataset.columns()` call. The miner
+counts the codes and makes Items only for frequent keys; the per-alert
 transactions are a view over the codes, built on demand, in which alerts
 with equal raw values in a column share one Item object.
 """
@@ -21,6 +22,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from operator import getitem
 from typing import Iterable, NamedTuple
 
 from .errors import SchemaError, ValueParseError
@@ -200,7 +202,7 @@ def itemize(alert: Alert, schema: AttributeSchema) -> Transaction:
     for index, f in enumerate(schema.fields):
         if f.kind in ITEMIZABLE_KINDS:
             try:
-                key, time = _value_keys(alert.values[index], f.kind)
+                _, key, time = _value_step(alert.values[index], f.kind)
             except ValueParseError as exc:
                 raise ValueParseError(str(exc), field=f.name, tid=alert.tid) from None
             items.append(Item(index, key))
@@ -217,22 +219,23 @@ def _check_width(alert: Alert, schema: AttributeSchema) -> None:
         )
 
 
-def _value_keys(raw: str, kind: FieldKind) -> tuple[str, str | None]:
-    """The item values one raw value yields: a timestamp's date and time
-    parts, or else its canonical value and None (a null timestamp too).
-    Every alert value is itemized through here."""
+def _value_step(raw: str, kind: FieldKind) -> tuple[str, str, str | None]:
+    """A raw value's canonical value and the item values it yields: a
+    timestamp's date and time parts, or else the canonical value and None
+    (a null timestamp too). Every alert value is itemized through here."""
     value = canonicalize_value(raw, kind)
     if kind is _TIMESTAMP and value != NULL_VALUE:
-        return split_timestamp(value)
-    return value, None
+        return (value, *split_timestamp(value))
+    return value, value, None
 
 
 class ColumnCodes(NamedTuple):
     """One itemizable column of a dataset with its values coded.
 
     `codes[tid]` numbers alert tid's raw value among the column's distinct
-    raw values, in order of first appearance. The value with code c
-    itemizes to Item(field_index, keys[c]) and, for a timestamp, also to
+    raw values, in order of first appearance (a value seen only on rejected
+    log lines may hold a code no alert has). The value with code c itemizes
+    to Item(field_index, keys[c]) and, for a timestamp, also to
     Item(field_index, times[c]) unless that is None (a null). `times` is
     None for other kinds. The keys are plain strings: an Item is a tuple
     subclass, which the cyclic collector tracks for good, so Items are made
@@ -245,44 +248,66 @@ class ColumnCodes(NamedTuple):
     times: tuple[str | None, ...] | None
 
 
-def _code_columns(schema: AttributeSchema, alerts: tuple[Alert, ...]) -> tuple[ColumnCodes, ...]:
-    """Code every itemizable column, canonicalizing each distinct raw value
-    once.
+class _ColumnCoder(dict):
+    """A column's raw value -> (code, canonical value). A new raw value runs
+    the per-value step once and takes the next code, whose item values are
+    keys[code] and times[code]. A bad value raises ValueParseError naming
+    the field and is not stored, so each row holding it raises. Identifier
+    and ignore values seldom repeat: they are trimmed, never stored."""
 
-    Raises what itemizing alert by alert would: the error of the lowest
-    tid that has a wrong value count or a bad value, and at that tid the
-    first bad column in schema order.
-    """
-    short = next((a for a in alerts if len(a.values) != schema.field_count), None)
-    checked = alerts if short is None else alerts[: short.tid]
-    by_column = list(zip(*(a.values for a in checked))) or [()] * schema.field_count
-    columns: list[ColumnCodes] = []
-    faults: list[tuple[int, int, ValueParseError]] = []
-    for index, f in enumerate(schema.fields):
-        if f.kind not in ITEMIZABLE_KINDS:
-            continue
-        memo: dict[str, int] = {}
-        codes = tuple([memo.setdefault(raw, len(memo)) for raw in by_column[index]])
-        keys, times = [], []
-        for code, raw in enumerate(memo):
-            try:
-                key, time = _value_keys(raw, f.kind)
-            except ValueParseError as exc:
-                # codes number values by first appearance, so this is the
-                # column's lowest bad tid
-                faults.append((codes.index(code), index, exc))
-                break
-            keys.append(key)
-            times.append(time)
-        else:
-            timed = tuple(times) if f.kind is FieldKind.TIMESTAMP else None
-            columns.append(ColumnCodes(index, codes, tuple(keys), timed))
-    if faults:
-        tid, index, exc = min(faults, key=lambda fault: fault[:2])
-        raise ValueParseError(str(exc), field=schema.fields[index].name, tid=tid)
-    if short is not None:
-        _check_width(short, schema)
-    return tuple(columns)
+    def __init__(self, f: SchemaField) -> None:
+        super().__init__()
+        self.field, self.keys, self.times = f, [], []
+
+    def __missing__(self, raw: str) -> tuple[int | None, str]:
+        if self.field.kind not in ITEMIZABLE_KINDS:
+            return None, raw.strip()
+        try:
+            value, key, time = _value_step(raw, self.field.kind)
+        except ValueParseError as exc:
+            raise ValueParseError(str(exc), field=self.field.name) from None
+        self.keys.append(key)
+        self.times.append(time)
+        entry = self[raw] = (len(self), value)
+        return entry
+
+
+class _RowCoder:
+    """Codes a dataset row by row, the one place where log values become
+    canonical values, item keys and int codes. parse_log drives it line by
+    line; a dataset built from Alerts drives it on its first columns()."""
+
+    def __init__(self, schema: AttributeSchema) -> None:
+        self.schema = schema
+        self.columns = [_ColumnCoder(f) for f in schema.fields]
+        self.codes: list[int | None] = []  # row after row, one per column
+
+    def row(self, fields: Iterable[str]) -> tuple[str, ...]:
+        """The canonical values of a row of schema width, whose codes are
+        committed; a bad value raises and commits nothing."""
+        pairs = tuple(map(getitem, self.columns, fields))
+        codes, values = zip(*pairs) if pairs else ((), ())
+        self.codes.extend(codes)
+        return values
+
+    def dataset(self, alerts: tuple[Alert, ...]) -> AlertDataset:
+        """The dataset of the committed rows, with its columns coded."""
+        dataset = AlertDataset(self.schema, alerts)
+        object.__setattr__(dataset, "_columns", self.column_codes())
+        return dataset
+
+    def column_codes(self) -> tuple[ColumnCodes, ...]:
+        width = len(self.columns)
+        return tuple(
+            ColumnCodes(
+                index,
+                tuple(self.codes[index::width]),
+                tuple(column.keys),
+                tuple(column.times) if column.field.kind is _TIMESTAMP else None,
+            )
+            for index, column in enumerate(self.columns)
+            if column.field.kind in ITEMIZABLE_KINDS
+        )
 
 
 def _item_tables(column: ColumnCodes) -> tuple[list[Item], ...]:
@@ -318,11 +343,19 @@ class AlertDataset:
         return len(self.alerts)
 
     def columns(self) -> tuple[ColumnCodes, ...]:
-        """Every itemizable column in code form, in schema order. Computed
-        once and cached; a failed build is not cached."""
+        """Every itemizable column in code form, in schema order. A dataset
+        not parsed codes alert by alert on the first call, so it fails as
+        itemize at the lowest failing tid. Cached unless the build fails."""
         cached = self.__dict__.get("_columns")
         if cached is None:
-            cached = _code_columns(self.schema, self.alerts)
+            coder = _RowCoder(self.schema)
+            for alert in self.alerts:
+                _check_width(alert, self.schema)
+                try:
+                    coder.row(alert.values)
+                except ValueParseError as exc:
+                    raise ValueParseError(exc.reason, field=exc.field, tid=alert.tid) from None
+            cached = coder.column_codes()
             object.__setattr__(self, "_columns", cached)
         return cached
 

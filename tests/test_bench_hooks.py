@@ -2,17 +2,23 @@
 functions by the names its callers look them up by. A rename or a dropped
 import of one of those names breaks the traced benchmark, so this checks
 every target here, in a fraction of a second, without running the
-benchmark, and that a traced mine still reports its first level."""
+benchmark, and that a traced parse and mine still report their lines,
+rejects and first level."""
 
 import importlib
+import io
 from pathlib import Path
 
 import pytest
 
+import alertfp.cli
 import alertfp.miner
 import alertfp.model
 import alertfp.store
 from alertfp.miner import MiningConfig
+from alertfp.model import snort_schema
+
+from conftest import SNORT_SAMPLE
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -49,4 +55,15 @@ def test_traced_mine_reports_the_first_level(spans, sample_dataset):
     names = {span["name"] for span in tracer.spans}
     assert {"miner.build_candidates_1", "miner.prune"} <= names
     metrics = spans.layer_metrics(tracer, tracer.spans, 1.0, lambda start, end: end - start)
+    assert metrics["miner.L1.kept"] == sum(1 for p in fps if len(p) == 1) == 9
+
+
+def test_traced_parse_books_every_line_and_the_reject(spans):
+    text = SNORT_SAMPLE + SNORT_SAMPLE.splitlines(keepends=True)[0].replace("46,865", "x")
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        result = alertfp.cli.parse_log(io.StringIO(text), snort_schema())
+        fps = alertfp.miner.mine(result.dataset, MiningConfig(minisupport=2))
+    metrics = spans.layer_metrics(tracer, tracer.spans, 1.0, lambda start, end: end - start)
+    assert (metrics["ingest.lines"], metrics["ingest.rejected"]) == (4, 1)
     assert metrics["miner.L1.kept"] == sum(1 for p in fps if len(p) == 1) == 9

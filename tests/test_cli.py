@@ -111,13 +111,36 @@ def test_bad_value_is_a_usage_error_before_any_output(
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--records", "0"), ("--attacks", "0"), ("--profiles", "0"), ("--records", "-3")],
+    [
+        ("--records", "0"),
+        ("--attacks", "0"),
+        ("--profiles", "0"),
+        ("--records", "-3"),
+        ("--attacks", "50"),
+    ],
     ids=str,
 )
 def test_gen_bad_count_is_a_usage_error_before_any_output(flag, value, tmp_path, capsys):
+    counts = {"--records": "50", "--attacks": "2", "--profiles": "3", flag: value}
+    assert_gen_usage_error(counts, flag, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        {"--records": "3", "--attacks": "5"},
+        {"--records": "1"},
+        {"--records": "200", "--attacks": "150"},
+    ],
+    ids=["attacks-above-records", "default-attacks-above-records", "above-100-attacks"],
+)
+def test_gen_attack_limits_are_usage_errors_before_any_output(counts, tmp_path, capsys):
+    assert_gen_usage_error(counts, "--attacks", tmp_path, capsys)
+
+
+def assert_gen_usage_error(counts, flag, tmp_path, capsys):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    counts = {"--records": "50", "--attacks": "2", "--profiles": "3", flag: value}
     args = ["gen", "--seed", "1"] + [part for pair in counts.items() for part in pair] + [
         "--out", str(out_dir / "log.tsv"),
         "--attacks-out", str(out_dir / "attacks.txt"),

@@ -15,6 +15,7 @@ from alertfp.ingest import (
     write_rejects,
     write_schema,
 )
+from alertfp.miner import MiningConfig, brute_force_mine, mine
 from alertfp.model import (
     ITEMIZABLE_KINDS,
     NULL_VALUE,
@@ -24,6 +25,7 @@ from alertfp.model import (
     FieldKind,
     SchemaField,
     canonicalize_value,
+    itemize,
     snort_schema,
 )
 
@@ -67,6 +69,7 @@ class TestParseLog:
         assert result.dataset.n == 1
         assert result.rejects[0].line_number == 1
         assert "numeric" in result.rejects[0].reason
+        assert result.rejects[0].reason.endswith("(field 'port')")
 
     def test_repeated_bad_value_rejected_on_every_line(self):
         text = "web\teighty\nweb\t80\nssh\teighty\nweb\t080\nssh\t 8,0 \n"
@@ -82,6 +85,7 @@ class TestParseLog:
         result = parse_log(io.StringIO("6/11/2010 8:57 AM\nnot-a-time\n"), schema)
         assert result.dataset.n == 1
         assert result.rejects[0].line_number == 2
+        assert result.rejects[0].reason.endswith("(field 'ts')")
 
     def test_comments_blanks_and_header_skipped(self):
         text = "# generated\n\nsig\tport\nweb\t80\n"
@@ -235,6 +239,80 @@ class TestRoundTripProperty:
             result = parse_log(path, dataset.schema, fmt)
         assert result.rejects == ()
         assert result.dataset == dataset
+
+
+def two_route_schema():
+    return AttributeSchema(
+        (
+            SchemaField("sig", FieldKind.CATEGORICAL),
+            SchemaField("cid", FieldKind.IDENTIFIER),
+            SchemaField("port", FieldKind.NUMERIC),
+            SchemaField("ts", FieldKind.TIMESTAMP),
+        )
+    )
+
+
+# values that canonicalize alike, nulls and empties, and bad values; "only"
+# becomes a sig value that occurs on its line alone
+LOG_SIGS = ["web", " web", "ssh", "null", "", "only"]
+LOG_PORTS = ["80", "080", " 80 ", "8,0", "443", "null", "", "eighty", "8x"]
+LOG_STAMPS = [
+    "6/11/2010 8:57 AM", " 6/11/2010  8:57 am ", "6/11/2010 8:57:31 AM", "7/1/2010 9:02PM",
+    "null", "", "yesterday",
+]
+BAD_VALUES = {"eighty": "port", "8x": "port", "yesterday": "ts"}
+log_lines = st.tuples(
+    st.sampled_from(LOG_SIGS),
+    st.text("0123456789 ", max_size=3),
+    st.sampled_from(LOG_PORTS),
+    st.sampled_from(LOG_STAMPS),
+) | st.lists(st.sampled_from(["web", "80"]), min_size=1, max_size=6).filter(
+    lambda fields: len(fields) != 4
+)
+
+
+class TestTwoRoutes:
+    """A parsed dataset arrives with its columns coded line by line; coding
+    its alerts afresh, itemizing them one by one and the oracle must all
+    agree with it, and no value seen only on a rejected line may count."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(log_lines, min_size=1, max_size=20), st.integers(1, 20))
+    @example(
+        [
+            ("only", "1", "eighty", "6/11/2010 8:57 AM"),
+            ("only", "2", "80", "yesterday"),
+            ("web", "3", "080", "null"),
+            ("web", "4", " 8,0 ", " 6/11/2010  8:57 am "),
+        ],
+        1,
+    )
+    def test_parse_codes_as_coding_the_alerts_would(self, lines, minisupport):
+        lines = [
+            tuple(f"only{number}" if value == "only" else value for value in fields)
+            for number, fields in enumerate(lines, start=1)
+        ]
+        text = "".join("\t".join(fields) + "\n" for fields in lines)
+        schema = two_route_schema()
+        try:
+            result = parse_log(io.StringIO(text), schema)
+        except EmptyDatasetError:
+            return
+        parsed = result.dataset
+        assert "_columns" in parsed.__dict__
+        faults = {
+            number: next((BAD_VALUES[v] for v in fields if v in BAD_VALUES), None)
+            for number, fields in enumerate(lines, start=1)
+            if len(fields) != 4 or set(fields) & BAD_VALUES.keys()
+        }
+        assert [r.line_number for r in result.rejects] == list(faults)
+        for r in result.rejects:
+            field = faults[r.line_number]
+            assert field is None or r.reason.endswith(f"(field '{field}')")
+        config = MiningConfig(minisupport=min(minisupport, parsed.n))
+        rebuilt = AlertDataset(schema, parsed.alerts)
+        assert mine(parsed, config) == mine(rebuilt, config) == brute_force_mine(parsed, config)
+        assert parsed.transactions() == tuple(itemize(a, schema) for a in parsed.alerts)
 
 
 class TestWriteLogRefusals:
