@@ -33,9 +33,10 @@ class EmptyDatasetError(AlertFpError):
 
 
 class PatternExplosionError(AlertFpError):
-    """Mining exceeded the configured pattern cap."""
+    """Mining exceeded the configured pattern cap. `kept` holds the number
+    of frequent itemsets of each length up to `level`, shortest first."""
 
-    def __init__(self, count: int, cap: int, level: int):
+    def __init__(self, count: int, cap: int, level: int, kept: tuple[int, ...]):
         super().__init__(
             f"frequent-pattern count exceeded the cap of {cap} at itemset length {level} "
             f"({count} patterns so far); raise minisupport or the --max-patterns cap"
@@ -43,6 +44,7 @@ class PatternExplosionError(AlertFpError):
         self.count = count
         self.cap = cap
         self.level = level
+        self.kept = kept
 
 
 class BruteForceGuardError(AlertFpError):

@@ -9,6 +9,13 @@ classic join of two k-itemsets sharing a (k-1)-prefix produces each
 generators' tidlists; support falls out as the tidlist length, so no
 further dataset scans are needed.
 
+A categorical or numeric column gives each alert exactly one item, so two
+of its items never occur together (the one-value-per-attribute property
+of relational tables, Srikant & Agrawal, SIGMOD 1996). When mining an
+AlertDataset, the join skips every pair whose last items come from one
+such column: the skipped candidates all have support 0. A plain
+Transaction list carries no schema, and every pair is joined.
+
 In flight, a tidlist is encoded as an int bitset (bit t set means
 transaction t contains the itemset), which keeps the intersection a
 single `&` and the memory footprint n/8 bytes per pattern even on
@@ -22,6 +29,7 @@ the level-wise miner.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,8 +88,9 @@ class MiningConfig:
 
     minisupport is either an absolute count (int >= 1) or a ratio in
     (0, 1] that converts to ceil(ratio * n): half of 4 transactions means
-    2, never 1. max_patterns guards against candidate explosion on low
-    thresholds (None disables).
+    2, never 1. max_pattern_len limits the itemset length, and max_patterns
+    guards against candidate explosion on low thresholds; each is >= 1,
+    or None to disable it.
     """
 
     minisupport: int | float | Fraction = 2
@@ -100,6 +109,13 @@ class MiningConfig:
         if not 0 < ratio <= 1:
             raise ValueError("minisupport ratio must be in (0, 1]")
         return -((-n * ratio.numerator) // ratio.denominator)
+
+    def check_limits(self) -> None:
+        """Refuse a depth limit or pattern cap below 1; None disables it."""
+        for name in ("max_pattern_len", "max_patterns"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1 or None (got {value})")
 
 
 @dataclass(frozen=True)
@@ -256,11 +272,15 @@ def _support(tids) -> int:
     return tids.bit_count() if isinstance(tids, int) else len(tids)
 
 
-def candidate_gen(frequent_k: Sequence[tuple[Itemset, int]]) -> list[tuple[Itemset, int]]:
-    """Join frequent k-itemsets into (k+1)-candidates.
+def candidate_gen(
+    frequent_k: Sequence[tuple[Itemset, int]], exclusive: frozenset[int] = frozenset()
+) -> list[tuple[Itemset, int]]:
+    """Join frequent k-itemsets into (k+1)-candidates, in itemset order.
 
-    Two k-itemsets sharing their first k-1 items combine; candidates with
-    any infrequent k-subset are dropped; each survivor's tidlist bitset is
+    Two k-itemsets sharing their first k-1 items combine, unless their
+    last items share a field index in `exclusive`: such columns give an
+    alert one item each, so the pair's support is 0. Candidates with any
+    infrequent k-subset are dropped; each survivor's tidlist bitset is
     the intersection of its generators'.
     """
     if not frequent_k:
@@ -269,16 +289,20 @@ def candidate_gen(frequent_k: Sequence[tuple[Itemset, int]]) -> list[tuple[Items
     entries = sorted(frequent_k, key=lambda e: e[0])
     out: list[tuple[Itemset, int]] = []
     for _, group in groupby(entries, key=lambda e: e[0][:-1]):
-        out.extend(_join_group(list(group), frequent_itemsets))
+        out.extend(_join_group(list(group), frequent_itemsets, exclusive))
     return out
 
 
-def _join_group(members, frequent_itemsets) -> list[tuple[Itemset, int]]:
+def _join_group(members, frequent_itemsets, exclusive) -> list[tuple[Itemset, int]]:
+    # members are sorted by their last item, so the last items of one column
+    # form a run; a member of an exclusive column joins from its run's end
+    fields = [itemset[-1][0] for itemset, _ in members]  # field indexes
     out = []
-    for i in range(len(members)):
-        left_set, left_bits = members[i]
-        for j in range(i + 1, len(members)):
-            right_set, right_bits = members[j]
+    for i, (left_set, left_bits) in enumerate(members):
+        start = i + 1
+        if fields[i] in exclusive:
+            start = bisect_right(fields, fields[i], start)
+        for right_set, right_bits in members[start:]:
             candidate = left_set + (right_set[-1],)
             # generators cover two of the k-subsets; check the rest
             if all(
@@ -298,43 +322,43 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     the configured cap.
     """
     config = config or MiningConfig()
+    exclusive: frozenset[int] = frozenset()
     if isinstance(data, AlertDataset):
         n = data.n
+        exclusive = frozenset(data.schema.single_item_indexes())
     else:
         data = _as_transactions(data)
         n = len(data)
     if n == 0:
         raise EmptyDatasetError("cannot mine an empty dataset")
     s_abs = config.minisupport_abs(n)
-    cap = config.max_patterns
+    config.check_limits()
 
     candidates_1 = build_candidates_1(data, s_abs)
     level: list[tuple[Itemset, int]] = [
         ((item,), bits_of(tids)) for item, tids in prune(candidates_1, s_abs)
     ]
-    levels = [level]
-    total = len(level)
-    _check_cap(total, cap, 1)
-    length = 1
-    while level and (config.max_pattern_len is None or length < config.max_pattern_len):
-        level = prune(candidate_gen(level), s_abs)
-        length += 1
-        total += len(level)
-        _check_cap(total, cap, length)
-        if level:
-            levels.append(level)
-    patterns = [
+    levels: list[list[tuple[Itemset, int]]] = []
+    while level:
+        levels.append(level)
+        _check_cap(levels, config.max_patterns)
+        if len(levels) == config.max_pattern_len:
+            break
+        level = prune(candidate_gen(level, exclusive), s_abs)
+    # already canonical: level 1 comes sorted, and candidate_gen emits each
+    # level in itemset order, which prune keeps
+    patterns = tuple(
         FrequentPattern.from_bits(itemset, bits, n)
         for lvl in levels
         for itemset, bits in lvl
-    ]
-    patterns.sort(key=lambda p: (len(p.itemset), p.itemset))
-    return PatternSet(tuple(patterns), n, s_abs)
+    )
+    return PatternSet(patterns, n, s_abs)
 
 
-def _check_cap(total: int, cap: int | None, level: int) -> None:
-    if cap is not None and total > cap:
-        raise PatternExplosionError(total, cap, level)
+def _check_cap(levels: list[list], cap: int | None) -> None:
+    kept = tuple(map(len, levels))
+    if cap is not None and sum(kept) > cap:
+        raise PatternExplosionError(sum(kept), cap, len(kept), kept)
 
 
 def brute_force_mine(

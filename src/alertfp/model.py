@@ -42,6 +42,7 @@ class FieldKind(str, Enum):
 ITEMIZABLE_KINDS = frozenset(
     {FieldKind.CATEGORICAL, FieldKind.NUMERIC, FieldKind.TIMESTAMP}
 )
+_SINGLE_ITEM_KINDS = frozenset({FieldKind.CATEGORICAL, FieldKind.NUMERIC})
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,15 @@ class AttributeSchema:
     def itemizable_indexes(self) -> tuple[int, ...]:
         return tuple(
             i for i, f in enumerate(self.fields) if f.kind in ITEMIZABLE_KINDS
+        )
+
+    def single_item_indexes(self) -> tuple[int, ...]:
+        """Columns that give every alert exactly one item: categorical and
+        numeric ones, so no two of their items occur together. A timestamp
+        column is left out: it gives a date and a time item under one
+        index."""
+        return tuple(
+            i for i, f in enumerate(self.fields) if f.kind in _SINGLE_ITEM_KINDS
         )
 
     def items_per_alert(self) -> int:

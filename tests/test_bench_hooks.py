@@ -3,10 +3,11 @@ functions by the names its callers look them up by. A rename or a dropped
 import of one of those names breaks the traced benchmark, so this checks
 every target here, in a fraction of a second, without running the
 benchmark, and that a traced parse and mine still report their lines,
-rejects and first level."""
+rejects and first two levels."""
 
 import importlib
 import io
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,14 @@ import alertfp.miner
 import alertfp.model
 import alertfp.store
 from alertfp.miner import MiningConfig
-from alertfp.model import snort_schema
+from alertfp.model import (
+    Alert,
+    AlertDataset,
+    AttributeSchema,
+    FieldKind,
+    SchemaField,
+    snort_schema,
+)
 
 from conftest import SNORT_SAMPLE
 
@@ -67,3 +75,23 @@ def test_traced_parse_books_every_line_and_the_reject(spans):
     metrics = spans.layer_metrics(tracer, tracer.spans, 1.0, lambda start, end: end - start)
     assert (metrics["ingest.lines"], metrics["ingest.rejected"]) == (4, 1)
     assert metrics["miner.L1.kept"] == sum(1 for p in fps if len(p) == 1) == 9
+
+
+def test_traced_mine_counts_only_cross_column_joins(spans):
+    schema = AttributeSchema(
+        (
+            SchemaField("sig", FieldKind.CATEGORICAL),
+            SchemaField("cid", FieldKind.IDENTIFIER),
+            SchemaField("port", FieldKind.NUMERIC),
+        )
+    )
+    rows = [("web", "1", "80"), ("web", "2", "443"), ("ssh", "3", "22"), ("ftp", "4", "21")] * 2
+    ds = AlertDataset(schema, tuple(Alert(tid, row) for tid, row in enumerate(rows)))
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        fps = alertfp.miner.mine(ds, MiningConfig(minisupport=2))
+    singles = [p.itemset[0] for p in fps if len(p) == 1]
+    cross = sum(1 for a, b in combinations(singles, 2) if a.field_index != b.field_index)
+    metrics = spans.layer_metrics(tracer, tracer.spans, 1.0, lambda start, end: end - start)
+    assert (len(singles), cross) == (7, 12)
+    assert metrics["miner.L2.candidates"] == cross

@@ -109,6 +109,14 @@ class TestSweep:
         assert rows[1].error is None
         assert rows[1].pattern_count == 9
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("max_pattern_len", 0), ("max_pattern_len", -3), ("max_patterns", 0), ("max_patterns", -1)],
+    )
+    def test_limits_below_one_rejected(self, name, value, baskets4):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            sweep(baskets4, [2, 3], [0], MiningConfig(**{name: value}))
+
     def test_empty_threshold_list_rejected(self, baskets4):
         with pytest.raises(AlertFpError):
             sweep(baskets4, [], [0])

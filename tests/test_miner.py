@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,49 @@ class TestCandidateGen:
         assert candidate_gen(f2) == []
 
 
+# three values of column 1, one of column 2, and a timestamp's date and time
+# items under index 3
+EXCLUSIVE_LEVEL = [
+    ((Item(1, value),), bits_of(tids))
+    for value, tids in [("a", (0, 1)), ("b", (2,)), ("c", (3, 4))]
+] + [
+    ((Item(2, "x"),), bits_of((0, 2, 3))),
+    ((Item(3, "6/11/2010"),), bits_of((0, 1, 2))),
+    ((Item(3, "8:57AM"),), bits_of((0, 1))),
+]
+
+
+class TestExclusiveJoin:
+    def pairs(self, candidates):
+        return [tuple(item.value for item in itemset) for itemset, _ in candidates]
+
+    def test_joins_only_across_an_exclusive_column(self):
+        c2 = candidate_gen(EXCLUSIVE_LEVEL[:4], frozenset({1, 2}))
+        assert self.pairs(c2) == [("a", "x"), ("b", "x"), ("c", "x")]
+        assert [tids_of(bits) for _, bits in c2] == [(0,), (2,), (3,)]
+
+    def test_default_joins_every_pair(self):
+        c2 = candidate_gen(EXCLUSIVE_LEVEL[:4])
+        assert self.pairs(c2) == [
+            ("a", "b"), ("a", "c"), ("a", "x"), ("b", "c"), ("b", "x"), ("c", "x")
+        ]
+        assert c2 == [
+            (left + right, left_bits & right_bits)
+            for (left, left_bits), (right, right_bits) in combinations(EXCLUSIVE_LEVEL[:4], 2)
+        ]
+
+    def test_timestamp_date_and_time_still_join(self):
+        c2 = candidate_gen(EXCLUSIVE_LEVEL, frozenset({1, 2}))
+        assert ("6/11/2010", "8:57AM") in self.pairs(c2)
+        assert len(c2) == 15 - 3  # every pair but those within column 1
+
+    def test_deeper_levels_lose_nothing_the_subset_prune_keeps(self):
+        c2 = candidate_gen(EXCLUSIVE_LEVEL, frozenset({1, 2}))
+        c3 = candidate_gen(c2, frozenset({1, 2}))
+        assert c3 == candidate_gen(c2)
+        assert ("a", "x", "6/11/2010") in self.pairs(c3)
+
+
 class TestMine:
     def test_half_support_yields_nine_patterns(self, baskets4):
         fps = mine(baskets4, HALF)
@@ -225,6 +270,28 @@ class TestMine:
             mine(baskets4, MiningConfig(minisupport=2, max_patterns=3))
         assert info.value.level == 1
         assert "minisupport" in str(info.value)
+
+    def test_explosion_guard_carries_per_level_counts(self, baskets4):
+        # 4 frequent items, then 4 pairs, then one triple
+        with pytest.raises(PatternExplosionError) as info:
+            mine(baskets4, MiningConfig(minisupport=2, max_patterns=8))
+        error = info.value
+        assert (error.count, error.cap, error.level, error.kept) == (9, 8, 3, (4, 4, 1))
+        assert str(error) == (
+            "frequent-pattern count exceeded the cap of 8 at itemset length 3 "
+            "(9 patterns so far); raise minisupport or the --max-patterns cap"
+        )
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("max_pattern_len", 0), ("max_pattern_len", -3), ("max_patterns", 0), ("max_patterns", -1)],
+    )
+    def test_limits_below_one_rejected_before_coding(self, name, value, sample_dataset, baskets4):
+        fresh = AlertDataset(sample_dataset.schema, sample_dataset.alerts)
+        for data in (fresh, baskets4):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                mine(data, MiningConfig(minisupport=2, **{name: value}))
+        assert "_columns" not in fresh.__dict__
 
     def test_guard_off(self, baskets4):
         fps = mine(baskets4, MiningConfig(minisupport=2, max_patterns=None))
@@ -389,8 +456,10 @@ all_null_rows = st.builds(
 
 
 class TestCodedMining:
-    """Mining an AlertDataset counts its column codes and never builds the
-    per-alert transactions; it must agree with mining those transactions."""
+    """Mining an AlertDataset counts its column codes, never builds the
+    per-alert transactions and skips joins within a categorical or numeric
+    column; it must agree with mining those transactions, which has no
+    skip."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(coded_rows | all_null_rows, min_size=1, max_size=30), st.data())
@@ -405,6 +474,22 @@ class TestCodedMining:
         assert coded == mine(txns, config) == brute_force_mine(ds, config)
         assert c1 == prune(build_candidates_1(txns), s)
         assert build_candidates_1(txns, s) == c1
+
+        # the join skip fires whenever sig or port has two frequent values,
+        # and everything it skips has support 0
+        exclusive = frozenset(CODED_SCHEMA.single_item_indexes())
+        assert exclusive == {0, 2}
+        level1 = [((item,), bits_of(tids)) for item, tids in c1]
+        skipped = candidate_gen(level1, exclusive)
+        joined = candidate_gen(level1)
+        per_column = Counter(item.field_index for item, _ in c1)
+        if any(per_column[index] >= 2 for index in exclusive):
+            assert len(skipped) < len(joined)
+        else:
+            assert skipped == joined
+        kept = set(skipped)
+        assert kept <= set(joined)
+        assert all(bits == 0 for itemset, bits in joined if (itemset, bits) not in kept)
 
     def test_mine_never_itemizes_per_alert(self, sample_dataset, monkeypatch):
         expected = mine(list(sample_dataset.transactions()), HALF)
