@@ -150,7 +150,7 @@ def resolve_attack_selectors(
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
-        if text.isdigit():
+        if text.isdecimal():
             tids.add(int(text))
             continue
         name, sep, value = text.partition("=")

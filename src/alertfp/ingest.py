@@ -3,8 +3,9 @@
 Log format: one record per line, delimiter-separated fields in schema
 order, optional ``#`` comment lines, optional single header line. A bad
 line is rejected and reported, never fatal; nightly rebuilds must survive
-one corrupt record. Each line is coded by the model's column coder as it
-is read, so the parsed dataset comes with its columns coded.
+one corrupt record, such as a line that is not valid UTF-8. Each line is
+coded by the model's column coder as it is read, so the parsed dataset
+comes with its columns coded.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def parse_log(
     coder = _RowCoder(schema)
     alerts: list[Alert] = []
     rejects: list[RejectedLine] = []
-    with open_text(source) as lines:
+    with open_text(source, error=None) as lines:
         header_pending = fmt.has_header
         for line_number, raw_line in enumerate(lines, start=1):
             line = raw_line.rstrip("\r\n")
@@ -76,6 +77,9 @@ def parse_log(
                 continue
             if header_pending:
                 header_pending = False
+                continue
+            if not line.isascii() and (reason := _undecodable(line)):
+                rejects.append(RejectedLine(line_number, reason))
                 continue
             fields = line.split(fmt.delimiter)
             if len(fields) != schema.field_count:
@@ -97,6 +101,18 @@ def parse_log(
             f"no valid alert records in input ({len(rejects)} rejected)"
         )
     return ParseResult(coder.dataset(tuple(alerts)), tuple(rejects))
+
+
+def _undecodable(line: str) -> str | None:
+    """Why a line read with errors="surrogateescape" is not valid UTF-8, or
+    None: each byte that did not decode is a lone surrogate."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        char = ord(line[exc.start])
+        cause = f"byte 0x{char - 0xDC00:02x}" if 0xDC80 <= char <= 0xDCFF else f"U+{char:04X}"
+        return f"not valid UTF-8 ({cause})"
+    return None
 
 
 def write_log(target: Target, dataset: AlertDataset, fmt: LogFormat = LogFormat()) -> None:
@@ -156,7 +172,7 @@ def load_schema(source: Source) -> AttributeSchema:
     """Read a schema config: one `name<TAB>kind` entry per line, order
     defining column order. Blank lines and `#` comments are skipped."""
     fields: list[SchemaField] = []
-    with open_text(source) as lines:
+    with open_text(source, SchemaError) as lines:
         for line_number, raw_line in enumerate(lines, start=1):
             line = raw_line.strip()
             if not line or line.startswith("#"):

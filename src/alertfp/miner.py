@@ -1,13 +1,20 @@
 """Level-wise frequent-itemset mining where every pattern keeps its tidlist.
 
+A tidlist is an int bitset throughout (bit t set means transaction t
+contains the itemset): an intersection is a single `&`, support is the
+count of set bits, and a pattern costs n/8 bytes even on large logs. This
+is the vertical layout of Eclat (Zaki, "Scalable Algorithms for
+Association Mining", IEEE TKDE 2000). `bits_of` is the one packer of
+transaction ids, for the first level and the oracle, and `tids_of` the one
+unpacker, for `FrequentPattern.tidlist`.
+
 The first level counts items before it builds any tidlist: an
 AlertDataset is counted from its per-column value codes, without building
 a transaction per alert, and only the items that reach the threshold get
-the full list of transactions containing them. From there the
+a bitset, packed from one pass over their column's codes. From there the
 classic join of two k-itemsets sharing a (k-1)-prefix produces each
-(k+1)-candidate, whose tidlist is simply the intersection of its two
-generators' tidlists; support falls out as the tidlist length, so no
-further dataset scans are needed.
+(k+1)-candidate, whose bitset is the intersection of its two generators',
+so no further dataset scans are needed.
 
 A categorical or numeric column gives each alert exactly one item, so two
 of its items never occur together (the one-value-per-attribute property
@@ -15,12 +22,6 @@ of relational tables, Srikant & Agrawal, SIGMOD 1996). When mining an
 AlertDataset, the join skips every pair whose last items come from one
 such column: the skipped candidates all have support 0. A plain
 Transaction list carries no schema, and every pair is joined.
-
-In flight, a tidlist is encoded as an int bitset (bit t set means
-transaction t contains the itemset), which keeps the intersection a
-single `&` and the memory footprint n/8 bytes per pattern even on
-large logs. `FrequentPattern.tidlist` materializes the sorted tuple on
-demand. `bits_of` / `tids_of` convert between the two forms.
 
 `brute_force_mine` is an independent oracle: it enumerates the powerset
 of every transaction and counts occurrences, sharing no code path with
@@ -173,10 +174,6 @@ class PatternSet:
     def get(self, itemset: Iterable[Item]) -> FrequentPattern | None:
         return self._index().get(frozenset(itemset))
 
-    def support_of(self, itemset: Iterable[Item]) -> int:
-        p = self.get(itemset)
-        return 0 if p is None else p.support_count
-
     def as_dict(self) -> dict[Itemset, tuple[int, ...]]:
         """itemset -> tidlist mapping, mostly for assertions and debugging."""
         return {p.itemset: p.tidlist for p in self.patterns}
@@ -196,13 +193,11 @@ def _as_transactions(data: Minable) -> list[Transaction]:
     return txns
 
 
-def build_candidates_1(
-    data: Minable, minisupport_abs: int = 1
-) -> list[tuple[Item, tuple[int, ...]]]:
+def build_candidates_1(data: Minable, minisupport_abs: int = 1) -> list[tuple[Item, int]]:
     """Every item occurring in at least minisupport_abs transactions, in
-    item order, with the complete, ascending tidlist of those transactions.
+    item order, with the bitset of those transactions.
 
-    Items are counted first and tidlists built for the frequent ones only.
+    Items are counted first and bitsets packed for the frequent ones only.
     An AlertDataset is counted from its column codes, so no per-alert
     transaction is built.
     """
@@ -220,15 +215,17 @@ def build_candidates_1(
             tids = frequent.get(item)
             if tids is not None:
                 tids.append(t.tid)
-    return sorted((item, tuple(tids)) for item, tids in frequent.items())
+    return sorted((item, bits_of(tids)) for item, tids in frequent.items())
 
 
 def _candidates_from_codes(
     columns: Sequence[ColumnCodes], minisupport_abs: int
-) -> list[tuple[Item, tuple[int, ...]]]:
+) -> list[tuple[Item, int]]:
     """build_candidates_1 over coded columns. A key's count sums the counts
-    of the codes that yield it, one pass over the codes fills the tidlists
-    of the frequent keys, and only those become Items."""
+    of the codes that yield it, one pass over the codes fills the tid lists
+    of the frequent keys, and only those become Items. Each list is packed
+    and dropped when its column's pass ends, so the lists of one column at
+    most are alive at a time."""
     out = []
     for column in columns:
         code_counts = Counter(column.codes)
@@ -250,26 +247,20 @@ def _candidates_from_codes(
                 tids = feeds.get(code)
                 if tids is not None:
                     tids.append(tid)
-            out.extend(
-                (Item(column.field_index, key), tuple(tids)) for key, tids in frequent.items()
-            )
+            del feeds
+            while frequent:
+                key, tids = frequent.popitem()
+                out.append((Item(column.field_index, key), bits_of(tids)))
     out.sort()
     return out
 
 
 def prune(candidates, minisupport_abs: int):
     """Drop candidates whose support is below the threshold. Entries are
-    (key, tidlist) pairs; the tidlist may be a bitset or a sized
-    collection."""
+    (key, bitset) pairs, and a bitset's support is its count of set bits."""
     if minisupport_abs < 1:
         raise ValueError("minisupport must be >= 1")
-    return [
-        (key, tids) for key, tids in candidates if _support(tids) >= minisupport_abs
-    ]
-
-
-def _support(tids) -> int:
-    return tids.bit_count() if isinstance(tids, int) else len(tids)
+    return [(key, bits) for key, bits in candidates if bits.bit_count() >= minisupport_abs]
 
 
 def candidate_gen(
@@ -334,9 +325,8 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     s_abs = config.minisupport_abs(n)
     config.check_limits()
 
-    candidates_1 = build_candidates_1(data, s_abs)
     level: list[tuple[Itemset, int]] = [
-        ((item,), bits_of(tids)) for item, tids in prune(candidates_1, s_abs)
+        ((item,), bits) for item, bits in prune(build_candidates_1(data, s_abs), s_abs)
     ]
     levels: list[list[tuple[Itemset, int]]] = []
     while level:

@@ -63,7 +63,6 @@ class ClassifierModel:
     minisupport_abs: int
     patterns: tuple[tuple[Itemset, int], ...]
     tidlists: tuple[tuple[int, ...], ...] | None = None
-    format_version: int = 1
 
     @property
     def pattern_count(self) -> int:
@@ -178,7 +177,7 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
 def load_model(path: Union[str, Path]) -> ClassifierModel:
     """Read and fully validate a model file. The model comes with the
     scorer built from its rows as they were read."""
-    with open_text(path) as stream:
+    with open_text(path, ModelFormatError) as stream:
         text = stream.read()
     if not text:
         raise ModelFormatError("empty model file")
@@ -213,7 +212,7 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
 
     patterns: list[tuple[Itemset, int]] = []
     tidlists: list[tuple[int, ...]] = []
-    items: dict[str, Item] = {}  # token text -> Item; tokens repeat across rows
+    items = _ItemMemo()
     line_number = None  # of the row being checked; None before and after the rows
 
     def rows() -> Iterator[_Row]:
@@ -231,9 +230,7 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
             try:
                 support_count = int(parts[0])
                 tokens = parts[1].split(",")
-                itemset = tuple(map(items.get, tokens))
-                if None in itemset:  # a token not met on an earlier row
-                    itemset = tuple(_parse_item(token, offset, items) for token in tokens)
+                itemset = tuple(map(items.__getitem__, tokens))
             except ValueError:
                 raise ModelFormatError("malformed pattern row", line_number=offset) from None
             tids = None
@@ -269,15 +266,17 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
     return model
 
 
-def _parse_item(token: str, line_number: int, items: dict[str, Item]) -> Item:
-    """The Item a token names, parsed once per distinct token of a load."""
-    item = items.get(token)
-    if item is None:
+class _ItemMemo(dict):
+    """Token text -> the Item it names. Tokens repeat across rows, so a new
+    token is parsed once and stored; a malformed one raises and is not
+    stored. load_model adds the row's line number to the error."""
+
+    def __missing__(self, token: str) -> Item:
         index_text, sep, value_text = token.partition("=")
         if not sep or not index_text:
-            raise ModelFormatError(f"malformed item token {token!r}", line_number=line_number)
-        item = items[token] = Item(int(index_text), unescape_value(value_text))
-    return item
+            raise ModelFormatError(f"malformed item token {token!r}")
+        item = self[token] = Item(int(index_text), unescape_value(value_text))
+        return item
 
 
 def score_new(

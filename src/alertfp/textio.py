@@ -1,7 +1,8 @@
 """Path-or-stream text I/O shared by the log, schema, ranked, model,
 sweep and attack-id readers and writers.
 
-`open_text` reads a path, a text stream or a byte stream. `atomic_write`
+`open_text` reads a path, a text stream or a byte stream, and names the
+source in the error it raises for input that is not UTF-8. `atomic_write`
 writes a path through a temp file in the same directory that replaces
 the target only once the whole output is written, so a reader racing a
 writer (a daytime scorer against a nightly rebuild) sees the old file or
@@ -17,27 +18,45 @@ import stat
 from contextlib import contextmanager
 from itertools import count
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Callable, Iterator, Union
+
+from .errors import AlertFpError
 
 Source = Union[str, Path, IO[str], IO[bytes]]
 Target = Union[str, Path, IO[str]]
 
 
 @contextmanager
-def open_text(source: Source) -> Iterator[IO[str]]:
+def open_text(
+    source: Source, error: Callable[[str], Exception] | None = AlertFpError
+) -> Iterator[IO[str]]:
     """Yield a UTF-8 text stream over source. A path is opened here and
-    closed on exit."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            yield handle
-    elif isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
-        yield source
-    else:
-        wrapper = io.TextIOWrapper(source, encoding="utf-8")
-        try:
-            yield wrapper
-        finally:
-            wrapper.detach()  # leave the caller's byte stream open
+    closed on exit.
+
+    Input that is not UTF-8 raises `error`, with a message naming the
+    source. With `error=None`, each byte of a path or byte stream that does
+    not decode reads as a lone surrogate (errors="surrogateescape"), for a
+    reader that rejects such lines one at a time.
+    """
+    errors = "strict" if error else "surrogateescape"
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8", errors=errors, newline="") as handle:
+                yield handle
+        elif isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
+            yield source
+        else:
+            wrapper = io.TextIOWrapper(source, encoding="utf-8", errors=errors)
+            try:
+                yield wrapper
+            finally:
+                wrapper.detach()  # leave the caller's byte stream open
+    except UnicodeDecodeError as exc:
+        if error is None:
+            raise
+        name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input")
+        bad = exc.object[exc.start : exc.end]
+        raise error(f"{name} is not valid UTF-8 ({exc.reason}: {bad!r})") from None
 
 
 @contextmanager

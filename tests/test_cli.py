@@ -635,3 +635,65 @@ class TestRejects:
         assert code == 0
         assert rejects.read_text(encoding="utf-8").startswith("4\t")
         assert "rejected 1 line" in capsys.readouterr().err
+
+
+class TestNotUtf8:
+    """A log line that is not UTF-8 is a reject; any other input file that
+    is not UTF-8 is a data error naming the file, never a traceback."""
+
+    def rank(self, log, schema, out):
+        args = ["--input", str(log), "--schema", str(schema), "--minisupport", "2"]
+        return main(["rank", *args, "--out", str(out)])
+
+    def assert_data_error(self, code, path, capsys):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"alertfp: {path} is not valid UTF-8 (invalid start byte: b'\\xff')"
+        ]
+        assert "Traceback" not in err
+
+    def test_log_line_is_a_reject(self, snort_schema_path, tmp_path, capsys):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(SNORT_SAMPLE.encode("utf-8") + b"\xff\xfe")
+        assert self.rank(log, snort_schema_path, tmp_path / "ranked.tsv") == 0
+        assert "rejected 1 line" in capsys.readouterr().err
+        assert read_ranked(tmp_path / "ranked.tsv").n == 3
+
+    def test_schema_file(self, sample_log_path, snort_schema_path, tmp_path, capsys):
+        snort_schema_path.write_bytes(snort_schema_path.read_bytes() + b"\xff\n")
+        out = tmp_path / "ranked.tsv"
+        self.assert_data_error(self.rank(sample_log_path, snort_schema_path, out),
+                               snort_schema_path, capsys)
+        assert not out.exists()
+
+    def test_model_file(self, sample_log_path, snort_schema_path, tmp_path, capsys):
+        model = tmp_path / "model.fps"
+        args = ["--input", str(sample_log_path), "--schema", str(snort_schema_path)]
+        assert main(["mine", *args, "--minisupport", "2", "--out", str(model)]) == 0
+        model.write_bytes(model.read_bytes().replace(b"=", b"=\xff", 1))
+        capsys.readouterr()
+        out = tmp_path / "ranked.tsv"
+        code = main(["score", *args, "--model", str(model), "--out", str(out)])
+        self.assert_data_error(code, model, capsys)
+        assert not out.exists()
+
+    def eval_files(self, sample_log_path, snort_schema_path, tmp_path):
+        ranked, attacks = tmp_path / "ranked.tsv", tmp_path / "attacks.txt"
+        assert self.rank(sample_log_path, snort_schema_path, ranked) == 0
+        attacks.write_bytes(b"2\n")
+        return ranked, attacks
+
+    def test_ranked_file(self, sample_log_path, snort_schema_path, tmp_path, capsys):
+        ranked, attacks = self.eval_files(sample_log_path, snort_schema_path, tmp_path)
+        ranked.write_bytes(ranked.read_bytes() + b"\xff")
+        capsys.readouterr()
+        code = main(["eval", "--ranked", str(ranked), "--attacks", str(attacks)])
+        self.assert_data_error(code, ranked, capsys)
+
+    def test_attack_file(self, sample_log_path, snort_schema_path, tmp_path, capsys):
+        ranked, attacks = self.eval_files(sample_log_path, snort_schema_path, tmp_path)
+        attacks.write_bytes(b"2\n\xff\n")
+        capsys.readouterr()
+        code = main(["eval", "--ranked", str(ranked), "--attacks", str(attacks)])
+        self.assert_data_error(code, attacks, capsys)

@@ -211,8 +211,9 @@ class TestAttackSelectors:
             resolve_attack_selectors(["cid=999"], sample_dataset)
 
     def test_garbage_selector_rejected(self):
-        with pytest.raises(AlertFpError):
-            resolve_attack_selectors(["what is this"])
+        for line in ("what is this", "\u00b2"):  # "²".isdigit(), but int() refuses it
+            with pytest.raises(AlertFpError, match="unknown attack selector"):
+                resolve_attack_selectors([line])
 
     def test_write_attack_ids(self, tmp_path):
         path = tmp_path / "attacks.txt"

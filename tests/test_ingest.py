@@ -123,6 +123,21 @@ class TestParseLog:
         result = parse_log(io.BytesIO(b"web\t80\n"), two_col_schema())
         assert result.dataset.n == 1
 
+    @pytest.mark.parametrize("as_path", [False, True])
+    def test_line_not_utf8_rejected_parse_continues(self, as_path, tmp_path):
+        data = b"web\t80\nw\xffb\t80\nssh\t\xe2\x82\n\xc3\xa9t\xc3\xa9\t22\n\xff\xfe"
+        source = io.BytesIO(data)
+        if as_path:
+            source = tmp_path / "log.tsv"
+            source.write_bytes(data)
+        result = parse_log(source, two_col_schema())
+        assert [a.values for a in result.dataset.alerts] == [("web", "80"), ("\u00e9t\u00e9", "22")]
+        assert [(r.line_number, r.reason) for r in result.rejects] == [
+            (2, "not valid UTF-8 (byte 0xff)"),
+            (3, "not valid UTF-8 (byte 0xe2)"),
+            (5, "not valid UTF-8 (byte 0xff)"),
+        ]
+
     def test_parse_from_path(self, sample_log_path):
         result = parse_log(sample_log_path, snort_schema())
         assert result.dataset.n == 3

@@ -86,7 +86,7 @@ class TestMinisupport:
 
 class TestCandidates1(object):
     def test_distinct_items_with_full_tidlists(self, baskets4):
-        c1 = dict(build_candidates_1(baskets4))
+        c1 = {item: tids_of(bits) for item, bits in build_candidates_1(baskets4)}
         expected = {
             Item(0, "1"): (0, 2),
             Item(0, "2"): (1, 2, 3),
@@ -98,12 +98,12 @@ class TestCandidates1(object):
 
     def test_singleton_dataset(self):
         txns = [Transaction(0, frozenset({Item(0, "a")}))]
-        assert build_candidates_1(txns) == [(Item(0, "a"), (0,))]
+        assert build_candidates_1(txns) == [(Item(0, "a"), bits_of([0]))]
 
     def test_sample_support_two_and_totals(self, sample_dataset):
         c1 = build_candidates_1(sample_dataset)
         assert len(c1) == 21
-        by_item = dict(c1)
+        by_item = {item: tids_of(bits) for item, bits in c1}
         all_three = (0, 1, 2)
         assert by_item[Item(0, "7")] == all_three
         assert by_item[Item(2, "508")] == all_three
@@ -114,11 +114,7 @@ class TestCandidates1(object):
         assert by_item[Item(3, "WEB-MISC/robots.txt/access")] == (1, 2)
         assert by_item[Item(6, "6/11/2010")] == (0, 1)
         assert by_item[Item(6, "8:57AM")] == (0, 1)
-        assert sum(1 for _, tids in c1 if len(tids) >= 2) == 9
-
-    def test_tidlists_sorted_ascending(self, baskets4):
-        for _, tids in build_candidates_1(baskets4):
-            assert list(tids) == sorted(tids)
+        assert sum(1 for _, bits in c1 if bits.bit_count() >= 2) == 9
 
 
 class TestPrune:
@@ -141,10 +137,7 @@ class TestPrune:
 
 class TestCandidateGen:
     def test_pairwise_join_intersects_tidlists(self, baskets4):
-        f1 = [
-            ((item,), bits_of(tids))
-            for item, tids in prune(build_candidates_1(baskets4), 2)
-        ]
+        f1 = [((item,), bits) for item, bits in prune(build_candidates_1(baskets4), 2)]
         c2 = candidate_gen(f1)
         as_values = {
             tuple(i.value for i in iset): tids_of(bits) for iset, bits in c2
@@ -419,8 +412,8 @@ class TestPatternSet:
 
     def test_lookup_and_support(self, baskets4):
         fps = mine(baskets4, HALF)
-        assert fps.support_of(itemset("2", "5")) == 3
-        assert fps.support_of(itemset("1", "5")) == 0
+        assert fps.get(itemset("2", "5")).support_count == 3
+        assert fps.get(itemset("1", "5")) is None
         assert fps.get(itemset("4")) is None
 
 
@@ -474,12 +467,20 @@ class TestCodedMining:
         assert coded == mine(txns, config) == brute_force_mine(ds, config)
         assert c1 == prune(build_candidates_1(txns), s)
         assert build_candidates_1(txns, s) == c1
+        # level 1 equals an independent scan of the transactions
+        holders = {}
+        for t in txns:
+            for item in t.items:
+                holders.setdefault(item, []).append(t.tid)
+        assert c1 == sorted(
+            (item, bits_of(tids)) for item, tids in holders.items() if len(tids) >= s
+        )
 
         # the join skip fires whenever sig or port has two frequent values,
         # and everything it skips has support 0
         exclusive = frozenset(CODED_SCHEMA.single_item_indexes())
         assert exclusive == {0, 2}
-        level1 = [((item,), bits_of(tids)) for item, tids in c1]
+        level1 = [((item,), bits) for item, bits in c1]
         skipped = candidate_gen(level1, exclusive)
         joined = candidate_gen(level1)
         per_column = Counter(item.field_index for item, _ in c1)
