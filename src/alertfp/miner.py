@@ -1,12 +1,14 @@
-"""Level-wise frequent-itemset mining where every pattern keeps its tidlist.
+"""Level-wise frequent-itemset mining over int-bitset tidlists.
 
-A tidlist is an int bitset throughout (bit t set means transaction t
-contains the itemset): an intersection is a single `&`, support is the
-count of set bits, and a pattern costs n/8 bytes even on large logs. This
-is the vertical layout of Eclat (Zaki, "Scalable Algorithms for
+A tidlist is an int bitset (bit t set means transaction t contains the
+itemset): an intersection is a single `&` and support is the count of set
+bits. This is the vertical layout of Eclat (Zaki, "Scalable Algorithms for
 Association Mining", IEEE TKDE 2000). `bits_of` is the one packer of
 transaction ids, for the first level and the oracle, and `tids_of` the one
-unpacker, for `FrequentPattern.tidlist`.
+unpacker, for `FrequentPattern.tidlist`. Only level-1 bitsets are kept:
+a pattern holds its support count and its items' level-1 bitsets, and its
+tidlist is their intersection, computed when read. A longer level's
+bitsets live only until the next level is joined.
 
 The first level counts items before it builds any tidlist: an
 AlertDataset is counted from its per-column value codes, without building
@@ -34,7 +36,9 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations, groupby
+from operator import and_
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -121,21 +125,18 @@ class MiningConfig:
 
 @dataclass(frozen=True)
 class FrequentPattern:
-    """An itemset with the transactions it occurs in."""
+    """An itemset with its support. item_bits holds its items' level-1
+    bitsets, in itemset order and shared among a mined set's patterns; the
+    tidlist is their intersection, computed on every read, never stored."""
 
     itemset: Itemset
-    tid_bits: int = field(repr=False)
+    item_bits: tuple[int, ...] = field(repr=False)
     support_count: int
     support_ratio: float
 
-    @classmethod
-    def from_bits(cls, itemset: Itemset, tid_bits: int, n: int) -> "FrequentPattern":
-        count = tid_bits.bit_count()
-        return cls(itemset, tid_bits, count, count / n)
-
     @property
     def tidlist(self) -> tuple[int, ...]:
-        return tids_of(self.tid_bits)
+        return tids_of(reduce(and_, self.item_bits))
 
     def __len__(self) -> int:
         return len(self.itemset)
@@ -256,35 +257,40 @@ def _candidates_from_codes(
 
 
 def prune(candidates, minisupport_abs: int):
-    """Drop candidates whose support is below the threshold. Entries are
-    (key, bitset) pairs, and a bitset's support is its count of set bits."""
+    """Keep the (key, bitset) candidates whose support reaches the
+    threshold, as (key, bitset, count) triples. Support is the bitset's
+    count of set bits, and this is the one place it is counted."""
     if minisupport_abs < 1:
         raise ValueError("minisupport must be >= 1")
-    return [(key, bits) for key, bits in candidates if bits.bit_count() >= minisupport_abs]
+    return [
+        (key, bits, count)
+        for key, bits in candidates
+        if (count := bits.bit_count()) >= minisupport_abs
+    ]
 
 
 def candidate_gen(
-    frequent_k: Sequence[tuple[Itemset, int]], exclusive: frozenset[int] = frozenset()
+    frequent_k: Sequence[tuple], exclusive: frozenset[int] = frozenset()
 ) -> list[tuple[Itemset, int]]:
     """Join frequent k-itemsets into (k+1)-candidates, in itemset order.
 
-    Two k-itemsets sharing their first k-1 items combine, unless their
-    last items share a field index in `exclusive`: such columns give an
-    alert one item each, so the pair's support is 0. Candidates with any
-    infrequent k-subset are dropped; each survivor's tidlist bitset is
-    the intersection of its generators'.
+    Only the itemset and the bitset of each entry are read. Two k-itemsets
+    sharing their first k-1 items combine, unless their last items share a
+    field index in `exclusive`: such columns give an alert one item each,
+    so the pair's support is 0. Each candidate's bitset is the intersection
+    of its generators'. No other k-subset is looked up: support is
+    anti-monotone, so prune drops a candidate with an infrequent one.
     """
     if not frequent_k:
         return []
-    frequent_itemsets = {itemset for itemset, _ in frequent_k}
-    entries = sorted(frequent_k, key=lambda e: e[0])
+    entries = sorted((entry[0], entry[1]) for entry in frequent_k)
     out: list[tuple[Itemset, int]] = []
     for _, group in groupby(entries, key=lambda e: e[0][:-1]):
-        out.extend(_join_group(list(group), frequent_itemsets, exclusive))
+        out.extend(_join_group(list(group), exclusive))
     return out
 
 
-def _join_group(members, frequent_itemsets, exclusive) -> list[tuple[Itemset, int]]:
+def _join_group(members, exclusive) -> list[tuple[Itemset, int]]:
     # members are sorted by their last item, so the last items of one column
     # form a run; a member of an exclusive column joins from its run's end
     fields = [itemset[-1][0] for itemset, _ in members]  # field indexes
@@ -294,18 +300,12 @@ def _join_group(members, frequent_itemsets, exclusive) -> list[tuple[Itemset, in
         if fields[i] in exclusive:
             start = bisect_right(fields, fields[i], start)
         for right_set, right_bits in members[start:]:
-            candidate = left_set + (right_set[-1],)
-            # generators cover two of the k-subsets; check the rest
-            if all(
-                candidate[:skip] + candidate[skip + 1 :] in frequent_itemsets
-                for skip in range(len(candidate) - 2)
-            ):
-                out.append((candidate, left_bits & right_bits))
+            out.append((left_set + (right_set[-1],), left_bits & right_bits))
     return out
 
 
 def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
-    """Mine every frequent itemset with its exact tidlist and support.
+    """Mine every frequent itemset with its support.
 
     Levels proceed candidate-1 scan, prune, join, prune, ... until a level
     comes up empty or max_pattern_len is reached. Output is canonical.
@@ -325,30 +325,25 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     s_abs = config.minisupport_abs(n)
     config.check_limits()
 
-    level: list[tuple[Itemset, int]] = [
-        ((item,), bits) for item, bits in prune(build_candidates_1(data, s_abs), s_abs)
-    ]
-    levels: list[list[tuple[Itemset, int]]] = []
+    level = prune(build_candidates_1(data, s_abs), s_abs)
+    singles = {item: bits for item, bits, _ in level}
+    level = [((item,), bits, count) for item, bits, count in level]
+    kept: list[int] = []
+    patterns: list[FrequentPattern] = []
     while level:
-        levels.append(level)
-        _check_cap(levels, config.max_patterns)
-        if len(levels) == config.max_pattern_len:
+        kept.append(len(level))
+        if config.max_patterns is not None and sum(kept) > config.max_patterns:
+            raise PatternExplosionError(sum(kept), config.max_patterns, len(kept), tuple(kept))
+        # already canonical: level 1 comes sorted, and candidate_gen emits
+        # each level in itemset order, which prune keeps
+        patterns += (
+            FrequentPattern(itemset, tuple(map(singles.__getitem__, itemset)), count, count / n)
+            for itemset, _, count in level
+        )
+        if len(kept) == config.max_pattern_len:
             break
         level = prune(candidate_gen(level, exclusive), s_abs)
-    # already canonical: level 1 comes sorted, and candidate_gen emits each
-    # level in itemset order, which prune keeps
-    patterns = tuple(
-        FrequentPattern.from_bits(itemset, bits, n)
-        for lvl in levels
-        for itemset, bits in lvl
-    )
-    return PatternSet(patterns, n, s_abs)
-
-
-def _check_cap(levels: list[list], cap: int | None) -> None:
-    kept = tuple(map(len, levels))
-    if cap is not None and sum(kept) > cap:
-        raise PatternExplosionError(sum(kept), cap, len(kept), kept)
+    return PatternSet(tuple(patterns), n, s_abs)
 
 
 def brute_force_mine(
@@ -374,14 +369,16 @@ def brute_force_mine(
             f"of {max_transaction_width} items"
         )
     s_abs = config.minisupport_abs(n)
-    occurrences: dict[frozenset[Item], list[int]] = {}
+    # combinations of the sorted items give each itemset in canonical order
+    occurrences: dict[Itemset, list[int]] = {}
     for t in txns:
         members = sorted(t.items)
         for size in range(1, len(members) + 1):
             for combo in combinations(members, size):
-                occurrences.setdefault(frozenset(combo), []).append(t.tid)
+                occurrences.setdefault(combo, []).append(t.tid)
+    singles = {key[0]: bits_of(tids) for key, tids in occurrences.items() if len(key) == 1}
     patterns = [
-        FrequentPattern.from_bits(tuple(sorted(itemset)), bits_of(tids), n)
+        FrequentPattern(itemset, tuple(map(singles.__getitem__, itemset)), len(tids), len(tids) / n)
         for itemset, tids in occurrences.items()
         if len(tids) >= s_abs
     ]

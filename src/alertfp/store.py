@@ -2,7 +2,7 @@
 against it.
 
 Model file, line-oriented text: a magic/version line, `key=value` header
-lines, then one pattern per line as
+lines (each key once), then one pattern per line as
 `support_count<TAB>field_index=value,field_index=value[,...]` with the
 patterns in canonical order. `%`-escaping (`model.render_itemset`) covers
 the five characters that would break the framing: `,` `=` `%` tab
@@ -197,6 +197,8 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
     cursor = 1
     while cursor < len(lines) and "=" in lines[cursor] and "\t" not in lines[cursor]:
         key, value = lines[cursor].split("=", 1)
+        if key in header:
+            raise ModelFormatError(f"header key {key} repeats an earlier line", line_number=cursor + 1)
         header[key] = value
         cursor += 1
         if key == "patterns":

@@ -102,6 +102,16 @@ class TestSaveLoad:
         assert support.isdigit()
         assert "=" in items
 
+    def test_repeated_header_key_reports_line_number(self, sample_model, tmp_path):
+        path = tmp_path / "model.fps"
+        save_model(sample_model, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.insert(2, "n_train=9")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="header key n_train repeats") as info:
+            load_model(path)
+        assert info.value.line_number == 3
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "model.fps"
         path.write_text("# alertfp-model v999\nn_train=4\n", encoding="utf-8")
@@ -339,6 +349,9 @@ class TestSaveLoad:
         assert loaded == model
         assert loaded.tidlists is not None
         assert loaded.tidlists[0] == fps.patterns[0].tidlist
+        txns = sample_dataset.transactions()
+        for (itemset, _), tids in zip(loaded.patterns, loaded.tidlists, strict=True):
+            assert tids == tuple(t.tid for t in txns if t.items >= set(itemset))
 
     def test_atomic_write_replaces_not_appends(self, sample_model, tmp_path):
         path = tmp_path / "model.fps"
