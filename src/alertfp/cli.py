@@ -34,15 +34,8 @@ from .ingest import (
     write_rejects,
     write_schema,
 )
-from .miner import MiningConfig, mine
-from .scorer import (
-    ScoreConfig,
-    ScoredAlert,
-    rank,
-    read_ranked,
-    top_candidates,
-    write_ranked,
-)
+from .miner import DEFAULT_PATTERN_CAP, MiningConfig, mine
+from .scorer import ScoreConfig, rank, read_ranked, top_candidates, write_ranked
 from .store import ClassifierModel, load_model, save_model, score_new
 from .textio import atomic_write, open_text
 
@@ -135,19 +128,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--minisupport",
             type=_parse_minisupport,
-            default=2,
-            help="absolute count N or percentage P%% (default 2)",
+            default=MiningConfig.minisupport,
+            help="absolute count N or percentage P%% (default %(default)s)",
         )
         p.add_argument(
             "--max-patterns",
             type=_parse_max_patterns,
-            default=5_000_000,
-            help="pattern explosion guard; 'off' disables (default 5000000)",
+            default=DEFAULT_PATTERN_CAP,
+            help="pattern explosion guard; 'off' disables (default %(default)s)",
         )
         p.add_argument("--max-pattern-len", type=_parse_positive_int, default=None)
 
     def add_scoring(p):
-        p.add_argument("--score", choices=("simple", "fpof"), default="simple")
+        p.add_argument("--score", choices=("simple", "fpof"), default=ScoreConfig.metric)
         p.add_argument(
             "--top-p", type=_parse_top_p, default=None, help="write top P%% candidate tids"
         )
@@ -191,12 +184,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--attacks", required=True)
     p_sweep.add_argument("--out", required=True, help="sweep report path")
-    p_sweep.add_argument("--max-patterns", type=_parse_max_patterns, default=5_000_000)
+    p_sweep.add_argument("--max-patterns", type=_parse_max_patterns, default=DEFAULT_PATTERN_CAP)
 
     p_gen = sub.add_parser("gen", help="generate a seeded synthetic log with planted attacks")
     p_gen.add_argument("--records", type=_parse_positive_int, required=True)
-    p_gen.add_argument("--attacks", type=_parse_positive_int, default=5, dest="n_attack")
-    p_gen.add_argument("--profiles", type=_parse_positive_int, default=7)
+    p_gen.add_argument(
+        "--attacks", type=_parse_positive_int, default=SyntheticSpec.n_attack, dest="n_attack"
+    )
+    p_gen.add_argument(
+        "--profiles", type=_parse_positive_int, default=SyntheticSpec.routine_profiles
+    )
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", required=True, help="log output path")
     p_gen.add_argument("--attacks-out", required=True, help="attack-id output path")
@@ -337,10 +334,7 @@ def _cmd_eval(args) -> int:
         schema = load_schema(args.schema)
         dataset = parse_log(args.input, schema, LogFormat(delimiter=args.delimiter)).dataset
     attack_tids = _read_attack_file(args, dataset)
-    rows = [
-        ScoredAlert(r.tid, r.simple_fpof, r.fpof, r.rank) for r in ranked_file.rows
-    ]
-    ranks = locate_attacks(rows, attack_tids)
+    ranks = locate_attacks(ranked_file.rows, attack_tids)
     worst = max(ranks)
     print(f"n={ranked_file.n} attacks={len(ranks)}")
     print("attack_ranks=" + ",".join(str(r) for r in ranks))

@@ -17,6 +17,9 @@ from .errors import AlertFpError, EmptyDatasetError, SchemaError, ValueParseErro
 from .model import Alert, AlertDataset, AttributeSchema, FieldKind, SchemaField, _RowCoder
 from .textio import Source, Target, atomic_write, open_text
 
+#: A log line starting with this is a comment, as in schema and attack-id files.
+COMMENT_PREFIX = "#"
+
 
 @dataclass(frozen=True)
 class LogFormat:
@@ -28,7 +31,6 @@ class LogFormat:
     """
 
     delimiter: str = "\t"
-    comment_prefix: str | None = "#"
     has_header: bool = False
 
     def __post_init__(self) -> None:
@@ -73,7 +75,7 @@ def parse_log(
             line = raw_line.rstrip("\r\n")
             if not line.strip() and fmt.delimiter not in line:
                 continue
-            if fmt.comment_prefix and line.startswith(fmt.comment_prefix):
+            if line.startswith(COMMENT_PREFIX):
                 continue
             if header_pending:
                 header_pending = False
@@ -138,20 +140,19 @@ def _framed_line(values, names, fmt: LogFormat, place: str, noun: str) -> str:
     """values as one line of fmt. A line that would not read back as those
     values raises AlertFpError naming `place` and the value at fault."""
     line = fmt.delimiter.join(values)
-    prefix = fmt.comment_prefix
     if (
         line.count(fmt.delimiter) == len(values) - 1
         and "\n" not in line
         and "\r" not in line
-        and not (prefix and line.startswith(prefix))
+        and not line.startswith(COMMENT_PREFIX)
     ):
         return line + "\n"
     for position, (value, name) in enumerate(zip(values, names)):
         held = [char for char in (fmt.delimiter, "\n", "\r") if char in value]
         if held:
             fault = f"holds {held[0]!r}"
-        elif position == 0 and prefix and value.startswith(prefix):
-            fault = f"starts with the comment prefix {prefix!r}"
+        elif position == 0 and value.startswith(COMMENT_PREFIX):
+            fault = f"starts with the comment prefix {COMMENT_PREFIX!r}"
         else:
             continue
         raise AlertFpError(f"cannot write {place} field {name!r}: {noun} {value!r} {fault}")

@@ -52,15 +52,16 @@ Itemset = tuple[Item, ...]
 Minable = Union[AlertDataset, Sequence[Transaction]]
 
 DEFAULT_PATTERN_CAP = 5_000_000
+#: brute_force_mine refuses a transaction wider than this many items.
+BRUTE_FORCE_MAX_WIDTH = 20
 
 
-def bits_of(tids: Iterable[int]) -> int:
-    """Pack transaction ids into a bitset.
+def bits_of(tids: Sequence[int]) -> int:
+    """Pack transaction ids, in any order, into a bitset.
 
     The bits are set in a bytearray and converted once: or-ing each tid
     into an int copies the whole int every time, which is quadratic.
     """
-    tids = tuple(tids)
     if not tids:
         return 0
     if min(tids) < 0:
@@ -274,6 +275,8 @@ def candidate_gen(
 ) -> list[tuple[Itemset, int]]:
     """Join frequent k-itemsets into (k+1)-candidates, in itemset order.
 
+    frequent_k must be in itemset order, as mine passes each level: prune
+    keeps the order it is given. It is grouped as given, not sorted again.
     Only the itemset and the bitset of each entry are read. Two k-itemsets
     sharing their first k-1 items combine, unless their last items share a
     field index in `exclusive`: such columns give an alert one item each,
@@ -281,11 +284,8 @@ def candidate_gen(
     of its generators'. No other k-subset is looked up: support is
     anti-monotone, so prune drops a candidate with an infrequent one.
     """
-    if not frequent_k:
-        return []
-    entries = sorted((entry[0], entry[1]) for entry in frequent_k)
     out: list[tuple[Itemset, int]] = []
-    for _, group in groupby(entries, key=lambda e: e[0][:-1]):
+    for _, group in groupby(frequent_k, key=lambda e: e[0][:-1]):
         out.extend(_join_group(list(group), exclusive))
     return out
 
@@ -293,14 +293,15 @@ def candidate_gen(
 def _join_group(members, exclusive) -> list[tuple[Itemset, int]]:
     # members are sorted by their last item, so the last items of one column
     # form a run; a member of an exclusive column joins from its run's end
-    fields = [itemset[-1][0] for itemset, _ in members]  # field indexes
+    fields = [entry[0][-1][0] for entry in members]  # field indexes
     out = []
-    for i, (left_set, left_bits) in enumerate(members):
+    for i, entry in enumerate(members):
+        left_set, left_bits = entry[0], entry[1]
         start = i + 1
         if fields[i] in exclusive:
             start = bisect_right(fields, fields[i], start)
-        for right_set, right_bits in members[start:]:
-            out.append((left_set + (right_set[-1],), left_bits & right_bits))
+        for right in members[start:]:
+            out.append((left_set + (right[0][-1],), left_bits & right[1]))
     return out
 
 
@@ -346,11 +347,7 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     return PatternSet(tuple(patterns), n, s_abs)
 
 
-def brute_force_mine(
-    data: Minable,
-    config: MiningConfig | None = None,
-    max_transaction_width: int = 20,
-) -> PatternSet:
+def brute_force_mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     """Exhaustive oracle: enumerate the powerset of each transaction and
     keep the itemsets occurring at least minisupport times.
 
@@ -363,10 +360,10 @@ def brute_force_mine(
     if n == 0:
         raise EmptyDatasetError("cannot mine an empty dataset")
     widest = max((len(t.items) for t in txns), default=0)
-    if widest > max_transaction_width:
+    if widest > BRUTE_FORCE_MAX_WIDTH:
         raise BruteForceGuardError(
             f"transaction width {widest} exceeds the brute-force guard "
-            f"of {max_transaction_width} items"
+            f"of {BRUTE_FORCE_MAX_WIDTH} items"
         )
     s_abs = config.minisupport_abs(n)
     # combinations of the sorted items give each itemset in canonical order

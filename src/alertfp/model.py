@@ -56,7 +56,6 @@ class AttributeSchema:
     """Ordered column layout of an alert log."""
 
     fields: tuple[SchemaField, ...]
-    version: str = "1"
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -91,20 +90,9 @@ class AttributeSchema:
             i for i, f in enumerate(self.fields) if f.kind in _SINGLE_ITEM_KINDS
         )
 
-    def items_per_alert(self) -> int:
-        """Item count for a fully populated alert: one per categorical or
-        numeric column, two per timestamp column."""
-        total = 0
-        for f in self.fields:
-            if f.kind is FieldKind.TIMESTAMP:
-                total += 2
-            elif f.kind in ITEMIZABLE_KINDS:
-                total += 1
-        return total
-
     def canonical_text(self) -> str:
         """Stable rendering used for fingerprinting."""
-        lines = [f"version\t{self.version}"]
+        lines = ["version\t1"]
         lines.extend(f"{f.name}\t{f.kind.value}" for f in self.fields)
         return "\n".join(lines) + "\n"
 

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import AlertFpError, EmptyPatternSetError, ModelFormatError
 from .miner import Minable, PatternSet, _as_transactions
 from .model import AlertDataset, Item, Transaction, render_itemset
-from .textio import Source, Target, atomic_write, open_text
+from .textio import Source, Target, atomic_write, int_of, open_text
 
 RANKED_MAGIC = "# alertfp-ranked v1"
 
@@ -191,8 +191,6 @@ def rank_with_scorer(
     scorer: PatternScorer,
     config: ScoreConfig,
 ) -> list[ScoredAlert]:
-    if scorer.count == 0:
-        raise EmptyPatternSetError("ranking is undefined over an empty pattern set")
     raw = []
     for t in transactions:
         simple, total = scorer.score(t.items)
@@ -225,19 +223,10 @@ def top_candidates(ranked: Sequence[ScoredAlert], top_p: float) -> list[int]:
 
 
 @dataclass(frozen=True)
-class RankedRow:
-    rank: int
-    tid: int
-    simple_fpof: int
-    fpof: float
-    original: str
-
-
-@dataclass(frozen=True)
 class RankedFile:
     n: int
     metric: str
-    rows: tuple[RankedRow, ...]
+    rows: tuple[ScoredAlert, ...]
 
 
 def write_ranked(
@@ -257,8 +246,10 @@ def write_ranked(
 
 
 def read_ranked(source: Source) -> RankedFile:
-    """Read a ranked file back; a row count that differs from the header's
-    n= (a truncated or concatenated file) raises AlertFpError."""
+    """Read a ranked file back as its scored alerts; the original records
+    are not kept. A row without all five columns, an integer not written
+    as write_ranked writes it, or a row count that differs from the
+    header's n= (a truncated or concatenated file) raises AlertFpError."""
     with open_text(source) as stream:
         header = stream.readline().rstrip("\n")
         if not header.startswith(RANKED_MAGIC):
@@ -267,7 +258,7 @@ def read_ranked(source: Source) -> RankedFile:
             part.split("=", 1) for part in header[len(RANKED_MAGIC) :].split() if "=" in part
         )
         try:
-            n = int(meta["n"])
+            n = int_of(meta["n"])
             metric = meta["metric"]
         except (KeyError, ValueError):
             raise AlertFpError(f"malformed ranked-file header: {header!r}") from None
@@ -276,11 +267,10 @@ def read_ranked(source: Source) -> RankedFile:
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split("\t", 4)
             try:
-                rank_, tid, simple = int(parts[0]), int(parts[1]), int(parts[2])
-                rows.append(RankedRow(rank_, tid, simple, float(parts[3]), parts[4]))
-            except (IndexError, ValueError):
+                rank_, tid, simple, score, _ = line.split("\t", 4)
+                rows.append(ScoredAlert(int_of(tid), int_of(simple), float(score), int_of(rank_)))
+            except ValueError:
                 raise AlertFpError(f"ranked file line {line_number}: malformed row") from None
     if len(rows) != n:
         raise AlertFpError(f"ranked file header declares n={n} but carries {len(rows)} rows")

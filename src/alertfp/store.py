@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
@@ -36,7 +37,7 @@ from .errors import EmptyPatternSetError, ModelFormatError, SchemaMismatchError
 from .miner import Itemset, PatternSet
 from .model import AlertDataset, AttributeSchema, Item, render_itemset, unescape_value
 from .scorer import PatternScorer, ScoreConfig, ScoredAlert, cached_scorer, rank_with_scorer
-from .textio import atomic_write, open_text
+from .textio import atomic_write, int_of, open_text
 
 MODEL_MAGIC = "# alertfp-model v1"
 
@@ -176,7 +177,9 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
 
 def load_model(path: Union[str, Path]) -> ClassifierModel:
     """Read and fully validate a model file. The model comes with the
-    scorer built from its rows as they were read."""
+    scorer built from its rows as they were read. Every integer must be
+    written as save_model writes it (`textio.int_of`), so a model that
+    loads saves back to the same bytes."""
     with open_text(path, ModelFormatError) as stream:
         text = stream.read()
     if not text:
@@ -203,18 +206,30 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
         cursor += 1
         if key == "patterns":
             break
+
+    def header_int(key: str) -> int:
+        try:
+            return int_of(header[key])
+        except ValueError:
+            line_number = list(header).index(key) + 2  # header lines follow the magic line
+            raise ModelFormatError(
+                f"header {key}={header[key]} is not an integer", line_number=line_number
+            ) from None
+
     try:
-        n_train = int(header["n_train"])
-        minisupport_abs = int(header["minisupport"])
+        n_train = header_int("n_train")
+        minisupport_abs = header_int("minisupport")
         fingerprint = header["schema_fp"]
-        declared = int(header["patterns"])
-    except (KeyError, ValueError) as exc:
+        declared = header_int("patterns")
+    except KeyError as exc:
         raise ModelFormatError(f"incomplete or malformed model header: {exc}") from None
     built_at = header.get("built_at", "")
 
     patterns: list[tuple[Itemset, int]] = []
     tidlists: list[tuple[int, ...]] = []
     items = _ItemMemo()
+    # supports repeat across rows far more than they differ
+    support_of = cache(int_of)
     line_number = None  # of the row being checked; None before and after the rows
 
     def rows() -> Iterator[_Row]:
@@ -230,7 +245,7 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
             if len(parts) != columns:
                 raise ModelFormatError("malformed pattern row", line_number=offset)
             try:
-                support_count = int(parts[0])
+                support_count = support_of(parts[0])
                 tokens = parts[1].split(",")
                 itemset = tuple(map(items.__getitem__, tokens))
             except ValueError:
@@ -238,7 +253,7 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
             tids = None
             if columns == 3:
                 try:
-                    tids = tuple(int(tid) for tid in parts[2].split(",") if tid)
+                    tids = tuple(map(int_of, parts[2].split(","))) if parts[2] else ()
                 except ValueError:
                     raise ModelFormatError("malformed tidlist", line_number=offset) from None
                 tidlists.append(tids)
@@ -277,7 +292,7 @@ class _ItemMemo(dict):
         index_text, sep, value_text = token.partition("=")
         if not sep or not index_text:
             raise ModelFormatError(f"malformed item token {token!r}")
-        item = self[token] = Item(int(index_text), unescape_value(value_text))
+        item = self[token] = Item(int_of(index_text), unescape_value(value_text))
         return item
 
 

@@ -1,6 +1,9 @@
 """Path-or-stream text I/O shared by the log, schema, ranked, model,
 sweep and attack-id readers and writers.
 
+`int_of` reads an integer only in the form `str` writes it, for the
+model and ranked-file readers.
+
 `open_text` reads a path, a text stream or a byte stream, and names the
 source in the error it raises for input that is not UTF-8. `atomic_write`
 writes a path through a temp file in the same directory that replaces
@@ -24,6 +27,16 @@ from .errors import AlertFpError
 
 Source = Union[str, Path, IO[str], IO[bytes]]
 Target = Union[str, Path, IO[str]]
+
+
+def int_of(text: str) -> int:
+    """The int that text spells as str(int) writes it. Signs other than a
+    leading "-", spaces, leading zeros, "_" and non-ASCII digits all raise
+    ValueError."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"not an integer as alertfp writes one: {text!r}")
+    return value
 
 
 @contextmanager

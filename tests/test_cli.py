@@ -62,6 +62,23 @@ class TestMineCommand:
         )
         assert code == 2
 
+    def test_max_patterns_off_disables_the_guard(
+        self, sample_log_path, snort_schema_path, tmp_path
+    ):
+        out = tmp_path / "model.fps"
+        code = main(
+            [
+                "mine",
+                "--input", str(sample_log_path),
+                "--schema", str(snort_schema_path),
+                "--minisupport", "2",
+                "--max-patterns", "off",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert load_model(out).pattern_count == 319
+
     def test_guard_trip_is_exit_3(self, sample_log_path, snort_schema_path, tmp_path, capsys):
         code = main(
             [
@@ -84,7 +101,9 @@ class TestMineCommand:
         ["mine", "--minisupport", "150%"],
         ["rank", "--top-p", "0"],
         ["rank", "--top-p", "nan"],
+        ["rank", "--top-p", "abc"],
         ["sweep", "--minisupport", "5,abc"],
+        ["sweep", "--minisupport", ","],
         ["mine", "--max-pattern-len", "0"],
         ["mine", "--max-patterns", "-5"],
         ["mine", "--delimiter", "ab"],
@@ -116,6 +135,7 @@ def test_bad_value_is_a_usage_error_before_any_output(
         ("--attacks", "0"),
         ("--profiles", "0"),
         ("--records", "-3"),
+        ("--records", "abc"),
         ("--attacks", "50"),
     ],
     ids=str,

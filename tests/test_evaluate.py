@@ -215,6 +215,10 @@ class TestAttackSelectors:
             with pytest.raises(AlertFpError, match="unknown attack selector"):
                 resolve_attack_selectors([line])
 
+    def test_comments_only_select_nothing(self):
+        with pytest.raises(AlertFpError, match="selects no alerts"):
+            resolve_attack_selectors(["# attacks of 6/11", "", "# none found"])
+
     def test_write_attack_ids(self, tmp_path):
         path = tmp_path / "attacks.txt"
         write_attack_ids(path, [4, 9])

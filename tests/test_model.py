@@ -40,7 +40,10 @@ class TestSchema:
                 SchemaField("junk", FieldKind.IGNORE),
             )
         )
-        assert schema.items_per_alert() == 4
+        # a fully populated alert: one item per categorical or numeric
+        # column, two (date and time) for the timestamp, none for the rest
+        alert = Alert(0, ("WEB-MISC", "80", "8/11/2010 8:59 AM", "7", "x"))
+        assert len(itemize(alert, schema).items) == 4
         assert schema.itemizable_indexes() == (0, 1, 2)
 
     def test_field_index_lookup(self):
@@ -180,7 +183,8 @@ class TestItemize:
             ("7", "9", "508", "x", "25", "2", "8/11/2010 8:59 AM",
              "1", "2", "6", "34075", "80"),
         )
-        assert len(itemize(alert, schema).items) == schema.items_per_alert()
+        # ten single-item columns, plus the timestamp's date and time
+        assert len(itemize(alert, schema).items) == 12
 
     def test_repeated_bad_value_raises_with_each_alerts_tid(self):
         schema = AttributeSchema(

@@ -354,6 +354,34 @@ class TestRankedFile:
         with pytest.raises(AlertFpError, match="line 2: malformed row"):
             read_ranked(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        "header, row, message",
+        [
+            ("n=0_1 metric=simple", "1\t0\t1\t0.5\tweb", "malformed ranked-file header"),
+            ("n=+1 metric=simple", "1\t0\t1\t0.5\tweb", "malformed ranked-file header"),
+            ("n=1", "1\t0\t1\t0.5\tweb", "malformed ranked-file header"),
+            ("metric=simple", "1\t0\t1\t0.5\tweb", "malformed ranked-file header"),
+            ("n=1 metric=simple", "1\t 1\t1\t0.5\tweb", "line 2: malformed row"),
+            ("n=1 metric=simple", "1\t0\t+0\t0.5\tweb", "line 2: malformed row"),
+            ("n=1 metric=simple", "\u0663\t0\t1\t0.5\tweb", "line 2: malformed row"),
+            ("n=1 metric=simple", "1\t0\t1\t0.5", "line 2: malformed row"),
+        ],
+        ids=[
+            "n-underscore",
+            "n-plus-sign",
+            "no-metric",
+            "no-n",
+            "tid-space",
+            "simple-plus-sign",
+            "rank-arabic-indic-digit",
+            "no-original-column",
+        ],
+    )
+    def test_reject_what_write_ranked_never_writes(self, header, row, message):
+        text = f"# alertfp-ranked v1 {header}\n{row}\n"
+        with pytest.raises(AlertFpError, match=message):
+            read_ranked(io.StringIO(text))
+
 
 class TestScoreConfig:
     def test_unknown_metric_rejected(self):

@@ -49,6 +49,12 @@ class TestFingerprint:
     def test_stable_for_equal_schemas(self):
         assert schema_fingerprint(snort_schema()) == schema_fingerprint(snort_schema())
 
+    def test_snort_fingerprint_is_pinned(self):
+        # every stored model carries it: a drift makes `score` refuse them all
+        assert schema_fingerprint(snort_schema()) == (
+            "fa98f7087ab93f288097b83d152a73f5f1fc44913cacb50447afee94547e78a7"
+        )
+
     def test_sensitive_to_layout(self):
         a = AttributeSchema((SchemaField("x", FieldKind.CATEGORICAL),))
         b = AttributeSchema((SchemaField("x", FieldKind.NUMERIC),))
@@ -125,6 +131,39 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "model.fps"
+        path.write_bytes(b"")
+        with pytest.raises(ModelFormatError, match="empty model file"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, value, line_number",
+        [
+            ("n_train", "abc", 2),
+            ("n_train", "0_5", 2),
+            ("minisupport", "+2", 3),
+            ("minisupport", "02", 3),
+            ("patterns", " 1", 6),
+            ("patterns", "\u0661", 6),
+        ],
+        ids=["word", "underscore", "plus", "leading-zero", "space", "arabic-indic-digit"],
+    )
+    def test_header_integer_not_as_written_reports_line_number(
+        self, key, value, line_number, tmp_path
+    ):
+        header = dict(n_train="5", minisupport="2", schema_fp="x", built_at=FIXED_TIME, patterns="1")
+        header[key] = value
+        path = tmp_path / "model.fps"
+        path.write_text(
+            "# alertfp-model v1\n" + "".join(f"{k}={v}\n" for k, v in header.items()) + "2\t0=a\n",
+            encoding="utf-8",
+        )
+        message = re.escape(f"header {key}={value} is not an integer")
+        with pytest.raises(ModelFormatError, match=message) as info:
+            load_model(path)
+        assert info.value.line_number == line_number
+
     def test_support_above_n_train_is_invariant_breach(self, sample_model, tmp_path):
         path = tmp_path / "model.fps"
         save_model(sample_model, path)
@@ -165,6 +204,14 @@ class TestSaveLoad:
                 8,
                 re.escape("items of itemset 1=b%2Cc,0=a are not strictly ascending"),
             ),
+            # integers that save_model never writes
+            (["+3\t0=a"], 7, "malformed pattern row"),
+            (["2\t0=a", " 3\t1=b"], 8, "malformed pattern row"),
+            (["03\t0=a"], 7, "malformed pattern row"),
+            (["1_0\t0=a"], 7, "malformed pattern row"),
+            (["\u0663\t0=a"], 7, "malformed pattern row"),
+            (["2\t\u0660=a"], 7, "malformed pattern row"),
+            (["2\t0=a", "2\t0=a,01=b"], 8, "malformed pattern row"),
         ],
         ids=[
             "repeated-item",
@@ -174,6 +221,13 @@ class TestSaveLoad:
             "support-above-n-train",
             "support-below-minisupport",
             "descending-escaped-value",
+            "support-plus-sign",
+            "support-space",
+            "support-leading-zero",
+            "support-underscore",
+            "support-arabic-indic-digit",
+            "field-arabic-indic-digit",
+            "field-leading-zero",
         ],
     )
     def test_non_canonical_row_reports_line_number(self, rows, line_number, message, tmp_path):
@@ -199,6 +253,13 @@ class TestSaveLoad:
             (["2\t0=a\t0,1", "2\t1=b%2Cc\t"], 8, re.escape("tidlist of itemset 1=b%2Cc is not 2")),
             (["2\t0=a\t0,1", "2\t1=b"], 8, "malformed pattern row"),
             (["2\t0=a", "2\t1=b\t0,1"], 8, "malformed pattern row"),
+            # tidlists that save_model never writes
+            (["2\t0=a\t0,,1"], 7, "malformed tidlist"),
+            (["2\t0=a\t0,1,"], 7, "malformed tidlist"),
+            (["2\t0=a\t0,+1"], 7, "malformed tidlist"),
+            (["2\t0=a\t0,01"], 7, "malformed tidlist"),
+            (["2\t0=a\t0,\u0661"], 7, "malformed tidlist"),
+            (["2\t0=a\tx,1"], 7, "malformed tidlist"),
         ],
         ids=[
             "more-tids-than-support",
@@ -210,6 +271,12 @@ class TestSaveLoad:
             "empty-tidlist",
             "tidlist-column-dropped",
             "tidlist-column-added",
+            "tid-empty-between-commas",
+            "tid-trailing-comma",
+            "tid-plus-sign",
+            "tid-leading-zero",
+            "tid-arabic-indic-digit",
+            "tid-word",
         ],
     )
     def test_inconsistent_tidlist_reports_line_number(self, rows, line_number, message, tmp_path):
