@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import AlertFpError
+from .ingest import COMMENT_PREFIX
 from .miner import MiningConfig, PatternSet, mine
 from .model import Alert, AlertDataset, snort_schema
 from .scorer import ScoreConfig, ScoredAlert, rank
@@ -148,7 +149,7 @@ def resolve_attack_selectors(
     tids: set[int] = set()
     for raw in lines:
         text = raw.strip()
-        if not text or text.startswith("#"):
+        if not text or text.startswith(COMMENT_PREFIX):
             continue
         if text.isdecimal():
             tids.add(int(text))

@@ -176,7 +176,7 @@ def load_schema(source: Source) -> AttributeSchema:
     with open_text(source, SchemaError) as lines:
         for line_number, raw_line in enumerate(lines, start=1):
             line = raw_line.strip()
-            if not line or line.startswith("#"):
+            if not line or line.startswith(COMMENT_PREFIX):
                 continue
             parts = line.split("\t")
             if len(parts) != 2:

@@ -1,8 +1,8 @@
 """Path-or-stream text I/O shared by the log, schema, ranked, model,
 sweep and attack-id readers and writers.
 
-`int_of` reads an integer only in the form `str` writes it, for the
-model and ranked-file readers.
+`int_of` reads an integer only as `str` writes it, for the model and
+ranked-file readers.
 
 `open_text` reads a path, a text stream or a byte stream, and names the
 source in the error it raises for input that is not UTF-8. `atomic_write`
@@ -30,9 +30,8 @@ Target = Union[str, Path, IO[str]]
 
 
 def int_of(text: str) -> int:
-    """The int that text spells as str(int) writes it. Signs other than a
-    leading "-", spaces, leading zeros, "_" and non-ASCII digits all raise
-    ValueError."""
+    """The int that text spells as str(int) writes it. A "+", spaces,
+    leading zeros, "_" or non-ASCII digits raise ValueError."""
     value = int(text)
     if str(value) != text:
         raise ValueError(f"not an integer as alertfp writes one: {text!r}")

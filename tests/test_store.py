@@ -260,6 +260,10 @@ class TestSaveLoad:
             (["2\t0=a\t0,01"], 7, "malformed tidlist"),
             (["2\t0=a\t0,\u0661"], 7, "malformed tidlist"),
             (["2\t0=a\tx,1"], 7, "malformed tidlist"),
+            (["2\t0=a\t00,1"], 7, "malformed tidlist"),
+            (["2\t0=a\t-0,1"], 7, "malformed tidlist"),
+            (["2\t0=a\t0, 1"], 7, "malformed tidlist"),
+            (["2\t0=a\t0,1_0"], 7, "malformed tidlist"),
         ],
         ids=[
             "more-tids-than-support",
@@ -277,6 +281,10 @@ class TestSaveLoad:
             "tid-leading-zero",
             "tid-arabic-indic-digit",
             "tid-word",
+            "first-tid-leading-zero",
+            "tid-minus-zero",
+            "tid-space",
+            "tid-underscore",
         ],
     )
     def test_inconsistent_tidlist_reports_line_number(self, rows, line_number, message, tmp_path):
