@@ -36,15 +36,15 @@ class PatternExplosionError(AlertFpError):
     """Mining exceeded the configured pattern cap. `kept` holds the number
     of frequent itemsets of each length up to `level`, shortest first."""
 
-    def __init__(self, count: int, cap: int, level: int, kept: tuple[int, ...]):
-        super().__init__(
-            f"frequent-pattern count exceeded the cap of {cap} at itemset length {level} "
-            f"({count} patterns so far); raise minisupport or the --max-patterns cap"
-        )
-        self.count = count
+    def __init__(self, cap: int, kept: tuple[int, ...]):
         self.cap = cap
-        self.level = level
         self.kept = kept
+        self.count = sum(kept)
+        self.level = len(kept)
+        super().__init__(
+            f"frequent-pattern count exceeded the cap of {cap} at itemset length {self.level} "
+            f"({self.count} patterns so far); raise minisupport or the --max-patterns cap"
+        )
 
 
 class BruteForceGuardError(AlertFpError):

@@ -334,7 +334,7 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     while level:
         kept.append(len(level))
         if config.max_patterns is not None and sum(kept) > config.max_patterns:
-            raise PatternExplosionError(sum(kept), config.max_patterns, len(kept), tuple(kept))
+            raise PatternExplosionError(config.max_patterns, tuple(kept))
         # already canonical: level 1 comes sorted, and candidate_gen emits
         # each level in itemset order, which prune keeps
         patterns += (

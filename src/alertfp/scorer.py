@@ -20,6 +20,7 @@ ClassifierModel for `store.score_new`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
@@ -31,6 +32,10 @@ from .model import AlertDataset, Item, Transaction, render_itemset
 from .textio import Source, Target, atomic_write, int_of, open_text
 
 RANKED_MAGIC = "# alertfp-ranked v1"
+# the header and a full score ("%.6f" of a value in [0, 1]) as write_ranked writes them
+_RANKED_HEADER = re.compile(re.escape(RANKED_MAGIC) + r" n=([1-9][0-9]*) metric=(simple|fpof)")
+_SCORE = re.compile(r"0\.[0-9]{6}|1\.000000")
+
 
 @dataclass(frozen=True)
 class ScoreConfig:
@@ -246,32 +251,33 @@ def write_ranked(
 
 
 def read_ranked(source: Source) -> RankedFile:
-    """Read a ranked file back as its scored alerts; the original records
-    are not kept. A row without all five columns, an integer not written
-    as write_ranked writes it, or a row count that differs from the
-    header's n= (a truncated or concatenated file) raises AlertFpError."""
+    """Read a ranked file back as its scored alerts, only in the layout
+    write_ranked writes; the original records are not kept. Row k ranks k,
+    its tid is in [0, n) and not repeated, and its full score is "%.6f" of
+    a value in [0, 1]. Any other line, a blank one included, a last line
+    without "\n", or a row count that differs from the header's n= raises
+    AlertFpError."""
     with open_text(source) as stream:
-        header = stream.readline().rstrip("\n")
-        if not header.startswith(RANKED_MAGIC):
-            raise AlertFpError(f"not a ranked alert file: {header!r}")
-        meta = dict(
-            part.split("=", 1) for part in header[len(RANKED_MAGIC) :].split() if "=" in part
-        )
+        # split on "\n" alone: an original record may hold "\r"
+        header, *lines = stream.read().split("\n")
+    match = _RANKED_HEADER.fullmatch(header)
+    if not match:
+        raise AlertFpError(f"ranked file line 1: malformed ranked-file header: {header!r}")
+    n, metric = int(match[1]), match[2]
+    if lines and lines.pop():
+        raise AlertFpError(f"ranked file line {len(lines) + 2}: no newline at end of file")
+    rows = []
+    seen = set()
+    for k, line in enumerate(lines, start=1):
         try:
-            n = int_of(meta["n"])
-            metric = meta["metric"]
-        except (KeyError, ValueError):
-            raise AlertFpError(f"malformed ranked-file header: {header!r}") from None
-        rows = []
-        for line_number, line in enumerate(stream, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                rank_, tid, simple, score, _ = line.split("\t", 4)
-                rows.append(ScoredAlert(int_of(tid), int_of(simple), float(score), int_of(rank_)))
-            except ValueError:
-                raise AlertFpError(f"ranked file line {line_number}: malformed row") from None
+            rank_, tid, simple, score, _ = line.split("\t", 4)
+            tid = int_of(tid)
+            if rank_ != str(k) or not 0 <= tid < n or tid in seen or not _SCORE.fullmatch(score):
+                raise ValueError
+            rows.append(ScoredAlert(tid, int_of(simple), float(score), k))
+        except ValueError:
+            raise AlertFpError(f"ranked file line {k + 1}: malformed row") from None
+        seen.add(tid)
     if len(rows) != n:
         raise AlertFpError(f"ranked file header declares n={n} but carries {len(rows)} rows")
     return RankedFile(n, metric, tuple(rows))

@@ -1,8 +1,9 @@
 """Persist a mined pattern set as a classifier model and score new alerts
 against it.
 
-Model file, line-oriented text: a magic/version line, `key=value` header
-lines (each key once), then one pattern per line as
+Model file, line-oriented text, each line ending in a newline: the magic
+line, the header lines `n_train=`, `minisupport=`, `schema_fp=`,
+`built_at=` and `patterns=` in that order, then one pattern per line as
 `support_count<TAB>field_index=value,field_index=value[,...]` with the
 patterns in canonical order. `%`-escaping (`model.render_itemset`) covers
 the five characters that would break the framing: `,` `=` `%` tab
@@ -26,7 +27,6 @@ rebuild sees the old model or the new one, never a torn file.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache
@@ -38,11 +38,11 @@ from .errors import EmptyPatternSetError, ModelFormatError, SchemaMismatchError
 from .miner import Itemset, PatternSet
 from .model import AlertDataset, AttributeSchema, Item, render_itemset, unescape_value
 from .scorer import PatternScorer, ScoreConfig, ScoredAlert, cached_scorer, rank_with_scorer
-from .textio import atomic_write, int_of, open_text
+from .textio import atomic_write, int_of, ints_of, open_text
 
 MODEL_MAGIC = "# alertfp-model v1"
-#: a tidlist as save_model writes it; one match per row is cheaper than int_of per tid
-_TIDLIST = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*")
+#: the keys of header lines 2-6, in the order save_model writes them
+_HEADER = ("n_train", "minisupport", "schema_fp", "built_at", "patterns")
 
 # (itemset, support_count, tidlist or None): one model row, as save and load see it
 _Row = tuple[Itemset, int, Sequence[int] | None]
@@ -179,7 +179,9 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
 
 
 def load_model(path: Union[str, Path]) -> ClassifierModel:
-    """Read and fully validate a model file. The model comes with the
+    """Read and fully validate a model file in the layout save_model
+    writes: the magic line, the header lines in save's order, then row k
+    on line 6 + k, each line ending in "\n". The model comes with the
     scorer built from its rows as they were read."""
     with open_text(path, ModelFormatError) as stream:
         text = stream.read()
@@ -190,86 +192,65 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
     # would also break on
     lines = text.split("\n")
     if lines[0] != MODEL_MAGIC:
-        if lines[0].startswith("# alertfp-model "):
-            raise ModelFormatError(
-                f"unsupported model version {lines[0].removeprefix('# alertfp-model ')!r}; "
-                f"this build reads {MODEL_MAGIC.removeprefix('# alertfp-model ')!r}"
-            )
-        raise ModelFormatError(f"not a classifier model file: {lines[0]!r}")
+        raise ModelFormatError(f"expected {MODEL_MAGIC!r}, found {lines[0]!r}", line_number=1)
+    if lines.pop():
+        raise ModelFormatError("no newline at end of file", line_number=len(lines) + 1)
 
-    header: dict[str, str] = {}
-    cursor = 1
-    while cursor < len(lines) and "=" in lines[cursor] and "\t" not in lines[cursor]:
-        key, value = lines[cursor].split("=", 1)
-        if key in header:
-            raise ModelFormatError(f"header key {key} repeats an earlier line", line_number=cursor + 1)
-        header[key] = value
-        cursor += 1
-        if key == "patterns":
-            break
-
-    def header_int(key: str) -> int:
+    header = []
+    for line_number, key in enumerate(_HEADER, start=2):
+        line = lines[line_number - 1] if line_number <= len(lines) else ""
+        if not line.startswith(f"{key}="):
+            message = f"expected header line {key}=..., found {line!r}"
+            raise ModelFormatError(message, line_number=line_number)
+        value = line[len(key) + 1 :]
         try:
-            return int_of(header[key])
+            header.append(value if key in ("schema_fp", "built_at") else int_of(value))
         except ValueError:
-            where = list(header).index(key) + 2  # header lines follow the magic line
-            message = f"header {key}={header[key]} is not an integer"
-            raise ModelFormatError(message, line_number=where) from None
-
-    try:
-        n_train = header_int("n_train")
-        minisupport_abs = header_int("minisupport")
-        fingerprint = header["schema_fp"]
-        declared = header_int("patterns")
-    except KeyError as exc:
-        raise ModelFormatError(f"incomplete or malformed model header: {exc}") from None
-    built_at = header.get("built_at", "")
+            message = f"header {line} is not an integer"
+            raise ModelFormatError(message, line_number=line_number) from None
+    n_train, minisupport_abs, fingerprint, built_at, declared = header
+    rows = lines[6:]
+    if len(rows) != declared:
+        message = f"header declares {declared} patterns, file carries {len(rows)}"
+        raise ModelFormatError(message, line_number=6)
 
     patterns: list[tuple[Itemset, int]] = []
     tidlists: list[tuple[int, ...]] = []
     items = _ItemMemo()
     # 30 supports over the daytime model's 3,443 rows: unmemoized, int_of loaded slower than int()
     support_of = cache(int_of)
-    line_number = None  # of the row being checked; None before and after the rows
+    columns = 3 if rows and rows[0].count("\t") == 2 else 2  # the first row says if tidlists follow
 
-    def rows() -> Iterator[_Row]:
-        nonlocal line_number
-        columns = 0  # 2, or 3 with tidlists: fixed by the first row
-        for offset, line in enumerate(lines[cursor:], start=cursor + 1):
-            if not line:
-                continue
-            line_number = offset
+    def parsed() -> Iterator[_Row]:
+        for line_number, line in enumerate(rows, start=7):
             parts = line.split("\t")
-            if not columns and len(parts) in (2, 3):
-                columns = len(parts)
-            if len(parts) != columns:
-                raise ModelFormatError("malformed pattern row", line_number=offset)
             try:
+                if len(parts) != columns:
+                    raise ValueError
                 support_count = support_of(parts[0])
                 tokens = parts[1].split(",")
                 itemset = tuple(map(items.__getitem__, tokens))
             except ValueError:
-                raise ModelFormatError("malformed pattern row", line_number=offset) from None
+                raise ModelFormatError("malformed pattern row", line_number=line_number) from None
+            except ModelFormatError as exc:  # a malformed item token
+                raise ModelFormatError(str(exc), line_number=line_number) from None
             tids = None
             if columns == 3:
-                if parts[2] and not _TIDLIST.fullmatch(parts[2]):
-                    raise ModelFormatError("malformed tidlist", line_number=offset)
-                tids = tuple(map(int, parts[2].split(","))) if parts[2] else ()
+                try:
+                    tids = ints_of(parts[2])
+                except ValueError:
+                    raise ModelFormatError("malformed tidlist", line_number=line_number) from None
                 tidlists.append(tids)
             patterns.append((itemset, support_count))
             yield itemset, support_count, tids
-        line_number = None
-        if len(patterns) != declared:
-            raise ModelFormatError(
-                f"header declares {declared} patterns, file carries {len(patterns)}"
-            )
 
     try:
-        scorer = _build_scorer(rows(), n_train, minisupport_abs)
+        scorer = _build_scorer(parsed(), n_train, minisupport_abs)
     except ModelFormatError as exc:
-        if exc.line_number is not None or line_number is None:
+        # a row fails its check while parsed() waits at it, the last row appended
+        if exc.line_number is not None or not patterns:
             raise
-        raise ModelFormatError(str(exc), line_number=line_number) from None
+        raise ModelFormatError(str(exc), line_number=6 + len(patterns)) from None
     model = ClassifierModel(
         schema_fingerprint=fingerprint,
         built_at=built_at,

@@ -347,6 +347,31 @@ class TestScoreCommand:
         assert capsys.readouterr().err.splitlines() == ["alertfp: n_train 0 is below 1"]
         assert not out.exists()
 
+    def test_off_layout_model_is_exit_2(
+        self, sample_log_path, snort_schema_path, tmp_path, capsys
+    ):
+        model = tmp_path / "model.fps"
+        model.write_text(
+            "# alertfp-model v1\nn_train=5\nminisupport=2\n"
+            f"schema_fp={schema_fingerprint(snort_schema())}\npatterns=1\n2\t0=a\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "ranked.tsv"
+        code = main(
+            [
+                "score",
+                "--input", str(sample_log_path),
+                "--schema", str(snort_schema_path),
+                "--model", str(model),
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "alertfp: line 5: expected header line built_at=..., found 'patterns=1'"
+        ]
+        assert not out.exists()
+
     def test_score_builds_one_scorer(
         self, sample_log_path, snort_schema_path, tmp_path, scorer_builds
     ):
@@ -412,6 +437,23 @@ class TestEvalCommand:
         capsys.readouterr()
         assert main(["eval", "--ranked", str(ranked), "--attacks", str(attacks)]) == 2
         assert "n=3 but carries 2 rows" in capsys.readouterr().err
+
+    def test_repeated_tid_in_ranked_file_is_exit_2(
+        self, sample_log_path, snort_schema_path, tmp_path, capsys
+    ):
+        ranked = tmp_path / "ranked.tsv"
+        args = ["--input", str(sample_log_path), "--schema", str(snort_schema_path)]
+        assert main(["rank", *args, "--minisupport", "2", "--out", str(ranked)]) == 0
+        lines = ranked.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = "3" + lines[2][1:]  # row 3 carries row 2's tid
+        ranked.write_text("".join(lines), encoding="utf-8")
+        attacks = tmp_path / "attacks.txt"
+        attacks.write_text("2\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--ranked", str(ranked), "--attacks", str(attacks)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "alertfp: ranked file line 4: malformed row"
+        ]
 
     def test_cid_selector_requires_log(self, sample_log_path, snort_schema_path, tmp_path, capsys):
         ranked = tmp_path / "ranked.tsv"

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from alertfp.errors import AlertFpError, EmptyPatternSetError, ModelFormatError
 from alertfp.miner import MiningConfig, PatternSet, mine
-from alertfp.model import Item, Transaction
+from alertfp.model import (
+    Alert,
+    AlertDataset,
+    AttributeSchema,
+    FieldKind,
+    Item,
+    SchemaField,
+    Transaction,
+)
 from alertfp.scorer import (
     PatternScorer,
     ScoreConfig,
@@ -381,6 +389,63 @@ class TestRankedFile:
         text = f"# alertfp-ranked v1 {header}\n{row}\n"
         with pytest.raises(AlertFpError, match=message):
             read_ranked(io.StringIO(text))
+
+
+    @pytest.mark.parametrize(
+        "header, rows, line_number",
+        [
+            ("v10 n=1 metric=simple", ["1\t0\t1\t0.500000\tweb"], 1),
+            ("v1 n=1 metric=weird", ["1\t0\t1\t0.500000\tweb"], 1),
+            ("v1 n=0 metric=simple", [], 1),
+            ("v1 n=1 metric=fpof", ["1\t0\t1\tnan\tweb"], 2),
+            ("v1 n=1 metric=fpof", ["1\t0\t1\tinf\tweb"], 2),
+            ("v1 n=1 metric=fpof", ["1\t0\t1\t 0.5\tweb"], 2),
+            ("v1 n=1 metric=fpof", ["1\t0\t1\t0.5_0\tweb"], 2),
+            ("v1 n=1 metric=fpof", ["1\t0\t1\t0.5\tweb"], 2),
+            ("v1 n=1 metric=fpof", ["1\t0\t1\t1.500000\tweb"], 2),
+            ("v1 n=2 metric=simple", ["1\t0\t1\t0.500000\tweb", "7\t1\t1\t0.500000\tweb"], 3),
+            ("v1 n=2 metric=simple", ["1\t0\t1\t0.500000\tweb", "2\t0\t1\t0.500000\tweb"], 3),
+            ("v1 n=1 metric=simple", ["1\t1\t1\t0.500000\tweb"], 2),
+            ("v1 n=2 metric=simple", ["1\t0\t1\t0.500000\tweb", "", "2\t1\t1\t0.500000\tweb"], 3),
+        ],
+        ids=[
+            "magic-v10",
+            "unknown-metric",
+            "n-0",
+            "score-nan",
+            "score-inf",
+            "score-space",
+            "score-underscore",
+            "score-not-6-decimals",
+            "score-above-1",
+            "rank-not-position",
+            "repeated-tid",
+            "tid-past-n",
+            "blank-line",
+        ],
+    )
+    def test_reject_off_layout_ranked_file(self, header, rows, line_number):
+        text = "".join(f"{line}\n" for line in [f"# alertfp-ranked {header}", *rows])
+        with pytest.raises(AlertFpError, match=f"^ranked file line {line_number}: malformed"):
+            read_ranked(io.StringIO(text))
+
+
+    def test_reject_missing_final_newline(self):
+        text = "# alertfp-ranked v1 n=1 metric=simple\n1\t0\t1\t0.500000\tweb"
+        with pytest.raises(AlertFpError, match="^ranked file line 2: no newline at end of file$"):
+            read_ranked(io.StringIO(text))
+
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["path", "byte-stream"])
+    def test_carriage_return_in_a_record_reads_back(self, as_bytes, tmp_path):
+        schema = AttributeSchema(
+            (SchemaField("sig", FieldKind.CATEGORICAL), SchemaField("note", FieldKind.CATEGORICAL))
+        )
+        ds = AlertDataset(schema, (Alert(0, ("a\rb", "c")), Alert(1, ("a\rb", "d"))))
+        ranked = rank(ds, mine(ds, MiningConfig(minisupport=1)))
+        path = tmp_path / "ranked.tsv"
+        write_ranked(path, ranked, ds, "simple")
+        source = io.BytesIO(path.read_bytes()) if as_bytes else path
+        assert read_ranked(source).rows == tuple(ranked)
 
 
 class TestScoreConfig:

@@ -1,3 +1,4 @@
+import io
 import random
 import re
 import tempfile
@@ -114,7 +115,8 @@ class TestSaveLoad:
         lines = path.read_text(encoding="utf-8").splitlines()
         lines.insert(2, "n_train=9")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError, match="header key n_train repeats") as info:
+        message = re.escape("expected header line minisupport=..., found 'n_train=9'")
+        with pytest.raises(ModelFormatError, match=message) as info:
             load_model(path)
         assert info.value.line_number == 3
 
@@ -162,6 +164,74 @@ class TestSaveLoad:
         message = re.escape(f"header {key}={value} is not an integer")
         with pytest.raises(ModelFormatError, match=message) as info:
             load_model(path)
+        assert info.value.line_number == line_number
+
+    @pytest.mark.parametrize(
+        "text, line_number, message",
+        [
+            (
+                "# alertfp-model v1\nminisupport=2\nn_train=5\nschema_fp=x\n"
+                f"built_at={FIXED_TIME}\npatterns=1\n2\t0=a\n",
+                2,
+                "expected header line n_train=..., found 'minisupport=2'",
+            ),
+            (
+                "# alertfp-model v1\nn_train=5\nextra=1\nminisupport=2\nschema_fp=x\n"
+                f"built_at={FIXED_TIME}\npatterns=1\n2\t0=a\n",
+                3,
+                "expected header line minisupport=..., found 'extra=1'",
+            ),
+            (
+                "# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\npatterns=1\n2\t0=a\n",
+                5,
+                "expected header line built_at=..., found 'patterns=1'",
+            ),
+            (
+                "# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\n"
+                f"built_at={FIXED_TIME}\npatterns=2\n2\t0=a\n\n2\t1=b\n",
+                6,
+                "header declares 2 patterns, file carries 3",
+            ),
+            (
+                "# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\n"
+                f"built_at={FIXED_TIME}\npatterns=3\n2\t0=a\n\n2\t1=b\n",
+                8,
+                "malformed pattern row",
+            ),
+            (
+                "# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\n"
+                f"built_at={FIXED_TIME}\npatterns=1\n2\t0=a",
+                7,
+                "no newline at end of file",
+            ),
+            (
+                "# alertfp-model v1\nn_train=5\nminisupport=2\n",
+                4,
+                "expected header line schema_fp=..., found ''",
+            ),
+            (
+                "# alertfp-model v2\nn_train=5\n",
+                1,
+                "expected '# alertfp-model v1', found '# alertfp-model v2'",
+            ),
+        ],
+        ids=[
+            "reordered-header",
+            "unknown-header-key",
+            "missing-built-at",
+            "blank-line-among-rows",
+            "blank-line-counted-as-a-row",
+            "no-final-newline",
+            "header-cut-short",
+            "other-version",
+        ],
+    )
+    def test_off_layout_file_reports_line_number(self, text, line_number, message, tmp_path):
+        path = tmp_path / "model.fps"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"line {line_number}: {message}"
         assert info.value.line_number == line_number
 
     def test_support_above_n_train_is_invariant_breach(self, sample_model, tmp_path):
@@ -412,6 +482,16 @@ class TestSaveLoad:
         path = tmp_path / "model.fps"
         save_model(model, path)
         assert load_model(path) == model
+
+    def test_carriage_return_reads_back_from_a_byte_stream(self, tmp_path):
+        schema = AttributeSchema((SchemaField("sig", FieldKind.CATEGORICAL),))
+        ds = AlertDataset(schema, (Alert(0, ("a\rb",)), Alert(1, ("a\rb",))))
+        model = ClassifierModel.from_pattern_set(
+            mine(ds, MiningConfig(minisupport=2)), schema, built_at=FIXED_TIME
+        )
+        path = tmp_path / "model.fps"
+        save_model(model, path)
+        assert load_model(io.BytesIO(path.read_bytes())) == model
 
     def test_tidlists_persisted_when_asked(self, sample_dataset, tmp_path):
         fps = mine(sample_dataset, MiningConfig(minisupport=2))
