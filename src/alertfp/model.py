@@ -158,7 +158,7 @@ class Item(NamedTuple):
 _ESCAPES = [("%", "%25"), (",", "%2C"), ("=", "%3D"), ("\t", "%09"), ("\n", "%0A")]
 
 
-def _escape(value: str) -> str:
+def escape_value(value: str) -> str:
     for char, code in _ESCAPES:
         value = value.replace(char, code)
     return value
@@ -173,7 +173,7 @@ def unescape_value(value: str) -> str:
 def render_itemset(itemset: Iterable[Item]) -> str:
     """An itemset as a model row writes it, `index=value,...` with each
     value escaped; every diagnostic names an itemset in this form."""
-    return ",".join(f"{item.field_index}={_escape(item.value)}" for item in itemset)
+    return ",".join(f"{item.field_index}={escape_value(item.value)}" for item in itemset)
 
 
 @dataclass(frozen=True, slots=True)

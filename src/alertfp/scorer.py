@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import fsum
 from typing import Callable, Iterable, Sequence
 
@@ -78,36 +79,49 @@ class PatternScorer:
         if n < 1:
             raise ValueError("dataset size must be >= 1")
         self.n = n
-        root: dict[Item, list] = {}
-        frequent: set[Item] = set()
-        count = 0
-        for count, (itemset, support_count) in enumerate(patterns, 1):
-            children = root
-            node = previous = None
-            for item in itemset:
-                if children is None:
-                    children = node[1] = {}
-                node = children.get(item)
-                if node is None:
-                    # a path that exists was checked when it was made
-                    if previous is not None and not previous < item:
-                        raise ModelFormatError(
-                            f"items of itemset {render_itemset(itemset)} "
-                            "are not strictly ascending"
-                        )
-                    node = children[item] = [None, None]
-                    frequent.add(item)
-                children = node[1]
-                previous = item
-            if node is None or node[0] is not None:  # one test per pattern
-                if node is None:
-                    raise ModelFormatError("empty itemset")
-                raise ModelFormatError(f"itemset {render_itemset(itemset)} repeats an earlier row")
-            node[0] = support_count / n
-        self._root = root
-        self._frequent = frozenset(frequent)
-        self.count = count
+        self._root: dict[Item, list] = {}
+        self._items: set[Item] = set()  # every item on the trie
+        self.count = 0
         self._cache: dict[frozenset[Item], tuple[int, float]] = {}
+        add = self._add
+        for itemset, support_count in patterns:
+            add(itemset, support_count)
+
+    def _add(self, itemset: Sequence[Item], support_count: int, parent: list | None = None) -> list:
+        """Insert one pattern and return its node: the one check of an
+        itemset's shape. parent, when given, is the node of the itemset
+        less its last item, so only the last item is placed; else the path
+        is walked from the root, made where missing. A node made for an
+        item must follow the item before it; a node that exists was
+        checked when it was made. Every insert comes before the first
+        score."""
+        if parent is None:
+            if not itemset:
+                raise ModelFormatError("empty itemset")
+            children, node, previous, tail = self._root, None, None, itemset
+        else:
+            children, node, previous, tail = parent[1], parent, itemset[-2], itemset[-1:]
+        for item in tail:
+            if children is None:
+                children = node[1] = {}
+            node = children.get(item)
+            if node is None:
+                if previous is not None and not previous < item:
+                    raise _not_ascending(itemset)
+                node = children[item] = [None, None]
+                self._items.add(item)
+            children, previous = node[1], item
+        if node[0] is not None:
+            raise ModelFormatError(f"itemset {render_itemset(itemset)} repeats an earlier row")
+        node[0] = support_count / self.n
+        self.count += 1
+        return node
+
+    @cached_property
+    def _frequent(self) -> frozenset[Item]:
+        """Every item on the trie: the only items a score can use, so its
+        cache key. Made on the first score."""
+        return frozenset(self._items)
 
     @classmethod
     def from_pattern_set(cls, fps: PatternSet) -> "PatternScorer":
@@ -137,6 +151,11 @@ class PatternScorer:
         result = (len(hits), fsum(hits))
         self._cache[key] = result
         return result
+
+
+def _not_ascending(itemset: Sequence[Item]) -> ModelFormatError:
+    text = render_itemset(itemset)
+    return ModelFormatError(f"items of itemset {text} are not strictly ascending")
 
 
 def cached_scorer(owner: object, build: Callable[[], PatternScorer]) -> PatternScorer:
@@ -253,10 +272,12 @@ def write_ranked(
 def read_ranked(source: Source) -> RankedFile:
     """Read a ranked file back as its scored alerts, only in the layout
     write_ranked writes; the original records are not kept. Row k ranks k,
-    its tid is in [0, n) and not repeated, and its full score is "%.6f" of
-    a value in [0, 1]. Any other line, a blank one included, a last line
-    without "\n", or a row count that differs from the header's n= raises
-    AlertFpError."""
+    its tid is in [0, n) and not repeated, its simple score is a count,
+    its full score is "%.6f" of a value in [0, 1], and the rows run in
+    the header metric's order: (simple, tid) strictly ascending, or the
+    full score never descending. Any other line, a blank one included, a
+    last line without "\n", or a row count that differs from the header's
+    n= raises AlertFpError."""
     with open_text(source) as stream:
         # split on "\n" alone: an original record may hold "\r"
         header, *lines = stream.read().split("\n")
@@ -268,16 +289,32 @@ def read_ranked(source: Source) -> RankedFile:
         raise AlertFpError(f"ranked file line {len(lines) + 2}: no newline at end of file")
     rows = []
     seen = set()
+    previous = ()
     for k, line in enumerate(lines, start=1):
         try:
             rank_, tid, simple, score, _ = line.split("\t", 4)
-            tid = int_of(tid)
-            if rank_ != str(k) or not 0 <= tid < n or tid in seen or not _SCORE.fullmatch(score):
+            tid, simple = int_of(tid), int_of(simple)
+            if (
+                rank_ != str(k)
+                or not 0 <= tid < n
+                or tid in seen
+                or simple < 0
+                or not _SCORE.fullmatch(score)
+            ):
                 raise ValueError
-            rows.append(ScoredAlert(tid, int_of(simple), float(score), k))
+            row = ScoredAlert(tid, simple, float(score), k)
+            # rank_with_scorer sorts by (simple, tid) or by the raw full
+            # score. The printed score, a monotone map of the raw one, never
+            # descends, but may tie rows in any tid order: as k ascends,
+            # (score, k) ascends strictly exactly when the score never descends
+            order = (simple, tid) if metric == "simple" else (row.fpof, k)
+            if not order > previous:
+                raise ValueError
         except ValueError:
             raise AlertFpError(f"ranked file line {k + 1}: malformed row") from None
+        rows.append(row)
         seen.add(tid)
+        previous = order
     if len(rows) != n:
         raise AlertFpError(f"ranked file header declares n={n} but carries {len(rows)} rows")
     return RankedFile(n, metric, tuple(rows))

@@ -7,18 +7,26 @@ line, the header lines `n_train=`, `minisupport=`, `schema_fp=`,
 `support_count<TAB>field_index=value,field_index=value[,...]` with the
 patterns in canonical order. `%`-escaping (`model.render_itemset`) covers
 the five characters that would break the framing: `,` `=` `%` tab
-newline. Tidlists can optionally be appended as a third tab-separated
-column for audit.
+newline. An item token must be the one save_model writes for its item,
+so a row's itemset text is one-to-one with its itemset. Tidlists can
+optionally be appended as a third tab-separated column for audit.
 
-A model's rules are checked in one place, `_build_scorer`, which both
-`save_model` (through `ClassifierModel.validate`) and `load_model` run:
-the header's `n_train >= 1` and `minisupport` in `[1, n_train]`, each
-row's support in `[minisupport, n_train]` and tidlist of exactly
-`support_count` strictly ascending tids in `[0, n_train)`, and, in the
-build of the scorer's trie, each itemset's shape. So save refuses any
-model that load would refuse, and load reports the line of the row at
-fault. The scorer that the load builds is kept on the model, and
-`score_new` uses it.
+Rows are read in order, each onto the scorer's trie as it comes. A row
+whose prefix, the text before its last `,`, is an earlier row's text
+takes that row's itemset and trie node, and only its last token is
+parsed and placed; canonical order makes this every row of a mined model
+past level 1. Any other row, a 1-itemset or a row of a hand-written or
+non-closed model, is parsed token by token and walked from the trie's
+root.
+
+A model's rules are checked in one place on save and on load: the
+header's `n_train >= 1`, `minisupport` in `[1, n_train]` and at least one
+row (`_check_header`), each row's support in `[minisupport, n_train]` and
+tidlist of exactly `support_count` strictly ascending tids in
+`[0, n_train)` (`_check_row`), and each itemset's shape in the scorer's
+insert (`PatternScorer._add`). So save refuses any model that load would
+refuse, and load reports the line of the row at fault. The scorer that
+the load builds is kept on the model, and `score_new` uses it.
 
 Writes go through `textio.atomic_write`, so a reader racing a nightly
 rebuild sees the old model or the new one, never a torn file.
@@ -26,26 +34,32 @@ rebuild sees the old model or the new one, never a torn file.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import EmptyPatternSetError, ModelFormatError, SchemaMismatchError
 from .miner import Itemset, PatternSet
-from .model import AlertDataset, AttributeSchema, Item, render_itemset, unescape_value
+from .model import (
+    AlertDataset,
+    AttributeSchema,
+    Item,
+    escape_value,
+    render_itemset,
+    unescape_value,
+)
 from .scorer import PatternScorer, ScoreConfig, ScoredAlert, cached_scorer, rank_with_scorer
 from .textio import atomic_write, int_of, ints_of, open_text
 
 MODEL_MAGIC = "# alertfp-model v1"
 #: the keys of header lines 2-6, in the order save_model writes them
 _HEADER = ("n_train", "minisupport", "schema_fp", "built_at", "patterns")
-
-# (itemset, support_count, tidlist or None): one model row, as save and load see it
-_Row = tuple[Itemset, int, Sequence[int] | None]
 
 
 def schema_fingerprint(schema: AttributeSchema) -> str:
@@ -77,16 +91,7 @@ class ClassifierModel:
         """The model's scorer, built on first use and kept; a loaded model
         comes with the one its load built. Its per-transaction cache lives
         as long as the model does."""
-        return cached_scorer(
-            self, lambda: _build_scorer(self._rows(), self.n_train, self.minisupport_abs)
-        )
-
-    def _rows(self) -> Iterator[_Row]:
-        if self.tidlists is not None and len(self.tidlists) != len(self.patterns):
-            raise ModelFormatError("tidlist count does not match pattern count")
-        tidlists = repeat(None) if self.tidlists is None else self.tidlists
-        for (itemset, support_count), tids in zip(self.patterns, tidlists):
-            yield itemset, support_count, tids
+        return cached_scorer(self, lambda: _build_scorer(self))
 
     @classmethod
     def from_pattern_set(
@@ -118,43 +123,56 @@ class ClassifierModel:
         self.scorer  # the build is the check
 
 
-def _build_scorer(rows: Iterable[_Row], n_train: int, minisupport_abs: int) -> PatternScorer:
-    """Check a model's header and rows and build its scorer: the one check
-    of a model, on save and on load. An error names no line; load_model
-    adds the line of the row being read."""
+def _build_scorer(model: ClassifierModel) -> PatternScorer:
+    """Check a model's header and rows and build its scorer, as load_model
+    does for a file, only without line numbers."""
+    n_train, minisupport_abs = model.n_train, model.minisupport_abs
+    _check_header(n_train, minisupport_abs, model.pattern_count)
+    if model.tidlists is not None and len(model.tidlists) != model.pattern_count:
+        raise ModelFormatError("tidlist count does not match pattern count")
+    tidlists = repeat(None) if model.tidlists is None else model.tidlists
+    scorer = PatternScorer((), n_train)
+    for (itemset, support_count), tids in zip(model.patterns, tidlists):
+        _check_row(itemset, support_count, tids, n_train, minisupport_abs)
+        scorer._add(itemset, support_count)
+    return scorer
+
+
+def _check_header(n_train: int, minisupport_abs: int, pattern_count: int) -> None:
+    """The header's rules, checked before any row."""
     if n_train < 1:
         raise ModelFormatError(f"n_train {n_train} is below 1")
     if not 1 <= minisupport_abs <= n_train:
         raise ModelFormatError(f"minisupport {minisupport_abs} outside [1, {n_train}]")
-    scorer = PatternScorer(_checked_rows(rows, n_train, minisupport_abs), n_train)
-    if scorer.count == 0:
+    if pattern_count == 0:
         raise ModelFormatError("model contains no patterns")
-    return scorer
 
 
-def _checked_rows(
-    rows: Iterable[_Row], n_train: int, minisupport_abs: int
-) -> Iterator[tuple[Itemset, int]]:
-    """(itemset, support_count) of each row whose support and tidlist fit
-    the header; the scorer's build checks the itemset."""
-    for itemset, support_count, tids in rows:
-        if not minisupport_abs <= support_count <= n_train:
-            raise ModelFormatError(
-                f"support {support_count} outside [{minisupport_abs}, {n_train}] "
-                f"for itemset {render_itemset(itemset)}"
-            )
-        # support_count >= 1 here, so a tidlist of that length has ends
-        if tids is not None and not (
-            len(tids) == support_count
-            and 0 <= tids[0]
-            and tids[-1] < n_train
-            and list(tids) == sorted(set(tids))
-        ):
-            raise ModelFormatError(
-                f"tidlist of itemset {render_itemset(itemset)} is not "
-                f"{support_count} strictly ascending tids in [0, {n_train})"
-            )
-        yield itemset, support_count
+def _check_row(
+    itemset: Itemset,
+    support_count: int,
+    tids: Sequence[int] | None,
+    n_train: int,
+    minisupport_abs: int,
+) -> None:
+    """Check that the row's support and tidlist fit the header; the
+    scorer's insert checks the itemset."""
+    if not minisupport_abs <= support_count <= n_train:
+        raise ModelFormatError(
+            f"support {support_count} outside [{minisupport_abs}, {n_train}] "
+            f"for itemset {render_itemset(itemset)}"
+        )
+    # support_count >= 1 here, so a tidlist of that length has ends
+    if tids is not None and not (
+        len(tids) == support_count
+        and 0 <= tids[0]
+        and tids[-1] < n_train
+        and list(tids) == sorted(set(tids))
+    ):
+        raise ModelFormatError(
+            f"tidlist of itemset {render_itemset(itemset)} is not "
+            f"{support_count} strictly ascending tids in [0, {n_train})"
+        )
 
 
 def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
@@ -214,43 +232,42 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
         message = f"header declares {declared} patterns, file carries {len(rows)}"
         raise ModelFormatError(message, line_number=6)
 
+    _check_header(n_train, minisupport_abs, declared)
+
+    scorer = PatternScorer((), n_train)
     patterns: list[tuple[Itemset, int]] = []
     tidlists: list[tuple[int, ...]] = []
     items = _ItemMemo()
     # 30 supports over the daytime model's 3,443 rows: unmemoized, int_of loaded slower than int()
     support_of = cache(int_of)
     columns = 3 if rows and rows[0].count("\t") == 2 else 2  # the first row says if tidlists follow
-
-    def parsed() -> Iterator[_Row]:
+    earlier: dict[str, tuple[Itemset, list]] = {}  # row text -> its itemset and trie node
+    with _collector_paused():
         for line_number, line in enumerate(rows, start=7):
             parts = line.split("\t")
             try:
                 if len(parts) != columns:
                     raise ValueError
                 support_count = support_of(parts[0])
-                tokens = parts[1].split(",")
-                itemset = tuple(map(items.__getitem__, tokens))
+                text = parts[1]
+                # a value's own "," is escaped, so the prefix is the itemset less its last item
+                prefix, _, last = text.rpartition(",")
+                known = earlier.get(prefix)
+                if known is None:
+                    itemset, parent = tuple(map(items.__getitem__, text.split(","))), None
+                else:
+                    itemset, parent = known[0] + (items[last],), known[1]
+                tids = None if columns == 2 else _tidlist_of(parts[2])
+                _check_row(itemset, support_count, tids, n_train, minisupport_abs)
+                earlier[text] = itemset, scorer._add(itemset, support_count, parent)
             except ValueError:
                 raise ModelFormatError("malformed pattern row", line_number=line_number) from None
-            except ModelFormatError as exc:  # a malformed item token
+            except ModelFormatError as exc:
                 raise ModelFormatError(str(exc), line_number=line_number) from None
-            tids = None
-            if columns == 3:
-                try:
-                    tids = ints_of(parts[2])
-                except ValueError:
-                    raise ModelFormatError("malformed tidlist", line_number=line_number) from None
+            if tids is not None:
                 tidlists.append(tids)
             patterns.append((itemset, support_count))
-            yield itemset, support_count, tids
 
-    try:
-        scorer = _build_scorer(parsed(), n_train, minisupport_abs)
-    except ModelFormatError as exc:
-        # a row fails its check while parsed() waits at it, the last row appended
-        if exc.line_number is not None or not patterns:
-            raise
-        raise ModelFormatError(str(exc), line_number=6 + len(patterns)) from None
     model = ClassifierModel(
         schema_fingerprint=fingerprint,
         built_at=built_at,
@@ -263,16 +280,42 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
     return model
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for a model's rows. A load only
+    adds containers and makes no garbage, yet the collector's passes over
+    the growing trie took about a sixth of a load of the seed-1 daytime
+    model (3,443 rows, one load per fresh process). A collector that was
+    already off stays off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _tidlist_of(text: str) -> tuple[int, ...]:
+    try:
+        return ints_of(text)
+    except ValueError:
+        raise ModelFormatError("malformed tidlist") from None
+
+
 class _ItemMemo(dict):
     """Token text -> the Item it names. Tokens repeat across rows, so a new
     token is parsed once and stored; a malformed one raises and is not
-    stored. load_model adds the row's line number to the error."""
+    stored. Only the token save_model writes for an item is taken, so a
+    row's text names one itemset and an itemset has one text. load_model
+    adds the row's line number to the error."""
 
     def __missing__(self, token: str) -> Item:
         index_text, sep, value_text = token.partition("=")
-        if not sep or not index_text:
+        value = unescape_value(value_text)
+        if not sep or not index_text or escape_value(value) != value_text:
             raise ModelFormatError(f"malformed item token {token!r}")
-        item = self[token] = Item(int_of(index_text), unescape_value(value_text))
+        item = self[token] = Item(int_of(index_text), value)
         return item
 
 

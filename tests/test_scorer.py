@@ -20,6 +20,7 @@ from alertfp.model import (
 from alertfp.scorer import (
     PatternScorer,
     ScoreConfig,
+    ScoredAlert,
     fpof,
     rank,
     read_ranked,
@@ -28,7 +29,7 @@ from alertfp.scorer import (
     write_ranked,
 )
 
-from conftest import basket, random_baskets
+from conftest import basket, random_baskets, random_schema_dataset
 
 HALF = MiningConfig(minisupport=0.5)
 
@@ -407,6 +408,11 @@ class TestRankedFile:
             ("v1 n=2 metric=simple", ["1\t0\t1\t0.500000\tweb", "2\t0\t1\t0.500000\tweb"], 3),
             ("v1 n=1 metric=simple", ["1\t1\t1\t0.500000\tweb"], 2),
             ("v1 n=2 metric=simple", ["1\t0\t1\t0.500000\tweb", "", "2\t1\t1\t0.500000\tweb"], 3),
+            ("v1 n=1 metric=simple", ["1\t0\t-1\t0.500000\tweb"], 2),
+            ("v1 n=1 metric=fpof", ["1\t0\t-1\t0.500000\tweb"], 2),
+            ("v1 n=2 metric=simple", ["1\t0\t2\t0.500000\tweb", "2\t1\t1\t0.500000\tweb"], 3),
+            ("v1 n=2 metric=simple", ["1\t1\t1\t0.500000\tweb", "2\t0\t1\t0.500000\tweb"], 3),
+            ("v1 n=2 metric=fpof", ["1\t0\t1\t0.600000\tweb", "2\t1\t1\t0.500000\tweb"], 3),
         ],
         ids=[
             "magic-v10",
@@ -422,6 +428,11 @@ class TestRankedFile:
             "repeated-tid",
             "tid-past-n",
             "blank-line",
+            "simple-negative",
+            "simple-negative-under-fpof",
+            "simple-descending",
+            "simple-tie-tids-descending",
+            "fpof-descending",
         ],
     )
     def test_reject_off_layout_ranked_file(self, header, rows, line_number):
@@ -429,6 +440,35 @@ class TestRankedFile:
         with pytest.raises(AlertFpError, match=f"^ranked file line {line_number}: malformed"):
             read_ranked(io.StringIO(text))
 
+
+    @pytest.mark.parametrize(
+        "metric, rows",
+        [
+            ("simple", ["1\t0\t1\t0.500000\tweb", "2\t1\t1\t0.500000\tweb"]),
+            # rounding to "%.6f" may tie rows whose raw scores differ, in any tid order
+            ("fpof", ["1\t1\t3\t0.500000\tweb", "2\t0\t1\t0.500000\tweb"]),
+        ],
+        ids=["simple-tie-tids-ascending", "fpof-tie-tids-descending"],
+    )
+    def test_accept_ties_in_metric_order(self, metric, rows):
+        text = "".join(f"{line}\n" for line in [f"# alertfp-ranked v1 n=2 metric={metric}", *rows])
+        assert [r.rank for r in read_ranked(io.StringIO(text)).rows] == [1, 2]
+
+    @pytest.mark.parametrize("metric", ["simple", "fpof"])
+    def test_rank_output_reads_back(self, metric):
+        rng = random.Random(0x5EED)
+        for _ in range(20):
+            ds = random_schema_dataset(rng)
+            fps = mine(ds, MiningConfig(minisupport=rng.randint(1, ds.n)))
+            ranked = rank(ds, fps, ScoreConfig(metric))
+            buffer = io.StringIO()
+            write_ranked(buffer, ranked, ds, metric)
+            loaded = read_ranked(io.StringIO(buffer.getvalue()))
+            assert (loaded.n, loaded.metric) == (ds.n, metric)
+            assert loaded.rows == tuple(
+                ScoredAlert(sa.tid, sa.simple_fpof, float(f"{sa.fpof:.6f}"), sa.rank)
+                for sa in ranked
+            )
 
     def test_reject_missing_final_newline(self):
         text = "# alertfp-ranked v1 n=1 metric=simple\n1\t0\t1\t0.500000\tweb"

@@ -1,3 +1,4 @@
+import gc
 import io
 import random
 import re
@@ -23,7 +24,7 @@ from alertfp.model import (
     SchemaField,
     snort_schema,
 )
-from alertfp.scorer import rank
+from alertfp.scorer import PatternScorer, rank
 from alertfp.store import (
     ClassifierModel,
     load_model,
@@ -282,6 +283,16 @@ class TestSaveLoad:
             (["\u0663\t0=a"], 7, "malformed pattern row"),
             (["2\t\u0660=a"], 7, "malformed pattern row"),
             (["2\t0=a", "2\t0=a,01=b"], 8, "malformed pattern row"),
+            # value text that save_model never writes
+            (["2\t0=a%"], 7, re.escape("malformed item token '0=a%'")),
+            (["2\t1=%41"], 7, re.escape("malformed item token '1=%41'")),
+            (["2\t0=a", "2\t0=a,1=b%2c"], 8, re.escape("malformed item token '1=b%2c'")),
+            (["2\t0=a=b"], 7, re.escape("malformed item token '0=a=b'")),
+            # rows whose prefix is an earlier row
+            (["2\t0=a", "2\t0=a,0=a"], 8, "not strictly ascending"),
+            (["2\t1=b", "2\t1=b,0=a"], 8, "not strictly ascending"),
+            (["2\t0=a", "2\t1=b", "2\t0=a,1=b", "2\t0=a,1=b"], 10, "repeats an earlier row"),
+            (["2\t0=a", "2\t0=a,"], 8, re.escape("malformed item token ''")),
         ],
         ids=[
             "repeated-item",
@@ -298,6 +309,14 @@ class TestSaveLoad:
             "support-arabic-indic-digit",
             "field-arabic-indic-digit",
             "field-leading-zero",
+            "value-lone-percent",
+            "value-percent-41",
+            "value-lowercase-escape",
+            "value-raw-equals",
+            "prefix-row-repeated-item",
+            "prefix-row-descending-items",
+            "prefix-row-repeated-2-itemset",
+            "prefix-row-empty-last-token",
         ],
     )
     def test_non_canonical_row_reports_line_number(self, rows, line_number, message, tmp_path):
@@ -516,6 +535,26 @@ class TestSaveLoad:
         assert path.read_bytes() == first
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("rows", [["2\t0=a", "2\t0=a,1=b"], ["2\t0=a", "2\t0=a,0=a"]])
+    def test_load_leaves_the_collector_as_it_was(self, enabled, rows, tmp_path):
+        path = tmp_path / "model.fps"
+        path.write_text(
+            f"# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\n"
+            f"built_at={FIXED_TIME}\npatterns={len(rows)}\n" + "\n".join(rows) + "\n",
+            encoding="utf-8",
+        )
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                load_model(path)
+            except ModelFormatError:
+                pass
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
 
 # framing characters, their escape codes as literal text, and line breaks
 # other than "\n" that the escaping leaves alone
@@ -543,6 +582,44 @@ class TestEscapingProperty:
             save_model(loaded, second)
             assert first.read_bytes() == second.read_bytes()
         assert loaded == model
+
+
+class TestLoadedTrieProperty:
+    """A loaded model's scorer is the scorer of its rows, whether each row
+    hangs on its prefix row's node or, lacking one, is walked from the root."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        drop=st.sampled_from([0.0, 0.3, 0.7]),
+        tidlists=st.booleans(),
+    )
+    def test_loaded_scorer_matches_built_scorer(self, seed, drop, tidlists):
+        rng = random.Random(seed)
+        ds = random_schema_dataset(rng)
+        # the first column is constant, so every threshold keeps a pattern
+        fps = mine(ds, MiningConfig(minisupport=rng.randint(1, ds.n)))
+        kept = [p for p in fps if rng.random() >= drop] or [fps.patterns[-1]]
+        model = ClassifierModel(
+            "x",
+            FIXED_TIME,
+            fps.n,
+            fps.minisupport_abs,
+            tuple((p.itemset, p.support_count) for p in kept),
+            tuple(p.tidlist for p in kept) if tidlists else None,
+        )
+        if len(kept) == fps.count:
+            expected = PatternScorer.from_pattern_set(fps)
+        else:  # rows whose prefix row was dropped take the walk from the root
+            expected = PatternScorer(model.patterns, fps.n)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch, "m.fps")
+            save_model(model, path)
+            loaded = load_model(path)
+        assert loaded == model
+        assert loaded.scorer._root == expected._root
+        assert loaded.scorer._frequent == expected._frequent
+        assert loaded.scorer.count == expected.count
 
 
 class TestScoreNew:
