@@ -60,7 +60,7 @@ def _parse_minisupport(text: str):
     text = text.strip()
     try:
         value = Fraction(text[:-1]) / 100 if text.endswith("%") else int(text)
-        MiningConfig(minisupport=value).minisupport_abs(1)
+        MiningConfig(minisupport=value)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected a count N >= 1 or a percentage P% with 0 < P <= 100, got {text!r}"

@@ -152,7 +152,10 @@ def resolve_attack_selectors(
         if not text or text.startswith(COMMENT_PREFIX):
             continue
         if text.isdecimal():
-            tids.add(int(text))
+            try:
+                tids.add(int(text))
+            except ValueError:  # more digits than int() converts
+                raise AlertFpError(f"attack tid of {len(text)} digits is too long") from None
             continue
         name, sep, value = text.partition("=")
         if not sep:

@@ -36,7 +36,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, combinations, groupby
 from operator import and_
 from typing import Iterable, Sequence, Union
@@ -96,32 +96,32 @@ class MiningConfig:
     (0, 1] that converts to ceil(ratio * n): half of 4 transactions means
     2, never 1. max_pattern_len limits the itemset length, and max_patterns
     guards against candidate explosion on low thresholds; each is >= 1,
-    or None to disable it.
+    or None to disable it. Building a config with a bad value raises ValueError.
     """
 
     minisupport: int | float | Fraction = 2
     max_pattern_len: int | None = None
     max_patterns: int | None = DEFAULT_PATTERN_CAP
 
-    def minisupport_abs(self, n: int) -> int:
+    def __post_init__(self) -> None:
         s = self.minisupport
         if isinstance(s, bool):
             raise ValueError("minisupport must be a count or a ratio")
         if isinstance(s, int):
             if s < 1:
                 raise ValueError("absolute minisupport must be >= 1")
-            return s
-        ratio = s if isinstance(s, Fraction) else Fraction(str(s))
-        if not 0 < ratio <= 1:
+        elif not 0 < Fraction(str(s)) <= 1:
             raise ValueError("minisupport ratio must be in (0, 1]")
-        return -((-n * ratio.numerator) // ratio.denominator)
-
-    def check_limits(self) -> None:
-        """Refuse a depth limit or pattern cap below 1; None disables it."""
         for name in ("max_pattern_len", "max_patterns"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1 or None (got {value})")
+
+    def minisupport_abs(self, n: int) -> int:
+        if isinstance(self.minisupport, int):
+            return self.minisupport
+        ratio = Fraction(str(self.minisupport))  # through str, 0.2 is exactly 1/5
+        return -((-n * ratio.numerator) // ratio.denominator)
 
 
 @dataclass(frozen=True)
@@ -166,26 +166,22 @@ class PatternSet:
     def __iter__(self):
         return iter(self.patterns)
 
-    def _index(self) -> dict[frozenset[Item], FrequentPattern]:
-        cached = self.__dict__.get("_by_itemset")
-        if cached is None:
-            cached = {frozenset(p.itemset): p for p in self.patterns}
-            object.__setattr__(self, "_by_itemset", cached)
-        return cached
+    @cached_property
+    def _by_itemset(self) -> dict[frozenset[Item], FrequentPattern]:
+        return {frozenset(p.itemset): p for p in self.patterns}
 
     def get(self, itemset: Iterable[Item]) -> FrequentPattern | None:
-        return self._index().get(frozenset(itemset))
+        return self._by_itemset.get(frozenset(itemset))
 
     def as_dict(self) -> dict[Itemset, tuple[int, ...]]:
         """itemset -> tidlist mapping, mostly for assertions and debugging."""
         return {p.itemset: p.tidlist for p in self.patterns}
 
 
-def _as_transactions(data: Minable) -> list[Transaction]:
+def _as_transactions(data: Minable) -> Sequence[Transaction]:
     if isinstance(data, AlertDataset):
-        txns = list(data.transactions())
-    else:
-        txns = list(data)
+        return data.transactions()  # its tids are positions by construction
+    txns = list(data)
     for position, t in enumerate(txns):
         if t.tid != position:
             raise ValueError(
@@ -324,7 +320,6 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     if n == 0:
         raise EmptyDatasetError("cannot mine an empty dataset")
     s_abs = config.minisupport_abs(n)
-    config.check_limits()
 
     level = prune(build_candidates_1(data, s_abs), s_abs)
     singles = {item: bits for item, bits, _ in level}

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import repeat
 from operator import getitem
 from typing import Iterable, NamedTuple
@@ -123,7 +124,10 @@ def canonicalize_value(raw: str, kind: FieldKind) -> str:
         digits = text.replace(",", "")
         if not _NUMERIC_RE.fullmatch(digits):
             raise ValueParseError(f"not a numeric value: {raw!r}")
-        return str(int(digits, 10))
+        try:
+            return str(int(digits, 10))
+        except ValueError:  # int() refuses over sys.get_int_max_str_digits() digits
+            raise ValueParseError(f"numeric value too long ({len(digits)} digits)") from None
     if kind is _TIMESTAMP:
         return " ".join(text.split())
     return text
@@ -291,7 +295,7 @@ class _RowCoder:
     def dataset(self, alerts: tuple[Alert, ...]) -> AlertDataset:
         """The dataset of the committed rows, with its columns coded."""
         dataset = AlertDataset(self.schema, alerts)
-        object.__setattr__(dataset, "_columns", self.column_codes())
+        dataset.__dict__["_columns"] = self.column_codes()  # as the cached property stores it
         return dataset
 
     def column_codes(self) -> tuple[ColumnCodes, ...]:
@@ -344,34 +348,34 @@ class AlertDataset:
         """Every itemizable column in code form, in schema order. A dataset
         not parsed codes alert by alert on the first call, so it fails as
         itemize at the lowest failing tid. Cached unless the build fails."""
-        cached = self.__dict__.get("_columns")
-        if cached is None:
-            coder = _RowCoder(self.schema)
-            for alert in self.alerts:
-                _check_width(alert, self.schema)
-                try:
-                    coder.row(alert.values)
-                except ValueParseError as exc:
-                    raise ValueParseError(exc.reason, field=exc.field, tid=alert.tid) from None
-            cached = coder.column_codes()
-            object.__setattr__(self, "_columns", cached)
-        return cached
+        return self._columns
 
     def transactions(self) -> tuple[Transaction, ...]:
         """Every alert's transaction, read off the column codes. Computed
         once and cached; alerts with equal raw values in a column share
         that value's Item objects."""
-        cached = self.__dict__.get("_transactions")
-        if cached is None:
-            per_tid = [
-                map(table.__getitem__, column.codes)
-                for column in self.columns()
-                for table in _item_tables(column)
-            ]
-            rows = zip(*per_tid) if per_tid else repeat((), self.n)
-            cached = tuple(Transaction(tid, frozenset(row)) for tid, row in enumerate(rows))
-            object.__setattr__(self, "_transactions", cached)
-        return cached
+        return self._transactions
+
+    @cached_property
+    def _columns(self) -> tuple[ColumnCodes, ...]:
+        coder = _RowCoder(self.schema)
+        for alert in self.alerts:
+            _check_width(alert, self.schema)
+            try:
+                coder.row(alert.values)
+            except ValueParseError as exc:
+                raise ValueParseError(exc.reason, field=exc.field, tid=alert.tid) from None
+        return coder.column_codes()
+
+    @cached_property
+    def _transactions(self) -> tuple[Transaction, ...]:
+        per_tid = [
+            map(table.__getitem__, column.codes)
+            for column in self.columns()
+            for table in _item_tables(column)
+        ]
+        rows = zip(*per_tid) if per_tid else repeat((), self.n)
+        return tuple(Transaction(tid, frozenset(row)) for tid, row in enumerate(rows))
 
 
 def snort_schema() -> AttributeSchema:

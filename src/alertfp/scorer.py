@@ -13,9 +13,9 @@ order, the Apriori subset function (Agrawal & Srikant, VLDB 1994) laid
 out as a prefix tree in the manner of FP-growth (Han, Pei & Yin, SIGMOD
 2000). Building the trie is the one check of an itemset's shape, for
 mined sets and for models saved or loaded alike. A scorer meant to be
-reused is kept in a `_scorer` slot on what it scores for
-(`cached_scorer`): a PatternSet for the per-alert calls, a
-ClassifierModel for `store.score_new`.
+reused is kept on what it scores for: in a PatternSet's `_scorer` slot
+for the per-alert calls, and as a ClassifierModel's `scorer` property
+for `store.score_new`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import fsum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import AlertFpError, EmptyPatternSetError, ModelFormatError
 from .miner import Minable, PatternSet, _as_transactions
@@ -158,18 +158,6 @@ def _not_ascending(itemset: Sequence[Item]) -> ModelFormatError:
     return ModelFormatError(f"items of itemset {text} are not strictly ascending")
 
 
-def cached_scorer(owner: object, build: Callable[[], PatternScorer]) -> PatternScorer:
-    """The scorer kept in owner's `_scorer` slot, made by build() on first
-    use. Owners are frozen dataclasses (a PatternSet, a ClassifierModel),
-    so the slot is set past their frozen __setattr__; it is no field, so
-    equality and repr ignore it."""
-    scorer = owner.__dict__.get("_scorer")
-    if scorer is None:
-        scorer = build()
-        object.__setattr__(owner, "_scorer", scorer)
-    return scorer
-
-
 def _shared_scorer(fps: PatternSet) -> PatternScorer:
     """One scorer per pattern set, built on first use and kept on it.
 
@@ -178,7 +166,10 @@ def _shared_scorer(fps: PatternSet) -> PatternScorer:
     per-transaction cache would outlive it, and in a sweep the lowest
     threshold's set, which every later row filters, would hold it to the end.
     """
-    return cached_scorer(fps, lambda: PatternScorer.from_pattern_set(fps))
+    attrs = fps.__dict__  # no field, so equality and repr ignore the slot
+    if "_scorer" not in attrs:
+        attrs["_scorer"] = PatternScorer.from_pattern_set(fps)
+    return attrs["_scorer"]
 
 
 def simple_fpof(t: Transaction, fps: PatternSet) -> int:
@@ -282,9 +273,13 @@ def read_ranked(source: Source) -> RankedFile:
         # split on "\n" alone: an original record may hold "\r"
         header, *lines = stream.read().split("\n")
     match = _RANKED_HEADER.fullmatch(header)
-    if not match:
-        raise AlertFpError(f"ranked file line 1: malformed ranked-file header: {header!r}")
-    n, metric = int(match[1]), match[2]
+    try:
+        if not match:
+            raise ValueError
+        n, metric = int(match[1]), match[2]  # int() refuses an n= of too many digits
+    except ValueError:
+        message = f"ranked file line 1: malformed ranked-file header: {header!r}"
+        raise AlertFpError(message) from None
     if lines and lines.pop():
         raise AlertFpError(f"ranked file line {len(lines) + 2}: no newline at end of file")
     rows = []

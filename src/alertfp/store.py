@@ -39,7 +39,7 @@ import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cache
+from functools import cache, cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence, Union
@@ -54,7 +54,7 @@ from .model import (
     render_itemset,
     unescape_value,
 )
-from .scorer import PatternScorer, ScoreConfig, ScoredAlert, cached_scorer, rank_with_scorer
+from .scorer import PatternScorer, ScoreConfig, ScoredAlert, rank_with_scorer
 from .textio import atomic_write, int_of, ints_of, open_text
 
 MODEL_MAGIC = "# alertfp-model v1"
@@ -86,12 +86,12 @@ class ClassifierModel:
     def pattern_count(self) -> int:
         return len(self.patterns)
 
-    @property
+    @cached_property
     def scorer(self) -> PatternScorer:
         """The model's scorer, built on first use and kept; a loaded model
         comes with the one its load built. Its per-transaction cache lives
         as long as the model does."""
-        return cached_scorer(self, lambda: _build_scorer(self))
+        return _build_scorer(self)
 
     @classmethod
     def from_pattern_set(
@@ -276,7 +276,7 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
         patterns=tuple(patterns),
         tidlists=tuple(tidlists) if tidlists else None,
     )
-    cached_scorer(model, lambda: scorer)
+    model.__dict__["scorer"] = scorer  # as the cached property stores it
     return model
 
 

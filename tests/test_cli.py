@@ -1,4 +1,6 @@
 import os
+import random
+import re
 import stat
 import subprocess
 import sys
@@ -455,6 +457,20 @@ class TestEvalCommand:
             "alertfp: ranked file line 4: malformed row"
         ]
 
+    def test_attack_tid_too_long_is_exit_2(
+        self, sample_log_path, snort_schema_path, tmp_path, capsys
+    ):
+        ranked = tmp_path / "ranked.tsv"
+        args = ["--input", str(sample_log_path), "--schema", str(snort_schema_path)]
+        assert main(["rank", *args, "--minisupport", "2", "--out", str(ranked)]) == 0
+        attacks = tmp_path / "attacks.txt"
+        attacks.write_text("2\n" + "9" * 4400 + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "--ranked", str(ranked), "--attacks", str(attacks)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "alertfp: attack tid of 4400 digits is too long"
+        ]
+
     def test_cid_selector_requires_log(self, sample_log_path, snort_schema_path, tmp_path, capsys):
         ranked = tmp_path / "ranked.tsv"
         main(
@@ -759,3 +775,70 @@ class TestNotUtf8:
         capsys.readouterr()
         code = main(["eval", "--ranked", str(ranked), "--attacks", str(attacks)])
         self.assert_data_error(code, attacks, capsys)
+
+
+HUGE = "9" * 4400  # more digits than int() converts
+MUTATION_RUNS = (
+    "\t", " ", "\n", "\r", ",", "=", "%", "#", "-1", "+3", "\u0663", "\u00b2", "\x00", "\x85", HUGE
+)
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    """text after one to three edits, each cutting 0-4 characters at a
+    random place and putting nothing or one of MUTATION_RUNS there: an
+    insert, a replace or a delete."""
+    for _ in range(rng.randint(1, 3)):
+        at, cut = rng.randrange(len(text) + 1), rng.randint(0, 4)
+        text = text[:at] + rng.choice(MUTATION_RUNS + ("",)) + text[at + cut :]
+    return text
+
+
+def test_mutated_inputs_end_in_a_diagnostic(tmp_path, capsys):
+    """Each input file a command reads, mutated, ends in exit 0, 2, 3 or 4
+    with only `alertfp` lines on stderr, never a traceback. The fixed cases
+    come first: a sport, a ranked file's n= and an attack tid too long for
+    int()."""
+    log, schema, attacks = tmp_path / "log.tsv", tmp_path / "log.schema", tmp_path / "attacks.txt"
+    model, ranked, out = tmp_path / "model.fps", tmp_path / "ranked.tsv", tmp_path / "out"
+    io_args = ["--input", str(log), "--schema", str(schema)]
+    mine_ = ["mine", *io_args, "--minisupport", "40%"]
+    eval_ = ["eval", "--ranked", str(ranked), "--attacks", str(attacks)]
+    commands = {
+        log: [[*mine_, "--out", str(out)]],
+        schema: [[*mine_, "--out", str(out)]],
+        model: [["score", *io_args, "--model", str(model), "--out", str(out)]],
+        ranked: [eval_],
+        attacks: [
+            [*eval_, *io_args],
+            ["sweep", *io_args, "--minisupport", "40%,50%", "--attacks", str(attacks), "--out", str(out)],
+        ],
+    }
+    gen = ["gen", "--records", "80", "--attacks", "3", "--seed", "5", "--out", str(log)]
+    assert main([*gen, "--attacks-out", str(attacks), "--schema-out", str(schema)]) == 0
+    assert main([*mine_, "--emit-tidlists", "--out", str(model)]) == 0
+    assert main(["score", *io_args, "--model", str(model), "--out", str(ranked)]) == 0
+    originals = {path: path.read_text(encoding="utf-8") for path in commands}
+
+    *head, last = originals[log].splitlines(keepends=True)
+    fields = last.split("\t")
+    fields[10] = HUGE  # sport
+    cases = [
+        (log, "".join(head) + "\t".join(fields)),
+        (ranked, re.sub("n=[0-9]+", f"n={HUGE}", originals[ranked], count=1)),
+        (attacks, f"{HUGE}\n"),
+    ]
+    rng = random.Random(15)
+    cases += [(path, mutate(text, rng)) for _ in range(30) for path, text in originals.items()]
+    capsys.readouterr()
+    for number, (path, text) in enumerate(cases):
+        path.write_bytes(text.encode("utf-8"))
+        for argv in commands[path]:
+            case = f"case {number}: {argv[0]} with {path.name} mutated"
+            try:
+                code = main(argv)
+            except Exception as exc:
+                pytest.fail(f"{case}: {type(exc).__name__} escaped: {str(exc)[:200]}")
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4), f"{case}: exit {code}: {err[:200]}"
+            assert all(line.startswith("alertfp") for line in err.splitlines()), f"{case}: {err[:200]}"
+        path.write_text(originals[path], encoding="utf-8")

@@ -215,6 +215,10 @@ class TestAttackSelectors:
             with pytest.raises(AlertFpError, match="unknown attack selector"):
                 resolve_attack_selectors([line])
 
+    def test_tid_too_long_for_int_rejected(self):
+        with pytest.raises(AlertFpError, match="^attack tid of 4400 digits is too long$"):
+            resolve_attack_selectors(["2", "9" * 4400])
+
     def test_comments_only_select_nothing(self):
         with pytest.raises(AlertFpError, match="selects no alerts"):
             resolve_attack_selectors(["# attacks of 6/11", "", "# none found"])

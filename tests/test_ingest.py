@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alertfp.errors import AlertFpError, EmptyDatasetError, SchemaError
+from alertfp.errors import AlertFpError, EmptyDatasetError, SchemaError, ValueParseError
 from alertfp.ingest import (
     LogFormat,
     load_schema,
@@ -70,6 +70,19 @@ class TestParseLog:
         assert result.rejects[0].line_number == 1
         assert "numeric" in result.rejects[0].reason
         assert result.rejects[0].reason.endswith("(field 'port')")
+
+    def test_numeric_too_long_for_int_rejected_parse_continues(self):
+        text = "web\t" + "9" * 5000 + "\nssh\t22\n"  # int() refuses over 4,300 digits
+        result = parse_log(io.StringIO(text), two_col_schema())
+        assert [a.values for a in result.dataset.alerts] == [("ssh", "22")]
+        assert [r.line_number for r in result.rejects] == [1]
+        assert result.rejects[0].reason == "numeric value too long (5000 digits) (field 'port')"
+
+    def test_numeric_too_long_for_int_names_tid_in_columns(self):
+        alerts = (Alert(0, ("web", "80")), Alert(1, ("web", "9" * 5000)))
+        with pytest.raises(ValueParseError) as info:
+            AlertDataset(two_col_schema(), alerts).columns()
+        assert (info.value.field, info.value.tid) == ("port", 1)
 
     def test_repeated_bad_value_rejected_on_every_line(self):
         text = "web\teighty\nweb\t80\nssh\teighty\nweb\t080\nssh\t 8,0 \n"

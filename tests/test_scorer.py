@@ -398,6 +398,7 @@ class TestRankedFile:
             ("v10 n=1 metric=simple", ["1\t0\t1\t0.500000\tweb"], 1),
             ("v1 n=1 metric=weird", ["1\t0\t1\t0.500000\tweb"], 1),
             ("v1 n=0 metric=simple", [], 1),
+            ("v1 n=" + "9" * 4400 + " metric=simple", [], 1),  # int() refuses over 4,300 digits
             ("v1 n=1 metric=fpof", ["1\t0\t1\tnan\tweb"], 2),
             ("v1 n=1 metric=fpof", ["1\t0\t1\tinf\tweb"], 2),
             ("v1 n=1 metric=fpof", ["1\t0\t1\t 0.5\tweb"], 2),
@@ -418,6 +419,7 @@ class TestRankedFile:
             "magic-v10",
             "unknown-metric",
             "n-0",
+            "n-4400-digits",
             "score-nan",
             "score-inf",
             "score-space",
