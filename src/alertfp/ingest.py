@@ -5,7 +5,9 @@ order, optional ``#`` comment lines, optional single header line. A bad
 line is rejected and reported, never fatal; nightly rebuilds must survive
 one corrupt record, such as a line that is not valid UTF-8. Each line is
 coded by the model's column coder as it is read, so the parsed dataset
-comes with its columns coded.
+comes with its columns coded. No Alert is built: the dataset keeps the
+codes and the raw strings of the columns that are not itemized, and builds
+its `alerts` from them on first read.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import AlertFpError, EmptyDatasetError, SchemaError, ValueParseError
-from .model import Alert, AlertDataset, AttributeSchema, FieldKind, SchemaField, _RowCoder
+from .model import AlertDataset, AttributeSchema, FieldKind, SchemaField, _RowCoder
 from .textio import Source, Target, atomic_write, open_text
 
 #: A log line starting with this is a comment, as in schema and attack-id files.
@@ -67,7 +69,6 @@ def parse_log(
     if not schema.itemizable_indexes():
         raise SchemaError("schema has no itemizable fields; nothing to mine")
     coder = _RowCoder(schema)
-    alerts: list[Alert] = []
     rejects: list[RejectedLine] = []
     with open_text(source, error=None) as lines:
         header_pending = fmt.has_header
@@ -93,16 +94,14 @@ def parse_log(
                 )
                 continue
             try:
-                values = coder.row(fields)
+                coder.row(fields)
             except ValueParseError as exc:
                 rejects.append(RejectedLine(line_number, str(exc)))
-                continue
-            alerts.append(Alert(len(alerts), values))
-    if not alerts:
+    if not coder.rows:
         raise EmptyDatasetError(
             f"no valid alert records in input ({len(rejects)} rejected)"
         )
-    return ParseResult(coder.dataset(tuple(alerts)), tuple(rejects))
+    return ParseResult(coder.dataset(), tuple(rejects))
 
 
 def _undecodable(line: str) -> str | None:

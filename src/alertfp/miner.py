@@ -133,7 +133,6 @@ class FrequentPattern:
     itemset: Itemset
     item_bits: tuple[int, ...] = field(repr=False)
     support_count: int
-    support_ratio: float
 
     @property
     def tidlist(self) -> tuple[int, ...]:
@@ -333,7 +332,7 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
         # already canonical: level 1 comes sorted, and candidate_gen emits
         # each level in itemset order, which prune keeps
         patterns += (
-            FrequentPattern(itemset, tuple(map(singles.__getitem__, itemset)), count, count / n)
+            FrequentPattern(itemset, tuple(map(singles.__getitem__, itemset)), count)
             for itemset, _, count in level
         )
         if len(kept) == config.max_pattern_len:
@@ -370,7 +369,7 @@ def brute_force_mine(data: Minable, config: MiningConfig | None = None) -> Patte
                 occurrences.setdefault(combo, []).append(t.tid)
     singles = {key[0]: bits_of(tids) for key, tids in occurrences.items() if len(key) == 1}
     patterns = [
-        FrequentPattern(itemset, tuple(map(singles.__getitem__, itemset)), len(tids), len(tids) / n)
+        FrequentPattern(itemset, tuple(map(singles.__getitem__, itemset)), len(tids))
         for itemset, tids in occurrences.items()
         if len(tids) >= s_abs
     ]

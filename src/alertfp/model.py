@@ -10,21 +10,24 @@ lets the two halves recur independently across alerts.
 One column coder turns log values into canonical values, the
 plain-string keys of their items and int codes, once per distinct raw
 value of a column. parse_log drives it as it reads; a dataset built from
-Alerts drives it on its first `AlertDataset.columns()` call. The miner
-counts the codes and makes Items only for frequent keys; the per-alert
-transactions are a view over the codes, built on demand, in which alerts
-with equal raw values in a column share one Item object.
+Alerts drives it on its first `AlertDataset.columns()` call. The dataset
+parse_log returns is what the coder keeps: the codes, each code's
+canonical value, and the raw strings of the identifier and ignore
+columns. It builds no Alert; its `alerts` are built in one pass on first
+read. The miner counts the codes and makes Items only for frequent keys;
+the per-alert transactions are a view over the codes, built on demand, in
+which alerts with equal raw values in a column share one Item object.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
-from operator import getitem
-from typing import Iterable, NamedTuple
+from itertools import count, repeat
+from operator import getitem, itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import SchemaError, ValueParseError
 
@@ -236,80 +239,98 @@ class ColumnCodes(NamedTuple):
 
     `codes[tid]` numbers alert tid's raw value among the column's distinct
     raw values, in order of first appearance (a value seen only on rejected
-    log lines may hold a code no alert has). The value with code c itemizes
-    to Item(field_index, keys[c]) and, for a timestamp, also to
-    Item(field_index, times[c]) unless that is None (a null). `times` is
-    None for other kinds. The keys are plain strings: an Item is a tuple
-    subclass, which the cyclic collector tracks for good, so Items are made
-    only where needed.
+    log lines may hold a code no alert has). The value with code c reads
+    `values[c]` in canonical form and itemizes to Item(field_index, keys[c])
+    and, for a timestamp, also to Item(field_index, times[c]) unless that
+    is None (a null). `times` is None for other kinds, whose `values` are
+    their `keys`. The keys are plain strings: an Item is a tuple subclass,
+    which the cyclic collector tracks for good, so Items are made only
+    where needed.
     """
 
     field_index: int
     codes: tuple[int, ...]
     keys: tuple[str, ...]
     times: tuple[str | None, ...] | None
+    values: tuple[str, ...]
 
 
 class _ColumnCoder(dict):
-    """A column's raw value -> (code, canonical value). A new raw value runs
-    the per-value step once and takes the next code, whose item values are
-    keys[code] and times[code]. A bad value raises ValueParseError naming
-    the field and is not stored, so each row holding it raises. Identifier
-    and ignore values seldom repeat: they are trimmed, never stored."""
+    """An itemizable column's raw value -> code. A new raw value runs the
+    per-value step once and takes the next code c, whose canonical value is
+    values[c] and item values keys[c] and times[c]. A bad value raises
+    ValueParseError naming the field and is not stored, so each row holding
+    it raises."""
 
-    def __init__(self, f: SchemaField) -> None:
+    def __init__(self, index: int, f: SchemaField) -> None:
         super().__init__()
-        self.field, self.keys, self.times = f, [], []
+        self.index, self.field = index, f
+        self.values, self.keys, self.times = [], [], []
 
-    def __missing__(self, raw: str) -> tuple[int | None, str]:
-        if self.field.kind not in ITEMIZABLE_KINDS:
-            return None, raw.strip()
+    def __missing__(self, raw: str) -> int:
         try:
             value, key, time = _value_step(raw, self.field.kind)
         except ValueParseError as exc:
             raise ValueParseError(str(exc), field=self.field.name) from None
+        self.values.append(value)
         self.keys.append(key)
         self.times.append(time)
-        entry = self[raw] = (len(self), value)
-        return entry
+        code = self[raw] = len(self)
+        return code
+
+    def column(self, codes: tuple[int, ...]) -> ColumnCodes:
+        keys = tuple(self.keys)
+        if self.field.kind is not _TIMESTAMP:
+            return ColumnCodes(self.index, codes, keys, None, keys)
+        return ColumnCodes(self.index, codes, keys, tuple(self.times), tuple(self.values))
+
+
+def _picker(indexes: tuple[int, ...]):
+    """fields -> the fields at indexes, as a sequence also for one index or
+    none: itemgetter of a single index returns the bare field."""
+    if len(indexes) > 1:
+        return itemgetter(*indexes)
+    return itemgetter(slice(indexes[0], indexes[0] + 1) if indexes else slice(0))
 
 
 class _RowCoder:
     """Codes a dataset row by row, the one place where log values become
-    canonical values, item keys and int codes. parse_log drives it line by
-    line; a dataset built from Alerts drives it on its first columns()."""
+    canonical values, item keys and int codes. It keeps the itemizable
+    columns' codes and the other columns' raw strings, each row after row
+    in one flat list. parse_log drives it line by line; a dataset built
+    from Alerts drives it on its first columns()."""
 
     def __init__(self, schema: AttributeSchema) -> None:
         self.schema = schema
-        self.columns = [_ColumnCoder(f) for f in schema.fields]
-        self.codes: list[int | None] = []  # row after row, one per column
+        itemizable = schema.itemizable_indexes()
+        self.others = tuple(i for i in range(schema.field_count) if i not in itemizable)
+        self.coders = [_ColumnCoder(i, schema.fields[i]) for i in itemizable]
+        self.pick, self.pick_others = _picker(itemizable), _picker(self.others)
+        self.codes: list[int] = []
+        self.raws: list[str] = []
 
-    def row(self, fields: Iterable[str]) -> tuple[str, ...]:
-        """The canonical values of a row of schema width, whose codes are
-        committed; a bad value raises and commits nothing."""
-        pairs = tuple(map(getitem, self.columns, fields))
-        codes, values = zip(*pairs) if pairs else ((), ())
-        self.codes.extend(codes)
-        return values
+    def row(self, fields: Sequence[str]) -> None:
+        """Commit a row of schema width; a bad value raises and commits
+        nothing."""
+        codes = tuple(map(getitem, self.coders, self.pick(fields)))
+        self.codes += codes
+        self.raws += self.pick_others(fields)
 
-    def dataset(self, alerts: tuple[Alert, ...]) -> AlertDataset:
-        """The dataset of the committed rows, with its columns coded."""
-        dataset = AlertDataset(self.schema, alerts)
-        dataset.__dict__["_columns"] = self.column_codes()  # as the cached property stores it
-        return dataset
+    @property
+    def rows(self) -> int:
+        return len(self.codes) // len(self.coders)
 
     def column_codes(self) -> tuple[ColumnCodes, ...]:
-        width = len(self.columns)
+        width = len(self.coders)
         return tuple(
-            ColumnCodes(
-                index,
-                tuple(self.codes[index::width]),
-                tuple(column.keys),
-                tuple(column.times) if column.field.kind is _TIMESTAMP else None,
-            )
-            for index, column in enumerate(self.columns)
-            if column.field.kind in ITEMIZABLE_KINDS
+            coder.column(tuple(self.codes[k::width])) for k, coder in enumerate(self.coders)
         )
+
+    def dataset(self) -> AlertDataset:
+        """The dataset of the committed rows, as parse_log returns it."""
+        width = len(self.others)
+        raws = {index: tuple(self.raws[k::width]) for k, index in enumerate(self.others)}
+        return _ParsedDataset(self.schema, self.rows, self.column_codes(), raws)
 
 
 def _item_tables(column: ColumnCodes) -> tuple[list[Item], ...]:
@@ -325,24 +346,41 @@ def _item_tables(column: ColumnCodes) -> tuple[list[Item], ...]:
     ]
 
 
-@dataclass(frozen=True)
 class AlertDataset:
-    """An ordered alert log under one schema. Immutable once built."""
+    """An ordered alert log under one schema. Immutable once built; two
+    datasets are equal when their schemas and alerts are.
+
+    Built from Alerts, it keeps them as given, and codes its columns on
+    the first columns() call. parse_log returns one that holds its columns
+    coded and builds no Alert until `alerts` is read (see _ParsedDataset).
+    """
 
     schema: AttributeSchema
     alerts: tuple[Alert, ...]
+    n: int
 
-    def __post_init__(self) -> None:
-        for position, alert in enumerate(self.alerts):
+    def __init__(self, schema: AttributeSchema, alerts: tuple[Alert, ...]) -> None:
+        for position, alert in enumerate(alerts):
             if alert.tid != position:
                 raise ValueError(
                     f"alert at position {position} carries tid {alert.tid}; "
                     "tids must be 0..n-1 in order"
                 )
+        self.__dict__.update(schema=schema, alerts=alerts, n=len(alerts))
 
-    @property
-    def n(self) -> int:
-        return len(self.alerts)
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AlertDataset):
+            return NotImplemented
+        return self.schema == other.schema and self.alerts == other.alerts
+
+    def __hash__(self) -> int:
+        return hash((self.schema, self.alerts))
+
+    def __repr__(self) -> str:
+        return f"AlertDataset(schema={self.schema!r}, alerts={self.alerts!r})"
 
     def columns(self) -> tuple[ColumnCodes, ...]:
         """Every itemizable column in code form, in schema order. A dataset
@@ -355,6 +393,11 @@ class AlertDataset:
         once and cached; alerts with equal raw values in a column share
         that value's Item objects."""
         return self._transactions
+
+    def tids_with(self, index: int, value: str) -> list[int]:
+        """The tids, ascending, of the alerts whose value in column index
+        is value, as `alerts` holds it."""
+        return [alert.tid for alert in self.alerts if alert.values[index] == value]
 
     @cached_property
     def _columns(self) -> tuple[ColumnCodes, ...]:
@@ -376,6 +419,40 @@ class AlertDataset:
         ]
         rows = zip(*per_tid) if per_tid else repeat((), self.n)
         return tuple(Transaction(tid, frozenset(row)) for tid, row in enumerate(rows))
+
+
+class _ParsedDataset(AlertDataset):
+    """The dataset parse_log returns: what the coder kept of its n rows,
+    the itemizable columns coded (`columns()`, with each column's canonical
+    values by code) and the other columns' raw strings by column index
+    (`_raws`), trimmed only when read. `alerts` is built on first read, in
+    one pass over the columns, with the values parse_log canonicalized."""
+
+    def __init__(
+        self,
+        schema: AttributeSchema,
+        n: int,
+        columns: tuple[ColumnCodes, ...],
+        raws: dict[int, tuple[str, ...]],
+    ) -> None:
+        self.__dict__.update(schema=schema, n=n, _columns=columns, _raws=raws)
+
+    @cached_property
+    def alerts(self) -> tuple[Alert, ...]:
+        per_column: list = [None] * self.schema.field_count
+        for column in self._columns:
+            per_column[column.field_index] = map(column.values.__getitem__, column.codes)
+        for index, raws in self._raws.items():
+            per_column[index] = map(str.strip, raws)
+        return tuple(map(Alert, count(), zip(*per_column)))
+
+    def tids_with(self, index: int, value: str) -> list[int]:
+        raws = self._raws.get(index)
+        if raws is not None:
+            return [tid for tid, raw in enumerate(raws) if raw.strip() == value]
+        column = next(column for column in self._columns if column.field_index == index)
+        wanted = {code for code, canonical in enumerate(column.values) if canonical == value}
+        return [tid for tid, code in enumerate(column.codes) if code in wanted]
 
 
 def snort_schema() -> AttributeSchema:

@@ -1,3 +1,4 @@
+import io
 import os
 import random
 import re
@@ -10,7 +11,8 @@ import pytest
 
 import alertfp
 from alertfp.cli import main
-from alertfp.model import snort_schema
+from alertfp.ingest import parse_log
+from alertfp.model import Alert, snort_schema
 from alertfp.scorer import read_ranked
 from alertfp.store import load_model, schema_fingerprint
 
@@ -34,6 +36,23 @@ class TestMineCommand:
         assert model.pattern_count == 319
         diag = capsys.readouterr().err
         assert "319 patterns" in diag
+
+    def test_mine_builds_no_alert(self, sample_log_path, snort_schema_path, tmp_path, monkeypatch):
+        built = []
+        original = Alert.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Alert, "__init__", counting_init)
+        argv = ["--input", str(sample_log_path), "--schema", str(snort_schema_path)]
+        assert main(["mine", *argv, "--minisupport", "2", "--out", str(tmp_path / "m.fps")]) == 0
+        assert built == []
+        result = parse_log(io.StringIO(SNORT_SAMPLE + "not a record\n"), snort_schema())
+        assert (result.dataset.n, len(result.rejects)) == (3, 1)
+        assert "alerts" not in result.dataset.__dict__ and built == []
+        assert len(result.dataset.alerts) == len(built) == 3
 
     def test_percentage_minisupport(self, sample_log_path, snort_schema_path, tmp_path):
         out = tmp_path / "model.fps"

@@ -1,3 +1,4 @@
+import io
 from collections import Counter
 from dataclasses import replace
 
@@ -17,8 +18,17 @@ from alertfp.evaluate import (
     write_attack_ids,
     write_sweep_report,
 )
+from alertfp.ingest import parse_log
 from alertfp.miner import MiningConfig, mine
-from alertfp.model import Item, Transaction
+from alertfp.model import (
+    Alert,
+    AlertDataset,
+    AttributeSchema,
+    FieldKind,
+    Item,
+    SchemaField,
+    Transaction,
+)
 from alertfp.scorer import ScoreConfig, ScoredAlert, rank, simple_fpof
 
 #: Items the sweep property test draws its baskets from.
@@ -194,6 +204,35 @@ def sweep_each_threshold(txns, values, attacks, config, score_config):
             rows.append(SweepRow(s_abs, None, None, None, error=str(exc)))
     return rows
 
+SELECTOR_SCHEMA = AttributeSchema(
+    (
+        SchemaField("sig", FieldKind.CATEGORICAL),
+        SchemaField("cid", FieldKind.IDENTIFIER),
+        SchemaField("dport", FieldKind.NUMERIC),
+        SchemaField("timestamp", FieldKind.TIMESTAMP),
+    )
+)
+# raw values that canonicalize alike, a padded identifier and empty values
+SELECTOR_LOG = (
+    "web\t1\t080\t6/22/2010  8:57 AM\n"
+    "ssh\t 2 \t22\t6/22/2010 9:01 AM\n"
+    "web\t3\t80\t6/22/2010 8:57 AM\n"
+    " ftp \t4\t\t\n"
+)
+# a selector is compared with the value as parse_log canonicalizes it
+SELECTOR_CASES = [
+    ("sig=web", {0, 2}),
+    ("sig=ftp", {3}),
+    (" sig = ssh ", {1}),
+    ("cid=2", {1}),
+    ("dport=80", {0, 2}),
+    ("dport=080", None),
+    ("dport=null", {3}),
+    ("timestamp=6/22/2010 8:57 AM", {0, 2}),
+    ("timestamp=6/22/2010  8:57 AM", None),
+    ("timestamp=null", {3}),
+]
+
 
 class TestAttackSelectors:
     def test_plain_tids(self):
@@ -205,6 +244,31 @@ class TestAttackSelectors:
 
     def test_field_selector_resolves(self, sample_dataset):
         assert resolve_attack_selectors(["cid=2"], sample_dataset) == {1}
+
+    @pytest.mark.parametrize("line, tids", SELECTOR_CASES)
+    def test_field_selector_reads_canonical_values(self, line, tids):
+        parsed = parse_log(io.StringIO(SELECTOR_LOG), SELECTOR_SCHEMA).dataset
+        for dataset in (parsed, AlertDataset(SELECTOR_SCHEMA, parsed.alerts)):
+            if tids is None:
+                with pytest.raises(AlertFpError, match="matches no alert"):
+                    resolve_attack_selectors([line], dataset)
+            else:
+                assert resolve_attack_selectors([line], dataset) == tids
+
+    def test_field_selector_on_parsed_log_builds_no_alert(self):
+        parsed = parse_log(io.StringIO(SELECTOR_LOG), SELECTOR_SCHEMA).dataset
+        assert resolve_attack_selectors(["dport=80", "cid=2"], parsed) == {0, 1, 2}
+        assert "alerts" not in parsed.__dict__
+
+    def test_field_selector_compares_alerts_as_given(self):
+        rows = [line.split("\t") for line in SELECTOR_LOG.splitlines()]
+        dataset = AlertDataset(
+            SELECTOR_SCHEMA, tuple(Alert(tid, tuple(row)) for tid, row in enumerate(rows))
+        )
+        assert resolve_attack_selectors(["dport=80"], dataset) == {2}
+        assert resolve_attack_selectors(["dport=080"], dataset) == {0}
+        with pytest.raises(AlertFpError, match="matches no alert"):
+            resolve_attack_selectors(["cid=2"], dataset)
 
     def test_unmatched_selector_rejected(self, sample_dataset):
         with pytest.raises(AlertFpError):

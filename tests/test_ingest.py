@@ -27,7 +27,9 @@ from alertfp.model import (
     canonicalize_value,
     itemize,
     snort_schema,
+    split_timestamp,
 )
+from alertfp.scorer import ScoredAlert, write_ranked
 
 from conftest import SNORT_SAMPLE
 
@@ -341,6 +343,135 @@ class TestTwoRoutes:
         rebuilt = AlertDataset(schema, parsed.alerts)
         assert mine(parsed, config) == mine(rebuilt, config) == brute_force_mine(parsed, config)
         assert parsed.transactions() == tuple(itemize(a, schema) for a in parsed.alerts)
+
+
+# raw values by kind: padded ones, ones that canonicalize alike, nulls,
+# empties, a comment prefix and values each kind refuses
+RAW_BY_KIND = {
+    FieldKind.CATEGORICAL: ["web", " web ", "ssh", "null", "NULL", "", "#x"],
+    FieldKind.NUMERIC: ["80", "080", " 8,0 ", "-0", "null", "", "eighty"],
+    FieldKind.TIMESTAMP: [
+        "6/11/2010 8:57 AM", " 6/11/2010  8:57 am ", "6/11/2010 8:57:31 AM", "null", "",
+        "yesterday",
+    ],
+    FieldKind.IDENTIFIER: ["1", " 2 ", "2", "", "null", " #3"],
+    FieldKind.IGNORE: ["x", " y ", ""],
+}
+# one itemizable column (itemgetter of one index), no identifier or ignore
+# column, and both
+SCHEMA_SHAPES = [
+    (FieldKind.NUMERIC,),
+    (FieldKind.IDENTIFIER, FieldKind.TIMESTAMP, FieldKind.IGNORE),
+    (FieldKind.CATEGORICAL, FieldKind.TIMESTAMP),
+]
+
+
+@st.composite
+def raw_logs(draw):
+    kinds = draw(
+        st.sampled_from(SCHEMA_SHAPES)
+        | st.lists(st.sampled_from(list(FieldKind)), min_size=1, max_size=5).filter(
+            lambda kinds: any(kind in ITEMIZABLE_KINDS for kind in kinds)
+        )
+    )
+    schema = AttributeSchema(tuple(SchemaField(f"f{i}", kind) for i, kind in enumerate(kinds)))
+    rows = st.tuples(*(st.sampled_from(RAW_BY_KIND[kind]) for kind in kinds))
+    wrong_width = st.lists(st.sampled_from(["web", "80"]), max_size=6)
+    return schema, draw(st.lists(rows | wrong_width, min_size=1, max_size=12))
+
+
+def kept_record(fields, schema):
+    """fields as parse_log keeps them, or None for a line it skips or
+    rejects."""
+    line = "\t".join(fields)
+    if (not line.strip() and "\t" not in line) or line.startswith("#"):
+        return None
+    if len(fields) != schema.field_count:
+        return None
+    record = []
+    for raw, f in zip(fields, schema.fields):
+        if f.kind not in ITEMIZABLE_KINDS:
+            record.append(raw.strip())
+            continue
+        try:
+            value = canonicalize_value(raw, f.kind)
+            if f.kind is FieldKind.TIMESTAMP and value != NULL_VALUE:
+                split_timestamp(value)
+        except ValueParseError:
+            return None
+        record.append(value)
+    return tuple(record)
+
+
+def decoded(columns):
+    """Each column's values per tid, whatever codes stand for them."""
+    return [
+        (
+            column.field_index,
+            [
+                (column.values[c], column.keys[c], column.times and column.times[c])
+                for c in column.codes
+            ],
+        )
+        for column in columns
+    ]
+
+
+def written(writer, *args):
+    """What writer writes to a stream, or the message it refuses with."""
+    out = io.StringIO()
+    try:
+        writer(out, *args)
+    except AlertFpError as exc:
+        return str(exc)
+    return out.getvalue()
+
+
+class TestParsedDatasetEqualsItsAlerts:
+    """parse_log keeps column codes and raw strings, not Alerts. Every view
+    of that dataset must equal the same view of a dataset built from its
+    own alerts, and the alerts must hold what the log's kept lines
+    canonicalize to."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_logs())
+    @example(
+        (
+            AttributeSchema(
+                (
+                    SchemaField("sig", FieldKind.CATEGORICAL),
+                    SchemaField("ts", FieldKind.TIMESTAMP),
+                )
+            ),
+            [("only-rejected", "yesterday"), ("web", "6/11/2010 8:57 AM"), ("#x", "null")],
+        )
+    )
+    def test_parsed_dataset_equals_one_built_from_its_alerts(self, log):
+        schema, lines = log
+        text = "".join("\t".join(fields) + "\n" for fields in lines)
+        kept = [r for r in (kept_record(fields, schema) for fields in lines) if r is not None]
+        try:
+            result = parse_log(io.StringIO(text), schema)
+        except EmptyDatasetError:
+            assert not kept
+            return
+        parsed = result.dataset
+        assert parsed.n == len(kept)
+        assert "alerts" not in parsed.__dict__
+        rebuilt = AlertDataset(schema, parsed.alerts)
+        assert [a.values for a in parsed.alerts] == kept
+        assert [a.tid for a in parsed.alerts] == list(range(parsed.n))
+        assert rebuilt.n == parsed.n and parsed == rebuilt
+        assert decoded(parsed.columns()) == decoded(rebuilt.columns())
+        assert parsed.transactions() == rebuilt.transactions()
+        assert written(write_log, parsed) == written(write_log, rebuilt)
+        ranked = [ScoredAlert(tid, 0, 0.0, parsed.n - tid) for tid in reversed(range(parsed.n))]
+        assert written(write_ranked, ranked, parsed, "simple") == written(
+            write_ranked, ranked, rebuilt, "simple"
+        )
+        for index in range(schema.field_count):
+            for value in {record[index] for record in kept} | {"", "80"}:
+                assert parsed.tids_with(index, value) == rebuilt.tids_with(index, value)
 
 
 class TestWriteLogRefusals:

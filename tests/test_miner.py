@@ -296,8 +296,8 @@ class TestMine:
 
     def test_support_ratio(self, baskets4):
         fps = mine(baskets4, HALF)
-        assert fps.get(itemset("2")).support_ratio == 0.75
-        assert fps.get(itemset("1", "3")).support_ratio == 0.5
+        assert fps.get(itemset("2")).support_count / fps.n == 0.75
+        assert fps.get(itemset("1", "3")).support_count / fps.n == 0.5
 
     def test_canonical_order(self, baskets4):
         fps = mine(baskets4, HALF)

@@ -323,7 +323,7 @@ class TestScorerProperties:
 
 
 def scan_score(fps, t):
-    hits = [p.support_ratio for p in fps if frozenset(p.itemset) <= t.items]
+    hits = [p.support_count / fps.n for p in fps if frozenset(p.itemset) <= t.items]
     return (len(hits), fsum(hits))
 
 
