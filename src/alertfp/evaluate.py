@@ -165,7 +165,7 @@ def resolve_attack_selectors(
                 f"selector {text!r} needs the original log and schema to resolve"
             )
         index = dataset.schema.field_index(name.strip())
-        matched = dataset.tids_with(index, value.strip())
+        matched = [a.tid for a in dataset.alerts if a.values[index] == value.strip()]
         if not matched:
             raise AlertFpError(f"selector {text!r} matches no alert")
         tids.update(matched)

@@ -22,7 +22,7 @@ which alerts with equal raw values in a column share one Item object.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import count, repeat
@@ -296,8 +296,8 @@ def _picker(indexes: tuple[int, ...]):
 class _RowCoder:
     """Codes a dataset row by row, the one place where log values become
     canonical values, item keys and int codes. It keeps the itemizable
-    columns' codes and the other columns' raw strings, each row after row
-    in one flat list. parse_log drives it line by line; a dataset built
+    columns' codes and, for parse_log, the other columns' raw strings, each
+    row after row in one flat list. parse_log drives it line by line; a dataset built
     from Alerts drives it on its first columns()."""
 
     def __init__(self, schema: AttributeSchema) -> None:
@@ -309,11 +309,15 @@ class _RowCoder:
         self.codes: list[int] = []
         self.raws: list[str] = []
 
+    def row_codes(self, fields: Sequence[str]) -> None:
+        """Commit the codes of a row of schema width; a bad value raises
+        and commits nothing."""
+        self.codes += tuple(map(getitem, self.coders, self.pick(fields)))
+
     def row(self, fields: Sequence[str]) -> None:
-        """Commit a row of schema width; a bad value raises and commits
-        nothing."""
-        codes = tuple(map(getitem, self.coders, self.pick(fields)))
-        self.codes += codes
+        """Commit a row's codes, then its other columns' raw strings, as
+        parse_log keeps them; a bad value raises and commits neither."""
+        self.row_codes(fields)
         self.raws += self.pick_others(fields)
 
     @property
@@ -346,6 +350,7 @@ def _item_tables(column: ColumnCodes) -> tuple[list[Item], ...]:
     ]
 
 
+@dataclass(frozen=True, eq=False)
 class AlertDataset:
     """An ordered alert log under one schema. Immutable once built; two
     datasets are equal when their schemas and alerts are.
@@ -357,19 +362,14 @@ class AlertDataset:
 
     schema: AttributeSchema
     alerts: tuple[Alert, ...]
-    n: int
 
-    def __init__(self, schema: AttributeSchema, alerts: tuple[Alert, ...]) -> None:
-        for position, alert in enumerate(alerts):
+    def __post_init__(self) -> None:
+        for position, alert in enumerate(self.alerts):
             if alert.tid != position:
                 raise ValueError(
                     f"alert at position {position} carries tid {alert.tid}; "
                     "tids must be 0..n-1 in order"
                 )
-        self.__dict__.update(schema=schema, alerts=alerts, n=len(alerts))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlertDataset):
@@ -379,8 +379,9 @@ class AlertDataset:
     def __hash__(self) -> int:
         return hash((self.schema, self.alerts))
 
-    def __repr__(self) -> str:
-        return f"AlertDataset(schema={self.schema!r}, alerts={self.alerts!r})"
+    @property
+    def n(self) -> int:
+        return len(self.alerts)
 
     def columns(self) -> tuple[ColumnCodes, ...]:
         """Every itemizable column in code form, in schema order. A dataset
@@ -394,18 +395,13 @@ class AlertDataset:
         that value's Item objects."""
         return self._transactions
 
-    def tids_with(self, index: int, value: str) -> list[int]:
-        """The tids, ascending, of the alerts whose value in column index
-        is value, as `alerts` holds it."""
-        return [alert.tid for alert in self.alerts if alert.values[index] == value]
-
     @cached_property
     def _columns(self) -> tuple[ColumnCodes, ...]:
         coder = _RowCoder(self.schema)
         for alert in self.alerts:
             _check_width(alert, self.schema)
             try:
-                coder.row(alert.values)
+                coder.row_codes(alert.values)
             except ValueParseError as exc:
                 raise ValueParseError(exc.reason, field=exc.field, tid=alert.tid) from None
         return coder.column_codes()
@@ -435,7 +431,11 @@ class _ParsedDataset(AlertDataset):
         columns: tuple[ColumnCodes, ...],
         raws: dict[int, tuple[str, ...]],
     ) -> None:
-        self.__dict__.update(schema=schema, n=n, _columns=columns, _raws=raws)
+        self.__dict__.update(schema=schema, _n=n, _columns=columns, _raws=raws)
+
+    @property
+    def n(self) -> int:
+        return self._n
 
     @cached_property
     def alerts(self) -> tuple[Alert, ...]:
@@ -445,14 +445,6 @@ class _ParsedDataset(AlertDataset):
         for index, raws in self._raws.items():
             per_column[index] = map(str.strip, raws)
         return tuple(map(Alert, count(), zip(*per_column)))
-
-    def tids_with(self, index: int, value: str) -> list[int]:
-        raws = self._raws.get(index)
-        if raws is not None:
-            return [tid for tid, raw in enumerate(raws) if raw.strip() == value]
-        column = next(column for column in self._columns if column.field_index == index)
-        wanted = {code for code, canonical in enumerate(column.values) if canonical == value}
-        return [tid for tid, code in enumerate(column.codes) if code in wanted]
 
 
 def snort_schema() -> AttributeSchema:

@@ -255,11 +255,6 @@ class TestAttackSelectors:
             else:
                 assert resolve_attack_selectors([line], dataset) == tids
 
-    def test_field_selector_on_parsed_log_builds_no_alert(self):
-        parsed = parse_log(io.StringIO(SELECTOR_LOG), SELECTOR_SCHEMA).dataset
-        assert resolve_attack_selectors(["dport=80", "cid=2"], parsed) == {0, 1, 2}
-        assert "alerts" not in parsed.__dict__
-
     def test_field_selector_compares_alerts_as_given(self):
         rows = [line.split("\t") for line in SELECTOR_LOG.splitlines()]
         dataset = AlertDataset(

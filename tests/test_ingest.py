@@ -1,5 +1,6 @@
 import io
 import tempfile
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -469,9 +470,20 @@ class TestParsedDatasetEqualsItsAlerts:
         assert written(write_ranked, ranked, parsed, "simple") == written(
             write_ranked, ranked, rebuilt, "simple"
         )
-        for index in range(schema.field_count):
-            for value in {record[index] for record in kept} | {"", "80"}:
-                assert parsed.tids_with(index, value) == rebuilt.tids_with(index, value)
+
+    def test_parsed_and_built_datasets_refuse_assignment_and_deletion(self):
+        parsed = parse_log(io.StringIO(SNORT_SAMPLE), snort_schema()).dataset
+        for dataset in (parsed, AlertDataset(parsed.schema, parsed.alerts)):
+            for name in ("schema", "alerts"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(dataset, name, getattr(dataset, name))
+                with pytest.raises(FrozenInstanceError):
+                    delattr(dataset, name)
+            with pytest.raises(AttributeError):
+                dataset.n = 0
+            with pytest.raises(AttributeError):
+                del dataset.n
+            assert dataset.n == 3 and len(dataset.alerts) == 3
 
 
 class TestWriteLogRefusals:
