@@ -10,7 +10,6 @@ pipe the output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from fractions import Fraction
@@ -122,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--delimiter", type=_parse_delimiter, default="\t", help="field delimiter (default tab)"
         )
         p.add_argument("--rejects-out", help="write rejected lines report here")
-        p.add_argument("--workers", type=int, help="deprecated; has no effect")
 
     def add_mining(p):
         p.add_argument(
@@ -213,11 +211,6 @@ def main(argv=None) -> int:
                 parser.error(f"argument --attacks: {exc} (got {args.n_attack})")
     except SystemExit as exit_:
         return int(exit_.code or 0)
-    if getattr(args, "workers", None) is not None or "ALERTFP_WORKERS" in os.environ:
-        print(
-            "alertfp: --workers and ALERTFP_WORKERS are deprecated and have no effect",
-            file=sys.stderr,
-        )
     try:
         return _dispatch(args)
     except PatternExplosionError as exc:

@@ -41,13 +41,18 @@ def locate_attacks(
 ) -> list[int]:
     """1-based ranks of the known attacks, ascending."""
     wanted = set(attack_tids)
+    by_tid = {sa.tid: sa.rank for sa in ranked}
+    _check_attacks(wanted, by_tid)
+    return sorted(by_tid[tid] for tid in wanted)
+
+
+def _check_attacks(wanted: set[int], known) -> None:
+    """Raise AlertFpError unless wanted is a non-empty subset of known."""
     if not wanted:
         raise AlertFpError("no attack tids given")
-    by_tid = {sa.tid: sa.rank for sa in ranked}
-    missing = sorted(tid for tid in wanted if tid not in by_tid)
+    missing = sorted(tid for tid in wanted if tid not in known)
     if missing:
         raise AlertFpError(f"unknown attack tid(s): {missing}")
-    return sorted(by_tid[tid] for tid in wanted)
 
 
 def reduction(n: int, last_attack_rank: int) -> float:
@@ -77,7 +82,8 @@ def sweep(
 
     A failing threshold (explosion guard, empty pattern set) produces a
     row carrying the error instead of aborting the sweep: partial results
-    are the point of a diagnostic run.
+    are the point of a diagnostic run. No attack tids, or one outside
+    [0, n), raises AlertFpError before anything is mined.
     """
     if not minisupports:
         raise AlertFpError("minisupport list is empty")
@@ -85,6 +91,7 @@ def sweep(
     score_config = score_config or ScoreConfig()
     attack_tids = tuple(attack_tids)
     n = data.n if isinstance(data, AlertDataset) else len(data)
+    _check_attacks(set(attack_tids), range(n))
     thresholds = [replace(base, minisupport=value).minisupport_abs(n) for value in minisupports]
     failed: dict[int, str] = {}
     lowest = None

@@ -1,8 +1,8 @@
 """Parse delimited alert-log files and schema config files.
 
 Log format: one record per line, delimiter-separated fields in schema
-order, optional ``#`` comment lines, optional single header line. A bad
-line is rejected and reported, never fatal; nightly rebuilds must survive
+order, optional ``#`` comment lines and blank lines. A bad line is
+rejected and reported, never fatal; nightly rebuilds must survive
 one corrupt record, such as a line that is not valid UTF-8. Each line is
 coded by the model's column coder as it is read, so the parsed dataset
 comes with its columns coded. No Alert is built: the dataset keeps the
@@ -33,7 +33,6 @@ class LogFormat:
     """
 
     delimiter: str = "\t"
-    has_header: bool = False
 
     def __post_init__(self) -> None:
         if len(self.delimiter) != 1:
@@ -69,22 +68,19 @@ def parse_log(
     if not schema.itemizable_indexes():
         raise SchemaError("schema has no itemizable fields; nothing to mine")
     coder = _RowCoder(schema)
+    delimiter = fmt.delimiter
     rejects: list[RejectedLine] = []
     with open_text(source, error=None) as lines:
-        header_pending = fmt.has_header
         for line_number, raw_line in enumerate(lines, start=1):
             line = raw_line.rstrip("\r\n")
-            if not line.strip() and fmt.delimiter not in line:
+            if not line.strip() and delimiter not in line:  # blank; _framed_line refuses these
                 continue
             if line.startswith(COMMENT_PREFIX):
-                continue
-            if header_pending:
-                header_pending = False
                 continue
             if not line.isascii() and (reason := _undecodable(line)):
                 rejects.append(RejectedLine(line_number, reason))
                 continue
-            fields = line.split(fmt.delimiter)
+            fields = line.split(delimiter)
             if len(fields) != schema.field_count:
                 rejects.append(
                     RejectedLine(
@@ -119,43 +115,43 @@ def _undecodable(line: str) -> str | None:
 def write_log(target: Target, dataset: AlertDataset, fmt: LogFormat = LogFormat()) -> None:
     """Serialize a dataset back to its delimited form (debug writer; also
     used to emit synthetic logs). Round-trips value-identically with
-    parse_log on canonical input. With fmt.has_header the first line holds
-    the schema's field names.
+    parse_log on canonical input.
 
-    There is no quoting, so a value or field name holding the delimiter,
-    "\\n" or "\\r", or a first one starting with the comment prefix,
-    would read back as another record or none: it raises AlertFpError
-    naming it, and the target is left as it was.
+    There is no quoting, so a value holding the delimiter, "\\n" or "\\r",
+    a first one starting with the comment prefix, or the one value of a
+    one-field schema that is blank would read back as another record or
+    none: it raises AlertFpError naming it, and the target is left as it
+    was.
     """
     names = tuple(f.name for f in dataset.schema.fields)
     with atomic_write(target) as out:
-        if fmt.has_header:
-            out.write(_framed_line(names, names, fmt, "the header", "name"))
         for alert in dataset.alerts:
-            out.write(_framed_line(alert.values, names, fmt, f"tid {alert.tid}", "value"))
+            out.write(_framed_line(alert.values, names, fmt.delimiter, alert.tid))
 
 
-def _framed_line(values, names, fmt: LogFormat, place: str, noun: str) -> str:
-    """values as one line of fmt. A line that would not read back as those
-    values raises AlertFpError naming `place` and the value at fault."""
-    line = fmt.delimiter.join(values)
+def _framed_line(values, names, delimiter: str, tid: int) -> str:
+    """values as one log line. A line that would not read back as those
+    values raises AlertFpError naming the tid and the value at fault."""
+    line = delimiter.join(values)
     if (
-        line.count(fmt.delimiter) == len(values) - 1
+        line.count(delimiter) == len(values) - 1
         and "\n" not in line
         and "\r" not in line
         and not line.startswith(COMMENT_PREFIX)
+        and (delimiter in line or line.strip())  # parse_log skips the rest as blank
     ):
         return line + "\n"
     for position, (value, name) in enumerate(zip(values, names)):
-        held = [char for char in (fmt.delimiter, "\n", "\r") if char in value]
+        held = [char for char in (delimiter, "\n", "\r") if char in value]
         if held:
             fault = f"holds {held[0]!r}"
         elif position == 0 and value.startswith(COMMENT_PREFIX):
             fault = f"starts with the comment prefix {COMMENT_PREFIX!r}"
         else:
             continue
-        raise AlertFpError(f"cannot write {place} field {name!r}: {noun} {value!r} {fault}")
-    raise AlertFpError(f"cannot write {place}: line {line!r} would not read back as one record")
+        raise AlertFpError(f"cannot write tid {tid} field {name!r}: value {value!r} {fault}")
+    # what is left is a one-field line of whitespace alone
+    raise AlertFpError(f"cannot write tid {tid} field {names[0]!r}: value {values[0]!r} is blank")
 
 
 def write_rejects(target: Target, rejects: Iterable[RejectedLine]) -> None:

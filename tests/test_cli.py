@@ -128,6 +128,9 @@ class TestMineCommand:
         ["mine", "--max-pattern-len", "0"],
         ["mine", "--max-patterns", "-5"],
         ["mine", "--delimiter", "ab"],
+        ["mine", "--workers", "4"],
+        ["rank", "--workers", "4"],
+        ["sweep", "--workers", "4", "--minisupport", "5"],
     ],
     ids="_".join,
 )
@@ -542,26 +545,32 @@ class TestEvalCommand:
         assert code == 2
 
 
+def gen_log(tmp_path):
+    """A seeded 400-record gen log: (log, attacks, schema) paths."""
+    log = tmp_path / "syn.tsv"
+    attacks = tmp_path / "attacks.txt"
+    schema = tmp_path / "syn.schema"
+    assert (
+        main(
+            [
+                "gen",
+                "--records", "400",
+                "--attacks", "3",
+                "--profiles", "4",
+                "--seed", "3",
+                "--out", str(log),
+                "--attacks-out", str(attacks),
+                "--schema-out", str(schema),
+            ]
+        )
+        == 0
+    )
+    return log, attacks, schema
+
+
 class TestSweepCommand:
     def test_report_rows_non_increasing(self, tmp_path):
-        log = tmp_path / "syn.tsv"
-        attacks = tmp_path / "attacks.txt"
-        schema = tmp_path / "syn.schema"
-        assert (
-            main(
-                [
-                    "gen",
-                    "--records", "400",
-                    "--attacks", "3",
-                    "--profiles", "4",
-                    "--seed", "3",
-                    "--out", str(log),
-                    "--attacks-out", str(attacks),
-                    "--schema-out", str(schema),
-                ]
-            )
-            == 0
-        )
+        log, attacks, schema = gen_log(tmp_path)
         report = tmp_path / "sweep.tsv"
         code = main(
             [
@@ -581,6 +590,28 @@ class TestSweepCommand:
         assert len(rows) == 4
         counts = [int(r[1]) for r in rows if r[1] != "-"]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    def test_unknown_attack_tid_is_exit_2_without_a_report(self, tmp_path, capsys):
+        log, _, schema = gen_log(tmp_path)
+        attacks = tmp_path / "bad.txt"
+        attacks.write_text("999999\n", encoding="utf-8")
+        capsys.readouterr()
+        report = tmp_path / "sweep.tsv"
+        code = main(
+            [
+                "sweep",
+                "--input", str(log),
+                "--schema", str(schema),
+                "--minisupport", "8,20",
+                "--attacks", str(attacks),
+                "--out", str(report),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "alertfp: unknown attack tid(s): [999999]"
+        ]
+        assert not report.exists()
 
 
 class TestGenCommand:
@@ -657,42 +688,22 @@ class TestGenCommand:
         assert read_ranked(out).n == 50
 
 
-DEPRECATED_WORKERS = "alertfp: --workers and ALERTFP_WORKERS are deprecated and have no effect"
-
-
-class TestWorkersAndEnv:
-    def rank_args(self, sample_log_path, snort_schema_path, out):
-        return [
-            "rank",
-            "--input", str(sample_log_path),
-            "--schema", str(snort_schema_path),
-            "--minisupport", "2",
-            "--out", str(out),
-        ]
-
-    def test_workers_flag_does_not_change_output(
-        self, sample_log_path, snort_schema_path, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.delenv("ALERTFP_WORKERS", raising=False)
-        plain, flagged = tmp_path / "plain.tsv", tmp_path / "flagged.tsv"
-        assert main(self.rank_args(sample_log_path, snort_schema_path, plain)) == 0
-        assert DEPRECATED_WORKERS not in capsys.readouterr().err
-        args = self.rank_args(sample_log_path, snort_schema_path, flagged)
-        assert main(args + ["--workers", "4"]) == 0
-        assert capsys.readouterr().err.count(DEPRECATED_WORKERS) == 1
-        assert plain.read_bytes() == flagged.read_bytes()
-
-    def test_env_var_sets_default_workers(
-        self, sample_log_path, snort_schema_path, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.delenv("ALERTFP_WORKERS", raising=False)
-        plain, with_env = tmp_path / "plain.tsv", tmp_path / "env.tsv"
-        assert main(self.rank_args(sample_log_path, snort_schema_path, plain)) == 0
-        capsys.readouterr()
-        monkeypatch.setenv("ALERTFP_WORKERS", "4")
-        assert main(self.rank_args(sample_log_path, snort_schema_path, with_env)) == 0
-        assert capsys.readouterr().err.count(DEPRECATED_WORKERS) == 1
-        assert plain.read_bytes() == with_env.read_bytes()
+def test_commands_write_nothing_to_stdout(tmp_path, capfd):
+    log, attacks, schema = gen_log(tmp_path)
+    io_args = ["--input", str(log), "--schema", str(schema)]
+    model = tmp_path / "model.fps"
+    commands = [
+        ["mine", *io_args, "--minisupport", "2%", "--out", str(model)],
+        ["rank", *io_args, "--minisupport", "2%", "--top-p", "1", "--out", str(tmp_path / "r.tsv")],
+        ["score", *io_args, "--model", str(model), "--out", str(tmp_path / "s.tsv")],
+        ["sweep", *io_args, "--minisupport", "8,20", "--attacks", str(attacks),
+         "--out", str(tmp_path / "sweep.tsv")],
+    ]
+    assert capfd.readouterr().out == ""  # gen's
+    for argv in commands:
+        assert main(argv) == 0
+        out, err = capfd.readouterr()
+        assert out == "" and err.startswith("alertfp: "), argv[0]
 
 
 class TestOutputFiles:

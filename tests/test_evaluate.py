@@ -131,6 +131,20 @@ class TestSweep:
         with pytest.raises(AlertFpError):
             sweep(baskets4, [], [0])
 
+    @pytest.mark.parametrize(
+        "attacks, message",
+        [([], "no attack tids given"), ([0, 4, -1], "unknown attack tid(s): [-1, 4]")],
+        ids=["none", "outside"],
+    )
+    def test_bad_attack_tids_rejected_before_mining(self, attacks, message, baskets4, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mine reached")
+
+        monkeypatch.setattr("alertfp.evaluate.mine", refuse)
+        with pytest.raises(AlertFpError) as info:
+            sweep(baskets4, [2, 3], attacks)
+        assert str(info.value) == message
+
     def test_pattern_count_non_increasing(self):
         ds, attacks = gen_synthetic(
             SyntheticSpec(n_records=600, n_attack=3, routine_profiles=4, seed=11)

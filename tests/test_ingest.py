@@ -103,10 +103,9 @@ class TestParseLog:
         assert result.rejects[0].line_number == 2
         assert result.rejects[0].reason.endswith("(field 'ts')")
 
-    def test_comments_blanks_and_header_skipped(self):
-        text = "# generated\n\nsig\tport\nweb\t80\n"
-        fmt = LogFormat(has_header=True)
-        result = parse_log(io.StringIO(text), two_col_schema(), fmt)
+    def test_comments_and_blanks_skipped(self):
+        text = "# generated\n\nweb\t80\n"
+        result = parse_log(io.StringIO(text), two_col_schema())
         assert result.dataset.n == 1
         assert result.dataset.alerts[0].values == ("web", "80")
 
@@ -178,15 +177,6 @@ class TestRoundTrip:
         write_log(path, sample_dataset)
         again = parse_log(path, snort_schema()).dataset
         assert again.alerts == sample_dataset.alerts
-
-    @pytest.mark.parametrize("delimiter", ["\t", ","], ids=["tab", "comma"])
-    def test_header_round_trip(self, tmp_path, delimiter):
-        dataset = AlertDataset(two_col_schema(), (Alert(0, ("web", "80")), Alert(1, ("ssh", "22"))))
-        fmt = LogFormat(delimiter=delimiter, has_header=True)
-        path = tmp_path / "log.txt"
-        write_log(path, dataset, fmt)
-        assert path.read_text(encoding="utf-8").splitlines()[0] == f"sig{delimiter}port"
-        assert parse_log(path, dataset.schema, fmt).dataset == dataset
 
 
 # text that the log's framing has to survive or refuse: the comment
@@ -495,11 +485,17 @@ class TestWriteLogRefusals:
             (("p\nq", "1"), "sig", "holds '\\n'"),
             (("a\tb", "1"), "sig", "holds '\\t'"),
             (("a", "1\r"), "port", "holds '\\r'"),
+            (("",), "sig", "is blank"),
+            ((" ",), "sig", "is blank"),
         ],
-        ids=["comment-prefix", "carriage-return", "newline", "delimiter", "last-field"],
+        ids=[
+            "comment-prefix", "carriage-return", "newline", "delimiter", "last-field",
+            "one-field-empty", "one-field-space",
+        ],
     )
     def test_unframable_value_raises_and_keeps_target(self, values, field, message, tmp_path):
-        dataset = AlertDataset(two_col_schema(), (Alert(0, ("x", "2")), Alert(1, values)))
+        schema = AttributeSchema(two_col_schema().fields[: len(values)])
+        dataset = AlertDataset(schema, (Alert(0, ("x", "2")[: len(values)]), Alert(1, values)))
         path = tmp_path / "log.tsv"
         path.write_text("old\t1\n", encoding="utf-8")
         with pytest.raises(AlertFpError) as info:
@@ -509,24 +505,20 @@ class TestWriteLogRefusals:
         assert path.read_text(encoding="utf-8") == "old\t1\n"
         assert [entry.name for entry in tmp_path.iterdir()] == ["log.tsv"]
 
-    @pytest.mark.parametrize(
-        "names, message",
-        [
-            (("sig", "a\tb"), "cannot write the header field 'a\\tb': name 'a\\tb' holds '\\t'"),
-            (("#sig", "port"), "cannot write the header field '#sig': name '#sig' starts with"),
-        ],
-        ids=["delimiter", "comment-prefix"],
-    )
-    def test_unframable_header_raises_and_keeps_target(self, names, message, tmp_path):
-        schema = AttributeSchema(tuple(SchemaField(name, FieldKind.CATEGORICAL) for name in names))
-        dataset = AlertDataset(schema, (Alert(0, ("x", "2")),))
-        path = tmp_path / "log.tsv"
-        path.write_text("old\t1\n", encoding="utf-8")
-        with pytest.raises(AlertFpError) as info:
-            write_log(path, dataset, LogFormat(has_header=True))
-        assert str(info.value).startswith(message)
-        assert path.read_text(encoding="utf-8") == "old\t1\n"
-        write_log(path, dataset)  # without a header the names are never written
+    @pytest.mark.parametrize("delimiter", DELIMITERS, ids=["tab", "comma", "pipe", "space"])
+    @pytest.mark.parametrize("value", ["", " ", "\t", "\x0b", "\x1c", "\u3000", " x ", "0"])
+    def test_one_field_line_is_refused_or_reads_back(self, value, delimiter, tmp_path):
+        schema = AttributeSchema(two_col_schema().fields[:1])
+        dataset = AlertDataset(schema, (Alert(0, ("a",)), Alert(1, (value,)), Alert(2, ("b",))))
+        fmt = LogFormat(delimiter=delimiter)
+        path = tmp_path / "log.txt"
+        try:
+            write_log(path, dataset, fmt)
+        except AlertFpError as exc:
+            assert str(exc).startswith("cannot write tid 1 field 'sig': ")
+            assert not path.exists()
+        else:
+            assert parse_log(path, schema, fmt).dataset.n == 3
 
 
 class TestRejectsReport:
