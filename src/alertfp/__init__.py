@@ -24,7 +24,7 @@ from .evaluate import (
     reduction,
     sweep,
 )
-from .ingest import LogFormat, ParseResult, RejectedLine, load_schema, parse_log
+from .ingest import ParseResult, RejectedLine, load_schema, parse_log
 from .miner import (
     FrequentPattern,
     MiningConfig,
@@ -79,7 +79,6 @@ __all__ = [
     "FieldKind",
     "FrequentPattern",
     "Item",
-    "LogFormat",
     "MiningConfig",
     "ModelFormatError",
     "ParseResult",

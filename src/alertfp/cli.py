@@ -26,7 +26,7 @@ from .evaluate import (
     write_sweep_report,
 )
 from .ingest import (
-    LogFormat,
+    check_delimiter,
     load_schema,
     parse_log,
     write_log,
@@ -104,10 +104,9 @@ def _parse_top_p(text: str) -> float:
 
 def _parse_delimiter(text: str) -> str:
     try:
-        LogFormat(delimiter=text)
+        return check_delimiter(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
-    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,6 +208,8 @@ def main(argv=None) -> int:
                 args.spec = SyntheticSpec(args.records, args.n_attack, args.profiles, args.seed)
             except AlertFpError as exc:
                 parser.error(f"argument --attacks: {exc} (got {args.n_attack})")
+        if args.command == "eval" and (args.input is None) != (args.schema is None):
+            parser.error("eval takes --input and --schema together, or neither")
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
@@ -238,8 +239,7 @@ def _dispatch(args) -> int:
 
 def _load_inputs(args):
     schema = load_schema(args.schema)
-    fmt = LogFormat(delimiter=args.delimiter)
-    result = parse_log(args.input, schema, fmt)
+    result = parse_log(args.input, schema, args.delimiter)
     if result.rejects:
         print(f"alertfp: rejected {len(result.rejects)} line(s)", file=sys.stderr)
         if args.rejects_out:
@@ -323,9 +323,8 @@ def _read_attack_file(args, dataset=None) -> set[int]:
 def _cmd_eval(args) -> int:
     ranked_file = read_ranked(args.ranked)
     dataset = None
-    if args.input and args.schema:
-        schema = load_schema(args.schema)
-        dataset = parse_log(args.input, schema, LogFormat(delimiter=args.delimiter)).dataset
+    if args.input is not None:
+        dataset = parse_log(args.input, load_schema(args.schema), args.delimiter).dataset
     attack_tids = _read_attack_file(args, dataset)
     ranks = locate_attacks(ranked_file.rows, attack_tids)
     worst = max(ranks)

@@ -1,13 +1,13 @@
 """Parse delimited alert-log files and schema config files.
 
-Log format: one record per line, delimiter-separated fields in schema
-order, optional ``#`` comment lines and blank lines. A bad line is
-rejected and reported, never fatal; nightly rebuilds must survive
-one corrupt record, such as a line that is not valid UTF-8. Each line is
-coded by the model's column coder as it is read, so the parsed dataset
-comes with its columns coded. No Alert is built: the dataset keeps the
-codes and the raw strings of the columns that are not itemized, and builds
-its `alerts` from them on first read.
+Log format: one record per line, fields in schema order split by one
+delimiter character that check_delimiter allows, optional ``#`` comment
+lines and blank lines. A bad line is rejected and reported, never fatal;
+nightly rebuilds must survive one corrupt record, such as a line that is
+not valid UTF-8. Each line is coded by the model's column coder as it is
+read, so the parsed dataset comes with its columns coded. No Alert is
+built: the dataset keeps the codes and the raw strings of the columns that
+are not itemized, and builds its `alerts` from them on first read.
 """
 
 from __future__ import annotations
@@ -23,20 +23,16 @@ from .textio import Source, Target, atomic_write, open_text
 COMMENT_PREFIX = "#"
 
 
-@dataclass(frozen=True)
-class LogFormat:
-    """How a log file is laid out on disk.
-
-    The delimiter must never occur unescaped inside a value; there is no
-    quoting. Tab is the default because signature names may contain most
-    other punctuation.
-    """
-
-    delimiter: str = "\t"
-
-    def __post_init__(self) -> None:
-        if len(self.delimiter) != 1:
-            raise ValueError("delimiter must be a single character")
+def check_delimiter(delimiter: str) -> str:
+    """delimiter, if it can frame a log record, else ValueError: the one
+    rule for every log reader and writer. There is no quoting, so it must
+    never occur in a value; tab is the default as signature names may hold
+    most other punctuation. One character, not "#", "\\n" or "\\r"."""
+    if len(delimiter) != 1:
+        raise ValueError("delimiter must be a single character")
+    if delimiter in (COMMENT_PREFIX, "\n", "\r"):
+        raise ValueError(f"delimiter must not be {COMMENT_PREFIX!r}, '\\n' or '\\r'")
+    return delimiter
 
 
 @dataclass(frozen=True)
@@ -51,9 +47,7 @@ class ParseResult:
     rejects: tuple[RejectedLine, ...]
 
 
-def parse_log(
-    source: Source, schema: AttributeSchema, fmt: LogFormat = LogFormat()
-) -> ParseResult:
+def parse_log(source: Source, schema: AttributeSchema, delimiter: str = "\t") -> ParseResult:
     """Parse a delimited log into an AlertDataset.
 
     Input record order is preserved and tids are assigned 0..n-1 over the
@@ -65,10 +59,10 @@ def parse_log(
     only a line of whitespace alone is skipped as blank. A bad value's
     reject reason names its column.
     """
+    check_delimiter(delimiter)
     if not schema.itemizable_indexes():
         raise SchemaError("schema has no itemizable fields; nothing to mine")
     coder = _RowCoder(schema)
-    delimiter = fmt.delimiter
     rejects: list[RejectedLine] = []
     with open_text(source, error=None) as lines:
         for line_number, raw_line in enumerate(lines, start=1):
@@ -112,7 +106,7 @@ def _undecodable(line: str) -> str | None:
     return None
 
 
-def write_log(target: Target, dataset: AlertDataset, fmt: LogFormat = LogFormat()) -> None:
+def write_log(target: Target, dataset: AlertDataset, delimiter: str = "\t") -> None:
     """Serialize a dataset back to its delimited form (debug writer; also
     used to emit synthetic logs). Round-trips value-identically with
     parse_log on canonical input.
@@ -123,10 +117,11 @@ def write_log(target: Target, dataset: AlertDataset, fmt: LogFormat = LogFormat(
     none: it raises AlertFpError naming it, and the target is left as it
     was.
     """
+    check_delimiter(delimiter)
     names = tuple(f.name for f in dataset.schema.fields)
     with atomic_write(target) as out:
         for alert in dataset.alerts:
-            out.write(_framed_line(alert.values, names, fmt.delimiter, alert.tid))
+            out.write(_framed_line(alert.values, names, delimiter, alert.tid))
 
 
 def _framed_line(values, names, delimiter: str, tid: int) -> str:

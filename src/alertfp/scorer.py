@@ -28,6 +28,7 @@ from math import fsum
 from typing import Iterable, Sequence
 
 from .errors import AlertFpError, EmptyPatternSetError, ModelFormatError
+from .ingest import check_delimiter
 from .miner import Minable, PatternSet, _as_transactions
 from .model import AlertDataset, Item, Transaction, render_itemset
 from .textio import Source, Target, atomic_write, int_of, open_text
@@ -252,11 +253,21 @@ def write_ranked(
     delimiter: str = "\t",
 ) -> None:
     """Write the ranked log: header, then one
-    rank<TAB>tid<TAB>simple_fpof<TAB>fpof<TAB>original_record row per alert."""
+    rank<TAB>tid<TAB>simple_fpof<TAB>fpof<TAB>original_record row per alert,
+    its values joined by a delimiter check_delimiter allows. A value that
+    holds "\\n" would end its row: it raises AlertFpError naming the tid
+    and the field, and the target is left as it was."""
+    check_delimiter(delimiter)
+    fields = dataset.schema.fields
     with atomic_write(target) as out:
         out.write(f"{RANKED_MAGIC} n={dataset.n} metric={metric}\n")
         for sa in ranked:
-            original = delimiter.join(dataset.alerts[sa.tid].values)
+            values = dataset.alerts[sa.tid].values
+            original = delimiter.join(values)
+            if "\n" in original:
+                name, value = next((f.name, v) for f, v in zip(fields, values) if "\n" in v)
+                fault = f"cannot write tid {sa.tid} field {name!r}: value {value!r} holds '\\n'"
+                raise AlertFpError(fault)
             out.write(f"{sa.rank}\t{sa.tid}\t{sa.simple_fpof}\t{sa.fpof:.6f}\t{original}\n")
 
 

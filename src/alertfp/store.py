@@ -117,11 +117,6 @@ class ClassifierModel:
             tidlists=tuple(p.tidlist for p in fps) if include_tidlists else None,
         )
 
-    def validate(self) -> None:
-        """Raise ModelFormatError for any model that load_model would
-        refuse as a file, by building the model's scorer."""
-        self.scorer  # the build is the check
-
 
 def _build_scorer(model: ClassifierModel) -> PatternScorer:
     """Check a model's header and rows and build its scorer, as load_model
@@ -178,7 +173,7 @@ def _check_row(
 def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
     """Write the model atomically. Saving a loaded model reproduces the
     file byte for byte."""
-    model.validate()
+    model.scorer  # the build is the check
     lines = [
         MODEL_MAGIC,
         f"n_train={model.n_train}",

@@ -152,6 +152,39 @@ def test_bad_value_is_a_usage_error_before_any_output(
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("delimiter", ["#", "\n", "\r"], ids=["hash", "newline", "return"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mine"],
+        ["rank"],
+        ["score", "--model", "model.fps"],
+        ["sweep", "--minisupport", "2", "--attacks", "attacks.txt"],
+        ["eval", "--ranked", "ranked.tsv", "--attacks", "attacks.txt"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unframing_delimiter_is_a_usage_error_before_any_output(
+    argv, delimiter, sample_log_path, snort_schema_path, tmp_path, capsys
+):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    args = argv + [
+        "--delimiter", delimiter,
+        "--input", str(sample_log_path),
+        "--schema", str(snort_schema_path),
+    ]
+    if argv[0] != "eval":
+        args += ["--out", str(out_dir / "result")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "argument --delimiter: delimiter must not be '#'" in errors[0]
+    assert list(out_dir.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -492,6 +525,24 @@ class TestEvalCommand:
         assert capsys.readouterr().err.splitlines() == [
             "alertfp: attack tid of 4400 digits is too long"
         ]
+
+    @pytest.mark.parametrize("given", ["--input", "--schema"])
+    def test_log_without_its_schema_is_a_usage_error(
+        self, given, sample_log_path, snort_schema_path, tmp_path, capsys
+    ):
+        ranked = tmp_path / "ranked.tsv"
+        paths = {"--input": str(sample_log_path), "--schema": str(snort_schema_path)}
+        args = [part for pair in paths.items() for part in pair]
+        assert main(["rank", *args, "--minisupport", "2", "--out", str(ranked)]) == 0
+        attacks = tmp_path / "attacks.txt"
+        attacks.write_text("2\n", encoding="utf-8")
+        capsys.readouterr()
+        eval_args = ["eval", "--ranked", str(ranked), "--attacks", str(attacks)]
+        assert main([*eval_args, given, paths[given]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == ["alertfp: error: eval takes --input and --schema together, or neither"]
 
     def test_cid_selector_requires_log(self, sample_log_path, snort_schema_path, tmp_path, capsys):
         ranked = tmp_path / "ranked.tsv"

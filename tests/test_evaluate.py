@@ -311,6 +311,10 @@ class TestSyntheticSpec:
         with pytest.raises(AlertFpError):
             SyntheticSpec(n_records=0, n_attack=0)
 
+    def test_positive_profiles(self):
+        with pytest.raises(AlertFpError, match="^routine_profiles must be >= 1$"):
+            SyntheticSpec(n_records=10, n_attack=1, routine_profiles=0)
+
 
 class TestGenSynthetic:
     SPEC = SyntheticSpec(n_records=100, n_attack=2, routine_profiles=3, seed=42)
@@ -324,6 +328,21 @@ class TestGenSynthetic:
     def test_different_seed_differs(self):
         other = SyntheticSpec(n_records=100, n_attack=2, routine_profiles=3, seed=43)
         assert gen_synthetic(self.SPEC)[0] != gen_synthetic(other)[0]
+
+    def test_names_beyond_the_lists_are_numbered_and_deterministic(self):
+        spec = SyntheticSpec(n_records=600, n_attack=10, routine_profiles=15, seed=7)
+        ds, attacks = gen_synthetic(spec)
+        assert (ds, attacks) == gen_synthetic(spec)
+        routine = {a.values[3] for a in ds.alerts if a.tid not in attacks}
+        assert len(routine) == 15
+        assert {name for name in routine if name.startswith("GENERIC/")} == {
+            f"GENERIC/service/access-{k}" for k in (12, 13, 14)
+        }
+        planted = [ds.alerts[tid].values[3] for tid in attacks]
+        assert len(set(planted)) == 10
+        assert {name for name in planted if name.startswith("EXPLOIT/custom/")} == {
+            f"EXPLOIT/custom/probe-{k}" for k in (7, 8, 9)
+        }
 
     def test_shape(self):
         ds, attacks = gen_synthetic(self.SPEC)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from alertfp.errors import AlertFpError, EmptyDatasetError, SchemaError, ValueParseError
 from alertfp.ingest import (
-    LogFormat,
+    check_delimiter,
     load_schema,
     parse_log,
     write_log,
@@ -113,7 +113,7 @@ class TestParseLog:
     def test_all_empty_record_is_kept_as_nulls(self, delimiter):
         d = delimiter
         text = f"web{d}80\n{d}\n   \nssh{d}22\n"
-        result = parse_log(io.StringIO(text), two_col_schema(), LogFormat(delimiter=d))
+        result = parse_log(io.StringIO(text), two_col_schema(), delimiter=d)
         assert [a.values for a in result.dataset.alerts] == [
             ("web", "80"), ("null", "null"), ("ssh", "22")
         ]
@@ -121,7 +121,7 @@ class TestParseLog:
         assert result.rejects == ()
 
     def test_custom_delimiter(self):
-        result = parse_log(io.StringIO("web|80\n"), two_col_schema(), LogFormat(delimiter="|"))
+        result = parse_log(io.StringIO("web|80\n"), two_col_schema(), delimiter="|")
         assert result.dataset.alerts[0].values == ("web", "80")
 
     def test_all_lines_rejected_is_empty_dataset(self):
@@ -246,18 +246,17 @@ class TestRoundTripProperty:
     )
     @example(AlertDataset(two_col_schema(), (Alert(0, ("p\rq", "1")),)), "\t")
     def test_parse_of_write_is_identity_or_write_refuses(self, dataset, delimiter):
-        fmt = LogFormat(delimiter=delimiter)
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch, "log.txt")
             fault = first_unframable(dataset, delimiter)
             if fault is not None:
                 tid, name = fault
                 with pytest.raises(AlertFpError, match=f"cannot write tid {tid} field '{name}'"):
-                    write_log(path, dataset, fmt)
+                    write_log(path, dataset, delimiter=delimiter)
                 assert not list(Path(scratch).iterdir())
                 return
-            write_log(path, dataset, fmt)
-            result = parse_log(path, dataset.schema, fmt)
+            write_log(path, dataset, delimiter=delimiter)
+            result = parse_log(path, dataset.schema, delimiter=delimiter)
         assert result.rejects == ()
         assert result.dataset == dataset
 
@@ -461,6 +460,13 @@ class TestParsedDatasetEqualsItsAlerts:
             write_ranked, ranked, rebuilt, "simple"
         )
 
+    def test_parsed_dataset_hashes_as_its_alerts(self):
+        parsed = parse_log(io.StringIO(SNORT_SAMPLE), snort_schema()).dataset
+        rebuilt = AlertDataset(parsed.schema, parsed.alerts)
+        assert hash(parsed) == hash(rebuilt)
+        assert len({parsed, rebuilt}) == 1
+        assert (parsed == 5) is False and (rebuilt != 5) is True
+
     def test_parsed_and_built_datasets_refuse_assignment_and_deletion(self):
         parsed = parse_log(io.StringIO(SNORT_SAMPLE), snort_schema()).dataset
         for dataset in (parsed, AlertDataset(parsed.schema, parsed.alerts)):
@@ -510,15 +516,20 @@ class TestWriteLogRefusals:
     def test_one_field_line_is_refused_or_reads_back(self, value, delimiter, tmp_path):
         schema = AttributeSchema(two_col_schema().fields[:1])
         dataset = AlertDataset(schema, (Alert(0, ("a",)), Alert(1, (value,)), Alert(2, ("b",))))
-        fmt = LogFormat(delimiter=delimiter)
         path = tmp_path / "log.txt"
         try:
-            write_log(path, dataset, fmt)
+            write_log(path, dataset, delimiter=delimiter)
         except AlertFpError as exc:
             assert str(exc).startswith("cannot write tid 1 field 'sig': ")
             assert not path.exists()
         else:
-            assert parse_log(path, schema, fmt).dataset.n == 3
+            assert parse_log(path, schema, delimiter=delimiter).dataset.n == 3
+
+
+#: Delimiters that could never frame a record: a line starting with "#" is
+#: a comment, and "\n" and "\r" end a line.
+UNFRAMING = ["#", "\n", "\r"]
+UNFRAMING_IDS = ["hash", "newline", "return"]
 
 
 class TestRejectsReport:
@@ -535,7 +546,36 @@ class TestRejectsReport:
 class TestLogFormat:
     def test_delimiter_must_be_single_char(self):
         with pytest.raises(ValueError):
-            LogFormat(delimiter="||")
+            check_delimiter("||")
+
+    @pytest.mark.parametrize("delimiter", UNFRAMING, ids=UNFRAMING_IDS)
+    def test_parse_log_refuses_unframing_delimiter(self, delimiter):
+        with pytest.raises(ValueError, match=r"^delimiter must not be '#', '\\n' or '\\r'$"):
+            parse_log(io.StringIO("x#y\n#z\n"), two_col_schema(), delimiter=delimiter)
+
+    @pytest.mark.parametrize("delimiter", UNFRAMING, ids=UNFRAMING_IDS)
+    def test_write_log_refuses_unframing_delimiter_and_keeps_target(self, delimiter, tmp_path):
+        dataset = AlertDataset(two_col_schema(), (Alert(0, ("x", "2")), Alert(1, ("", "3"))))
+        path = tmp_path / "log.txt"
+        path.write_text("old\t1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^delimiter must not be "):
+            write_log(path, dataset, delimiter=delimiter)
+        assert path.read_text(encoding="utf-8") == "old\t1\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["log.txt"]
+
+    @pytest.mark.parametrize("delimiter", ["", "ab", "\t\t"], ids=["empty", "two", "two-tabs"])
+    def test_every_reader_and_writer_refuses_a_long_delimiter(self, delimiter, tmp_path):
+        dataset = AlertDataset(two_col_schema(), (Alert(0, ("x", "2")),))
+        ranked = [ScoredAlert(0, 0, 0.0, 1)]
+        calls = [
+            lambda: parse_log(io.StringIO("x\t2\n"), two_col_schema(), delimiter=delimiter),
+            lambda: write_log(tmp_path / "log.txt", dataset, delimiter=delimiter),
+            lambda: write_ranked(tmp_path / "ranked.tsv", ranked, dataset, "simple", delimiter),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^delimiter must be a single character$"):
+                call()
+        assert not list(tmp_path.iterdir())
 
 
 class TestSchemaConfig:

@@ -92,6 +92,10 @@ class TestMinisupport:
         with pytest.raises(ValueError):
             MiningConfig(minisupport=1.5).minisupport_abs(4)
 
+    def test_bool_rejected(self):
+        with pytest.raises(ValueError, match="^minisupport must be a count or a ratio$"):
+            MiningConfig(minisupport=True)
+
 
 class TestCandidates1(object):
     def test_distinct_items_with_full_tidlists(self, baskets4):
@@ -142,6 +146,10 @@ class TestPrune:
     def test_works_on_bitsets_too(self):
         level = level_from([(("a",), (0, 1)), (("b",), (2,))])
         assert prune(level, 2) == [(*level[0], 2)]
+
+    def test_threshold_below_one_rejected(self, baskets4):
+        with pytest.raises(ValueError, match="^minisupport must be >= 1$"):
+            prune(build_candidates_1(baskets4), 0)
 
 
 class TestCandidateGen:
@@ -349,6 +357,10 @@ class TestBruteForce:
         wide = Transaction(0, frozenset(Item(0, str(v)) for v in range(25)))
         with pytest.raises(BruteForceGuardError):
             brute_force_mine([wide], MiningConfig(minisupport=1))
+
+    def test_empty_input_raises(self):
+        with pytest.raises(EmptyDatasetError, match="^cannot mine an empty dataset$"):
+            brute_force_mine([])
 
 
 class TestMinerProperties:

@@ -292,6 +292,10 @@ class TestScorerProperties:
         rest = [(itemset, count) for itemset, count in patterns if dropped not in itemset]
         assert scorer.score(items[:12] + items[13:]) == (300, fsum(count / n for _, count in rest))
 
+    def test_dataset_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^dataset size must be >= 1$"):
+            PatternScorer((), 0)
+
     def test_repeated_itemset_rejected(self):
         # would count twice as a pattern of its own
         a, b = Item(0, "a"), Item(1, "b")
@@ -488,6 +492,32 @@ class TestRankedFile:
         write_ranked(path, ranked, ds, "simple")
         source = io.BytesIO(path.read_bytes()) if as_bytes else path
         assert read_ranked(source).rows == tuple(ranked)
+
+    @pytest.mark.parametrize("value", ["2\n3", "\n", "2\r\n"], ids=["inner", "alone", "crlf"])
+    def test_newline_in_a_record_raises_and_keeps_target(self, value, tmp_path):
+        schema = AttributeSchema(
+            (SchemaField("sig", FieldKind.CATEGORICAL), SchemaField("note", FieldKind.CATEGORICAL))
+        )
+        ds = AlertDataset(schema, (Alert(0, ("a", "1")), Alert(1, ("b", value))))
+        ranked = rank(ds, mine(ds, MiningConfig(minisupport=1)))
+        path = tmp_path / "ranked.tsv"
+        path.write_text("old\n", encoding="utf-8")
+        message = f"cannot write tid 1 field 'note': value {value!r} holds '\\n'"
+        with pytest.raises(AlertFpError) as info:
+            write_ranked(path, ranked, ds, "simple")
+        assert str(info.value) == message
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["ranked.tsv"]
+
+    @pytest.mark.parametrize("delimiter", ["#", "\n", "\r"], ids=["hash", "newline", "return"])
+    def test_unframing_delimiter_raises_and_keeps_target(self, delimiter, sample_dataset, tmp_path):
+        ranked = rank(sample_dataset, mine(sample_dataset, MiningConfig(minisupport=2)))
+        path = tmp_path / "ranked.tsv"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^delimiter must not be "):
+            write_ranked(path, ranked, sample_dataset, "simple", delimiter)
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["ranked.tsv"]
 
 
 class TestScoreConfig:

@@ -463,7 +463,7 @@ class TestSaveLoad:
         assert str(info.value) == save_message
         assert not list(tmp_path.iterdir())
         # the bytes save would have written, had it not checked
-        monkeypatch.setattr(ClassifierModel, "validate", lambda self: None)
+        monkeypatch.setattr(ClassifierModel, "scorer", None)
         save_model(model, path)
         with pytest.raises(ModelFormatError) as info:
             load_model(path)
@@ -475,6 +475,13 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match="support 9 outside"):
             save_model(model, path)
         assert not path.exists()
+
+    def test_save_refuses_tidlist_count_mismatch(self, tmp_path):
+        model = ClassifierModel("x", FIXED_TIME, 5, 2, (((A,), 2), ((B,), 2)), ((0, 1),))
+        path = tmp_path / "model.fps"
+        with pytest.raises(ModelFormatError, match="^tidlist count does not match pattern count$"):
+            save_model(model, path)
+        assert not list(tmp_path.iterdir())
 
     def test_pattern_count_mismatch_detected(self, sample_model, tmp_path):
         path = tmp_path / "model.fps"
