@@ -169,7 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--attacks", required=True, help="attack-id file (tid or field=value per line)")
     p_eval.add_argument("--input", help="original log, needed for field=value selectors")
     p_eval.add_argument("--schema", help="schema config, needed for field=value selectors")
-    p_eval.add_argument("--delimiter", type=_parse_delimiter, default="\t")
+    p_eval.add_argument(
+        "--delimiter", type=_parse_delimiter, help="field delimiter of --input (default tab)"
+    )
 
     p_sweep = sub.add_parser("sweep", help="mine/rank/evaluate across minisupport values")
     add_common_io(p_sweep)
@@ -210,6 +212,8 @@ def main(argv=None) -> int:
                 parser.error(f"argument --attacks: {exc} (got {args.n_attack})")
         if args.command == "eval" and (args.input is None) != (args.schema is None):
             parser.error("eval takes --input and --schema together, or neither")
+        if args.command == "eval" and args.input is None and args.delimiter is not None:
+            parser.error("eval takes --delimiter only with --input")
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
@@ -324,7 +328,8 @@ def _cmd_eval(args) -> int:
     ranked_file = read_ranked(args.ranked)
     dataset = None
     if args.input is not None:
-        dataset = parse_log(args.input, load_schema(args.schema), args.delimiter).dataset
+        delimiter = "\t" if args.delimiter is None else args.delimiter
+        dataset = parse_log(args.input, load_schema(args.schema), delimiter).dataset
     attack_tids = _read_attack_file(args, dataset)
     ranks = locate_attacks(ranked_file.rows, attack_tids)
     worst = max(ranks)

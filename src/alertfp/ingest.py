@@ -27,11 +27,15 @@ def check_delimiter(delimiter: str) -> str:
     """delimiter, if it can frame a log record, else ValueError: the one
     rule for every log reader and writer. There is no quoting, so it must
     never occur in a value; tab is the default as signature names may hold
-    most other punctuation. One character, not "#", "\\n" or "\\r"."""
+    most other punctuation. One character, not "#", "\\n" or "\\r", and
+    not a lone surrogate, which is what a byte that is not UTF-8 decodes to
+    on a command line and which no UTF-8 file holds."""
     if len(delimiter) != 1:
         raise ValueError("delimiter must be a single character")
     if delimiter in (COMMENT_PREFIX, "\n", "\r"):
         raise ValueError(f"delimiter must not be {COMMENT_PREFIX!r}, '\\n' or '\\r'")
+    if "\ud800" <= delimiter <= "\udfff":
+        raise ValueError("delimiter must not be a lone surrogate, which UTF-8 cannot encode")
     return delimiter
 
 

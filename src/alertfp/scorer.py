@@ -88,32 +88,49 @@ class PatternScorer:
         for itemset, support_count in patterns:
             add(itemset, support_count)
 
-    def _add(self, itemset: Sequence[Item], support_count: int, parent: list | None = None) -> list:
-        """Insert one pattern and return its node: the one check of an
-        itemset's shape. parent, when given, is the node of the itemset
-        less its last item, so only the last item is placed; else the path
-        is walked from the root, made where missing. A node made for an
-        item must follow the item before it; a node that exists was
-        checked when it was made. Every insert comes before the first
-        score."""
-        if parent is None:
-            if not itemset:
-                raise ModelFormatError("empty itemset")
-            children, node, previous, tail = self._root, None, None, itemset
-        else:
-            children, node, previous, tail = parent[1], parent, itemset[-2], itemset[-1:]
-        for item in tail:
+    def _add(self, itemset: Sequence[Item], support_count: int) -> list:
+        """Insert one pattern, walking its path from the root and making
+        what is missing, and return its node: the one check of an itemset's
+        shape. A node made for an item must follow the item before it; a
+        node that exists was checked when it was made. Every insert comes
+        before the first score."""
+        if not itemset:
+            raise ModelFormatError("empty itemset")
+        children, node, previous = self._root, None, None
+        for item in itemset:
             if children is None:
                 children = node[1] = {}
             node = children.get(item)
             if node is None:
                 if previous is not None and not previous < item:
-                    raise _not_ascending(itemset)
+                    raise _not_ascending(render_itemset(itemset))
                 node = children[item] = [None, None]
                 self._items.add(item)
             children, previous = node[1], item
         if node[0] is not None:
-            raise ModelFormatError(f"itemset {render_itemset(itemset)} repeats an earlier row")
+            raise _repeats(render_itemset(itemset))
+        node[0] = support_count / self.n
+        self.count += 1
+        return node
+
+    def _add_child(
+        self, parent: list, previous: Item, item: Item, support_count: int, text: str
+    ) -> list:
+        """Insert the pattern that extends parent's, whose last item is
+        previous, by item, and return its node: _add's check, with the
+        itemset named by text as a model row writes it. The node may exist
+        already, made by a walk from the root."""
+        if not previous < item:
+            raise _not_ascending(text)
+        children = parent[1]
+        if children is None:
+            children = parent[1] = {}
+        node = children.get(item)
+        if node is None:
+            node = children[item] = [None, None]
+            self._items.add(item)
+        elif node[0] is not None:
+            raise _repeats(text)
         node[0] = support_count / self.n
         self.count += 1
         return node
@@ -154,9 +171,12 @@ class PatternScorer:
         return result
 
 
-def _not_ascending(itemset: Sequence[Item]) -> ModelFormatError:
-    text = render_itemset(itemset)
+def _not_ascending(text: str) -> ModelFormatError:
     return ModelFormatError(f"items of itemset {text} are not strictly ascending")
+
+
+def _repeats(text: str) -> ModelFormatError:
+    return ModelFormatError(f"itemset {text} repeats an earlier row")
 
 
 def _shared_scorer(fps: PatternSet) -> PatternScorer:

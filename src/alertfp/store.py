@@ -11,22 +11,25 @@ newline. An item token must be the one save_model writes for its item,
 so a row's itemset text is one-to-one with its itemset. Tidlists can
 optionally be appended as a third tab-separated column for audit.
 
-Rows are read in order, each onto the scorer's trie as it comes. A row
-whose prefix, the text before its last `,`, is an earlier row's text
-takes that row's itemset and trie node, and only its last token is
-parsed and placed; canonical order makes this every row of a mined model
-past level 1. Any other row, a 1-itemset or a row of a hand-written or
-non-closed model, is parsed token by token and walked from the trie's
-root.
+Rows are read in order, each onto the scorer's trie as it comes, and
+no itemset is built. Every token is the one save_model writes, so a row's
+text names its itemset. A row whose prefix, the text before its last `,`,
+is an earlier row's text hangs one node under that row's node, and only
+its last token is parsed; canonical order makes this every row of a mined
+model past level 1. Any other row, a 1-itemset or a row of a hand-written
+or non-closed model, is parsed token by token and walked from the trie's
+root. A loaded model keeps its rows' text and reads its `patterns` off
+them on first use, so scoring against it never builds them.
 
 A model's rules are checked in one place on save and on load: the
 header's `n_train >= 1`, `minisupport` in `[1, n_train]` and at least one
 row (`_check_header`), each row's support in `[minisupport, n_train]` and
 tidlist of exactly `support_count` strictly ascending tids in
 `[0, n_train)` (`_check_row`), and each itemset's shape in the scorer's
-insert (`PatternScorer._add`). So save refuses any model that load would
-refuse, and load reports the line of the row at fault. The scorer that
-the load builds is kept on the model, and `score_new` uses it.
+insert (`PatternScorer._add`, or `_add_child` for a row placed under its
+prefix row). So save refuses any model that load would refuse, and load
+reports the line of the row at fault. The scorer that the load builds is
+kept on the model, and `score_new` uses it.
 
 Writes go through `textio.atomic_write`, so a reader racing a nightly
 rebuild sees the old model or the new one, never a torn file.
@@ -69,11 +72,15 @@ def schema_fingerprint(schema: AttributeSchema) -> str:
     return hashlib.sha256(schema.canonical_text().encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassifierModel:
     """A persisted pattern set plus the provenance needed to score future
     alerts: training size (support ratios keep the training denominator),
-    threshold, schema fingerprint, and build time."""
+    threshold, schema fingerprint, and build time. Immutable once built;
+    two models are equal when their six fields are.
+
+    load_model returns one that holds its rows' text and builds
+    `patterns` on first read (see _LoadedModel)."""
 
     schema_fingerprint: str
     built_at: str
@@ -81,6 +88,24 @@ class ClassifierModel:
     minisupport_abs: int
     patterns: tuple[tuple[Itemset, int], ...]
     tidlists: tuple[tuple[int, ...], ...] | None = None
+
+    def _key(self) -> tuple:
+        return (
+            self.schema_fingerprint,
+            self.built_at,
+            self.n_train,
+            self.minisupport_abs,
+            self.patterns,
+            self.tidlists,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ClassifierModel):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def pattern_count(self) -> int:
@@ -144,18 +169,18 @@ def _check_header(n_train: int, minisupport_abs: int, pattern_count: int) -> Non
 
 
 def _check_row(
-    itemset: Itemset,
+    itemset: Itemset | str,
     support_count: int,
     tids: Sequence[int] | None,
     n_train: int,
     minisupport_abs: int,
 ) -> None:
     """Check that the row's support and tidlist fit the header; the
-    scorer's insert checks the itemset."""
+    scorer's insert checks the itemset, which may come as its row text."""
     if not minisupport_abs <= support_count <= n_train:
         raise ModelFormatError(
             f"support {support_count} outside [{minisupport_abs}, {n_train}] "
-            f"for itemset {render_itemset(itemset)}"
+            f"for itemset {_text_of(itemset)}"
         )
     # support_count >= 1 here, so a tidlist of that length has ends
     if tids is not None and not (
@@ -165,9 +190,13 @@ def _check_row(
         and list(tids) == sorted(set(tids))
     ):
         raise ModelFormatError(
-            f"tidlist of itemset {render_itemset(itemset)} is not "
+            f"tidlist of itemset {_text_of(itemset)} is not "
             f"{support_count} strictly ascending tids in [0, {n_train})"
         )
+
+
+def _text_of(itemset: Itemset | str) -> str:
+    return itemset if isinstance(itemset, str) else render_itemset(itemset)
 
 
 def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
@@ -194,8 +223,9 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
 def load_model(path: Union[str, Path]) -> ClassifierModel:
     """Read and fully validate a model file in the layout save_model
     writes: the magic line, the header lines in save's order, then row k
-    on line 6 + k, each line ending in "\n". The model comes with the
-    scorer built from its rows as they were read."""
+    on line 6 + k, each line ending in "\n". The rows go onto the scorer's
+    trie as they are read and build no itemset: the model comes with that
+    scorer, and reads its `patterns` off the rows on first use."""
     with open_text(path, ModelFormatError) as stream:
         text = stream.read()
     if not text:
@@ -230,13 +260,14 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
     _check_header(n_train, minisupport_abs, declared)
 
     scorer = PatternScorer((), n_train)
-    patterns: list[tuple[Itemset, int]] = []
+    supports: list[int] = []
     tidlists: list[tuple[int, ...]] = []
     items = _ItemMemo()
     # 30 supports over the daytime model's 3,443 rows: unmemoized, int_of loaded slower than int()
     support_of = cache(int_of)
     columns = 3 if rows and rows[0].count("\t") == 2 else 2  # the first row says if tidlists follow
-    earlier: dict[str, tuple[Itemset, list]] = {}  # row text -> its itemset and trie node
+    # row text -> its trie node and last item; a repeated row raises, so one key per row, in order
+    placed: dict[str, tuple[list, Item]] = {}
     with _collector_paused():
         for line_number, line in enumerate(rows, start=7):
             parts = line.split("\t")
@@ -247,32 +278,82 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
                 text = parts[1]
                 # a value's own "," is escaped, so the prefix is the itemset less its last item
                 prefix, _, last = text.rpartition(",")
-                known = earlier.get(prefix)
-                if known is None:
-                    itemset, parent = tuple(map(items.__getitem__, text.split(","))), None
+                parent = placed.get(prefix)
+                if parent is None:
+                    itemset = tuple(map(items.__getitem__, text.split(",")))
+                    item = itemset[-1]
                 else:
-                    itemset, parent = known[0] + (items[last],), known[1]
+                    item = items[last]
                 tids = None if columns == 2 else _tidlist_of(parts[2])
-                _check_row(itemset, support_count, tids, n_train, minisupport_abs)
-                earlier[text] = itemset, scorer._add(itemset, support_count, parent)
+                _check_row(text, support_count, tids, n_train, minisupport_abs)
+                if parent is None:
+                    node = scorer._add(itemset, support_count)
+                else:
+                    node = scorer._add_child(parent[0], parent[1], item, support_count, text)
+                placed[text] = node, item
             except ValueError:
                 raise ModelFormatError("malformed pattern row", line_number=line_number) from None
             except ModelFormatError as exc:
                 raise ModelFormatError(str(exc), line_number=line_number) from None
             if tids is not None:
                 tidlists.append(tids)
-            patterns.append((itemset, support_count))
+            supports.append(support_count)
 
-    model = ClassifierModel(
-        schema_fingerprint=fingerprint,
-        built_at=built_at,
-        n_train=n_train,
-        minisupport_abs=minisupport_abs,
-        patterns=tuple(patterns),
-        tidlists=tuple(tidlists) if tidlists else None,
+    return _LoadedModel(
+        fingerprint,
+        built_at,
+        n_train,
+        minisupport_abs,
+        tuple(tidlists) if tidlists else None,
+        list(placed),
+        supports,
+        items,
+        scorer,
     )
-    model.__dict__["scorer"] = scorer  # as the cached property stores it
-    return model
+
+
+class _LoadedModel(ClassifierModel):
+    """The model load_model returns: its header, its tidlists, the scorer
+    its load built, and each row's itemset text and support with the memo
+    of the Items its tokens name. `patterns` is built on first read, in
+    one pass over the rows; `pattern_count` is the header's count, so
+    scoring never builds it."""
+
+    def __init__(
+        self,
+        schema_fingerprint: str,
+        built_at: str,
+        n_train: int,
+        minisupport_abs: int,
+        tidlists: tuple[tuple[int, ...], ...] | None,
+        texts: list[str],
+        supports: list[int],
+        items: _ItemMemo,
+        scorer: PatternScorer,
+    ) -> None:
+        self.__dict__.update(
+            schema_fingerprint=schema_fingerprint,
+            built_at=built_at,
+            n_train=n_train,
+            minisupport_abs=minisupport_abs,
+            tidlists=tidlists,
+            _texts=texts,
+            _supports=supports,
+            _items=items,
+            scorer=scorer,  # as the cached property stores it
+        )
+
+    @property
+    def pattern_count(self) -> int:
+        return len(self._supports)
+
+    @cached_property
+    def patterns(self) -> tuple[tuple[Itemset, int], ...]:
+        item_of = self._items.__getitem__  # holds every token of every row by now
+        return tuple(
+            (tuple(map(item_of, text.split(","))), support)
+            for text, support in zip(self._texts, self._supports)
+        )
 
 
 @contextmanager

@@ -152,7 +152,17 @@ def test_bad_value_is_a_usage_error_before_any_output(
     assert list(out_dir.iterdir()) == []
 
 
-@pytest.mark.parametrize("delimiter", ["#", "\n", "\r"], ids=["hash", "newline", "return"])
+@pytest.mark.parametrize(
+    "delimiter, message",
+    [
+        ("#", "delimiter must not be '#'"),
+        ("\n", "delimiter must not be '#'"),
+        ("\r", "delimiter must not be '#'"),
+        # what a byte that is not UTF-8 decodes to on a command line
+        ("\udcff", "delimiter must not be a lone surrogate, which UTF-8 cannot encode"),
+    ],
+    ids=["hash", "newline", "return", "surrogate"],
+)
 @pytest.mark.parametrize(
     "argv",
     [
@@ -165,7 +175,7 @@ def test_bad_value_is_a_usage_error_before_any_output(
     ids=lambda argv: argv[0],
 )
 def test_unframing_delimiter_is_a_usage_error_before_any_output(
-    argv, delimiter, sample_log_path, snort_schema_path, tmp_path, capsys
+    argv, delimiter, message, sample_log_path, snort_schema_path, tmp_path, capsys
 ):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -181,7 +191,7 @@ def test_unframing_delimiter_is_a_usage_error_before_any_output(
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1
-    assert "argument --delimiter: delimiter must not be '#'" in errors[0]
+    assert f"argument --delimiter: {message}" in errors[0]
     assert list(out_dir.iterdir()) == []
 
 
@@ -543,6 +553,38 @@ class TestEvalCommand:
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert errors == ["alertfp: error: eval takes --input and --schema together, or neither"]
+
+    def test_delimiter_without_input_is_a_usage_error(
+        self, sample_log_path, snort_schema_path, tmp_path, capsys
+    ):
+        ranked = tmp_path / "ranked.tsv"
+        args = ["--input", str(sample_log_path), "--schema", str(snort_schema_path)]
+        assert main(["rank", *args, "--minisupport", "2", "--out", str(ranked)]) == 0
+        attacks = tmp_path / "attacks.txt"
+        attacks.write_text("2\n", encoding="utf-8")
+        capsys.readouterr()
+        eval_args = ["eval", "--ranked", str(ranked), "--attacks", str(attacks)]
+        assert main([*eval_args, "--delimiter", ","]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == ["alertfp: error: eval takes --delimiter only with --input"]
+
+    def test_delimiter_frames_the_input_log(
+        self, sample_log_path, snort_schema_path, tmp_path, capsys
+    ):
+        ranked = tmp_path / "ranked.tsv"
+        args = ["--input", str(sample_log_path), "--schema", str(snort_schema_path)]
+        assert main(["rank", *args, "--minisupport", "2", "--out", str(ranked)]) == 0
+        piped = tmp_path / "piped.tsv"
+        piped.write_text(sample_log_path.read_text(encoding="utf-8").replace("\t", "|"), "utf-8")
+        attacks = tmp_path / "attacks.txt"
+        attacks.write_text("cid=3\n", encoding="utf-8")
+        capsys.readouterr()
+        eval_args = ["eval", "--ranked", str(ranked), "--attacks", str(attacks)]
+        log_args = ["--input", str(piped), "--schema", str(snort_schema_path)]
+        assert main([*eval_args, *log_args, "--delimiter", "|"]) == 0
+        assert "attack_ranks=1" in capsys.readouterr().out
 
     def test_cid_selector_requires_log(self, sample_log_path, snort_schema_path, tmp_path, capsys):
         ranked = tmp_path / "ranked.tsv"

@@ -526,10 +526,17 @@ class TestWriteLogRefusals:
             assert parse_log(path, schema, delimiter=delimiter).dataset.n == 3
 
 
-#: Delimiters that could never frame a record: a line starting with "#" is
-#: a comment, and "\n" and "\r" end a line.
-UNFRAMING = ["#", "\n", "\r"]
-UNFRAMING_IDS = ["hash", "newline", "return"]
+#: Delimiters that could never frame a record, with check_delimiter's
+#: message: a line starting with "#" is a comment, "\n" and "\r" end a
+#: line, and no UTF-8 file holds a lone surrogate.
+NOT_FRAMING = "delimiter must not be '#', '\\n' or '\\r'"
+UNFRAMING = [
+    ("#", NOT_FRAMING),
+    ("\n", NOT_FRAMING),
+    ("\r", NOT_FRAMING),
+    ("\udcff", "delimiter must not be a lone surrogate, which UTF-8 cannot encode"),
+]
+UNFRAMING_IDS = ["hash", "newline", "return", "surrogate"]
 
 
 class TestRejectsReport:
@@ -548,18 +555,22 @@ class TestLogFormat:
         with pytest.raises(ValueError):
             check_delimiter("||")
 
-    @pytest.mark.parametrize("delimiter", UNFRAMING, ids=UNFRAMING_IDS)
-    def test_parse_log_refuses_unframing_delimiter(self, delimiter):
-        with pytest.raises(ValueError, match=r"^delimiter must not be '#', '\\n' or '\\r'$"):
+    @pytest.mark.parametrize("delimiter, message", UNFRAMING, ids=UNFRAMING_IDS)
+    def test_parse_log_refuses_unframing_delimiter(self, delimiter, message):
+        with pytest.raises(ValueError) as info:
             parse_log(io.StringIO("x#y\n#z\n"), two_col_schema(), delimiter=delimiter)
+        assert str(info.value) == message
 
-    @pytest.mark.parametrize("delimiter", UNFRAMING, ids=UNFRAMING_IDS)
-    def test_write_log_refuses_unframing_delimiter_and_keeps_target(self, delimiter, tmp_path):
+    @pytest.mark.parametrize("delimiter, message", UNFRAMING, ids=UNFRAMING_IDS)
+    def test_write_log_refuses_unframing_delimiter_and_keeps_target(
+        self, delimiter, message, tmp_path
+    ):
         dataset = AlertDataset(two_col_schema(), (Alert(0, ("x", "2")), Alert(1, ("", "3"))))
         path = tmp_path / "log.txt"
         path.write_text("old\t1\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="^delimiter must not be "):
+        with pytest.raises(ValueError) as info:
             write_log(path, dataset, delimiter=delimiter)
+        assert str(info.value) == message
         assert path.read_text(encoding="utf-8") == "old\t1\n"
         assert [entry.name for entry in tmp_path.iterdir()] == ["log.txt"]
 

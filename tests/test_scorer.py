@@ -509,7 +509,9 @@ class TestRankedFile:
         assert path.read_text(encoding="utf-8") == "old\n"
         assert [entry.name for entry in tmp_path.iterdir()] == ["ranked.tsv"]
 
-    @pytest.mark.parametrize("delimiter", ["#", "\n", "\r"], ids=["hash", "newline", "return"])
+    @pytest.mark.parametrize(
+        "delimiter", ["#", "\n", "\r", "\udcff"], ids=["hash", "newline", "return", "surrogate"]
+    )
     def test_unframing_delimiter_raises_and_keeps_target(self, delimiter, sample_dataset, tmp_path):
         ranked = rank(sample_dataset, mine(sample_dataset, MiningConfig(minisupport=2)))
         path = tmp_path / "ranked.tsv"

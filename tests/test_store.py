@@ -3,6 +3,7 @@ import io
 import random
 import re
 import tempfile
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,7 @@ from alertfp.store import (
 from conftest import random_schema_dataset
 
 FIXED_TIME = "2010-06-22T00:00:00+00:00"
-A, B = Item(0, "a"), Item(1, "b")
+A, B, C = Item(0, "a"), Item(1, "b"), Item(2, "c")
 
 
 @pytest.fixture
@@ -84,17 +85,71 @@ class TestModelBuild:
         assert "minisupport" in str(info.value)
 
 
+@pytest.fixture
+def tidlist_model(sample_dataset):
+    fps = mine(sample_dataset, MiningConfig(minisupport=2))
+    return ClassifierModel.from_pattern_set(
+        fps, sample_dataset.schema, built_at=FIXED_TIME, include_tidlists=True
+    )
+
+
+#: Not downward closed, nor in canonical order: the first row walks from the
+#: root and makes 0=a and 0=a,1=b as bare nodes, which the second row fills
+#: from the root and the third fills as the child of its prefix row.
+UNCLOSED_MODEL = ClassifierModel(
+    "x", FIXED_TIME, 5, 2, (((A, B, C), 2), ((A,), 4), ((A, B), 3), ((B, C), 2))
+)
+
+
 class TestSaveLoad:
     def test_round_trip_equality(self, sample_model, tmp_path):
         path = tmp_path / "model.fps"
         save_model(sample_model, path)
-        assert load_model(path) == sample_model
+        loaded = load_model(path)
+        assert loaded == sample_model
+        assert sample_model == loaded
+        assert hash(loaded) == hash(sample_model)
 
-    def test_second_save_is_byte_identical(self, sample_model, tmp_path):
-        first, second = tmp_path / "a.fps", tmp_path / "b.fps"
-        save_model(sample_model, first)
-        save_model(load_model(first), second)
-        assert first.read_bytes() == second.read_bytes()
+    def test_second_save_is_byte_identical(self, sample_model, tidlist_model, tmp_path):
+        for model in (sample_model, tidlist_model, UNCLOSED_MODEL):
+            first, second = tmp_path / "a.fps", tmp_path / "b.fps"
+            save_model(model, first)
+            save_model(load_model(first), second)
+            assert first.read_bytes() == second.read_bytes()
+
+    def test_unclosed_model_loads_the_trie_its_rows_build(self, tmp_path):
+        path = tmp_path / "model.fps"
+        save_model(UNCLOSED_MODEL, path)
+        loaded = load_model(path)
+        assert loaded.scorer._root == PatternScorer(UNCLOSED_MODEL.patterns, 5)._root
+        assert loaded.scorer.count == 4
+        assert loaded == UNCLOSED_MODEL
+
+    def test_scoring_a_loaded_model_builds_no_patterns(
+        self, sample_dataset, sample_model, tmp_path
+    ):
+        path = tmp_path / "model.fps"
+        save_model(sample_model, path)
+        loaded = load_model(path)
+        ranked = score_new(sample_dataset, loaded)
+        assert "patterns" not in loaded.__dict__
+        assert f"patterns={loaded.pattern_count}" in path.read_text(encoding="utf-8").splitlines()
+        assert ranked == score_new(sample_dataset, sample_model)
+        assert loaded.patterns == sample_model.patterns
+        assert "patterns" in loaded.__dict__
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ClassifierModel)])
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_model_is_frozen(self, name, loaded, tidlist_model, tmp_path):
+        model = tidlist_model
+        if loaded:
+            save_model(model, tmp_path / "model.fps")
+            model = load_model(tmp_path / "model.fps")
+        with pytest.raises(FrozenInstanceError):
+            setattr(model, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(model, name)
+        assert model == tidlist_model
 
     def test_header_layout(self, sample_model, tmp_path):
         path = tmp_path / "model.fps"
@@ -624,6 +679,8 @@ class TestLoadedTrieProperty:
             save_model(model, path)
             loaded = load_model(path)
         assert loaded == model
+        assert model == loaded
+        assert hash(loaded) == hash(model)
         assert loaded.scorer._root == expected._root
         assert loaded.scorer._frequent == expected._frequent
         assert loaded.scorer.count == expected.count
