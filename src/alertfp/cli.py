@@ -10,6 +10,8 @@ pipe the output.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -214,6 +216,9 @@ def main(argv=None) -> int:
             parser.error("eval takes --input and --schema together, or neither")
         if args.command == "eval" and args.input is None and args.delimiter is not None:
             parser.error("eval takes --delimiter only with --input")
+        clash = _same_file_clash(args)
+        if clash:
+            parser.error(clash)
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
@@ -227,6 +232,65 @@ def main(argv=None) -> int:
     except (AlertFpError, OSError) as exc:
         print(f"alertfp: {exc}", file=sys.stderr)
         return EXIT_DATA
+
+
+# the path options each command reads and writes; eval writes nothing
+_INPUTS = {
+    "mine": ("input", "schema"),
+    "rank": ("input", "schema"),
+    "score": ("input", "schema", "model"),
+    "sweep": ("input", "schema", "attacks"),
+}
+_OUTPUTS = {
+    "mine": ("out", "rejects_out"),
+    "rank": ("out", "rejects_out"),
+    "score": ("out", "rejects_out"),
+    "sweep": ("out", "rejects_out"),
+    "gen": ("out", "attacks_out", "schema_out"),
+}
+
+
+def _same_file_clash(args) -> str | None:
+    """Name two path options of the command that would clobber each other:
+    an output that is the same file as an input or as another output. An
+    output that is a device or a pipe (`/dev/stdout` on a terminal or a
+    pipe, `/dev/null`) replaces no file, so it clashes with nothing."""
+
+    def given(attrs):
+        paths = [(attr, getattr(args, attr)) for attr in attrs]
+        return [(attr, path, _identity(path)) for attr, path in paths if path is not None]
+
+    inputs = given(_INPUTS.get(args.command, ()))
+    outputs = given(_OUTPUTS.get(args.command, ()))
+    if args.command in ("rank", "score") and args.top_p is not None:
+        path = _candidates_path(args)
+        outputs.append(("candidates_out", path, _identity(path)))
+    outputs = [output for output in outputs if output[2] is not None]
+    for k, (attr, path, identity) in enumerate(outputs):
+        for other, other_path, other_identity in inputs + outputs[:k]:
+            if identity == other_identity:
+                return (
+                    f"{_option(attr)} {path!r} is the same file as {_option(other)} {other_path!r}"
+                )
+    return None
+
+
+def _option(attr: str) -> str:
+    return "--" + attr.replace("_", "-")
+
+
+def _identity(path: str) -> tuple | None:
+    """What tells path's file apart from others: for a file that exists,
+    links followed, its (device, inode), which os.path.samefile compares
+    and which catches hard links too; for one that does not, its
+    os.path.realpath. None for a device or a pipe."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return ("path", os.path.realpath(path))
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return (st.st_dev, st.st_ino)
 
 
 def _dispatch(args) -> int:
@@ -314,9 +378,13 @@ def _write_candidates(args, ranked) -> None:
     if args.top_p is None:
         return
     tids = top_candidates(ranked, args.top_p)
-    path = args.candidates_out or f"{args.out}.candidates"
+    path = _candidates_path(args)
     write_attack_ids(path, tids)
     print(f"alertfp: wrote {len(tids)} candidate tid(s) to {path}", file=sys.stderr)
+
+
+def _candidates_path(args) -> str:
+    return args.candidates_out or f"{args.out}.candidates"
 
 
 def _read_attack_file(args, dataset=None) -> set[int]:

@@ -7,24 +7,47 @@ contained patterns' support ratios divided by the pattern-set size, so it
 always lands in [0, 1]. Alerts containing many common patterns score
 high and sink; alerts matching nothing float to the top for review.
 
-Counting takes one route: the patterns sit in a prefix trie, and each
-distinct set of frequent items walks it along its own items in ascending
-order, the Apriori subset function (Agrawal & Srikant, VLDB 1994) laid
-out as a prefix tree in the manner of FP-growth (Han, Pei & Yin, SIGMOD
-2000). Building the trie is the one check of an itemset's shape, for
-mined sets and for models saved or loaded alike. A scorer meant to be
-reused is kept on what it scores for: in a PatternSet's `_scorer` slot
-for the per-alert calls, and as a ClassifierModel's `scorer` property
-for `store.score_new`.
+The patterns sit in a prefix trie (PatternScorer), the Apriori subset
+function (Agrawal & Srikant, VLDB 1994) laid out as a prefix tree in the
+manner of FP-growth (Han, Pei & Yin, SIGMOD 2000). Building the trie is
+the one check of an itemset's shape, for mined sets and for models saved
+or loaded alike. Counting then takes one of two routes:
+
+- The trie walk: each distinct set of frequent items walks the trie along
+  its own items in ascending order. A loaded model (`store.score_new`)
+  and the per-alert `simple_fpof`/`fpof` calls score this way, since they
+  see few distinct keys and deriving anything from the trie would cost
+  more than it saves. A scorer meant to be reused is kept on what it
+  scores for: in a PatternSet's `_scorer` slot for the per-alert calls,
+  and as a ClassifierModel's `scorer` property for `store.score_new`.
+- Conditional decomposition (ConditionalScorer), FP-growth's conditional
+  pattern base: `rank`, and so `alertfp rank` and the sweep, derives it
+  from the checked trie once and then drops the trie. Items are put in
+  descending order of level-1 support, and each pattern is filed under
+  its last item x in that order, on x's conditional trie, which holds the
+  pattern less x. A key's score is then the score of its prefix without
+  x plus x's own pattern and the patterns on x's conditional trie the
+  prefix contains. Scores are memoized by prefix, so the keys that share
+  a common profile pay for it once, and each pays only for its rare items.
+
+Both routes give the same (count, raw sum), bit for bit. The walk sums its
+ratios with fsum, which is correctly rounded. The decomposition splits the
+sum, so it adds exact integers instead: every ratio fl(s/n) with s >= 1 is
+at least 1/n > 2**-b, with b = n.bit_length(), so it is a multiple of
+2**(-b - 52), and ldexp(ratio, S) with S = b + 53 is an integer. The
+integer sum is the exact sum of the ratios, and int / int is correctly
+rounded, so dividing it by 2**S once gives fsum's result.
 """
 
 from __future__ import annotations
 
+import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import fsum
+from math import fsum, ldexp
 from typing import Iterable, Sequence
 
 from .errors import AlertFpError, EmptyPatternSetError, ModelFormatError
@@ -171,6 +194,137 @@ class PatternScorer:
         return result
 
 
+class ConditionalScorer:
+    """PatternScorer's scores by conditional decomposition (see the module
+    docstring), from the same (itemset, support_count) pairs.
+
+    The pairs go onto a PatternScorer's trie first, the one check of their
+    shape, and the trie is taken apart as the conditional form is built
+    from it, so the two are never held whole at once. Each item becomes its
+    position in the order of descending level-1 ratio, ties broken by Item;
+    an item with no 1-itemset pattern (in a set that is not downward
+    closed) comes last. Any total order gives the same scores; this one
+    makes keys share long prefixes. `_conditional[x]` is item x's
+    conditional trie: a node [ratio or None, children dict or None] whose
+    own ratio is pattern {x}'s and whose paths, in ascending position, are
+    the patterns whose last item is x, less x. Ratios are held as the
+    integers ldexp(ratio, S). `_memo` is a trie of the key prefixes scored
+    so far, a node being [count, integer sum, children dict].
+
+    A support ratio that is not a multiple of 2**-S, which s/n for an int
+    s >= 1 always is, raises ValueError: its integer would not be exact.
+    """
+
+    def __init__(self, patterns: Iterable[tuple[Sequence[Item], int]], n: int):
+        with _collector_paused():
+            self._build(PatternScorer(patterns, n))
+        self._memo: list = [0, 0, {}]
+        self._cache: dict[frozenset[Item], tuple[int, float]] = {}
+
+    def _build(self, trie: PatternScorer) -> None:
+        n = trie.n
+        self.count = trie.count
+        shift = n.bit_length() + 53
+        self._scale = 1 << shift
+        root = trie._root
+
+        def level_1(item: Item) -> tuple:
+            ratio = root[item][0] if item in root else None
+            return (ratio is None, -(ratio or 0.0), item)
+
+        ordered = sorted(trie._items, key=level_1)
+        self._position = position = {item: k for k, item in enumerate(ordered)}
+        self._frequent = frozenset(ordered)
+        conditional = [[None, None] for _ in ordered]
+        stack = [(root, ())]
+        while stack:
+            children, path = stack.pop()
+            while children:  # emptied as it goes, so each node dies once filed
+                item, (ratio, below) = children.popitem()
+                here = path + (position[item],)
+                if ratio is not None:
+                    rest = sorted(here)
+                    target = conditional[rest.pop()]
+                    for k in rest:
+                        if target[1] is None:
+                            target[1] = {}
+                        node = target[1].get(k)
+                        if node is None:
+                            node = target[1][k] = [None, None]
+                        target = node
+                    scaled = ldexp(ratio, shift)
+                    target[0] = int(scaled)
+                    if target[0] != scaled:
+                        message = f"support ratio {ratio!r} is not a multiple of 2**-{shift}"
+                        raise ValueError(message)
+                if below:
+                    stack.append((below, here))
+        self._conditional = conditional
+
+    @classmethod
+    def from_pattern_set(cls, fps: PatternSet) -> "ConditionalScorer":
+        return cls(((p.itemset, p.support_count) for p in fps), fps.n)
+
+    def score(self, items: Iterable[Item]) -> tuple[int, float]:
+        """Return (contained-pattern count, ratio sum) for one item set."""
+        key = self._frequent.intersection(items)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        members = sorted(map(self._position.__getitem__, key))
+        memo = self._memo
+        done = 0
+        for x in members:  # down the longest prefix scored before
+            step = memo[2].get(x)
+            if step is None:
+                break
+            memo = step
+            done += 1
+        count, total = memo[0], memo[1]
+        conditional = self._conditional
+        for end in range(done, len(members)):
+            x = members[end]
+            own, children = conditional[x]
+            if own is not None:
+                count += 1
+                total += own
+            # (children, position): as in PatternScorer.score, over the
+            # members before x
+            stack = [(children, 0)] if children else []
+            while stack:
+                children, start = stack.pop()
+                for position in range(start, end):
+                    node = children.get(members[position])
+                    if node is not None:
+                        if node[0] is not None:
+                            count += 1
+                            total += node[0]
+                        if node[1]:
+                            stack.append((node[1], position + 1))
+            step = memo[2][x] = [count, total, {}]
+            memo = step
+        result = (count, total / self._scale)
+        self._cache[key] = result
+        return result
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while a trie is built. A build
+    only adds containers and makes no cyclic garbage, yet the collector's
+    passes over the growing trie took about a sixth of a load of the seed-1
+    daytime model (3,443 rows, one load per fresh process), and about a
+    third of building the conditional form of the 55,643 patterns of the
+    sweep's threshold 30. A collector that was already off stays off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _not_ascending(text: str) -> ModelFormatError:
     return ModelFormatError(f"items of itemset {text} are not strictly ascending")
 
@@ -213,18 +367,20 @@ def rank(
     """Score every alert and sort ascending by the configured metric.
 
     Both scores are always populated. Ties break by ascending tid, so the
-    output is fully determined by the scores and the input order.
+    output is fully determined by the scores and the input order. Scores
+    by conditional decomposition; the trie, the conditional tries and the
+    memo all die with the ranking.
     """
     config = config or ScoreConfig()
     if fps.count == 0:
         raise EmptyPatternSetError("ranking is undefined over an empty pattern set")
-    scorer = PatternScorer.from_pattern_set(fps)
+    scorer = ConditionalScorer.from_pattern_set(fps)
     return rank_with_scorer(_as_transactions(data), scorer, config)
 
 
 def rank_with_scorer(
     transactions: Sequence[Transaction],
-    scorer: PatternScorer,
+    scorer: PatternScorer | ConditionalScorer,
     config: ScoreConfig,
 ) -> list[ScoredAlert]:
     raw = []

@@ -37,9 +37,7 @@ rebuild sees the old model or the new one, never a torn file.
 
 from __future__ import annotations
 
-import gc
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache, cached_property
@@ -57,7 +55,13 @@ from .model import (
     render_itemset,
     unescape_value,
 )
-from .scorer import PatternScorer, ScoreConfig, ScoredAlert, rank_with_scorer
+from .scorer import (
+    PatternScorer,
+    ScoreConfig,
+    ScoredAlert,
+    _collector_paused,
+    rank_with_scorer,
+)
 from .textio import atomic_write, int_of, ints_of, open_text
 
 MODEL_MAGIC = "# alertfp-model v1"
@@ -354,22 +358,6 @@ class _LoadedModel(ClassifierModel):
             (tuple(map(item_of, text.split(","))), support)
             for text, support in zip(self._texts, self._supports)
         )
-
-
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector for a model's rows. A load only
-    adds containers and makes no garbage, yet the collector's passes over
-    the growing trie took about a sixth of a load of the seed-1 daytime
-    model (3,443 rows, one load per fresh process). A collector that was
-    already off stays off."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _tidlist_of(text: str) -> tuple[int, ...]:

@@ -93,6 +93,7 @@ def atomic_write(target: Target) -> Iterator[IO[str]]:
     is a symlink, a device or a pipe is written in place, through the
     link: replacing it would replace the link or the device itself, and
     `/dev/stdout` is a symlink even when stdout is redirected to a file.
+    An OSError from the temp file or the rename names target as given.
     """
     if not isinstance(target, (str, Path)):
         yield target
@@ -113,13 +114,23 @@ def atomic_write(target: Target) -> Iterator[IO[str]]:
             break
         except FileExistsError:  # left by a crashed run with the same pid
             continue
+        except OSError as exc:
+            raise _for_target(exc, target) from None
     try:
         with out:
             yield out
-        os.replace(temp, path)
+        try:
+            os.replace(temp, path)
+        except OSError as exc:
+            raise _for_target(exc, target) from None
     except BaseException:
         try:
             os.unlink(temp)
         except OSError:
             pass
         raise
+
+
+def _for_target(exc: OSError, target: Union[str, Path]) -> OSError:
+    """exc as if raised for target as given, not for its temp file."""
+    return type(exc)(exc.errno, exc.strerror, os.fspath(target))

@@ -799,6 +799,115 @@ def test_commands_write_nothing_to_stdout(tmp_path, capfd):
         assert out == "" and err.startswith("alertfp: "), argv[0]
 
 
+class TestSameFileRefused:
+    """An output that is the same file as an input or as another output is
+    a usage error (exit 1), with nothing read or written."""
+
+    BASE = {
+        "mine": ["--input", "{log}", "--schema", "{schema}", "--minisupport", "2"],
+        "rank": ["--input", "{log}", "--schema", "{schema}", "--minisupport", "2"],
+        "score": ["--input", "{log}", "--schema", "{schema}", "--model", "{model}"],
+        "sweep": [
+            "--input", "{log}", "--schema", "{schema}", "--minisupport", "2",
+            "--attacks", "{attacks}",
+        ],
+        "gen": ["--records", "100", "--seed", "1"],
+    }
+
+    @pytest.fixture
+    def files(self, sample_log_path, snort_schema_path, tmp_path):
+        model = tmp_path / "model.fps"
+        mine_argv = ["mine", "--input", str(sample_log_path), "--schema", str(snort_schema_path)]
+        assert main([*mine_argv, "--minisupport", "2", "--out", str(model)]) == 0
+        (tmp_path / "attacks.txt").write_text("0\n", encoding="utf-8")
+        os.link(sample_log_path, tmp_path / "hard.tsv")
+        (tmp_path / "link.tsv").symlink_to(sample_log_path)
+        return {
+            "log": sample_log_path,
+            "schema": snort_schema_path,
+            "model": model,
+            "attacks": tmp_path / "attacks.txt",
+            "d": tmp_path,
+        }
+
+    @staticmethod
+    def snapshot(directory):
+        return {
+            path.name: (path.is_symlink(), path.read_bytes()) for path in directory.iterdir()
+        }
+
+    @pytest.mark.parametrize(
+        "command, outputs, clash",
+        [
+            ("rank", ["--out", "{log}"], ("--out", "--input")),
+            ("score", ["--out", "{model}"], ("--out", "--model")),
+            (
+                "rank",
+                ["--top-p", "1", "--out", "{d}/r.tsv", "--candidates-out", "{d}/r.tsv"],
+                ("--candidates-out", "--out"),
+            ),
+            (
+                "score",
+                ["--out", "{d}/r.tsv", "--rejects-out", "{d}/r.tsv"],
+                ("--rejects-out", "--out"),
+            ),
+            (
+                "rank",  # the default candidates path, <out>.candidates
+                ["--top-p", "1", "--out", "{d}/r", "--rejects-out", "{d}/r.candidates"],
+                ("--candidates-out", "--rejects-out"),
+            ),
+            (
+                "gen",
+                ["--out", "{d}/s", "--attacks-out", "{d}/s", "--schema-out", "{d}/s"],
+                ("--attacks-out", "--out"),
+            ),
+            ("sweep", ["--out", "{attacks}"], ("--out", "--attacks")),
+            ("mine", ["--out", "{schema}"], ("--out", "--schema")),
+            ("rank", ["--out", "{d}/hard.tsv"], ("--out", "--input")),
+            ("rank", ["--out", "{d}/link.tsv"], ("--out", "--input")),
+            ("rank", ["--out", "{d}/../{d_name}/sample.tsv"], ("--out", "--input")),
+        ],
+        ids=[
+            "rank-out-input",
+            "score-out-model",
+            "rank-candidates-out",
+            "score-rejects-out",
+            "rank-default-candidates",
+            "gen-all-three",
+            "sweep-out-attacks",
+            "mine-out-schema",
+            "hard-link",
+            "symlink",
+            "dot-dot",
+        ],
+    )
+    def test_refused_before_anything_is_read_or_written(
+        self, command, outputs, clash, files, capsys
+    ):
+        names = {**{key: str(value) for key, value in files.items()}, "d_name": files["d"].name}
+        argv = [command] + [arg.format(**names) for arg in self.BASE[command] + outputs]
+        before = self.snapshot(files["d"])
+        capsys.readouterr()
+        assert main(argv) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert re.search(f" {clash[0]} '.*' is the same file as {clash[1]} '", errors[0])
+        assert self.snapshot(files["d"]) == before
+
+    def test_device_outputs_may_share_a_file(self, files):
+        argv = ["rank"] + [arg.format(**files) for arg in self.BASE["rank"]]
+        assert main(argv + ["--top-p", "1", "--out", os.devnull, "--candidates-out", os.devnull]) == 0
+
+    def test_missing_directory_names_the_target(self, files, capsys):
+        argv = ["rank"] + [arg.format(**files) for arg in self.BASE["rank"]]
+        target = files["d"] / "missing" / "c.txt"
+        argv += ["--top-p", "1", "--out", str(files["d"] / "r.tsv"), "--candidates-out", str(target)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f": {str(target)!r}\n" in err
+        assert ".tmp" not in err
+
+
 class TestOutputFiles:
     def test_model_and_ranked_files_take_the_umask(
         self, sample_log_path, snort_schema_path, tmp_path

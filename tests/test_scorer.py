@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alertfp.errors import AlertFpError, EmptyPatternSetError, ModelFormatError
+from alertfp.evaluate import SyntheticSpec, gen_synthetic
 from alertfp.miner import MiningConfig, PatternSet, mine
 from alertfp.model import (
     Alert,
@@ -18,11 +19,13 @@ from alertfp.model import (
     Transaction,
 )
 from alertfp.scorer import (
+    ConditionalScorer,
     PatternScorer,
     ScoreConfig,
     ScoredAlert,
     fpof,
     rank,
+    rank_with_scorer,
     read_ranked,
     simple_fpof,
     top_candidates,
@@ -39,6 +42,8 @@ KNOWN_ITEMS = [Item(field, f"v{value}") for field in range(3) for value in range
 UNSEEN_ITEMS = [Item(0, "unseen"), Item(5, "v0")]
 #: A pool wide enough for keys of more than 20 frequent items.
 WIDE_ITEMS = [Item(field, f"w{value}") for field in range(4) for value in range(8)]
+#: Both scoring routes: the trie walk, and conditional decomposition.
+ROUTES = (PatternScorer, ConditionalScorer)
 
 
 @pytest.fixture
@@ -217,11 +222,10 @@ class TestScorerProperties:
         rng = random.Random(8)
         txns = random_baskets(rng, max_transactions=20, max_distinct_items=10)
         fps = mine(txns, MiningConfig(minisupport=1))
-        scorer = PatternScorer.from_pattern_set(fps)
-        for t in txns:
-            by_trie = scorer.score(t.items)
-            by_scan = scan_score(fps, t)
-            assert by_trie == by_scan
+        for route in ROUTES:
+            scorer = route.from_pattern_set(fps)
+            for t in txns:
+                assert scorer.score(t.items) == scan_score(fps, t)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -240,12 +244,13 @@ class TestScorerProperties:
         mined = mine(txns, MiningConfig(minisupport=1))
         kept = tuple(p for p in mined if rng.random() < keep_share)
         fps = PatternSet(kept, mined.n, mined.minisupport_abs)
-        scorer = PatternScorer.from_pattern_set(fps)
         everything = set(KNOWN_ITEMS + UNSEEN_ITEMS)  # holds every frequent item
-        for items in [set(UNSEEN_ITEMS), everything, *queries, *rows]:
-            expected = scan_score(fps, Transaction(0, frozenset(items)))
-            assert scorer.score(set(items)) == expected
-            assert scorer.score(frozenset(items)) == expected
+        for route in ROUTES:
+            scorer = route.from_pattern_set(fps)
+            for items in [set(UNSEEN_ITEMS), everything, *queries, *rows]:
+                expected = scan_score(fps, Transaction(0, frozenset(items)))
+                assert scorer.score(set(items)) == expected
+                assert scorer.score(frozenset(items)) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -271,9 +276,10 @@ class TestScorerProperties:
         mined = mine(txns, MiningConfig(minisupport=1))
         kept = tuple(p for p in mined if rng.random() < keep_share)
         fps = PatternSet(kept, mined.n, mined.minisupport_abs)
-        scorer = PatternScorer.from_pattern_set(fps)
-        for items in [set(WIDE_ITEMS), *queries, *rows]:
-            assert scorer.score(items) == scan_score(fps, Transaction(0, frozenset(items)))
+        for route in ROUTES:
+            scorer = route.from_pattern_set(fps)
+            for items in [set(WIDE_ITEMS), *queries, *rows]:
+                assert scorer.score(items) == scan_score(fps, Transaction(0, frozenset(items)))
 
     def test_all_pairs_over_25_items(self):
         items = [Item(0, f"w{k:02d}") for k in range(25)]
@@ -286,11 +292,15 @@ class TestScorerProperties:
             if i < j
         ]
         assert len(patterns) == 325
-        scorer = PatternScorer(patterns, n)
-        assert scorer.score(items) == (325, fsum(count / n for _, count in patterns))
         dropped = items[12]
         rest = [(itemset, count) for itemset, count in patterns if dropped not in itemset]
-        assert scorer.score(items[:12] + items[13:]) == (300, fsum(count / n for _, count in rest))
+        for route in ROUTES:
+            scorer = route(patterns, n)
+            assert scorer.score(items) == (325, fsum(count / n for _, count in patterns))
+            assert scorer.score(items[:12] + items[13:]) == (
+                300,
+                fsum(count / n for _, count in rest),
+            )
 
     def test_dataset_size_below_one_rejected(self):
         with pytest.raises(ValueError, match="^dataset size must be >= 1$"):
@@ -324,6 +334,89 @@ class TestScorerProperties:
             ModelFormatError, match=f"items of itemset {rendered} are not strictly ascending"
         ):
             PatternScorer(patterns, 5)
+
+
+#: Items the hand-made pattern sets below draw from, over three columns.
+POOL = [Item(field, f"p{value}") for field in range(3) for value in range(4)]
+
+
+@st.composite
+def pattern_pairs(draw):
+    """(itemset, support_count) pairs that need not be downward closed,
+    over n a power of two or one below it, with supports drawn from few
+    values so that level-1 ties are common."""
+    power = 2 ** draw(st.integers(min_value=0, max_value=40))
+    n = max(1, power - draw(st.integers(min_value=0, max_value=1)))
+    supports = st.sampled_from(sorted({1, max(1, n // 3), max(1, n // 2), n})) | st.integers(1, n)
+    itemsets = draw(
+        st.lists(st.frozensets(st.sampled_from(POOL), min_size=1, max_size=5), unique=True)
+    )
+    return [(tuple(sorted(itemset)), draw(supports)) for itemset in itemsets], n
+
+
+class TestConditionalScorer:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=pattern_pairs(),
+        queries=st.lists(st.sets(st.sampled_from(POOL + UNSEEN_ITEMS)), max_size=12),
+    )
+    @example(
+        # three 1-itemsets tied at 3/4, so the order falls to Item
+        pairs=(
+            [((POOL[0],), 3), ((POOL[4],), 3), ((POOL[8],), 3), ((POOL[0], POOL[4]), 2),
+             ((POOL[0], POOL[4], POOL[8]), 1), ((POOL[1], POOL[8]), 1)],
+            4,
+        ),
+        queries=[set(POOL[:9]), {POOL[0], POOL[8]}, {POOL[1], POOL[8]}],
+    )
+    @example(
+        # no 1-itemset at all: every item sorts last
+        pairs=([((POOL[0], POOL[5]), 3), ((POOL[0], POOL[5], POOL[9]), 1)], 3),
+        queries=[set(POOL)],
+    )
+    def test_equals_trie_walk_and_brute_scan_hypothesis(self, pairs, queries):
+        patterns, n = pairs
+        trie = PatternScorer(patterns, n)
+        conditional = ConditionalScorer(patterns, n)
+        assert conditional.count == trie.count == len(patterns)
+        for items in [*queries, set(POOL), *queries[::-1]]:
+            hits = [count / n for itemset, count in patterns if set(itemset) <= items]
+            expected = (len(hits), fsum(hits))
+            assert conditional.score(items) == trie.score(items) == expected
+
+    @pytest.mark.parametrize("metric", ["simple", "fpof"])
+    def test_rank_equals_the_trie_walk(self, metric):
+        rng = random.Random(0xC0D)
+        config = ScoreConfig(metric)
+        for trial in range(40):
+            if trial % 2:
+                data = random_schema_dataset(rng)
+                txns = data.transactions()
+            else:
+                data = txns = random_baskets(rng)
+            mined = mine(data, MiningConfig(minisupport=rng.randint(1, len(txns))))
+            # every other trial drops patterns, so the set need not be downward closed
+            kept = tuple(p for p in mined if trial % 4 < 2 or rng.random() < 0.6)
+            fps = PatternSet(kept, mined.n, mined.minisupport_abs)
+            if fps.count == 0:
+                continue
+            by_walk = rank_with_scorer(txns, PatternScorer.from_pattern_set(fps), config)
+            assert rank(data, fps, config) == by_walk
+
+    @pytest.mark.parametrize("metric", ["simple", "fpof"])
+    def test_rank_of_a_generated_log_equals_the_trie_walk(self, metric):
+        # routine profiles give keys that share long prefixes, so the memo is hit
+        ds, _ = gen_synthetic(SyntheticSpec(2000, 5, 7, 2))
+        fps = mine(ds, MiningConfig(minisupport=20))
+        config = ScoreConfig(metric)
+        by_walk = rank_with_scorer(ds.transactions(), PatternScorer.from_pattern_set(fps), config)
+        assert rank(ds, fps, config) == by_walk
+
+    def test_support_ratio_that_is_not_exact_rejected(self):
+        a = Item(0, "a")
+        assert ConditionalScorer([((a,), 0.5)], 1).score({a}) == (1, 0.5)
+        with pytest.raises(ValueError, match=r"^support ratio .* is not a multiple of 2\*\*-54$"):
+            ConditionalScorer([((a,), 2.0**-60)], 1)
 
 
 def scan_score(fps, t):

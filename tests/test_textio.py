@@ -28,6 +28,16 @@ def test_stale_temp_name_is_skipped(tmp_path):
     assert stale.read_text(encoding="utf-8") == "left by a crash\n"
 
 
+@pytest.mark.parametrize("as_path", [False, True], ids=["str", "path"])
+def test_missing_directory_is_named_as_given(as_path, tmp_path):
+    target = tmp_path / "missing" / "c.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        with atomic_write(target if as_path else str(target)):
+            pass
+    assert info.value.filename == str(target)
+    assert str(info.value).endswith(f": {str(target)!r}")
+
+
 def test_stream_passes_through_open():
     buffer = io.StringIO()
     with atomic_write(buffer) as out:
