@@ -11,7 +11,12 @@ The patterns sit in a prefix trie (PatternScorer), the Apriori subset
 function (Agrawal & Srikant, VLDB 1994) laid out as a prefix tree in the
 manner of FP-growth (Han, Pei & Yin, SIGMOD 2000). Building the trie is
 the one check of an itemset's shape, for mined sets and for models saved
-or loaded alike. Counting then takes one of two routes:
+or loaded alike. Each node holds its support ratio fl(s/n) as the exact
+integer ldexp(ratio, S), with S = n.bit_length() + 53: a ratio with
+s >= 1 is at least 1/n > 2**-(S - 53), so it is a multiple of 2**-S. A
+score adds integers, which is exact in any order, and divides by 2**S
+once; int / int is correctly rounded. Counting then takes one of two
+routes, with the same (count, raw sum) bit for bit:
 
 - The trie walk: each distinct set of frequent items walks the trie along
   its own items in ascending order. A loaded model (`store.score_new`)
@@ -21,22 +26,14 @@ or loaded alike. Counting then takes one of two routes:
   scores for: in a PatternSet's `_scorer` slot for the per-alert calls,
   and as a ClassifierModel's `scorer` property for `store.score_new`.
 - Conditional decomposition (ConditionalScorer), FP-growth's conditional
-  pattern base: `rank`, and so `alertfp rank` and the sweep, derives it
-  from the checked trie once and then drops the trie. Items are put in
+  pattern base: `rank`, and so `alertfp rank` and the sweep, takes the
+  checked trie apart into one conditional trie per item. Items are put in
   descending order of level-1 support, and each pattern is filed under
   its last item x in that order, on x's conditional trie, which holds the
   pattern less x. A key's score is then the score of its prefix without
   x plus x's own pattern and the patterns on x's conditional trie the
   prefix contains. Scores are memoized by prefix, so the keys that share
   a common profile pay for it once, and each pays only for its rare items.
-
-Both routes give the same (count, raw sum), bit for bit. The walk sums its
-ratios with fsum, which is correctly rounded. The decomposition splits the
-sum, so it adds exact integers instead: every ratio fl(s/n) with s >= 1 is
-at least 1/n > 2**-b, with b = n.bit_length(), so it is a multiple of
-2**(-b - 52), and ldexp(ratio, S) with S = b + 53 is an integer. The
-integer sum is the exact sum of the ratios, and int / int is correctly
-rounded, so dividing it by 2**S once gives fsum's result.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import fsum, ldexp
+from math import ldexp
 from typing import Iterable, Sequence
 
 from .errors import AlertFpError, EmptyPatternSetError, ModelFormatError
@@ -87,23 +84,27 @@ class PatternScorer:
     Works from bare (itemset, support_count) pairs so a freshly mined
     pattern set and a loaded classifier model score identically. The
     patterns sit in a prefix trie keyed by item along each itemset's
-    strictly ascending items; a node is [support ratio or None, children
-    dict or None]. A walk probes only the transaction's frequent items
-    after the node's own, so its work grows with the patterns the
-    transaction contains, not with the pattern count or the transaction's
-    width. The ratio sum uses fsum, which is exact and so independent of
-    the walk's order, and results are cached by frequent-item set.
+    strictly ascending items; a node, the root included, is [scaled ratio
+    or None, children dict or None]. A key is the transaction's frequent
+    items, and its score is cached. The walk probes only the key's items
+    after the node's own, so its work grows with the patterns the key
+    contains, not with the pattern count or the key's width.
 
     An empty itemset, one whose items are not strictly ascending, or one
     given twice raises ModelFormatError, naming the itemset as a model
-    row writes it.
+    row writes it. A support ratio that is not a multiple of 2**-S, which
+    s/n for an int s >= 1 always is, raises ValueError: its integer would
+    not be exact.
     """
 
     def __init__(self, patterns: Iterable[tuple[Sequence[Item], int]], n: int):
         if n < 1:
             raise ValueError("dataset size must be >= 1")
         self.n = n
-        self._root: dict[Item, list] = {}
+        shift = n.bit_length() + 53
+        self._scale = 1 << shift
+        self._scaled = _Scaled(n, shift)
+        self._root: list = [None, {}]
         self._items: set[Item] = set()  # every item on the trie
         self.count = 0
         self._cache: dict[frozenset[Item], tuple[int, float]] = {}
@@ -112,49 +113,51 @@ class PatternScorer:
             add(itemset, support_count)
 
     def _add(self, itemset: Sequence[Item], support_count: int) -> list:
-        """Insert one pattern, walking its path from the root and making
-        what is missing, and return its node: the one check of an itemset's
-        shape. A node made for an item must follow the item before it; a
-        node that exists was checked when it was made. Every insert comes
-        before the first score."""
+        """Insert one pattern, walking from the root to the parent of its
+        last item and making what is missing, and return its node. A node
+        made for an item must follow the item before it; a node that
+        exists was checked when it was made. Every insert comes before the
+        first score."""
         if not itemset:
             raise ModelFormatError("empty itemset")
-        children, node, previous = self._root, None, None
-        for item in itemset:
+        parent, previous = self._root, None
+        for item in itemset[:-1]:
+            children = parent[1]
             if children is None:
-                children = node[1] = {}
+                children = parent[1] = {}
             node = children.get(item)
             if node is None:
                 if previous is not None and not previous < item:
-                    raise _not_ascending(render_itemset(itemset))
+                    raise _not_ascending(itemset)
                 node = children[item] = [None, None]
                 self._items.add(item)
-            children, previous = node[1], item
-        if node[0] is not None:
-            raise _repeats(render_itemset(itemset))
-        node[0] = support_count / self.n
-        self.count += 1
-        return node
+            parent, previous = node, item
+        return self._add_child(parent, previous, itemset[-1], support_count, itemset)
 
     def _add_child(
-        self, parent: list, previous: Item, item: Item, support_count: int, text: str
+        self,
+        parent: list,
+        previous: Item | None,
+        item: Item,
+        support_count: int,
+        itemset: Sequence[Item] | str,
     ) -> list:
         """Insert the pattern that extends parent's, whose last item is
-        previous, by item, and return its node: _add's check, with the
-        itemset named by text as a model row writes it. The node may exist
-        already, made by a walk from the root."""
-        if not previous < item:
-            raise _not_ascending(text)
+        previous (None at the root), by item, and return its node: the one
+        check of an itemset's shape, named by itemset or by its row text.
+        The node may exist already, made by a walk from the root."""
         children = parent[1]
         if children is None:
             children = parent[1] = {}
         node = children.get(item)
         if node is None:
+            if previous is not None and not previous < item:
+                raise _not_ascending(itemset)
             node = children[item] = [None, None]
             self._items.add(item)
         elif node[0] is not None:
-            raise _repeats(text)
-        node[0] = support_count / self.n
+            raise ModelFormatError(f"itemset {_text_of(itemset)} repeats an earlier row")
+        node[0] = self._scaled[support_count]
         self.count += 1
         return node
 
@@ -172,77 +175,55 @@ class PatternScorer:
         """Return (contained-pattern count, ratio sum) for one item set."""
         key = self._frequent.intersection(items)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        members = sorted(key)
-        width = len(members)
-        hits = []
-        # (children, position): the node's children may extend its itemset
-        # by any member at or after position
-        stack = [(self._root, 0)]
-        while stack:
-            children, start = stack.pop()
-            for position in range(start, width):
-                node = children.get(members[position])
-                if node is not None:
-                    if node[0] is not None:
-                        hits.append(node[0])
-                    if node[1]:
-                        stack.append((node[1], position + 1))
-        result = (len(hits), fsum(hits))
-        self._cache[key] = result
-        return result
+        if cached is None:
+            count, total = self._count(key)
+            cached = self._cache[key] = (count, total / self._scale)
+        return cached
+
+    def _count(self, key: frozenset[Item]) -> tuple[int, int]:
+        """(count, scaled sum) of the patterns key contains."""
+        return _contained(self._root[1], sorted(key), len(key))
 
 
-class ConditionalScorer:
+class ConditionalScorer(PatternScorer):
     """PatternScorer's scores by conditional decomposition (see the module
-    docstring), from the same (itemset, support_count) pairs.
+    docstring).
 
-    The pairs go onto a PatternScorer's trie first, the one check of their
-    shape, and the trie is taken apart as the conditional form is built
-    from it, so the two are never held whole at once. Each item becomes its
-    position in the order of descending level-1 ratio, ties broken by Item;
-    an item with no 1-itemset pattern (in a set that is not downward
-    closed) comes last. Any total order gives the same scores; this one
-    makes keys share long prefixes. `_conditional[x]` is item x's
-    conditional trie: a node [ratio or None, children dict or None] whose
+    The trie is built, the one check of the patterns' shape, and taken
+    apart as the conditional form is built from it, so the two are never
+    held whole at once. Each item becomes its position in the order of
+    descending level-1 ratio, ties broken by Item; an item with no
+    1-itemset pattern (in a set that is not downward closed) comes last.
+    Any total order gives the same scores; this one makes keys share long
+    prefixes. `_conditional[x]` is item x's conditional trie: a node whose
     own ratio is pattern {x}'s and whose paths, in ascending position, are
-    the patterns whose last item is x, less x. Ratios are held as the
-    integers ldexp(ratio, S). `_memo` is a trie of the key prefixes scored
-    so far, a node being [count, integer sum, children dict].
-
-    A support ratio that is not a multiple of 2**-S, which s/n for an int
-    s >= 1 always is, raises ValueError: its integer would not be exact.
+    the patterns whose last item is x, less x. `_memo` is a trie of the key
+    prefixes counted so far, a node being [count, scaled sum, children dict].
     """
 
     def __init__(self, patterns: Iterable[tuple[Sequence[Item], int]], n: int):
         with _collector_paused():
-            self._build(PatternScorer(patterns, n))
+            super().__init__(patterns, n)
+            self._take_apart()
         self._memo: list = [0, 0, {}]
-        self._cache: dict[frozenset[Item], tuple[int, float]] = {}
 
-    def _build(self, trie: PatternScorer) -> None:
-        n = trie.n
-        self.count = trie.count
-        shift = n.bit_length() + 53
-        self._scale = 1 << shift
-        root = trie._root
+    def _take_apart(self) -> None:
+        root = self._root[1]
 
         def level_1(item: Item) -> tuple:
-            ratio = root[item][0] if item in root else None
-            return (ratio is None, -(ratio or 0.0), item)
+            scaled = root[item][0] if item in root else None
+            return (scaled is None, -(scaled or 0), item)
 
-        ordered = sorted(trie._items, key=level_1)
+        ordered = sorted(self._items, key=level_1)
         self._position = position = {item: k for k, item in enumerate(ordered)}
-        self._frequent = frozenset(ordered)
         conditional = [[None, None] for _ in ordered]
         stack = [(root, ())]
         while stack:
             children, path = stack.pop()
             while children:  # emptied as it goes, so each node dies once filed
-                item, (ratio, below) = children.popitem()
+                item, (scaled, below) = children.popitem()
                 here = path + (position[item],)
-                if ratio is not None:
+                if scaled is not None:
                     rest = sorted(here)
                     target = conditional[rest.pop()]
                     for k in rest:
@@ -252,29 +233,16 @@ class ConditionalScorer:
                         if node is None:
                             node = target[1][k] = [None, None]
                         target = node
-                    scaled = ldexp(ratio, shift)
-                    target[0] = int(scaled)
-                    if target[0] != scaled:
-                        message = f"support ratio {ratio!r} is not a multiple of 2**-{shift}"
-                        raise ValueError(message)
+                    target[0] = scaled
                 if below:
                     stack.append((below, here))
         self._conditional = conditional
 
-    @classmethod
-    def from_pattern_set(cls, fps: PatternSet) -> "ConditionalScorer":
-        return cls(((p.itemset, p.support_count) for p in fps), fps.n)
-
-    def score(self, items: Iterable[Item]) -> tuple[int, float]:
-        """Return (contained-pattern count, ratio sum) for one item set."""
-        key = self._frequent.intersection(items)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+    def _count(self, key: frozenset[Item]) -> tuple[int, int]:
         members = sorted(map(self._position.__getitem__, key))
         memo = self._memo
         done = 0
-        for x in members:  # down the longest prefix scored before
+        for x in members:  # down the longest prefix counted before
             step = memo[2].get(x)
             if step is None:
                 break
@@ -288,24 +256,50 @@ class ConditionalScorer:
             if own is not None:
                 count += 1
                 total += own
-            # (children, position): as in PatternScorer.score, over the
-            # members before x
-            stack = [(children, 0)] if children else []
-            while stack:
-                children, start = stack.pop()
-                for position in range(start, end):
-                    node = children.get(members[position])
-                    if node is not None:
-                        if node[0] is not None:
-                            count += 1
-                            total += node[0]
-                        if node[1]:
-                            stack.append((node[1], position + 1))
+            if children:
+                below, scaled = _contained(children, members, end)
+                count += below
+                total += scaled
             step = memo[2][x] = [count, total, {}]
             memo = step
-        result = (count, total / self._scale)
-        self._cache[key] = result
-        return result
+        return count, total
+
+
+def _contained(children: dict, members: Sequence, end: int) -> tuple[int, int]:
+    """(count, scaled sum) of the patterns on the trie below children whose
+    items are all among members[:end], which ascend: the one trie walk."""
+    count = total = 0
+    # (children, position): the node's children may extend its itemset by
+    # any member at or after position
+    stack = [(children, 0)]
+    while stack:
+        children, start = stack.pop()
+        for position in range(start, end):
+            node = children.get(members[position])
+            if node is not None:
+                if node[0] is not None:
+                    count += 1
+                    total += node[0]
+                if node[1]:
+                    stack.append((node[1], position + 1))
+    return count, total
+
+
+class _Scaled(dict):
+    """Support count -> its ratio support / n as the exact integer
+    ldexp(ratio, shift). Supports repeat across patterns, so each is
+    converted once."""
+
+    def __init__(self, n: int, shift: int):
+        self.n, self.shift = n, shift
+
+    def __missing__(self, support_count: int) -> int:
+        ratio = support_count / self.n
+        scaled = ldexp(ratio, self.shift)
+        if not scaled.is_integer():
+            raise ValueError(f"support ratio {ratio!r} is not a multiple of 2**-{self.shift}")
+        value = self[support_count] = int(scaled)
+        return value
 
 
 @contextmanager
@@ -325,12 +319,13 @@ def _collector_paused():
             gc.enable()
 
 
-def _not_ascending(text: str) -> ModelFormatError:
-    return ModelFormatError(f"items of itemset {text} are not strictly ascending")
+def _text_of(itemset: Sequence[Item] | str) -> str:
+    """An itemset as a model row writes it; a row's text is that already."""
+    return itemset if isinstance(itemset, str) else render_itemset(itemset)
 
 
-def _repeats(text: str) -> ModelFormatError:
-    return ModelFormatError(f"itemset {text} repeats an earlier row")
+def _not_ascending(itemset: Sequence[Item] | str) -> ModelFormatError:
+    return ModelFormatError(f"items of itemset {_text_of(itemset)} are not strictly ascending")
 
 
 def _shared_scorer(fps: PatternSet) -> PatternScorer:
@@ -380,7 +375,7 @@ def rank(
 
 def rank_with_scorer(
     transactions: Sequence[Transaction],
-    scorer: PatternScorer | ConditionalScorer,
+    scorer: PatternScorer,
     config: ScoreConfig,
 ) -> list[ScoredAlert]:
     raw = []

@@ -18,18 +18,21 @@ is an earlier row's text hangs one node under that row's node, and only
 its last token is parsed; canonical order makes this every row of a mined
 model past level 1. Any other row, a 1-itemset or a row of a hand-written
 or non-closed model, is parsed token by token and walked from the trie's
-root. A loaded model keeps its rows' text and reads its `patterns` off
-them on first use, so scoring against it never builds them.
+root. The insert keeps a row's support as its ratio's exact integer (see
+`scorer`), converted once per distinct support. A loaded model keeps its
+rows' text and reads its `patterns` off them on first use, so scoring
+against it never builds them.
 
 A model's rules are checked in one place on save and on load: the
 header's `n_train >= 1`, `minisupport` in `[1, n_train]` and at least one
 row (`_check_header`), each row's support in `[minisupport, n_train]` and
 tidlist of exactly `support_count` strictly ascending tids in
 `[0, n_train)` (`_check_row`), and each itemset's shape in the scorer's
-insert (`PatternScorer._add`, or `_add_child` for a row placed under its
-prefix row). So save refuses any model that load would refuse, and load
-reports the line of the row at fault. The scorer that the load builds is
-kept on the model, and `score_new` uses it.
+insert (`PatternScorer._add_child`, reached from the root by `_add` or
+called directly for a row placed under its prefix row). So save refuses
+any model that load would refuse, and load reports the line of the row
+at fault. The scorer that the load builds is kept on the model, and
+`score_new` uses it.
 
 Writes go through `textio.atomic_write`, so a reader racing a nightly
 rebuild sees the old model or the new one, never a torn file.
@@ -60,6 +63,7 @@ from .scorer import (
     ScoreConfig,
     ScoredAlert,
     _collector_paused,
+    _text_of,
     rank_with_scorer,
 )
 from .textio import atomic_write, int_of, ints_of, open_text
@@ -197,10 +201,6 @@ def _check_row(
             f"tidlist of itemset {_text_of(itemset)} is not "
             f"{support_count} strictly ascending tids in [0, {n_train})"
         )
-
-
-def _text_of(itemset: Itemset | str) -> str:
-    return itemset if isinstance(itemset, str) else render_itemset(itemset)
 
 
 def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:

@@ -324,11 +324,12 @@ class TestScorerProperties:
             ([("b", "a")], "1=b,0=a"),
             ([("a", "a")], "0=a,0=a"),
             ([("a",), ("a", "b"), ("a", "b", "a")], "0=a,1=b,0=a"),
+            ([("b", "a", "c")], "1=b,0=a,2=c"),
         ],
-        ids=["descending", "repeated-item", "past-an-existing-path"],
+        ids=["descending", "repeated-item", "past-an-existing-path", "descending-before-the-last"],
     )
     def test_unordered_itemset_rejected(self, itemsets, rendered):
-        by_name = {"a": Item(0, "a"), "b": Item(1, "b")}
+        by_name = {"a": Item(0, "a"), "b": Item(1, "b"), "c": Item(2, "c")}
         patterns = [(tuple(by_name[name] for name in names), 2) for names in itemsets]
         with pytest.raises(
             ModelFormatError, match=f"items of itemset {rendered} are not strictly ascending"
@@ -414,9 +415,24 @@ class TestConditionalScorer:
 
     def test_support_ratio_that_is_not_exact_rejected(self):
         a = Item(0, "a")
-        assert ConditionalScorer([((a,), 0.5)], 1).score({a}) == (1, 0.5)
-        with pytest.raises(ValueError, match=r"^support ratio .* is not a multiple of 2\*\*-54$"):
-            ConditionalScorer([((a,), 2.0**-60)], 1)
+        message = r"^support ratio .* is not a multiple of 2\*\*-54$"
+        for route in ROUTES:
+            assert route([((a,), 0.5)], 1).score({a}) == (1, 0.5)
+            with pytest.raises(ValueError, match=message):
+                route([((a,), 2.0**-60)], 1)
+
+    def test_the_trie_is_taken_apart(self):
+        # the trie and the conditional form are never held whole at once
+        patterns = [((POOL[0],), 3), ((POOL[0], POOL[4]), 2), ((POOL[4], POOL[8]), 1)]
+        scorer = ConditionalScorer(patterns, 4)
+        assert scorer._root == [None, {}]
+        assert scorer.score(set(POOL)) == (3, 6 / 4)
+        # the memo keeps one node per prefix of the key scored
+        memo, depth = scorer._memo, 0
+        while memo[2]:
+            (memo,) = memo[2].values()
+            depth += 1
+        assert (depth, memo[0], memo[1] / scorer._scale) == (3, 3, 6 / 4)
 
 
 def scan_score(fps, t):
