@@ -3,9 +3,9 @@
 A tidlist is an int bitset (bit t set means transaction t contains the
 itemset): an intersection is a single `&` and support is the count of set
 bits. This is the vertical layout of Eclat (Zaki, "Scalable Algorithms for
-Association Mining", IEEE TKDE 2000). `bits_of` is the one packer of
-transaction ids, for the first level and the oracle, and `tids_of` the one
-unpacker, for `FrequentPattern.tidlist`. Only level-1 bitsets are kept:
+Association Mining", IEEE TKDE 2000). `bits_of` packs transaction ids
+into a bitset, and `tids_of`, the one unpacker, serves
+`FrequentPattern.tidlist`. Only level-1 bitsets are kept:
 a pattern holds its support count and its items' level-1 bitsets, and its
 tidlist is their intersection, computed when read. A longer level's
 bitsets live only until the next level is joined.
@@ -13,7 +13,10 @@ bitsets live only until the next level is joined.
 The first level counts items before it builds any tidlist: an
 AlertDataset is counted from its per-column value codes, without building
 a transaction per alert, and only the items that reach the threshold get
-a bitset, packed from one pass over their column's codes. From there the
+a bitset. A dense item's bitset is read off a byte vector of its column's
+codes as a base-2 int, in C-level passes; the rarer items of a column
+share one pass that lists their transaction ids for `bits_of`, which also
+packs a Transaction list's items and the oracle's. From there the
 classic join of two k-itemsets sharing a (k-1)-prefix produces each
 (k+1)-candidate, whose bitset is the intersection of its two generators',
 so no further dataset scans are needed.
@@ -37,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations, groupby, repeat
 from operator import and_
 from typing import Iterable, Sequence, Union
 
@@ -54,6 +57,13 @@ Minable = Union[AlertDataset, Sequence[Transaction]]
 DEFAULT_PATTERN_CAP = 5_000_000
 #: brute_force_mine refuses a transaction wider than this many items.
 BRUTE_FORCE_MAX_WIDTH = 20
+#: a column of at most this many codes is counted by one bytes.count per
+#: code, C loops that beat a Counter while they are few
+_COUNT_BY_BYTES = 16
+#: a frequent key held by at least 1/_SPARSE of the alerts is dense
+_SPARSE = 64
+#: slot -> the byte table that reads b"1" at that slot and b"0" elsewhere
+_DIGITS = tuple(b"0" * slot + b"1" + b"0" * (255 - slot) for slot in range(_SPARSE + 1))
 
 
 def bits_of(tids: Sequence[int]) -> int:
@@ -95,8 +105,9 @@ class MiningConfig:
     minisupport is either an absolute count (int >= 1) or a ratio in
     (0, 1] that converts to ceil(ratio * n): half of 4 transactions means
     2, never 1. max_pattern_len limits the itemset length, and max_patterns
-    guards against candidate explosion on low thresholds; each is >= 1,
-    or None to disable it. Building a config with a bad value raises ValueError.
+    guards against candidate explosion on low thresholds; each is an int
+    >= 1 (not a bool), or None to disable it. Building a config with a bad
+    value raises ValueError.
     """
 
     minisupport: int | float | Fraction = 2
@@ -114,8 +125,10 @@ class MiningConfig:
             raise ValueError("minisupport ratio must be in (0, 1]")
         for name in ("max_pattern_len", "max_patterns"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1 or None (got {value})")
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be >= 1 or None, as an int (got {value!r})")
 
     def minisupport_abs(self, n: int) -> int:
         if isinstance(self.minisupport, int):
@@ -219,37 +232,71 @@ def _candidates_from_codes(
     columns: Sequence[ColumnCodes], minisupport_abs: int
 ) -> list[tuple[Item, int]]:
     """build_candidates_1 over coded columns. A key's count sums the counts
-    of the codes that yield it, one pass over the codes fills the tid lists
-    of the frequent keys, and only those become Items. Each list is packed
-    and dropped when its column's pass ends, so the lists of one column at
-    most are alive at a time."""
+    of the codes that yield it, and only the frequent keys become Items.
+    A key held by at least 1/_SPARSE of the alerts is dense: its bitset is
+    read off a byte vector in C-level passes, which cost a pass over every
+    alert per key. The rarer frequent keys of a column share one pass that
+    fills their tid lists, which costs per tid, not per alert."""
     out = []
     for column in columns:
-        code_counts = Counter(column.codes)
+        n_codes, n = len(column.keys), len(column.codes)
+        raw = bytes(column.codes[::-1]) if n_codes <= 256 else None
+        if n_codes <= _COUNT_BY_BYTES:
+            code_counts = list(map(raw.count, range(n_codes)))
+        else:
+            counted = Counter(column.codes)
+            code_counts = list(map(counted.__getitem__, range(n_codes)))
         for keys in (column.keys, column.times):
             if keys is None:
                 continue
-            counts: dict[str, int] = {}
-            for code, count in code_counts.items():
-                key = keys[code]
+            counts: dict[str | None, int] = {}
+            for key, count in zip(keys, code_counts):
                 counts[key] = counts.get(key, 0) + count
             counts.pop(None, None)  # a null timestamp has no time item
-            frequent: dict[str, list[int]] = {
-                key: [] for key, count in counts.items() if count >= minisupport_abs
-            }
-            if not frequent:
-                continue
-            feeds = {code: frequent[keys[code]] for code in code_counts if keys[code] in frequent}
-            for tid, code in enumerate(column.codes):
-                tids = feeds.get(code)
-                if tids is not None:
-                    tids.append(tid)
-            del feeds
-            while frequent:
-                key, tids = frequent.popitem()
-                out.append((Item(column.field_index, key), bits_of(tids)))
+            frequent = [key for key, count in counts.items() if count >= minisupport_abs]
+            dense = [key for key in frequent if counts[key] * _SPARSE >= n]
+            if dense:
+                out += _dense_bits(column, keys, dense, raw)
+            if len(dense) < len(frequent):
+                sparse = {key: [] for key in frequent if counts[key] * _SPARSE < n}
+                out += _sparse_bits(column, keys, sparse)
     out.sort()
     return out
+
+
+def _dense_bits(
+    column: ColumnCodes, keys: Sequence[str | None], dense: list[str], raw: bytes | None
+) -> list[tuple[Item, int]]:
+    """Each dense key with its bitset. Every code maps to its key's byte
+    slot, 1 up, or to 0, and the codes, last tid first, become one byte
+    vector: by bytes.translate of raw, the reversed codes as bytes, when
+    the column has at most 256 codes, else code by code. A key's bitset
+    is the vector translated to b"1" at its slot and b"0" elsewhere, read
+    as a base-2 int. Each dense key holds 1/_SPARSE of the alerts and an
+    alert holds one key of `keys`, so there are at most _SPARSE slots."""
+    slot_of = {key: slot for slot, key in enumerate(dense, 1)}
+    slots = list(map(slot_of.get, keys, repeat(0)))
+    if raw is not None:
+        vector = raw.translate(bytes(slots).ljust(256, b"\0"))
+    else:
+        vector = bytes(map(slots.__getitem__, reversed(column.codes)))
+    return [
+        (Item(column.field_index, key), int(vector.translate(_DIGITS[slot]), 2))
+        for slot, key in enumerate(dense, 1)
+    ]
+
+
+def _sparse_bits(
+    column: ColumnCodes, keys: Sequence[str | None], sparse: dict[str, list[int]]
+) -> list[tuple[Item, int]]:
+    """Each sparse key with its bitset, from tid lists that one pass over
+    the codes fills."""
+    feeds = {code: sparse[key] for code, key in enumerate(keys) if key in sparse}
+    for tid, code in enumerate(column.codes):
+        tids = feeds.get(code)
+        if tids is not None:
+            tids.append(tid)
+    return [(Item(column.field_index, key), bits_of(tids)) for key, tids in sparse.items()]
 
 
 def prune(candidates, minisupport_abs: int):

@@ -1,5 +1,9 @@
+import io
 import random
+import re
+import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -13,6 +17,7 @@ from alertfp.errors import (
     SchemaError,
     ValueParseError,
 )
+from alertfp.ingest import parse_log
 from alertfp.miner import (
     MiningConfig,
     PatternSet,
@@ -95,6 +100,13 @@ class TestMinisupport:
     def test_bool_rejected(self):
         with pytest.raises(ValueError, match="^minisupport must be a count or a ratio$"):
             MiningConfig(minisupport=True)
+
+    @pytest.mark.parametrize("name", ["max_pattern_len", "max_patterns"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, Fraction(3), True, False, "x", "3"])
+    def test_cap_that_is_not_an_int_rejected(self, name, value):
+        message = f"^{name} must be >= 1 or None, as an int \\(got {re.escape(repr(value))}\\)$"
+        with pytest.raises(ValueError, match=message):
+            MiningConfig(**{name: value})
 
 
 class TestCandidates1(object):
@@ -517,6 +529,98 @@ class TestCodedMining:
         kept = set(skipped)
         assert kept <= set(joined)
         assert all(bits == 0 for itemset, bits in joined if (itemset, bits) not in kept)
+
+    # sig column shapes, [(count, how many keys have it)], with a minisupport
+    SHAPES = {
+        "one alert": ([(1, 1)], 1),
+        "17 alerts, 5 codes": ([(5, 3), (1, 2)], 1),
+        "64 dense keys, every slot": ([(3, 64)], 1),
+        "255 sparse keys": ([(2, 255)], 2),
+        "256 keys, one dense": ([(40, 1), (2, 255)], 2),
+        "513 keys of 553 codes": ([(300, 2), (2, 511), (1, 40)], 2),
+        "10 of 640 is dense, 9 is not": ([(10, 1), (9, 1), (1, 621)], 9),
+    }
+
+    @staticmethod
+    def shaped_dataset(shape, seed=5):
+        """A CODED_SCHEMA dataset whose sig column has the given key
+        counts, in a seeded order. Its port column spells keys alike (80
+        and 080) over about as many codes as alerts, and its timestamp
+        column holds nulls."""
+        rng = random.Random(seed)
+        counts = [count for count, keys in shape for _ in range(keys)]
+        sigs = [f"s{k}" for k, count in enumerate(counts) for _ in range(count)]
+        rng.shuffle(sigs)
+        wide = len(sigs) // 2 + 1
+        rows = []
+        for tid, sig in enumerate(sigs):
+            port = "80" if rng.random() < 0.3 else str(rng.randrange(wide))
+            if rng.random() < 0.5:
+                port = "0" + port
+            rows.append(Alert(tid, (sig, str(tid), port, rng.choice(STAMPS), "")))
+        return AlertDataset(CODED_SCHEMA, tuple(rows))
+
+    @staticmethod
+    def scanned(ds, s):
+        """Level 1 by an independent scan of the transactions' tids."""
+        holders = {}
+        for t in ds.transactions():
+            for item in t.items:
+                holders.setdefault(item, []).append(t.tid)
+        return sorted(
+            (item, sum(1 << tid for tid in tids)) for item, tids in holders.items() if len(tids) >= s
+        )
+
+    def assert_level_one(self, ds, s):
+        c1 = build_candidates_1(ds, s)
+        assert c1 == self.scanned(ds, s)
+        assert c1 == build_candidates_1(list(ds.transactions()), s)
+        return c1
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_byte_vectors_match_a_tid_scan(self, name):
+        shape, s = self.SHAPES[name]
+        ds = self.shaped_dataset(shape)
+        assert ds.n == sum(count * keys for count, keys in shape)
+        c1 = self.assert_level_one(ds, s)
+        frequent_sigs = sum(keys for count, keys in shape if count >= s)
+        assert sum(1 for item, _ in c1 if item.field_index == 0) == frequent_sigs
+        port = ds.columns()[1]
+        if ds.n >= 640:  # a column of more than 256 codes, some spelled alike
+            assert 256 < len(port.keys) > len(set(port.keys))
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 63, 64, 65, 130])
+    def test_byte_vectors_at_odd_sizes(self, n):
+        ds = self.shaped_dataset([(1, n)], seed=n)
+        for s in (1, 2):
+            self.assert_level_one(ds, s)
+
+    def test_a_code_held_only_by_a_rejected_line(self):
+        lines = ["web\t0\t80\t6/11/2010 8:57 AM\t", "ghost\t1\teighty\t6/11/2010 8:57 AM\t"]
+        lines += [f"{sig}\t{tid}\t{port}\tnull\t" for tid, (sig, port) in enumerate(
+            [("web", "080"), ("ssh", "22")] * 40, start=2
+        )]
+        result = parse_log(io.StringIO("\n".join(lines) + "\n"), CODED_SCHEMA)
+        assert [r.line_number for r in result.rejects] == [2]
+        ds = result.dataset
+        sig = ds.columns()[0]
+        assert "ghost" in sig.keys and sig.keys.index("ghost") not in sig.codes
+        for s in (1, 2, 41):
+            c1 = self.assert_level_one(ds, s)
+            assert all(item != Item(0, "ghost") for item, _ in c1)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no digit limit"
+    )
+    def test_base_two_parse_is_exempt_from_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert int(b"1" * 200_000, 2) == int("1" * 200_000, 2) == (1 << 200_000) - 1
+            shape, s = self.SHAPES["513 keys of 553 codes"]
+            self.assert_level_one(self.shaped_dataset(shape), s)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_mine_never_itemizes_per_alert(self, sample_dataset, monkeypatch):
         expected = mine(list(sample_dataset.transactions()), HALF)
