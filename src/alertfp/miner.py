@@ -57,9 +57,6 @@ Minable = Union[AlertDataset, Sequence[Transaction]]
 DEFAULT_PATTERN_CAP = 5_000_000
 #: brute_force_mine refuses a transaction wider than this many items.
 BRUTE_FORCE_MAX_WIDTH = 20
-#: a column of at most this many codes is counted by one bytes.count per
-#: code, C loops that beat a Counter while they are few
-_COUNT_BY_BYTES = 16
 #: a frequent key held by at least 1/_SPARSE of the alerts is dense
 _SPARSE = 64
 #: slot -> the byte table that reads b"1" at that slot and b"0" elsewhere
@@ -234,29 +231,26 @@ def _candidates_from_codes(
     """build_candidates_1 over coded columns. A key's count sums the counts
     of the codes that yield it, and only the frequent keys become Items.
     A key held by at least 1/_SPARSE of the alerts is dense: its bitset is
-    read off a byte vector in C-level passes, which cost a pass over every
-    alert per key. The rarer frequent keys of a column share one pass that
-    fills their tid lists, which costs per tid, not per alert."""
+    read off a byte vector in C-level passes, so each dense key costs C
+    passes over every alert. The rarer frequent keys of a column share one
+    Python pass over its codes that fills their tid lists; that pass costs
+    the same however many rare keys the column has."""
     out = []
     for column in columns:
-        n_codes, n = len(column.keys), len(column.codes)
-        raw = bytes(column.codes[::-1]) if n_codes <= 256 else None
-        if n_codes <= _COUNT_BY_BYTES:
-            code_counts = list(map(raw.count, range(n_codes)))
-        else:
-            counted = Counter(column.codes)
-            code_counts = list(map(counted.__getitem__, range(n_codes)))
+        code_counts = Counter(column.codes)
+        n = len(column.codes)
         for keys in (column.keys, column.times):
             if keys is None:
                 continue
-            counts: dict[str | None, int] = {}
-            for key, count in zip(keys, code_counts):
+            counts: dict[str, int] = {}
+            for code, count in code_counts.items():
+                key = keys[code]
                 counts[key] = counts.get(key, 0) + count
             counts.pop(None, None)  # a null timestamp has no time item
             frequent = [key for key, count in counts.items() if count >= minisupport_abs]
             dense = [key for key in frequent if counts[key] * _SPARSE >= n]
             if dense:
-                out += _dense_bits(column, keys, dense, raw)
+                out += _dense_bits(column, keys, dense)
             if len(dense) < len(frequent):
                 sparse = {key: [] for key in frequent if counts[key] * _SPARSE < n}
                 out += _sparse_bits(column, keys, sparse)
@@ -265,21 +259,17 @@ def _candidates_from_codes(
 
 
 def _dense_bits(
-    column: ColumnCodes, keys: Sequence[str | None], dense: list[str], raw: bytes | None
+    column: ColumnCodes, keys: Sequence[str | None], dense: list[str]
 ) -> list[tuple[Item, int]]:
     """Each dense key with its bitset. Every code maps to its key's byte
     slot, 1 up, or to 0, and the codes, last tid first, become one byte
-    vector: by bytes.translate of raw, the reversed codes as bytes, when
-    the column has at most 256 codes, else code by code. A key's bitset
-    is the vector translated to b"1" at its slot and b"0" elsewhere, read
-    as a base-2 int. Each dense key holds 1/_SPARSE of the alerts and an
-    alert holds one key of `keys`, so there are at most _SPARSE slots."""
+    vector. A key's bitset is the vector translated to b"1" at its slot
+    and b"0" elsewhere, read as a base-2 int. Each dense key holds
+    1/_SPARSE of the alerts and an alert holds one key of `keys`, so there
+    are at most _SPARSE slots."""
     slot_of = {key: slot for slot, key in enumerate(dense, 1)}
     slots = list(map(slot_of.get, keys, repeat(0)))
-    if raw is not None:
-        vector = raw.translate(bytes(slots).ljust(256, b"\0"))
-    else:
-        vector = bytes(map(slots.__getitem__, reversed(column.codes)))
+    vector = bytes(map(slots.__getitem__, reversed(column.codes)))
     return [
         (Item(column.field_index, key), int(vector.translate(_DIGITS[slot]), 2))
         for slot, key in enumerate(dense, 1)
