@@ -158,7 +158,7 @@ def resolve_attack_selectors(
         text = raw.strip()
         if not text or text.startswith(COMMENT_PREFIX):
             continue
-        if text.isdecimal():
+        if text.isascii() and text.isdecimal():  # int() also takes other scripts' digits
             try:
                 tids.add(int(text))
             except ValueError:  # more digits than int() converts

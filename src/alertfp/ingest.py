@@ -67,6 +67,7 @@ def parse_log(source: Source, schema: AttributeSchema, delimiter: str = "\t") ->
     if not schema.itemizable_indexes():
         raise SchemaError("schema has no itemizable fields; nothing to mine")
     coder = _RowCoder(schema)
+    field_count = schema.field_count
     rejects: list[RejectedLine] = []
     with open_text(source, error=None) as lines:
         for line_number, raw_line in enumerate(lines, start=1):
@@ -79,12 +80,9 @@ def parse_log(source: Source, schema: AttributeSchema, delimiter: str = "\t") ->
                 rejects.append(RejectedLine(line_number, reason))
                 continue
             fields = line.split(delimiter)
-            if len(fields) != schema.field_count:
+            if len(fields) != field_count:
                 rejects.append(
-                    RejectedLine(
-                        line_number,
-                        f"expected {schema.field_count} fields, got {len(fields)}",
-                    )
+                    RejectedLine(line_number, f"expected {field_count} fields, got {len(fields)}")
                 )
                 continue
             try:

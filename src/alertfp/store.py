@@ -11,28 +11,31 @@ newline. An item token must be the one save_model writes for its item,
 so a row's itemset text is one-to-one with its itemset. Tidlists can
 optionally be appended as a third tab-separated column for audit.
 
-Rows are read in order, each onto the scorer's trie as it comes, and
-no itemset is built. Every token is the one save_model writes, so a row's
-text names its itemset. A row whose prefix, the text before its last `,`,
-is an earlier row's text hangs one node under that row's node, and only
-its last token is parsed; canonical order makes this every row of a mined
-model past level 1. Any other row, a 1-itemset or a row of a hand-written
-or non-closed model, is parsed token by token and walked from the trie's
-root. The insert keeps a row's support as its ratio's exact integer (see
-`scorer`), converted once per distinct support. A loaded model keeps its
-rows' text and reads its `patterns` off them on first use, so scoring
-against it never builds them.
+A ClassifierModel is its header values and its rows, each row held as
+the file holds it: `from_patterns` renders them, load_model reads them
+and save_model writes them back. Two models are equal when their rows
+are. `patterns` and `tidlists` are read off the rows on first use, so
+saving, comparing and scoring a model build neither.
 
-A model's rules are checked in one place on save and on load: the
-header's `n_train >= 1`, `minisupport` in `[1, n_train]` and at least one
-row (`_check_header`), each row's support in `[minisupport, n_train]` and
-tidlist of exactly `support_count` strictly ascending tids in
-`[0, n_train)` (`_check_row`), and each itemset's shape in the scorer's
-insert (`PatternScorer._add_child`, reached from the root by `_add` or
-called directly for a row placed under its prefix row). So save refuses
-any model that load would refuse, and load reports the line of the row
-at fault. The scorer that the load builds is kept on the model, and
-`score_new` uses it.
+A model's rules are checked in one place, `_checked_scorer`, for save,
+load and scoring alike: the header's `n_train >= 1`, `minisupport` in
+`[1, n_train]` and at least one row (`_check_header`), each row's
+support in `[minisupport, n_train]` and tidlist of exactly
+`support_count` strictly ascending tids in `[0, n_train)` (`_check_row`),
+and each itemset's shape in the scorer's insert
+(`PatternScorer._add_child`). So save refuses exactly the header numbers
+and rows that load refuses, with the same message less the line number
+that load adds. The check
+puts each row onto the scorer's trie as it comes and builds no itemset.
+A row whose prefix, the text before its last `,`, is an earlier row's
+text hangs one node under that row's node, and only its last token is
+parsed; canonical order makes this every row of a mined model past
+level 1. Any other row, a 1-itemset or a row of a hand-written or
+non-closed model, is parsed token by token and walked from the trie's
+root. The insert keeps a row's support as its ratio's exact integer (see
+`scorer`), converted once per distinct support. The trie is the model's
+`scorer`: load_model keeps the one its check built, and `score_new`
+uses it.
 
 Writes go through `textio.atomic_write`, so a reader racing a nightly
 rebuild sees the old model or the new one, never a torn file.
@@ -44,9 +47,10 @@ import hashlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache, cached_property
-from itertools import repeat
+from itertools import count, repeat
+from operator import lt
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import EmptyPatternSetError, ModelFormatError, SchemaMismatchError
 from .miner import Itemset, PatternSet
@@ -63,7 +67,6 @@ from .scorer import (
     ScoreConfig,
     ScoredAlert,
     _collector_paused,
-    _text_of,
     rank_with_scorer,
 )
 from .textio import atomic_write, int_of, ints_of, open_text
@@ -80,51 +83,70 @@ def schema_fingerprint(schema: AttributeSchema) -> str:
     return hashlib.sha256(schema.canonical_text().encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClassifierModel:
     """A persisted pattern set plus the provenance needed to score future
     alerts: training size (support ratios keep the training denominator),
-    threshold, schema fingerprint, and build time. Immutable once built;
-    two models are equal when their six fields are.
+    threshold, schema fingerprint, and build time. Immutable once built.
 
-    load_model returns one that holds its rows' text and builds
-    `patterns` on first read (see _LoadedModel)."""
+    `rows` holds each pattern line as the model file holds it, without
+    its newline. Every token is the one save_model writes, so rows are
+    one-to-one with (itemset, support_count, tidlist) and two models are
+    equal when their five fields are."""
 
     schema_fingerprint: str
     built_at: str
     n_train: int
     minisupport_abs: int
-    patterns: tuple[tuple[Itemset, int], ...]
-    tidlists: tuple[tuple[int, ...], ...] | None = None
-
-    def _key(self) -> tuple:
-        return (
-            self.schema_fingerprint,
-            self.built_at,
-            self.n_train,
-            self.minisupport_abs,
-            self.patterns,
-            self.tidlists,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassifierModel):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    rows: tuple[str, ...]
 
     @property
     def pattern_count(self) -> int:
-        return len(self.patterns)
+        return len(self.rows)
 
     @cached_property
     def scorer(self) -> PatternScorer:
-        """The model's scorer, built on first use and kept; a loaded model
-        comes with the one its load built. Its per-transaction cache lives
-        as long as the model does."""
-        return _build_scorer(self)
+        """The scorer the check of the rows builds, on first use, and
+        kept; a loaded model comes with the one its load built. Its
+        per-transaction cache lives as long as the model does."""
+        return _checked_scorer(self.n_train, self.minisupport_abs, self.rows)
+
+    @cached_property
+    def patterns(self) -> tuple[tuple[Itemset, int], ...]:
+        """Each row's (itemset, support_count), read off the checked rows."""
+        self.scorer  # the check, so every token parses
+        item_of = _ItemMemo().__getitem__
+        parts = (row.split("\t") for row in self.rows)
+        return tuple((tuple(map(item_of, p[1].split(","))), int(p[0])) for p in parts)
+
+    @cached_property
+    def tidlists(self) -> tuple[tuple[int, ...], ...] | None:
+        """Each row's tidlist, read off the checked rows; None when the
+        rows carry none."""
+        self.scorer  # the check, so every tidlist parses
+        if self.rows[0].count("\t") != 2:
+            return None
+        return tuple(ints_of(row.rpartition("\t")[2]) for row in self.rows)
+
+    @classmethod
+    def from_patterns(
+        cls,
+        fingerprint: str,
+        built_at: str,
+        n_train: int,
+        minisupport_abs: int,
+        patterns: Iterable[tuple[Sequence[Item], int]],
+        tidlists: Sequence[Sequence[int]] | None = None,
+    ) -> "ClassifierModel":
+        """A model of (itemset, support_count) pairs and, optionally, one
+        tidlist per pair, rendered as save_model writes them. Only the
+        tidlist count is checked here; the rest is the scorer's check."""
+        rows = [f"{support}\t{render_itemset(itemset)}" for itemset, support in patterns]
+        if tidlists is not None:
+            if len(tidlists) != len(rows):
+                raise ModelFormatError("tidlist count does not match pattern count")
+            rows = [f"{row}\t{','.join(map(str, tids))}" for row, tids in zip(rows, tidlists)]
+        return cls(fingerprint, built_at, n_train, minisupport_abs, tuple(rows))
 
     @classmethod
     def from_pattern_set(
@@ -141,29 +163,14 @@ class ClassifierModel:
             )
         if built_at is None:
             built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        return cls(
-            schema_fingerprint=schema_fingerprint(schema),
-            built_at=built_at,
-            n_train=fps.n,
-            minisupport_abs=fps.minisupport_abs,
-            patterns=tuple((p.itemset, p.support_count) for p in fps),
-            tidlists=tuple(p.tidlist for p in fps) if include_tidlists else None,
+        return cls.from_patterns(
+            schema_fingerprint(schema),
+            built_at,
+            fps.n,
+            fps.minisupport_abs,
+            ((p.itemset, p.support_count) for p in fps),
+            [p.tidlist for p in fps] if include_tidlists else None,
         )
-
-
-def _build_scorer(model: ClassifierModel) -> PatternScorer:
-    """Check a model's header and rows and build its scorer, as load_model
-    does for a file, only without line numbers."""
-    n_train, minisupport_abs = model.n_train, model.minisupport_abs
-    _check_header(n_train, minisupport_abs, model.pattern_count)
-    if model.tidlists is not None and len(model.tidlists) != model.pattern_count:
-        raise ModelFormatError("tidlist count does not match pattern count")
-    tidlists = repeat(None) if model.tidlists is None else model.tidlists
-    scorer = PatternScorer((), n_train)
-    for (itemset, support_count), tids in zip(model.patterns, tidlists):
-        _check_row(itemset, support_count, tids, n_train, minisupport_abs)
-        scorer._add(itemset, support_count)
-    return scorer
 
 
 def _check_header(n_train: int, minisupport_abs: int, pattern_count: int) -> None:
@@ -177,35 +184,80 @@ def _check_header(n_train: int, minisupport_abs: int, pattern_count: int) -> Non
 
 
 def _check_row(
-    itemset: Itemset | str,
+    itemset: str,
     support_count: int,
     tids: Sequence[int] | None,
     n_train: int,
     minisupport_abs: int,
 ) -> None:
     """Check that the row's support and tidlist fit the header; the
-    scorer's insert checks the itemset, which may come as its row text."""
+    scorer's insert checks the itemset, given as its row text."""
     if not minisupport_abs <= support_count <= n_train:
         raise ModelFormatError(
             f"support {support_count} outside [{minisupport_abs}, {n_train}] "
-            f"for itemset {_text_of(itemset)}"
+            f"for itemset {itemset}"
         )
     # support_count >= 1 here, so a tidlist of that length has ends
     if tids is not None and not (
         len(tids) == support_count
         and 0 <= tids[0]
         and tids[-1] < n_train
-        and list(tids) == sorted(set(tids))
+        and all(map(lt, tids, tids[1:]))
     ):
         raise ModelFormatError(
-            f"tidlist of itemset {_text_of(itemset)} is not "
+            f"tidlist of itemset {itemset} is not "
             f"{support_count} strictly ascending tids in [0, {n_train})"
         )
 
 
+def _checked_scorer(
+    n_train: int, minisupport_abs: int, rows: Sequence[str], first_line: int | None = None
+) -> PatternScorer:
+    """Check a model's header values and rows, and return the scorer the
+    rows build: the one check of a model. An error in a row names its line
+    when first_line, the line of the first row, is given."""
+    _check_header(n_train, minisupport_abs, len(rows))
+    scorer = PatternScorer((), n_train)
+    items = _ItemMemo()
+    # 30 supports over the daytime model's 3,443 rows: unmemoized, int_of loaded slower than int()
+    support_of = cache(int_of)
+    columns = 3 if rows[0].count("\t") == 2 else 2  # the first row says if tidlists follow
+    # row text -> its trie node and last item; a repeated row raises, so one key per row, in order
+    placed: dict[str, tuple[list, Item]] = {}
+    line_numbers = repeat(None) if first_line is None else count(first_line)
+    with _collector_paused():
+        for line_number, line in zip(line_numbers, rows):
+            parts = line.split("\t")
+            try:
+                if len(parts) != columns:
+                    raise ValueError
+                support_count = support_of(parts[0])
+                text = parts[1]
+                # a value's own "," is escaped, so the prefix is the itemset less its last item
+                prefix, _, last = text.rpartition(",")
+                parent = placed.get(prefix)
+                if parent is None:
+                    itemset = tuple(map(items.__getitem__, text.split(",")))
+                    item = itemset[-1]
+                else:
+                    item = items[last]
+                tids = None if columns == 2 else _tidlist_of(parts[2])
+                _check_row(text, support_count, tids, n_train, minisupport_abs)
+                if parent is None:
+                    node = scorer._add(itemset, support_count)
+                else:
+                    node = scorer._add_child(parent[0], parent[1], item, support_count, text)
+                placed[text] = node, item
+            except ValueError:
+                raise ModelFormatError("malformed pattern row", line_number=line_number) from None
+            except ModelFormatError as exc:
+                raise ModelFormatError(str(exc), line_number=line_number) from None
+    return scorer
+
+
 def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
-    """Write the model atomically. Saving a loaded model reproduces the
-    file byte for byte."""
+    """Check the model as load_model would, then write its header and rows
+    atomically. Saving a loaded model reproduces the file byte for byte."""
     model.scorer  # the build is the check
     lines = [
         MODEL_MAGIC,
@@ -214,12 +266,8 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
         f"schema_fp={model.schema_fingerprint}",
         f"built_at={model.built_at}",
         f"patterns={model.pattern_count}",
+        *model.rows,
     ]
-    for position, (itemset, support_count) in enumerate(model.patterns):
-        row = f"{support_count}\t{render_itemset(itemset)}"
-        if model.tidlists is not None:
-            row += "\t" + ",".join(str(tid) for tid in model.tidlists[position])
-        lines.append(row)
     with atomic_write(path) as out:
         out.write("\n".join(lines) + "\n")
 
@@ -227,9 +275,8 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
 def load_model(path: Union[str, Path]) -> ClassifierModel:
     """Read and fully validate a model file in the layout save_model
     writes: the magic line, the header lines in save's order, then row k
-    on line 6 + k, each line ending in "\n". The rows go onto the scorer's
-    trie as they are read and build no itemset: the model comes with that
-    scorer, and reads its `patterns` off the rows on first use."""
+    on line 6 + k, each line ending in "\n". The model comes with the
+    scorer its check built."""
     with open_text(path, ModelFormatError) as stream:
         text = stream.read()
     if not text:
@@ -256,108 +303,15 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
             message = f"header {line} is not an integer"
             raise ModelFormatError(message, line_number=line_number) from None
     n_train, minisupport_abs, fingerprint, built_at, declared = header
-    rows = lines[6:]
+    rows = tuple(lines[6:])
     if len(rows) != declared:
         message = f"header declares {declared} patterns, file carries {len(rows)}"
         raise ModelFormatError(message, line_number=6)
 
-    _check_header(n_train, minisupport_abs, declared)
-
-    scorer = PatternScorer((), n_train)
-    supports: list[int] = []
-    tidlists: list[tuple[int, ...]] = []
-    items = _ItemMemo()
-    # 30 supports over the daytime model's 3,443 rows: unmemoized, int_of loaded slower than int()
-    support_of = cache(int_of)
-    columns = 3 if rows and rows[0].count("\t") == 2 else 2  # the first row says if tidlists follow
-    # row text -> its trie node and last item; a repeated row raises, so one key per row, in order
-    placed: dict[str, tuple[list, Item]] = {}
-    with _collector_paused():
-        for line_number, line in enumerate(rows, start=7):
-            parts = line.split("\t")
-            try:
-                if len(parts) != columns:
-                    raise ValueError
-                support_count = support_of(parts[0])
-                text = parts[1]
-                # a value's own "," is escaped, so the prefix is the itemset less its last item
-                prefix, _, last = text.rpartition(",")
-                parent = placed.get(prefix)
-                if parent is None:
-                    itemset = tuple(map(items.__getitem__, text.split(",")))
-                    item = itemset[-1]
-                else:
-                    item = items[last]
-                tids = None if columns == 2 else _tidlist_of(parts[2])
-                _check_row(text, support_count, tids, n_train, minisupport_abs)
-                if parent is None:
-                    node = scorer._add(itemset, support_count)
-                else:
-                    node = scorer._add_child(parent[0], parent[1], item, support_count, text)
-                placed[text] = node, item
-            except ValueError:
-                raise ModelFormatError("malformed pattern row", line_number=line_number) from None
-            except ModelFormatError as exc:
-                raise ModelFormatError(str(exc), line_number=line_number) from None
-            if tids is not None:
-                tidlists.append(tids)
-            supports.append(support_count)
-
-    return _LoadedModel(
-        fingerprint,
-        built_at,
-        n_train,
-        minisupport_abs,
-        tuple(tidlists) if tidlists else None,
-        list(placed),
-        supports,
-        items,
-        scorer,
-    )
-
-
-class _LoadedModel(ClassifierModel):
-    """The model load_model returns: its header, its tidlists, the scorer
-    its load built, and each row's itemset text and support with the memo
-    of the Items its tokens name. `patterns` is built on first read, in
-    one pass over the rows; `pattern_count` is the header's count, so
-    scoring never builds it."""
-
-    def __init__(
-        self,
-        schema_fingerprint: str,
-        built_at: str,
-        n_train: int,
-        minisupport_abs: int,
-        tidlists: tuple[tuple[int, ...], ...] | None,
-        texts: list[str],
-        supports: list[int],
-        items: _ItemMemo,
-        scorer: PatternScorer,
-    ) -> None:
-        self.__dict__.update(
-            schema_fingerprint=schema_fingerprint,
-            built_at=built_at,
-            n_train=n_train,
-            minisupport_abs=minisupport_abs,
-            tidlists=tidlists,
-            _texts=texts,
-            _supports=supports,
-            _items=items,
-            scorer=scorer,  # as the cached property stores it
-        )
-
-    @property
-    def pattern_count(self) -> int:
-        return len(self._supports)
-
-    @cached_property
-    def patterns(self) -> tuple[tuple[Itemset, int], ...]:
-        item_of = self._items.__getitem__  # holds every token of every row by now
-        return tuple(
-            (tuple(map(item_of, text.split(","))), support)
-            for text, support in zip(self._texts, self._supports)
-        )
+    model = ClassifierModel(fingerprint, built_at, n_train, minisupport_abs, rows)
+    # as the cached property stores it
+    model.__dict__["scorer"] = _checked_scorer(n_train, minisupport_abs, rows, first_line=7)
+    return model
 
 
 def _tidlist_of(text: str) -> tuple[int, ...]:
@@ -371,8 +325,8 @@ class _ItemMemo(dict):
     """Token text -> the Item it names. Tokens repeat across rows, so a new
     token is parsed once and stored; a malformed one raises and is not
     stored. Only the token save_model writes for an item is taken, so a
-    row's text names one itemset and an itemset has one text. load_model
-    adds the row's line number to the error."""
+    row's text names one itemset and an itemset has one text. load_model's
+    check adds the row's line number to the error."""
 
     def __missing__(self, token: str) -> Item:
         index_text, sep, value_text = token.partition("=")

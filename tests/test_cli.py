@@ -706,6 +706,29 @@ class TestSweepCommand:
         ]
         assert not report.exists()
 
+    def test_non_ascii_digit_attack_tid_is_exit_2_without_a_report(self, tmp_path, capsys):
+        # int() reads ARABIC-INDIC DIGIT ONE as 1; a tid takes ASCII digits only
+        log, _, schema = gen_log(tmp_path)
+        attacks = tmp_path / "arabic.txt"
+        attacks.write_text("\u0661\n", encoding="utf-8")
+        capsys.readouterr()
+        report = tmp_path / "sweep.tsv"
+        code = main(
+            [
+                "sweep",
+                "--input", str(log),
+                "--schema", str(schema),
+                "--minisupport", "8,20",
+                "--attacks", str(attacks),
+                "--out", str(report),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "alertfp: unknown attack selector '\u0661'"
+        ]
+        assert not report.exists()
+
 
 class TestGenCommand:
     def test_same_seed_byte_identical(self, tmp_path):

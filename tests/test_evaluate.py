@@ -250,7 +250,7 @@ SELECTOR_CASES = [
 
 class TestAttackSelectors:
     def test_plain_tids(self):
-        assert resolve_attack_selectors(["3", "1", "", "# note"]) == {1, 3}
+        assert resolve_attack_selectors(["3", "1", "007", "", "# note"]) == {1, 3, 7}
 
     def test_field_selector_needs_dataset(self):
         with pytest.raises(AlertFpError):
@@ -284,7 +284,9 @@ class TestAttackSelectors:
             resolve_attack_selectors(["cid=999"], sample_dataset)
 
     def test_garbage_selector_rejected(self):
-        for line in ("what is this", "\u00b2"):  # "²".isdigit(), but int() refuses it
+        # "²".isdigit(), but int() refuses it; int() reads the Arabic-Indic and
+        # fullwidth digits, but no other integer reader takes them
+        for line in ("what is this", "\u00b2", "\u0661", "\uff13", "1\u0662"):
             with pytest.raises(AlertFpError, match="unknown attack selector"):
                 resolve_attack_selectors([line])
 

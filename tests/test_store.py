@@ -96,7 +96,7 @@ def tidlist_model(sample_dataset):
 #: Not downward closed, nor in canonical order: the first row walks from the
 #: root and makes 0=a and 0=a,1=b as bare nodes, which the second row fills
 #: from the root and the third fills as the child of its prefix row.
-UNCLOSED_MODEL = ClassifierModel(
+UNCLOSED_MODEL = ClassifierModel.from_patterns(
     "x", FIXED_TIME, 5, 2, (((A, B, C), 2), ((A,), 4), ((A, B), 3), ((B, C), 2))
 )
 
@@ -138,7 +138,10 @@ class TestSaveLoad:
         assert loaded.patterns == sample_model.patterns
         assert "patterns" in loaded.__dict__
 
-    @pytest.mark.parametrize("name", [f.name for f in fields(ClassifierModel)])
+    # the derived views are not fields, but they are as read-only as the fields
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(ClassifierModel)] + ["patterns", "tidlists", "scorer"]
+    )
     @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
     def test_model_is_frozen(self, name, loaded, tidlist_model, tmp_path):
         model = tidlist_model
@@ -446,52 +449,54 @@ class TestSaveLoad:
         "model, save_message, load_message",
         [
             (
-                ClassifierModel("x", FIXED_TIME, 5, 2, (((A,), 2), ((B, A), 2))),
+                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((A,), 2), ((B, A), 2))),
                 "items of itemset 1=b,0=a are not strictly ascending",
                 "line 8: items of itemset 1=b,0=a are not strictly ascending",
             ),
             (
-                ClassifierModel("x", FIXED_TIME, 5, 2, (((A,), 2), ((A,), 3))),
+                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((A,), 2), ((A,), 3))),
                 "itemset 0=a repeats an earlier row",
                 "line 8: itemset 0=a repeats an earlier row",
             ),
             (
-                ClassifierModel("x", FIXED_TIME, 5, 2, (((), 2),)),
-                "empty itemset",
+                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((), 2),)),
+                "malformed item token ''",
                 "line 7: malformed item token ''",
             ),
             (
-                ClassifierModel("x", FIXED_TIME, 5, 2, (((A,), 9),)),
+                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((A,), 9),)),
                 "support 9 outside [2, 5] for itemset 0=a",
                 "line 7: support 9 outside [2, 5] for itemset 0=a",
             ),
             (
-                ClassifierModel("x", FIXED_TIME, 0, 0, (((Item(7, "a"),), 0),)),
+                ClassifierModel.from_patterns("x", FIXED_TIME, 0, 0, (((Item(7, "a"),), 0),)),
                 "n_train 0 is below 1",
                 "n_train 0 is below 1",
             ),
             (
-                ClassifierModel("x", FIXED_TIME, 5, -3, (((Item(9, "6"),), -2),)),
+                ClassifierModel.from_patterns("x", FIXED_TIME, 5, -3, (((Item(9, "6"),), -2),)),
                 "minisupport -3 outside [1, 5]",
                 "minisupport -3 outside [1, 5]",
             ),
             (
-                ClassifierModel("x", FIXED_TIME, 5, 0, (((A,), 1),)),
+                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 0, (((A,), 1),)),
                 "minisupport 0 outside [1, 5]",
                 "minisupport 0 outside [1, 5]",
             ),
             (
-                ClassifierModel("x", FIXED_TIME, 5, 6, (((A,), 6),)),
+                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 6, (((A,), 6),)),
                 "minisupport 6 outside [1, 5]",
                 "minisupport 6 outside [1, 5]",
             ),
             (
-                ClassifierModel("x", FIXED_TIME, 5, 2, (((A,), 3),), ((0, 1, 99, -4),)),
+                ClassifierModel.from_patterns(
+                    "x", FIXED_TIME, 5, 2, (((A,), 3),), ((0, 1, 99, -4),)
+                ),
                 "tidlist of itemset 0=a is not 3 strictly ascending tids in [0, 5)",
                 "line 7: tidlist of itemset 0=a is not 3 strictly ascending tids in [0, 5)",
             ),
             (
-                ClassifierModel("x", FIXED_TIME, 5, 2, ()),
+                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, ()),
                 "model contains no patterns",
                 "model contains no patterns",
             ),
@@ -525,16 +530,18 @@ class TestSaveLoad:
         assert str(info.value) == load_message
 
     def test_save_refuses_support_out_of_bounds(self, tmp_path):
-        model = ClassifierModel("x", FIXED_TIME, 5, 2, (((Item(0, "a"),), 9),))
+        model = ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((Item(0, "a"),), 9),))
         path = tmp_path / "model.fps"
         with pytest.raises(ModelFormatError, match="support 9 outside"):
             save_model(model, path)
         assert not path.exists()
 
     def test_save_refuses_tidlist_count_mismatch(self, tmp_path):
-        model = ClassifierModel("x", FIXED_TIME, 5, 2, (((A,), 2), ((B,), 2)), ((0, 1),))
         path = tmp_path / "model.fps"
         with pytest.raises(ModelFormatError, match="^tidlist count does not match pattern count$"):
+            model = ClassifierModel.from_patterns(
+                "x", FIXED_TIME, 5, 2, (((A,), 2), ((B,), 2)), ((0, 1),)
+            )
             save_model(model, path)
         assert not list(tmp_path.iterdir())
 
@@ -618,6 +625,64 @@ class TestSaveLoad:
             (gc.enable if was else gc.disable)()
 
 
+#: items whose tokens sort as the items do, one of them escaped
+PROBE_ITEMS = [Item(0, "a"), Item(0, "b"), Item(1, ","), Item(2, "a")]
+
+
+@st.composite
+def hand_built_models(draw):
+    """Models as a caller may build them: no patterns, empty, descending or
+    repeated itemsets, supports just outside [minisupport, n_train], bad
+    tidlists, and rows that are fine."""
+    n_train = draw(st.integers(0, 5))
+    low, high = (1, n_train) if n_train and draw(st.booleans()) else (-1, n_train + 1)
+    minisupport = draw(st.integers(low, high))
+    ascending = st.lists(st.sampled_from(PROBE_ITEMS), min_size=1, max_size=3, unique=True)
+    anyhow = st.lists(st.sampled_from(PROBE_ITEMS), max_size=3)
+    itemsets = st.one_of(ascending.map(sorted), ascending.map(sorted), anyhow)
+    supports = st.integers(min(minisupport, n_train), n_train) | st.integers(minisupport - 1, n_train + 1)
+    patterns = draw(st.lists(st.tuples(itemsets.map(tuple), supports), max_size=5))
+    tidlists = None
+    if draw(st.booleans()):
+        tidlists = [
+            draw(st.just(tuple(range(support))) | st.lists(st.integers(-1, n_train)))
+            for _, support in patterns
+        ]
+    return ClassifierModel.from_patterns(
+        "x", FIXED_TIME, n_train, minisupport, patterns, tidlists
+    )
+
+
+class TestSaveLoadAgreeProperty:
+    """save_model refuses a model exactly when load_model refuses the bytes
+    save would have written unchecked, and with load's message less its
+    line number."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hand_built_models())
+    @example(ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((), 2),)))
+    def test_save_refuses_exactly_what_load_refuses(self, model):
+        with tempfile.TemporaryDirectory() as scratch:
+            checked, unchecked = Path(scratch, "a.fps"), Path(scratch, "b.fps")
+            try:
+                save_model(model, checked)
+                save_error = None
+            except ModelFormatError as exc:
+                save_error = str(exc)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ClassifierModel, "scorer", None)
+                save_model(model, unchecked)
+            try:
+                loaded = load_model(unchecked)
+                load_error = None
+            except ModelFormatError as exc:
+                load_error = re.sub(r"^line [0-9]+: ", "", str(exc))
+            assert save_error == load_error
+            if save_error is None:
+                assert loaded == model
+                assert checked.read_bytes() == unchecked.read_bytes()
+
+
 # framing characters, their escape codes as literal text, and line breaks
 # other than "\n" that the escaping leaves alone
 ESCAPE_PROBES = [
@@ -636,7 +701,7 @@ class TestEscapingProperty:
     def test_arbitrary_values_round_trip(self, values):
         items = sorted(Item(index, value) for value in values for index in (0, 1))
         patterns = tuple(((item,), 2) for item in items) + ((tuple(items), 3),)
-        model = ClassifierModel("x", FIXED_TIME, 5, 2, patterns)
+        model = ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, patterns)
         with tempfile.TemporaryDirectory() as scratch:
             first, second = Path(scratch, "a.fps"), Path(scratch, "b.fps")
             save_model(model, first)
@@ -662,7 +727,7 @@ class TestLoadedTrieProperty:
         # the first column is constant, so every threshold keeps a pattern
         fps = mine(ds, MiningConfig(minisupport=rng.randint(1, ds.n)))
         kept = [p for p in fps if rng.random() >= drop] or [fps.patterns[-1]]
-        model = ClassifierModel(
+        model = ClassifierModel.from_patterns(
             "x",
             FIXED_TIME,
             fps.n,
