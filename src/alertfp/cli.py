@@ -112,16 +112,36 @@ def _parse_delimiter(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command line. Each command names its handler (`run`), and
+    each path option says where it is added whether the command reads its
+    file (`reads`) or writes it (`writes`), in the order declared."""
     parser = _Parser(prog="alertfp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, reads=(), writes=())
+        return p
+
+    def path(p, role, flag, **kwargs):
+        dest = p.add_argument(flag, **kwargs).dest
+        p.set_defaults(**{role: p.get_default(role) + (dest,)})
+
     def add_common_io(p):
-        p.add_argument("--input", required=True, help="alert log file")
-        p.add_argument("--schema", required=True, help="schema config file")
+        path(p, "reads", "--input", required=True, help="alert log file")
+        path(p, "reads", "--schema", required=True, help="schema config file")
         p.add_argument(
             "--delimiter", type=_parse_delimiter, default="\t", help="field delimiter (default tab)"
         )
-        p.add_argument("--rejects-out", help="write rejected lines report here")
+        path(p, "writes", "--rejects-out", help="write rejected lines report here")
+
+    def add_guard(p):
+        p.add_argument(
+            "--max-patterns",
+            type=_parse_max_patterns,
+            default=DEFAULT_PATTERN_CAP,
+            help="pattern explosion guard; 'off' disables (default %(default)s)",
+        )
 
     def add_mining(p):
         p.add_argument(
@@ -130,12 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=MiningConfig.minisupport,
             help="absolute count N or percentage P%% (default %(default)s)",
         )
-        p.add_argument(
-            "--max-patterns",
-            type=_parse_max_patterns,
-            default=DEFAULT_PATTERN_CAP,
-            help="pattern explosion guard; 'off' disables (default %(default)s)",
-        )
+        add_guard(p)
         p.add_argument("--max-pattern-len", type=_parse_positive_int, default=None)
 
     def add_scoring(p):
@@ -143,39 +158,42 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--top-p", type=_parse_top_p, default=None, help="write top P%% candidate tids"
         )
-        p.add_argument("--candidates-out", help="candidate-set output path")
+        path(p, "writes", "--candidates-out", help="candidate-set output path")
 
-    p_mine = sub.add_parser("mine", help="mine a log into a classifier model")
+    p_mine = command("mine", _cmd_mine, "mine a log into a classifier model")
+    path(p_mine, "writes", "--out", required=True, help="model output path")
     add_common_io(p_mine)
     add_mining(p_mine)
-    p_mine.add_argument("--out", required=True, help="model output path")
     p_mine.add_argument("--emit-tidlists", action="store_true", help="store tidlists for audit")
 
-    p_rank = sub.add_parser("rank", help="mine and rank a log in one pass")
+    p_rank = command("rank", _cmd_rank, "mine and rank a log in one pass")
+    path(p_rank, "writes", "--out", required=True, help="ranked output path")
     add_common_io(p_rank)
     add_mining(p_rank)
     add_scoring(p_rank)
-    p_rank.add_argument("--out", required=True, help="ranked output path")
 
-    p_score = sub.add_parser("score", help="rank new alerts against a stored model")
+    p_score = command("score", _cmd_score, "rank new alerts against a stored model")
+    path(p_score, "writes", "--out", required=True)
     add_common_io(p_score)
     add_scoring(p_score)
-    p_score.add_argument("--model", required=True)
-    p_score.add_argument("--out", required=True)
+    path(p_score, "reads", "--model", required=True)
     p_score.add_argument(
         "--force-schema", action="store_true", help="score despite a fingerprint mismatch"
     )
 
-    p_eval = sub.add_parser("eval", help="attack placement and reduction of a ranked file")
-    p_eval.add_argument("--ranked", required=True)
-    p_eval.add_argument("--attacks", required=True, help="attack-id file (tid or field=value per line)")
-    p_eval.add_argument("--input", help="original log, needed for field=value selectors")
-    p_eval.add_argument("--schema", help="schema config, needed for field=value selectors")
+    p_eval = command("eval", _cmd_eval, "attack placement and reduction of a ranked file")
+    path(p_eval, "reads", "--ranked", required=True)
+    path(
+        p_eval, "reads", "--attacks", required=True, help="attack-id file (tid or field=value per line)"
+    )
+    path(p_eval, "reads", "--input", help="original log, needed for field=value selectors")
+    path(p_eval, "reads", "--schema", help="schema config, needed for field=value selectors")
     p_eval.add_argument(
         "--delimiter", type=_parse_delimiter, help="field delimiter of --input (default tab)"
     )
 
-    p_sweep = sub.add_parser("sweep", help="mine/rank/evaluate across minisupport values")
+    p_sweep = command("sweep", _cmd_sweep, "mine/rank/evaluate across minisupport values")
+    path(p_sweep, "writes", "--out", required=True, help="sweep report path")
     add_common_io(p_sweep)
     p_sweep.add_argument(
         "--minisupport",
@@ -183,11 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated list, each N or P%%",
     )
-    p_sweep.add_argument("--attacks", required=True)
-    p_sweep.add_argument("--out", required=True, help="sweep report path")
-    p_sweep.add_argument("--max-patterns", type=_parse_max_patterns, default=DEFAULT_PATTERN_CAP)
+    path(p_sweep, "reads", "--attacks", required=True)
+    add_guard(p_sweep)
 
-    p_gen = sub.add_parser("gen", help="generate a seeded synthetic log with planted attacks")
+    p_gen = command("gen", _cmd_gen, "generate a seeded synthetic log with planted attacks")
     p_gen.add_argument("--records", type=_parse_positive_int, required=True)
     p_gen.add_argument(
         "--attacks", type=_parse_positive_int, default=SyntheticSpec.n_attack, dest="n_attack"
@@ -196,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--profiles", type=_parse_positive_int, default=SyntheticSpec.routine_profiles
     )
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--out", required=True, help="log output path")
-    p_gen.add_argument("--attacks-out", required=True, help="attack-id output path")
-    p_gen.add_argument("--schema-out", help="also write the generator's schema config")
+    path(p_gen, "writes", "--out", required=True, help="log output path")
+    path(p_gen, "writes", "--attacks-out", required=True, help="attack-id output path")
+    path(p_gen, "writes", "--schema-out", help="also write the generator's schema config")
 
     return parser
 
@@ -216,13 +233,18 @@ def main(argv=None) -> int:
             parser.error("eval takes --input and --schema together, or neither")
         if args.command == "eval" and args.input is None and args.delimiter is not None:
             parser.error("eval takes --delimiter only with --input")
+        if "top_p" in args:  # rank and score
+            if args.top_p is not None:
+                args.candidates_out = args.candidates_out or f"{args.out}.candidates"
+            elif args.candidates_out is not None:
+                parser.error(f"{args.command} takes --candidates-out only with --top-p")
         clash = _same_file_clash(args)
         if clash:
             parser.error(clash)
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except PatternExplosionError as exc:
         print(f"alertfp: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -234,25 +256,10 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
-# the path options each command reads and writes; eval writes nothing
-_INPUTS = {
-    "mine": ("input", "schema"),
-    "rank": ("input", "schema"),
-    "score": ("input", "schema", "model"),
-    "sweep": ("input", "schema", "attacks"),
-}
-_OUTPUTS = {
-    "mine": ("out", "rejects_out"),
-    "rank": ("out", "rejects_out"),
-    "score": ("out", "rejects_out"),
-    "sweep": ("out", "rejects_out"),
-    "gen": ("out", "attacks_out", "schema_out"),
-}
-
-
 def _same_file_clash(args) -> str | None:
     """Name two path options of the command that would clobber each other:
-    an output that is the same file as an input or as another output. An
+    an output that is the same file as an input or as another output, in
+    the order build_parser declares them, so `--out` is named first. An
     output that is a device or a pipe (`/dev/stdout` on a terminal or a
     pipe, `/dev/null`) replaces no file, so it clashes with nothing."""
 
@@ -260,12 +267,8 @@ def _same_file_clash(args) -> str | None:
         paths = [(attr, getattr(args, attr)) for attr in attrs]
         return [(attr, path, _identity(path)) for attr, path in paths if path is not None]
 
-    inputs = given(_INPUTS.get(args.command, ()))
-    outputs = given(_OUTPUTS.get(args.command, ()))
-    if args.command in ("rank", "score") and args.top_p is not None:
-        path = _candidates_path(args)
-        outputs.append(("candidates_out", path, _identity(path)))
-    outputs = [output for output in outputs if output[2] is not None]
+    inputs = given(args.reads)
+    outputs = [output for output in given(args.writes) if output[2] is not None]
     for k, (attr, path, identity) in enumerate(outputs):
         for other, other_path, other_identity in inputs + outputs[:k]:
             if identity == other_identity:
@@ -293,25 +296,13 @@ def _identity(path: str) -> tuple | None:
     return (st.st_dev, st.st_ino)
 
 
-def _dispatch(args) -> int:
-    handlers = {
-        "mine": _cmd_mine,
-        "rank": _cmd_rank,
-        "score": _cmd_score,
-        "eval": _cmd_eval,
-        "sweep": _cmd_sweep,
-        "gen": _cmd_gen,
-    }
-    return handlers[args.command](args)
-
-
 def _load_inputs(args):
     schema = load_schema(args.schema)
     result = parse_log(args.input, schema, args.delimiter)
     if result.rejects:
         print(f"alertfp: rejected {len(result.rejects)} line(s)", file=sys.stderr)
-        if args.rejects_out:
-            write_rejects(args.rejects_out, result.rejects)
+    if args.rejects_out:  # empty on a clean run, so no earlier report is left
+        write_rejects(args.rejects_out, result.rejects)
     return schema, result.dataset
 
 
@@ -378,13 +369,8 @@ def _write_candidates(args, ranked) -> None:
     if args.top_p is None:
         return
     tids = top_candidates(ranked, args.top_p)
-    path = _candidates_path(args)
-    write_attack_ids(path, tids)
-    print(f"alertfp: wrote {len(tids)} candidate tid(s) to {path}", file=sys.stderr)
-
-
-def _candidates_path(args) -> str:
-    return args.candidates_out or f"{args.out}.candidates"
+    write_attack_ids(args.candidates_out, tids)
+    print(f"alertfp: wrote {len(tids)} candidate tid(s) to {args.candidates_out}", file=sys.stderr)
 
 
 def _read_attack_file(args, dataset=None) -> set[int]:

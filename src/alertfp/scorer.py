@@ -108,6 +108,11 @@ class PatternScorer:
         self._items: set[Item] = set()  # every item on the trie
         self.count = 0
         self._cache: dict[frozenset[Item], tuple[int, float]] = {}
+        self._build(patterns)
+
+    def _build(self, patterns: Iterable[tuple[Sequence[Item], int]]) -> None:
+        """Insert every pattern: the last step of __init__, so a subclass
+        that extends it builds inside the constructor."""
         add = self._add
         for itemset, support_count in patterns:
             add(itemset, support_count)
@@ -201,9 +206,9 @@ class ConditionalScorer(PatternScorer):
     prefixes counted so far, a node being [count, scaled sum, children dict].
     """
 
-    def __init__(self, patterns: Iterable[tuple[Sequence[Item], int]], n: int):
+    def _build(self, patterns: Iterable[tuple[Sequence[Item], int]]) -> None:
         with _collector_paused():
-            super().__init__(patterns, n)
+            super()._build(patterns)
             self._take_apart()
         self._memo: list = [0, 0, {}]
 

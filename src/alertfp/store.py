@@ -19,13 +19,14 @@ saving, comparing and scoring a model build neither.
 
 A model's rules are checked in one place, `_checked_scorer`, for save,
 load and scoring alike: the header's `n_train >= 1`, `minisupport` in
-`[1, n_train]` and at least one row (`_check_header`), each row's
+`[1, n_train]`, at least one row and no newline in `schema_fp` or
+`built_at` (`_check_header`), each row's
 support in `[minisupport, n_train]` and tidlist of exactly
 `support_count` strictly ascending tids in `[0, n_train)` (`_check_row`),
 and each itemset's shape in the scorer's insert
 (`PatternScorer._add_child`). So save refuses exactly the header numbers
 and rows that load refuses, with the same message less the line number
-that load adds. The check
+that load adds, and a header string that load could not read back. The check
 puts each row onto the scorer's trie as it comes and builds no itemset.
 A row whose prefix, the text before its last `,`, is an earlier row's
 text hangs one node under that row's node, and only its last token is
@@ -109,7 +110,7 @@ class ClassifierModel:
         """The scorer the check of the rows builds, on first use, and
         kept; a loaded model comes with the one its load built. Its
         per-transaction cache lives as long as the model does."""
-        return _checked_scorer(self.n_train, self.minisupport_abs, self.rows)
+        return _checked_scorer(self)
 
     @cached_property
     def patterns(self) -> tuple[tuple[Itemset, int], ...]:
@@ -173,13 +174,18 @@ class ClassifierModel:
         )
 
 
-def _check_header(n_train: int, minisupport_abs: int, pattern_count: int) -> None:
-    """The header's rules, checked before any row."""
+def _check_header(model: ClassifierModel) -> None:
+    """The header's rules, checked before any row. A header string must
+    hold no newline: the line it is written on would end there."""
+    n_train, minisupport_abs = model.n_train, model.minisupport_abs
+    for key, value in (("schema_fp", model.schema_fingerprint), ("built_at", model.built_at)):
+        if "\n" in value:
+            raise ModelFormatError(f"header {key} {value!r} holds a newline")
     if n_train < 1:
         raise ModelFormatError(f"n_train {n_train} is below 1")
     if not 1 <= minisupport_abs <= n_train:
         raise ModelFormatError(f"minisupport {minisupport_abs} outside [1, {n_train}]")
-    if pattern_count == 0:
+    if not model.rows:
         raise ModelFormatError("model contains no patterns")
 
 
@@ -210,13 +216,12 @@ def _check_row(
         )
 
 
-def _checked_scorer(
-    n_train: int, minisupport_abs: int, rows: Sequence[str], first_line: int | None = None
-) -> PatternScorer:
+def _checked_scorer(model: ClassifierModel, first_line: int | None = None) -> PatternScorer:
     """Check a model's header values and rows, and return the scorer the
     rows build: the one check of a model. An error in a row names its line
     when first_line, the line of the first row, is given."""
-    _check_header(n_train, minisupport_abs, len(rows))
+    _check_header(model)
+    n_train, minisupport_abs, rows = model.n_train, model.minisupport_abs, model.rows
     scorer = PatternScorer((), n_train)
     items = _ItemMemo()
     # 30 supports over the daytime model's 3,443 rows: unmemoized, int_of loaded slower than int()
@@ -310,7 +315,7 @@ def load_model(path: Union[str, Path]) -> ClassifierModel:
 
     model = ClassifierModel(fingerprint, built_at, n_train, minisupport_abs, rows)
     # as the cached property stores it
-    model.__dict__["scorer"] = _checked_scorer(n_train, minisupport_abs, rows, first_line=7)
+    model.__dict__["scorer"] = _checked_scorer(model, first_line=7)
     return model
 
 

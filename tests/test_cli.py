@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import alertfp
-from alertfp.cli import main
+from alertfp.cli import build_parser, main
 from alertfp.ingest import parse_log
 from alertfp.model import Alert, snort_schema
 from alertfp.scorer import read_ranked
@@ -930,6 +930,43 @@ class TestSameFileRefused:
         assert f": {str(target)!r}\n" in err
         assert ".tmp" not in err
 
+    @pytest.mark.parametrize("command", ["rank", "score"])
+    @pytest.mark.parametrize("target", ["{d}/c.txt", "{log}"], ids=["new-file", "the-input"])
+    def test_candidates_out_without_top_p_is_a_usage_error(
+        self, command, target, files, capsys
+    ):
+        argv = [command] + [arg.format(**files) for arg in self.BASE[command]]
+        argv += ["--out", str(files["d"] / "r.tsv"), "--candidates-out", target.format(**files)]
+        before = self.snapshot(files["d"])
+        capsys.readouterr()
+        assert main(argv) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"alertfp: error: {command} takes --candidates-out only with --top-p"]
+        assert self.snapshot(files["d"]) == before
+
+
+def test_every_output_option_is_declared_as_written():
+    """The same-file check compares what each command declares it reads
+    and writes, so an output option declared any other way would skip it."""
+    paths = ["--input", "i", "--schema", "s"]
+    minimal = {
+        "mine": [*paths, "--out", "o"],
+        "rank": [*paths, "--out", "o"],
+        "score": [*paths, "--model", "m", "--out", "o"],
+        "eval": ["--ranked", "r", "--attacks", "a"],
+        "sweep": [*paths, "--minisupport", "2", "--attacks", "a", "--out", "o"],
+        "gen": ["--records", "10", "--seed", "1", "--out", "o", "--attacks-out", "a"],
+    }
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    assert sorted(commands) == sorted(minimal)
+    for command, argv in minimal.items():
+        args = parser.parse_args([command, *argv])
+        outputs = [dest for dest in vars(args) if dest == "out" or dest.endswith("_out")]
+        assert set(outputs) <= set(args.writes), command
+        assert not set(args.reads) & set(args.writes), command
+        assert all(dest in args for dest in args.reads + args.writes), command
+
 
 class TestOutputFiles:
     def test_model_and_ranked_files_take_the_umask(
@@ -968,6 +1005,26 @@ class TestRejects:
         assert code == 0
         assert rejects.read_text(encoding="utf-8").startswith("4\t")
         assert "rejected 1 line" in capsys.readouterr().err
+
+    def test_clean_run_leaves_an_empty_report(self, snort_schema_path, tmp_path, capsys):
+        log = tmp_path / "log.tsv"
+        log.write_text(SNORT_SAMPLE + "short\tline\n", encoding="utf-8")
+        rejects = tmp_path / "rejects.tsv"
+        argv = [
+            "mine",
+            "--input", str(log),
+            "--schema", str(snort_schema_path),
+            "--minisupport", "2",
+            "--out", str(tmp_path / "m.fps"),
+            "--rejects-out", str(rejects),
+        ]
+        assert main(argv) == 0
+        assert rejects.read_text(encoding="utf-8") != ""
+        log.write_text(SNORT_SAMPLE, encoding="utf-8")
+        capsys.readouterr()
+        assert main(argv) == 0  # a cron rerun on a clean log replaces yesterday's report
+        assert rejects.read_text(encoding="utf-8") == ""
+        assert "rejected" not in capsys.readouterr().err
 
 
 class TestNotUtf8:

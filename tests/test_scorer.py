@@ -421,6 +421,27 @@ class TestConditionalScorer:
             with pytest.raises(ValueError, match=message):
                 route([((a,), 2.0**-60)], 1)
 
+    def test_rank_takes_the_trie_apart_inside_the_constructor(self, monkeypatch, sample_dataset):
+        # a tracer that times PatternScorer.__init__ books the whole build
+        inside, seen = [], []
+        init, take_apart = PatternScorer.__init__, ConditionalScorer._take_apart
+
+        def timed_init(self, *args):
+            inside.append(True)
+            try:
+                init(self, *args)
+            finally:
+                inside.pop()
+
+        def watched_take_apart(self):
+            seen.append(bool(inside))
+            take_apart(self)
+
+        monkeypatch.setattr(PatternScorer, "__init__", timed_init)
+        monkeypatch.setattr(ConditionalScorer, "_take_apart", watched_take_apart)
+        rank(sample_dataset, mine(sample_dataset, MiningConfig(minisupport=2)))
+        assert seen == [True]
+
     def test_the_trie_is_taken_apart(self):
         # the trie and the conditional form are never held whole at once
         patterns = [((POOL[0],), 3), ((POOL[0], POOL[4]), 2), ((POOL[4], POOL[8]), 1)]

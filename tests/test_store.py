@@ -545,6 +545,24 @@ class TestSaveLoad:
             save_model(model, path)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "fingerprint, built_at, message",
+        [
+            ("x", "2010\nfoo", "header built_at '2010\\nfoo' holds a newline"),
+            ("x\n", FIXED_TIME, "header schema_fp 'x\\n' holds a newline"),
+        ],
+        ids=["built-at", "schema-fp"],
+    )
+    def test_save_refuses_a_newline_in_a_header_string(
+        self, fingerprint, built_at, message, tmp_path
+    ):
+        # the line would end at the newline, so load could not read the file back
+        model = ClassifierModel.from_patterns(fingerprint, built_at, 5, 2, (((A,), 2),))
+        with pytest.raises(ModelFormatError) as info:
+            save_model(model, tmp_path / "model.fps")
+        assert str(info.value) == message
+        assert not list(tmp_path.iterdir())
+
     def test_pattern_count_mismatch_detected(self, sample_model, tmp_path):
         path = tmp_path / "model.fps"
         save_model(sample_model, path)
