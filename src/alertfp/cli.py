@@ -191,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--delimiter", type=_parse_delimiter, help="field delimiter of --input (default tab)"
     )
+    path(p_eval, "writes", "--rejects-out", help="write --input's rejected lines report here")
 
     p_sweep = command("sweep", _cmd_sweep, "mine/rank/evaluate across minisupport values")
     path(p_sweep, "writes", "--out", required=True, help="sweep report path")
@@ -229,10 +230,14 @@ def main(argv=None) -> int:
                 args.spec = SyntheticSpec(args.records, args.n_attack, args.profiles, args.seed)
             except AlertFpError as exc:
                 parser.error(f"argument --attacks: {exc} (got {args.n_attack})")
-        if args.command == "eval" and (args.input is None) != (args.schema is None):
-            parser.error("eval takes --input and --schema together, or neither")
-        if args.command == "eval" and args.input is None and args.delimiter is not None:
-            parser.error("eval takes --delimiter only with --input")
+        if args.command == "eval":
+            if (args.input is None) != (args.schema is None):
+                parser.error("eval takes --input and --schema together, or neither")
+            for attr in ("delimiter", "rejects_out"):
+                if args.input is None and getattr(args, attr) is not None:
+                    parser.error(f"eval takes {_option(attr)} only with --input")
+            if args.delimiter is None:
+                args.delimiter = "\t"
         if "top_p" in args:  # rank and score
             if args.top_p is not None:
                 args.candidates_out = args.candidates_out or f"{args.out}.candidates"
@@ -382,8 +387,7 @@ def _cmd_eval(args) -> int:
     ranked_file = read_ranked(args.ranked)
     dataset = None
     if args.input is not None:
-        delimiter = "\t" if args.delimiter is None else args.delimiter
-        dataset = parse_log(args.input, load_schema(args.schema), delimiter).dataset
+        _, dataset = _load_inputs(args)
     attack_tids = _read_attack_file(args, dataset)
     ranks = locate_attacks(ranked_file.rows, attack_tids)
     worst = max(ranks)

@@ -7,6 +7,15 @@ contained patterns' support ratios divided by the pattern-set size, so it
 always lands in [0, 1]. Alerts containing many common patterns score
 high and sink; alerts matching nothing float to the top for review.
 
+A ranking (rank_with_scorer) keys each alert by its frequent items. An
+AlertDataset is keyed off its column codes, so no per-alert transaction is
+built: each code of a column maps to a digit, the number of the frequent
+item its value gives in that column or 0, a timestamp having a date and a
+time digit, and an alert's key is the mixed-radix int of its digits. A
+sequence of transactions is keyed by intersecting each one's items with
+the frequent ones. Each distinct key is decoded to its items and scored
+once, and one stable sort of the tids orders the alerts.
+
 The patterns sit in a prefix trie (PatternScorer), the Apriori subset
 function (Agrawal & Srikant, VLDB 1994) laid out as a prefix tree in the
 manner of FP-growth (Han, Pei & Yin, SIGMOD 2000). Building the trie is
@@ -45,7 +54,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ldexp
-from typing import Iterable, Sequence
+from operator import add, itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import AlertFpError, EmptyPatternSetError, ModelFormatError
 from .ingest import check_delimiter
@@ -375,26 +385,77 @@ def rank(
     if fps.count == 0:
         raise EmptyPatternSetError("ranking is undefined over an empty pattern set")
     scorer = ConditionalScorer.from_pattern_set(fps)
-    return rank_with_scorer(_as_transactions(data), scorer, config)
+    return rank_with_scorer(data, scorer, config)
 
 
 def rank_with_scorer(
-    transactions: Sequence[Transaction],
+    data: Minable,
     scorer: PatternScorer,
     config: ScoreConfig,
 ) -> list[ScoredAlert]:
-    raw = []
-    for t in transactions:
-        simple, total = scorer.score(t.items)
-        raw.append((t.tid, simple, total))
-    if config.metric == "simple":
-        raw.sort(key=lambda row: (row[1], row[0]))
+    """Score every alert with scorer and sort ascending by the configured
+    metric, ties by ascending tid.
+
+    An alert's key is its frequent items: for an AlertDataset an int read
+    off the column codes (_code_keys), so no transaction is built, and for
+    transactions the intersection of each one's items with the scorer's.
+    Each distinct key is decoded to its items and scored once.
+    """
+    frequent = scorer._frequent
+    if isinstance(data, AlertDataset):
+        keys, items_of = _code_keys(data, frequent)
     else:
-        raw.sort(key=lambda row: (row[2], row[0]))
+        keys = [frequent.intersection(t.items) for t in _as_transactions(data)]
+        items_of = frozenset  # a key is its items
+    scores = {key: scorer.score(items_of(key)) for key in dict.fromkeys(keys)}
+    rows = list(map(scores.__getitem__, keys))
+    metric = list(map(itemgetter(0 if config.metric == "simple" else 1), rows))
+    # tids are positions, so a stable sort of them breaks ties by tid
+    order = sorted(range(len(rows)), key=metric.__getitem__)
+    count = scorer.count
     return [
-        ScoredAlert(tid, simple, total / scorer.count, position + 1)
-        for position, (tid, simple, total) in enumerate(raw)
+        ScoredAlert(tid, rows[tid][0], rows[tid][1] / count, position)
+        for position, tid in enumerate(order, start=1)
     ]
+
+
+def _code_keys(
+    dataset: AlertDataset, frequent: frozenset[Item]
+) -> tuple[list[int], Callable[[int], list[Item]]]:
+    """Every alert's key as a mixed-radix int, and the function that
+    decodes a key to its items. Each part of a column, its keys and a
+    timestamp's times, that gives some alert a frequent item adds a digit:
+    the number of that item among the column's frequent items, from 1, or
+    0 for an item that is not frequent and for a null's time (None). With
+    no such part every key is 0."""
+    in_column: dict[int, list[Item]] = {}
+    for item in sorted(frequent):
+        in_column.setdefault(item.field_index, []).append(item)
+    keys = [0] * dataset.n
+    decoders = []  # (radix, items by digit), least significant digit first
+    weight = 1
+    for column in dataset.columns():
+        items = in_column.get(column.field_index)
+        if items is None:
+            continue
+        digit_of = {item.value: digit for digit, item in enumerate(items, start=1)}
+        radix = len(items) + 1
+        for values in (column.keys,) if column.times is None else (column.keys, column.times):
+            digits = [digit_of.get(value, 0) * weight for value in values]
+            if any(digits):
+                keys = list(map(add, keys, map(digits.__getitem__, column.codes)))
+                decoders.append((radix, (None, *items)))
+                weight *= radix
+
+    def items_of(key: int) -> list[Item]:
+        items = []
+        for radix, by_digit in decoders:
+            key, digit = divmod(key, radix)
+            if digit:
+                items.append(by_digit[digit])
+        return items
+
+    return keys, items_of
 
 
 def top_candidates(ranked: Sequence[ScoredAlert], top_p: float) -> list[int]:

@@ -362,4 +362,4 @@ def score_new(
             f"({actual[:12]}.. vs {model.schema_fingerprint[:12]}..); "
             "pass force_schema to override"
         )
-    return rank_with_scorer(alerts.transactions(), model.scorer, config)
+    return rank_with_scorer(alerts, model.scorer, config)

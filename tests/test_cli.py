@@ -570,6 +570,61 @@ class TestEvalCommand:
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert errors == ["alertfp: error: eval takes --delimiter only with --input"]
 
+    def test_input_rejects_are_reported(self, sample_log_path, snort_schema_path, tmp_path, capsys):
+        ranked = tmp_path / "ranked.tsv"
+        args = ["--input", str(sample_log_path), "--schema", str(snort_schema_path)]
+        assert main(["rank", *args, "--minisupport", "2", "--out", str(ranked)]) == 0
+        log = tmp_path / "log.tsv"
+        log.write_text(SNORT_SAMPLE + "short\tline\n", encoding="utf-8")
+        attacks = tmp_path / "attacks.txt"
+        attacks.write_text("cid=3\n", encoding="utf-8")
+        rejects = tmp_path / "rejects.tsv"
+        eval_args = ["eval", "--ranked", str(ranked), "--attacks", str(attacks)]
+        log_args = ["--input", str(log), "--schema", str(snort_schema_path)]
+        capsys.readouterr()
+        assert main([*eval_args, *log_args]) == 0
+        assert capsys.readouterr().err == "alertfp: rejected 1 line(s)\n"
+        assert main([*eval_args, *log_args, "--rejects-out", str(rejects)]) == 0
+        captured = capsys.readouterr()
+        assert "attack_ranks=1" in captured.out
+        assert captured.err == "alertfp: rejected 1 line(s)\n"
+        assert rejects.read_text(encoding="utf-8").startswith("4\t")
+
+    def test_rejects_out_without_input_is_a_usage_error(
+        self, sample_log_path, snort_schema_path, tmp_path, capsys
+    ):
+        ranked = tmp_path / "ranked.tsv"
+        args = ["--input", str(sample_log_path), "--schema", str(snort_schema_path)]
+        assert main(["rank", *args, "--minisupport", "2", "--out", str(ranked)]) == 0
+        attacks = tmp_path / "attacks.txt"
+        attacks.write_text("2\n", encoding="utf-8")
+        rejects = tmp_path / "rejects.tsv"
+        capsys.readouterr()
+        eval_args = ["eval", "--ranked", str(ranked), "--attacks", str(attacks)]
+        assert main([*eval_args, "--rejects-out", str(rejects)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == ["alertfp: error: eval takes --rejects-out only with --input"]
+        assert not rejects.exists()
+
+    def test_rejects_out_that_is_an_input_is_refused(
+        self, sample_log_path, snort_schema_path, tmp_path, capsys
+    ):
+        ranked = tmp_path / "ranked.tsv"
+        args = ["--input", str(sample_log_path), "--schema", str(snort_schema_path)]
+        assert main(["rank", *args, "--minisupport", "2", "--out", str(ranked)]) == 0
+        attacks = tmp_path / "attacks.txt"
+        attacks.write_text("2\n", encoding="utf-8")
+        before = ranked.read_bytes()
+        capsys.readouterr()
+        eval_args = ["eval", "--ranked", str(ranked), "--attacks", str(attacks), *args]
+        assert main([*eval_args, "--rejects-out", str(ranked)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert re.search(" --rejects-out '.*' is the same file as --ranked '", errors[0])
+        assert ranked.read_bytes() == before
+
     def test_delimiter_frames_the_input_log(
         self, sample_log_path, snort_schema_path, tmp_path, capsys
     ):

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alertfp.errors import AlertFpError, EmptyPatternSetError, ModelFormatError
-from alertfp.evaluate import SyntheticSpec, gen_synthetic
+from alertfp.evaluate import SyntheticSpec, gen_synthetic, sweep
+from alertfp.ingest import parse_log, write_log
 from alertfp.miner import MiningConfig, PatternSet, mine
 from alertfp.model import (
     Alert,
@@ -31,6 +32,7 @@ from alertfp.scorer import (
     top_candidates,
     write_ranked,
 )
+from alertfp.store import ClassifierModel, score_new
 
 from conftest import basket, random_baskets, random_schema_dataset
 
@@ -454,6 +456,118 @@ class TestConditionalScorer:
             (memo,) = memo[2].values()
             depth += 1
         assert (depth, memo[0], memo[1] / scorer._scale) == (3, 3, 6 / 4)
+
+
+#: a log with nulls, values that canonicalize alike, an identifier, and
+#: timestamps that share a date or a time part
+MIXED = AttributeSchema(
+    (
+        SchemaField("sig", FieldKind.CATEGORICAL),
+        SchemaField("cid", FieldKind.IDENTIFIER),
+        SchemaField("port", FieldKind.NUMERIC),
+        SchemaField("ts", FieldKind.TIMESTAMP),
+    )
+)
+SIGS = ["web", " web", "ssh", "null", ""]
+PORTS = ["80", "080", "443", "1,000", "null", ""]
+STAMPS = ["6/11/2010 8:57 AM", "6/11/2010 9:02 PM", "7/1/2010 8:57 AM", "null", ""]
+
+
+def parsed_and_built(schema, rows):
+    """The same rows as parse_log reads them from text, and as a dataset
+    built from Alerts."""
+    text = "".join("\t".join(row) + "\n" for row in rows)
+    parsed = parse_log(io.StringIO(text), schema).dataset
+    built = AlertDataset(schema, tuple(Alert(tid, tuple(row)) for tid, row in enumerate(rows)))
+    return parsed, built
+
+
+def assert_ranks_as_its_transactions(ds, fps):
+    """rank keys a dataset off its column codes; for both metrics it must
+    rank as the dataset's transactions do."""
+    for metric in ("simple", "fpof"):
+        config = ScoreConfig(metric)
+        ranked = rank(ds, fps, config)
+        scorer = PatternScorer.from_pattern_set(fps)
+        assert ranked == rank_with_scorer(list(ds.transactions()), scorer, config)
+
+
+class TestCodesRoute:
+    def test_sample_log_parsed_and_built(self, sample_dataset):
+        built = AlertDataset(sample_dataset.schema, sample_dataset.alerts)
+        for ds in (sample_dataset, built):
+            assert_ranks_as_its_transactions(ds, mine(ds, MiningConfig(minisupport=2)))
+
+    def test_generated_log_parsed(self):
+        ds, _ = gen_synthetic(SyntheticSpec(600, 3, 4, 5))
+        text = io.StringIO()
+        write_log(text, ds)
+        text.seek(0)
+        parsed = parse_log(text, ds.schema).dataset
+        assert_ranks_as_its_transactions(parsed, mine(parsed, MiningConfig(minisupport=12)))
+
+    def test_a_null_timestamp_counts_its_lone_item_once(self):
+        rows = [("web", "1", "80", "null"), ("web", "2", "80", ""), ("ssh", "3", "443", "NULL")]
+        for ds in parsed_and_built(MIXED, rows):
+            fps = mine(ds, MiningConfig(minisupport=3))
+            assert [p.itemset for p in fps] == [(Item(3, "null"),)]
+            assert [sa.simple_fpof for sa in rank(ds, fps)] == [1, 1, 1]
+            assert_ranks_as_its_transactions(ds, mine(ds, MiningConfig(minisupport=1)))
+
+    def test_a_column_without_a_frequent_item(self):
+        # every sig differs, so at 2 the sig column adds no digit to a key
+        rows = [(f"s{tid}", str(tid), "80", STAMPS[tid % 3]) for tid in range(6)]
+        for ds in parsed_and_built(MIXED, rows):
+            fps = mine(ds, MiningConfig(minisupport=2))
+            assert not any(item.field_index == 0 for p in fps for item in p.itemset)
+            assert_ranks_as_its_transactions(ds, fps)
+
+    def test_no_alert_holds_a_frequent_item(self):
+        trained, _ = parsed_and_built(MIXED, [("web", "1", "80", STAMPS[0])] * 2)
+        rows = [("ssh", str(tid), "22", "9/9/2011 1:01 PM") for tid in range(3)]
+        fps = mine(trained, MiningConfig(minisupport=2))
+        for ds in parsed_and_built(MIXED, rows):
+            ranked = rank(ds, fps)
+            assert [(sa.tid, sa.simple_fpof, sa.fpof) for sa in ranked] == [
+                (0, 0, 0.0), (1, 0, 0.0), (2, 0, 0.0)
+            ]
+            assert_ranks_as_its_transactions(ds, fps)
+
+    @pytest.mark.parametrize("built", [False, True], ids=["parsed", "built"])
+    def test_ranking_builds_no_transaction(self, built, sample_dataset):
+        # a sweep mines and ranks, and score_new ranks, all off the column codes
+        ds = AlertDataset(sample_dataset.schema, sample_dataset.alerts) if built else sample_dataset
+        fps = mine(ds, MiningConfig(minisupport=2))
+        model = ClassifierModel.from_pattern_set(fps, ds.schema)
+        for metric in ("simple", "fpof"):
+            rank(ds, fps, ScoreConfig(metric))
+            score_new(ds, model, ScoreConfig(metric))
+            sweep(ds, [2, 3], [0], score_config=ScoreConfig(metric))
+        assert "_transactions" not in ds.__dict__
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(SIGS),
+                st.sampled_from(["1", "2"]),
+                st.sampled_from(PORTS),
+                st.sampled_from(STAMPS),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        minisupport=st.integers(1, 12),
+        dropped=st.sets(st.integers(0, 40), max_size=10),
+    )
+    def test_equals_the_transactions_hypothesis(self, rows, minisupport, dropped):
+        for ds in parsed_and_built(MIXED, rows):
+            mined = mine(ds, MiningConfig(minisupport=min(minisupport, ds.n)))
+            # dropped patterns leave a set that need not be downward closed
+            kept = tuple(p for k, p in enumerate(mined) if k not in dropped)
+            fps = PatternSet(kept, mined.n, mined.minisupport_abs)
+            if fps.count:
+                assert_ranks_as_its_transactions(ds, fps)
 
 
 def scan_score(fps, t):

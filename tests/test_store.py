@@ -25,7 +25,7 @@ from alertfp.model import (
     SchemaField,
     snort_schema,
 )
-from alertfp.scorer import PatternScorer, rank
+from alertfp.scorer import PatternScorer, ScoreConfig, rank, rank_with_scorer
 from alertfp.store import (
     ClassifierModel,
     load_model,
@@ -769,6 +769,15 @@ class TestLoadedTrieProperty:
         assert loaded.scorer.count == expected.count
 
 
+def novel_alert(tid):
+    """An alert that shares no value with the sample log."""
+    return Alert(
+        tid,
+        ("3", "99", "999", "EXPLOIT/brand-new", "77", "9",
+         "9/9/2010 3:33 PM", "42", "43", "17", "1", "1"),
+    )
+
+
 class TestScoreNew:
     def test_training_set_scores_identically_to_rank(self, sample_dataset, sample_model):
         fps = mine(sample_dataset, MiningConfig(minisupport=2))
@@ -777,11 +786,7 @@ class TestScoreNew:
         assert direct == via_model
 
     def test_unseen_signature_ranks_first(self, sample_dataset, sample_model):
-        novel = Alert(
-            3,
-            ("3", "99", "999", "EXPLOIT/brand-new", "77", "9",
-             "9/9/2010 3:33 PM", "42", "43", "17", "1", "1"),
-        )
+        novel = novel_alert(3)
         extended = AlertDataset(
             sample_dataset.schema, sample_dataset.alerts + (novel,)
         )
@@ -838,6 +843,30 @@ class TestScoreNew:
             score_new(remade, sample_model)
         forced = score_new(remade, sample_model, force_schema=True)
         assert len(forced) == 3
+
+    @pytest.mark.parametrize("metric", ["simple", "fpof"])
+    def test_scores_as_the_transactions_do(self, metric, sample_dataset, sample_model):
+        # score_new keys a dataset off its column codes; a parsed dataset,
+        # one built from Alerts, and one forced past the fingerprint under
+        # a schema whose columns differ must rank as their transactions do
+        config = ScoreConfig(metric)
+        # the timestamp gives one item, not a date and a time, and cid gives one too
+        kinds = {"timestamp": FieldKind.CATEGORICAL, "cid": FieldKind.CATEGORICAL}
+        fields = sample_dataset.schema.fields
+        other_schema = AttributeSchema(
+            tuple(SchemaField(f.name, kinds.get(f.name, f.kind)) for f in fields)
+        )
+        built = AlertDataset(sample_dataset.schema, sample_dataset.alerts)
+        forced = AlertDataset(other_schema, sample_dataset.alerts)
+        novel = AlertDataset(sample_dataset.schema, (novel_alert(0),))
+        for ds in (sample_dataset, built, forced, novel):
+            ranked = score_new(ds, sample_model, config, force_schema=True)
+            scorer = PatternScorer(sample_model.patterns, sample_model.n_train)
+            assert ranked == rank_with_scorer(list(ds.transactions()), scorer, config)
+        # forced, the alerts keep their other columns' items, but not their dates and times
+        forced_ranked = score_new(forced, sample_model, config, force_schema=True)
+        simple = [sa.simple_fpof for sa in forced_ranked]
+        assert 0 < min(simple) and max(simple) < 255
 
     def test_ratio_denominator_is_training_size(self, sample_dataset, sample_model):
         single = AlertDataset(sample_dataset.schema, sample_dataset.alerts[:1])
