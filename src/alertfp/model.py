@@ -14,9 +14,10 @@ Alerts drives it on its first `AlertDataset.columns()` call. The dataset
 parse_log returns is what the coder keeps: the codes, each code's
 canonical value, and the raw strings of the identifier and ignore
 columns. It builds no Alert; its `alerts` are built in one pass on first
-read. The miner counts the codes and makes Items only for frequent keys;
-the per-alert transactions are a view over the codes, built on demand, in
-which alerts with equal raw values in a column share one Item object.
+read. The miner counts the codes and makes Items only for frequent keys,
+and the scorer keys each alert off the codes. The per-alert transactions
+are `itemize`, the reference itemizer, run over `alerts` on demand, for
+callers that want item sets and for the tests that hold the codes to it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import count, repeat
+from itertools import count
 from operator import getitem, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -337,19 +338,6 @@ class _RowCoder:
         return _ParsedDataset(self.schema, self.rows, self.column_codes(), raws)
 
 
-def _item_tables(column: ColumnCodes) -> tuple[list[Item], ...]:
-    """The column's Items by code: one table, or for a timestamp a date and
-    a time table, where a null's lone item fills both (a frozenset keeps
-    it once)."""
-    index = column.field_index
-    items = [Item(index, key) for key in column.keys]
-    if column.times is None:
-        return (items,)
-    return items, [
-        item if time is None else Item(index, time) for item, time in zip(items, column.times)
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class AlertDataset:
     """An ordered alert log under one schema. Immutable once built; two
@@ -390,9 +378,8 @@ class AlertDataset:
         return self._columns
 
     def transactions(self) -> tuple[Transaction, ...]:
-        """Every alert's transaction, read off the column codes. Computed
-        once and cached; alerts with equal raw values in a column share
-        that value's Item objects."""
+        """Every alert's transaction, as `itemize` makes it. Computed once
+        and cached unless an alert fails to itemize."""
         return self._transactions
 
     @cached_property
@@ -408,13 +395,7 @@ class AlertDataset:
 
     @cached_property
     def _transactions(self) -> tuple[Transaction, ...]:
-        per_tid = [
-            map(table.__getitem__, column.codes)
-            for column in self.columns()
-            for table in _item_tables(column)
-        ]
-        rows = zip(*per_tid) if per_tid else repeat((), self.n)
-        return tuple(Transaction(tid, frozenset(row)) for tid, row in enumerate(rows))
+        return tuple(itemize(alert, self.schema) for alert in self.alerts)
 
 
 class _ParsedDataset(AlertDataset):

@@ -11,10 +11,10 @@ A ranking (rank_with_scorer) keys each alert by its frequent items. An
 AlertDataset is keyed off its column codes, so no per-alert transaction is
 built: each code of a column maps to a digit, the number of the frequent
 item its value gives in that column or 0, a timestamp having a date and a
-time digit, and an alert's key is the mixed-radix int of its digits. A
-sequence of transactions is keyed by intersecting each one's items with
-the frequent ones. Each distinct key is decoded to its items and scored
-once, and one stable sort of the tids orders the alerts.
+time digit, and an alert's key is the tuple of its digits. A sequence of
+transactions is keyed by intersecting each one's items with the frequent
+ones. Each distinct key is decoded to its items and scored once, and one
+stable sort of the tids orders the alerts.
 
 The patterns sit in a prefix trie (PatternScorer), the Apriori subset
 function (Agrawal & Srikant, VLDB 1994) laid out as a prefix tree in the
@@ -54,8 +54,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ldexp
-from operator import add, itemgetter
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import AlertFpError, EmptyPatternSetError, ModelFormatError
 from .ingest import check_delimiter
@@ -80,8 +80,11 @@ class ScoreConfig:
             raise ValueError(f"unknown metric {self.metric!r}")
 
 
-@dataclass(frozen=True)
-class ScoredAlert:
+class ScoredAlert(NamedTuple):
+    """One alert's scores and its place in a ranking. Equality, hashing,
+    ordering and immutability are those of the tuple
+    (tid, simple_fpof, fpof, rank)."""
+
     tid: int
     simple_fpof: int
     fpof: float
@@ -96,9 +99,9 @@ class PatternScorer:
     patterns sit in a prefix trie keyed by item along each itemset's
     strictly ascending items; a node, the root included, is [scaled ratio
     or None, children dict or None]. A key is the transaction's frequent
-    items, and its score is cached. The walk probes only the key's items
-    after the node's own, so its work grows with the patterns the key
-    contains, not with the pattern count or the key's width.
+    items. The walk probes only the key's items after the node's own, so
+    its work grows with the patterns the key contains, not with the
+    pattern count or the key's width.
 
     An empty itemset, one whose items are not strictly ascending, or one
     given twice raises ModelFormatError, naming the itemset as a model
@@ -117,7 +120,6 @@ class PatternScorer:
         self._root: list = [None, {}]
         self._items: set[Item] = set()  # every item on the trie
         self.count = 0
-        self._cache: dict[frozenset[Item], tuple[int, float]] = {}
         self._build(patterns)
 
     def _build(self, patterns: Iterable[tuple[Sequence[Item], int]]) -> None:
@@ -178,8 +180,8 @@ class PatternScorer:
 
     @cached_property
     def _frequent(self) -> frozenset[Item]:
-        """Every item on the trie: the only items a score can use, so its
-        cache key. Made on the first score."""
+        """Every item on the trie, the only items a key can hold. Made on
+        the first score."""
         return frozenset(self._items)
 
     @classmethod
@@ -188,12 +190,8 @@ class PatternScorer:
 
     def score(self, items: Iterable[Item]) -> tuple[int, float]:
         """Return (contained-pattern count, ratio sum) for one item set."""
-        key = self._frequent.intersection(items)
-        cached = self._cache.get(key)
-        if cached is None:
-            count, total = self._count(key)
-            cached = self._cache[key] = (count, total / self._scale)
-        return cached
+        count, total = self._count(self._frequent.intersection(items))
+        return count, total / self._scale
 
     def _count(self, key: frozenset[Item]) -> tuple[int, int]:
         """(count, scaled sum) of the patterns key contains."""
@@ -347,9 +345,9 @@ def _shared_scorer(fps: PatternSet) -> PatternScorer:
     """One scorer per pattern set, built on first use and kept on it.
 
     For the per-alert `simple_fpof`/`fpof` calls only. `rank` builds its
-    own scorer, which dies with the ranking: kept on the set, the scorer's
-    per-transaction cache would outlive it, and in a sweep the lowest
-    threshold's set, which every later row filters, would hold it to the end.
+    own scorer, which dies with the ranking: kept on the set, its memo
+    would outlive it, and in a sweep the lowest threshold's set, which
+    every later row filters, would hold it to the end.
     """
     attrs = fps.__dict__  # no field, so equality and repr ignore the slot
     if "_scorer" not in attrs:
@@ -396,10 +394,10 @@ def rank_with_scorer(
     """Score every alert with scorer and sort ascending by the configured
     metric, ties by ascending tid.
 
-    An alert's key is its frequent items: for an AlertDataset an int read
-    off the column codes (_code_keys), so no transaction is built, and for
-    transactions the intersection of each one's items with the scorer's.
-    Each distinct key is decoded to its items and scored once.
+    An alert's key is its frequent items: for an AlertDataset the digits
+    read off the column codes (_code_keys), so no transaction is built,
+    and for transactions the intersection of each one's items with the
+    scorer's. Each distinct key is decoded to its items and scored once.
     """
     frequent = scorer._frequent
     if isinstance(data, AlertDataset):
@@ -421,39 +419,32 @@ def rank_with_scorer(
 
 def _code_keys(
     dataset: AlertDataset, frequent: frozenset[Item]
-) -> tuple[list[int], Callable[[int], list[Item]]]:
-    """Every alert's key as a mixed-radix int, and the function that
+) -> tuple[list[tuple[int, ...]], Callable[[tuple[int, ...]], list[Item]]]:
+    """Every alert's key as the tuple of its digits, and the function that
     decodes a key to its items. Each part of a column, its keys and a
     timestamp's times, that gives some alert a frequent item adds a digit:
     the number of that item among the column's frequent items, from 1, or
     0 for an item that is not frequent and for a null's time (None). With
-    no such part every key is 0."""
+    no such part every key is ()."""
     in_column: dict[int, list[Item]] = {}
     for item in sorted(frequent):
         in_column.setdefault(item.field_index, []).append(item)
-    keys = [0] * dataset.n
-    decoders = []  # (radix, items by digit), least significant digit first
-    weight = 1
+    parts = []  # each part's digit per alert
+    tables = []  # each part's items by digit
     for column in dataset.columns():
         items = in_column.get(column.field_index)
         if items is None:
             continue
         digit_of = {item.value: digit for digit, item in enumerate(items, start=1)}
-        radix = len(items) + 1
         for values in (column.keys,) if column.times is None else (column.keys, column.times):
-            digits = [digit_of.get(value, 0) * weight for value in values]
+            digits = [digit_of.get(value, 0) for value in values]
             if any(digits):
-                keys = list(map(add, keys, map(digits.__getitem__, column.codes)))
-                decoders.append((radix, (None, *items)))
-                weight *= radix
+                parts.append(map(digits.__getitem__, column.codes))
+                tables.append((None, *items))
+    keys = list(zip(*parts)) if parts else [()] * dataset.n
 
-    def items_of(key: int) -> list[Item]:
-        items = []
-        for radix, by_digit in decoders:
-            key, digit = divmod(key, radix)
-            if digit:
-                items.append(by_digit[digit])
-        return items
+    def items_of(key: tuple[int, ...]) -> list[Item]:
+        return [by_digit[digit] for by_digit, digit in zip(tables, key) if digit]
 
     return keys, items_of
 

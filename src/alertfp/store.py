@@ -108,8 +108,7 @@ class ClassifierModel:
     @cached_property
     def scorer(self) -> PatternScorer:
         """The scorer the check of the rows builds, on first use, and
-        kept; a loaded model comes with the one its load built. Its
-        per-transaction cache lives as long as the model does."""
+        kept; a loaded model comes with the one its load built."""
         return _checked_scorer(self)
 
     @cached_property

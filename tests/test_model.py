@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alertfp.errors import SchemaError, ValueParseError
+from alertfp.miner import MiningConfig, build_candidates_1, mine
 from alertfp.model import (
     Alert,
     AlertDataset,
@@ -15,6 +16,7 @@ from alertfp.model import (
     snort_schema,
     split_timestamp,
 )
+from alertfp.scorer import ScoreConfig, rank
 
 
 def cat_schema(*names):
@@ -266,19 +268,13 @@ class TestSharedItemization:
             max_size=30,
         )
     )
-    def test_transactions_equal_per_alert_itemize(self, rows):
-        schema = mixed_schema()
-        dataset = AlertDataset(schema, tuple(Alert(i, row) for i, row in enumerate(rows)))
-        assert dataset.transactions() == tuple(itemize(a, schema) for a in dataset.alerts)
-
-    def test_equal_raw_values_share_one_item_object(self):
-        row = ("web", "1", "80", "6/11/2010 8:57 AM")
-        dataset = AlertDataset(
-            mixed_schema(), (Alert(0, row), Alert(1, ("ssh",) + row[1:]), Alert(2, row))
-        )
-        first, second, third = (
-            {item: item for item in t.items} for t in dataset.transactions()
-        )
-        for item in (Item(2, "80"), Item(3, "6/11/2010"), Item(3, "8:57AM")):
-            assert first[item] is second[item] is third[item]
-        assert first[Item(0, "web")] is third[Item(0, "web")]
+    def test_codes_route_equals_the_reference_itemizer(self, rows):
+        # level 1 and the ranking read the column codes; the transactions
+        # are itemize's, so each must come out as it does over them
+        dataset = AlertDataset(mixed_schema(), tuple(Alert(i, row) for i, row in enumerate(rows)))
+        transactions = list(dataset.transactions())
+        assert build_candidates_1(dataset, 1) == build_candidates_1(transactions, 1)
+        fps = mine(dataset, MiningConfig(minisupport=1))
+        for metric in ("simple", "fpof"):
+            config = ScoreConfig(metric)
+            assert rank(dataset, fps, config) == rank(transactions, fps, config)

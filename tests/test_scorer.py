@@ -31,6 +31,7 @@ from alertfp.scorer import (
     simple_fpof,
     top_candidates,
     write_ranked,
+    _code_keys,
 )
 from alertfp.store import ClassifierModel, score_new
 
@@ -482,9 +483,25 @@ def parsed_and_built(schema, rows):
     return parsed, built
 
 
+def assert_keys_decode_to_frequent_items(ds, fps):
+    """Each alert's key, decoded, must be the frequent items of its
+    reference transaction, each once; returns the keys."""
+    frequent = PatternScorer.from_pattern_set(fps)._frequent
+    keys, items_of = _code_keys(ds, frequent)
+    transactions = ds.transactions()
+    assert len(keys) == len(transactions)
+    for key, t in zip(keys, transactions):
+        items = items_of(key)
+        assert len(items) == len(set(items))
+        assert set(items) == frequent & t.items
+    return keys
+
+
 def assert_ranks_as_its_transactions(ds, fps):
-    """rank keys a dataset off its column codes; for both metrics it must
-    rank as the dataset's transactions do."""
+    """rank keys a dataset off its column codes; each key must decode to
+    its transaction's frequent items, and for both metrics the dataset
+    must rank as its transactions do."""
+    assert_keys_decode_to_frequent_items(ds, fps)
     for metric in ("simple", "fpof"):
         config = ScoreConfig(metric)
         ranked = rank(ds, fps, config)
@@ -531,6 +548,7 @@ class TestCodesRoute:
             assert [(sa.tid, sa.simple_fpof, sa.fpof) for sa in ranked] == [
                 (0, 0, 0.0), (1, 0, 0.0), (2, 0, 0.0)
             ]
+            assert assert_keys_decode_to_frequent_items(ds, fps) == [(), (), ()]
             assert_ranks_as_its_transactions(ds, fps)
 
     @pytest.mark.parametrize("built", [False, True], ids=["parsed", "built"])
