@@ -106,11 +106,7 @@ def sweep(
         if s_abs in failed:
             rows.append(SweepRow(s_abs, None, None, None, error=failed[s_abs]))
             continue
-        fps = lowest
-        if s_abs != lowest.minisupport_abs:
-            fps = PatternSet(
-                tuple(p for p in lowest if p.support_count >= s_abs), lowest.n, s_abs
-            )
+        fps = lowest if s_abs == lowest.minisupport_abs else _at_least(lowest, s_abs)
         try:
             ranked = rank(data, fps, score_config)
             worst = max(locate_attacks(ranked, attack_tids))
@@ -118,6 +114,17 @@ def sweep(
         except AlertFpError as exc:
             rows.append(SweepRow(s_abs, None, None, None, error=str(exc)))
     return rows
+
+
+def _at_least(fps: PatternSet, s_abs: int) -> PatternSet:
+    """The patterns of fps whose support reaches s_abs, in its order: the
+    set `mine` gives at s_abs when fps was mined at a lower threshold. It
+    shares fps's itemset tuples and level-1 bitsets."""
+    keep = [k for k, support in enumerate(fps.supports) if support >= s_abs]
+    itemsets = tuple(map(fps.itemsets.__getitem__, keep))
+    supports = tuple(map(fps.supports.__getitem__, keep))
+    item_bits = {item: fps.item_bits[item] for itemset in itemsets for item in itemset}
+    return PatternSet._of_columns(itemsets, supports, item_bits, fps.n, s_abs)
 
 
 def write_sweep_report(target: Target, rows: Iterable[SweepRow]) -> None:

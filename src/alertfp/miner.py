@@ -5,10 +5,10 @@ itemset): an intersection is a single `&` and support is the count of set
 bits. This is the vertical layout of Eclat (Zaki, "Scalable Algorithms for
 Association Mining", IEEE TKDE 2000). `bits_of` packs transaction ids
 into a bitset, and `tids_of`, the one unpacker, serves
-`FrequentPattern.tidlist`. Only level-1 bitsets are kept:
-a pattern holds its support count and its items' level-1 bitsets, and its
-tidlist is their intersection, computed when read. A longer level's
-bitsets live only until the next level is joined.
+`FrequentPattern.tidlist`. Only level-1 bitsets are kept: a PatternSet
+is its itemsets and supports, as columns, and its items' level-1 bitsets,
+and a pattern's tidlist is their intersection, computed when read. A
+longer level's bitsets live only until the next level is joined.
 
 The first level counts items before it builds any tidlist: an
 AlertDataset is counted from its per-column value codes, without building
@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, combinations, groupby, repeat
-from operator import and_
-from typing import Iterable, Sequence, Union
+from operator import and_, itemgetter
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     BruteForceGuardError,
@@ -136,9 +136,9 @@ class MiningConfig:
 
 @dataclass(frozen=True)
 class FrequentPattern:
-    """An itemset with its support. item_bits holds its items' level-1
-    bitsets, in itemset order and shared among a mined set's patterns; the
-    tidlist is their intersection, computed on every read, never stored."""
+    """An itemset with its support, a view built when a PatternSet is read.
+    item_bits holds its items' level-1 bitsets, in itemset order, the
+    set's own; the tidlist is their intersection, computed on every read."""
 
     itemset: Itemset
     item_bits: tuple[int, ...] = field(repr=False)
@@ -152,39 +152,71 @@ class FrequentPattern:
         return len(self.itemset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PatternSet:
     """All frequent patterns mined from one dataset, canonically ordered
-    by (itemset length, itemset)."""
+    by (itemset length, itemset), as columns: `itemsets` and `supports`,
+    one entry per pattern, and `item_bits`, the level-1 bitset of each
+    item they hold. Iteration, `patterns` and `get` build a FrequentPattern
+    view per pattern read. Built from patterns, a set refuses an itemset
+    given twice or an item given two bitsets with ValueError; `mine` and
+    the sweep's filter build from columns (`_of_columns`)."""
 
-    patterns: tuple[FrequentPattern, ...]
+    itemsets: tuple[Itemset, ...]
+    supports: tuple[int, ...]
+    item_bits: dict[Item, int] = field(repr=False, hash=False)
     n: int
     minisupport_abs: int
 
-    def __post_init__(self) -> None:
-        if len({p.itemset for p in self.patterns}) != len(self.patterns):
+    def __init__(self, patterns: Iterable[FrequentPattern], n: int, minisupport_abs: int):
+        patterns = tuple(patterns)
+        itemsets = tuple(p.itemset for p in patterns)
+        if len(set(itemsets)) != len(itemsets):
             raise ValueError("duplicate itemsets in pattern set")
+        supports = tuple(p.support_count for p in patterns)
+        item_bits = {i: bits for p in patterns for i, bits in zip(p.itemset, p.item_bits)}
+        vars(self).update(itemsets=itemsets, supports=supports, item_bits=item_bits)
+        vars(self).update(n=n, minisupport_abs=minisupport_abs)
+        if self.patterns != patterns:  # a view differs: an item has two bitsets
+            raise ValueError("an item has two level-1 bitsets in pattern set")
 
-    @property
-    def count(self) -> int:
-        return len(self.patterns)
+    @classmethod
+    def _of_columns(cls, itemsets, supports, item_bits, n, minisupport_abs) -> PatternSet:
+        """The set of these columns, kept as given: each itemset once, in
+        canonical order, and item_bits holding the bitset of each of their
+        items and of no other item."""
+        fps = cls((), n, minisupport_abs)
+        vars(fps).update(itemsets=itemsets, supports=supports, item_bits=item_bits)
+        return fps
 
     def __len__(self) -> int:
-        return len(self.patterns)
+        return len(self.itemsets)
 
-    def __iter__(self):
-        return iter(self.patterns)
+    count = property(__len__)
+
+    def _view(self, k: int) -> FrequentPattern:
+        itemset = self.itemsets[k]
+        bits = tuple(map(self.item_bits.__getitem__, itemset))
+        return FrequentPattern(itemset, bits, self.supports[k])
+
+    def __iter__(self) -> Iterator[FrequentPattern]:
+        return map(self._view, range(len(self.itemsets)))
+
+    @property
+    def patterns(self) -> tuple[FrequentPattern, ...]:
+        return tuple(self)
 
     @cached_property
-    def _by_itemset(self) -> dict[frozenset[Item], FrequentPattern]:
-        return {frozenset(p.itemset): p for p in self.patterns}
+    def _by_itemset(self) -> dict[frozenset[Item], int]:
+        return {frozenset(itemset): k for k, itemset in enumerate(self.itemsets)}
 
     def get(self, itemset: Iterable[Item]) -> FrequentPattern | None:
-        return self._by_itemset.get(frozenset(itemset))
+        k = self._by_itemset.get(frozenset(itemset))
+        return None if k is None else self._view(k)
 
     def as_dict(self) -> dict[Itemset, tuple[int, ...]]:
         """itemset -> tidlist mapping, mostly for assertions and debugging."""
-        return {p.itemset: p.tidlist for p in self.patterns}
+        return {p.itemset: p.tidlist for p in self}
 
 
 def _as_transactions(data: Minable) -> Sequence[Transaction]:
@@ -361,21 +393,20 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     singles = {item: bits for item, bits, _ in level}
     level = [((item,), bits, count) for item, bits, count in level]
     kept: list[int] = []
-    patterns: list[FrequentPattern] = []
+    itemsets: list[Itemset] = []
+    supports: list[int] = []
     while level:
         kept.append(len(level))
         if config.max_patterns is not None and sum(kept) > config.max_patterns:
             raise PatternExplosionError(config.max_patterns, tuple(kept))
         # already canonical: level 1 comes sorted, and candidate_gen emits
         # each level in itemset order, which prune keeps
-        patterns += (
-            FrequentPattern(itemset, tuple(map(singles.__getitem__, itemset)), count)
-            for itemset, _, count in level
-        )
+        itemsets += map(itemgetter(0), level)
+        supports += map(itemgetter(2), level)
         if len(kept) == config.max_pattern_len:
             break
         level = prune(candidate_gen(level, exclusive), s_abs)
-    return PatternSet(tuple(patterns), n, s_abs)
+    return PatternSet._of_columns(tuple(itemsets), tuple(supports), singles, n, s_abs)
 
 
 def brute_force_mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:

@@ -186,7 +186,7 @@ class PatternScorer:
 
     @classmethod
     def from_pattern_set(cls, fps: PatternSet) -> "PatternScorer":
-        return cls(((p.itemset, p.support_count) for p in fps), fps.n)
+        return cls(zip(fps.itemsets, fps.supports), fps.n)
 
     def score(self, items: Iterable[Item]) -> tuple[int, float]:
         """Return (contained-pattern count, ratio sum) for one item set."""
@@ -215,9 +215,8 @@ class ConditionalScorer(PatternScorer):
     """
 
     def _build(self, patterns: Iterable[tuple[Sequence[Item], int]]) -> None:
-        with _collector_paused():
-            super()._build(patterns)
-            self._take_apart()
+        super()._build(patterns)
+        self._take_apart()
         self._memo: list = [0, 0, {}]
 
     def _take_apart(self) -> None:
@@ -317,12 +316,13 @@ class _Scaled(dict):
 
 @contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector while a trie is built. A build
-    only adds containers and makes no cyclic garbage, yet the collector's
-    passes over the growing trie took about a sixth of a load of the seed-1
-    daytime model (3,443 rows, one load per fresh process), and about a
-    third of building the conditional form of the 55,643 patterns of the
-    sweep's threshold 30. A collector that was already off stays off."""
+    """Pause the cyclic garbage collector while a trie is built and, in
+    `rank`, used. A build adds only containers and a ranking only acyclic
+    ones (keys, the score dict, the rows), yet the collector's passes over
+    the trie took about a sixth of a load of the seed-1 daytime model
+    (3,443 rows, one load per fresh process), and about a quarter of
+    `rank` at the sweep's threshold 30 (55,643 patterns). A collector that
+    was off stays off, and one that was on is on again however it ends."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -377,13 +377,15 @@ def rank(
     Both scores are always populated. Ties break by ascending tid, so the
     output is fully determined by the scores and the input order. Scores
     by conditional decomposition; the trie, the conditional tries and the
-    memo all die with the ranking.
+    memo all die with the ranking. The build and the ranking run under
+    `_collector_paused`; `rank_with_scorer`, which `store.score_new` calls
+    too, does not pause the collector itself.
     """
     config = config or ScoreConfig()
     if fps.count == 0:
         raise EmptyPatternSetError("ranking is undefined over an empty pattern set")
-    scorer = ConditionalScorer.from_pattern_set(fps)
-    return rank_with_scorer(data, scorer, config)
+    with _collector_paused():
+        return rank_with_scorer(data, ConditionalScorer.from_pattern_set(fps), config)
 
 
 def rank_with_scorer(

@@ -168,7 +168,7 @@ class ClassifierModel:
             built_at,
             fps.n,
             fps.minisupport_abs,
-            ((p.itemset, p.support_count) for p in fps),
+            zip(fps.itemsets, fps.supports),
             [p.tidlist for p in fps] if include_tidlists else None,
         )
 

@@ -10,6 +10,7 @@ from alertfp.errors import AlertFpError
 from alertfp.evaluate import (
     SweepRow,
     SyntheticSpec,
+    _at_least,
     gen_synthetic,
     locate_attacks,
     reduction,
@@ -202,6 +203,63 @@ class TestSweep:
         score_config = ScoreConfig(metric=metric)
         expected = sweep_each_threshold(txns, values, attacks, config, score_config)
         assert sweep(txns, values, attacks, config, score_config) == expected
+
+
+FILTER_SIGS = ["web", " web", "ssh", "null", ""]
+FILTER_PORTS = ["80", "080", "443", "null", ""]
+FILTER_STAMPS = ["6/22/2010 8:57 AM", "6/22/2010 9:01 PM", "6/23/2010 8:57 AM", "null", ""]
+
+
+class TestSweepFilter:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(FILTER_SIGS),
+                st.sampled_from(["1", "2"]),
+                st.sampled_from(FILTER_PORTS),
+                st.sampled_from(FILTER_STAMPS),
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+        low=st.integers(1, 4),
+        steps=st.lists(st.integers(0, 8), min_size=1, max_size=4),
+    )
+    def test_filter_equals_mining_on_parsed_logs_hypothesis(self, rows, low, steps):
+        text = "".join("\t".join(row) + "\n" for row in rows)
+        dataset = parse_log(io.StringIO(text), SELECTOR_SCHEMA).dataset
+        assert_filter_equals_mining(dataset, low, [low + step for step in steps])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.frozensets(st.sampled_from(SWEEP_ITEMS), min_size=1, max_size=5),
+            min_size=1,
+            max_size=14,
+        ),
+        low=st.integers(1, 4),
+        steps=st.lists(st.integers(0, 8), min_size=1, max_size=4),
+    )
+    def test_filter_equals_mining_on_transactions_hypothesis(self, rows, low, steps):
+        txns = [Transaction(tid, items) for tid, items in enumerate(rows)]
+        assert_filter_equals_mining(txns, low, [low + step for step in steps])
+
+
+def assert_filter_equals_mining(data, low, highs):
+    """The sweep's filter of the set mined at low equals the set mined at
+    each of highs, tidlists included, and shares the lowest set's itemset
+    tuples and level-1 bitsets."""
+    lowest = mine(data, MiningConfig(minisupport=low))
+    ids = set(map(id, lowest.itemsets))
+    for high in highs:
+        filtered, mined = _at_least(lowest, high), mine(data, MiningConfig(minisupport=high))
+        assert filtered.itemsets == mined.itemsets
+        assert filtered.supports == mined.supports
+        assert [p.tidlist for p in filtered] == [p.tidlist for p in mined]
+        assert filtered == mined
+        assert all(bits is lowest.item_bits[item] for item, bits in filtered.item_bits.items())
+        assert all(id(itemset) in ids for itemset in filtered.itemsets)
 
 
 def sweep_each_threshold(txns, values, attacks, config, score_config):

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alertfp import miner
 from alertfp.errors import (
     BruteForceGuardError,
     EmptyDatasetError,
@@ -17,8 +19,10 @@ from alertfp.errors import (
     SchemaError,
     ValueParseError,
 )
+from alertfp.evaluate import SyntheticSpec, gen_synthetic, sweep
 from alertfp.ingest import parse_log
 from alertfp.miner import (
+    FrequentPattern,
     MiningConfig,
     PatternSet,
     bits_of,
@@ -39,8 +43,10 @@ from alertfp.model import (
     SchemaField,
     Transaction,
 )
+from alertfp.scorer import ScoreConfig, rank, simple_fpof
+from alertfp.store import ClassifierModel
 
-from conftest import baskets, itemset, random_baskets
+from conftest import baskets, itemset, random_baskets, random_schema_dataset
 
 HALF = MiningConfig(minisupport=0.5)
 
@@ -453,6 +459,85 @@ class TestPatternSet:
         assert fps.get(itemset("2", "5")).support_count == 3
         assert fps.get(itemset("1", "5")) is None
         assert fps.get(itemset("4")) is None
+
+
+@pytest.fixture
+def views_built(monkeypatch):
+    """A list that grows by one itemset per FrequentPattern built."""
+    built = []
+    real = miner.FrequentPattern
+
+    def counting(itemset, item_bits, support_count):
+        built.append(itemset)
+        return real(itemset, item_bits, support_count)
+
+    monkeypatch.setattr(miner, "FrequentPattern", counting)
+    return built
+
+
+class TestPatternSetColumns:
+    def test_pipeline_builds_no_pattern_view(self, views_built):
+        dataset, attacks = gen_synthetic(SyntheticSpec(400, seed=3))
+        txns = random_baskets(random.Random(5))
+        for data, low in ((dataset, 4), (txns, 2)):
+            fps = mine(data, MiningConfig(minisupport=low))
+            for metric in ("simple", "fpof"):
+                rank(data, fps, ScoreConfig(metric))
+            sweep(data, [low, low + 3, 2 * low + 1], [0], score_config=ScoreConfig("fpof"))
+        rows = sweep(dataset, [4, 9, 20], attacks)
+        fps = mine(dataset, MiningConfig(minisupport=4))
+        model = ClassifierModel.from_pattern_set(fps, dataset.schema, built_at="t")
+        assert all(row.error is None for row in rows) and model.pattern_count == fps.count
+        assert views_built == []
+        assert len(list(fps)) == len(views_built) == fps.count  # the wrapper does count
+
+    def test_iteration_builds_one_view_per_pattern_read(self, views_built, sample_times_ten):
+        fps = mine(sample_times_ten, HALF)
+        first = next(iter(fps))
+        assert views_built == [first.itemset] and first == fps.patterns[0]
+        assert fps.get(first.itemset) == first
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mined_set_equals_the_set_of_its_patterns(self, seed):
+        for data in (random_baskets(random.Random(seed)), random_schema_dataset(random.Random(seed))):
+            mined = mine(data, MiningConfig(minisupport=2))
+            rebuilt = PatternSet(list(mined), mined.n, mined.minisupport_abs)
+            assert rebuilt == mined and mined == rebuilt
+            assert hash(rebuilt) == hash(mined) and repr(rebuilt) == repr(mined)
+            assert (rebuilt.itemsets, rebuilt.supports) == (mined.itemsets, mined.supports)
+            with pytest.raises(FrozenInstanceError):
+                mined.supports = ()
+
+    def test_one_changed_level_one_bitset_compares_unequal(self, sample_times_ten):
+        mined = mine(sample_times_ten, HALF)
+        item = mined.itemsets[0][0]
+        changed_bits = mined.item_bits[item] ^ 1 << mined.n  # a bit past the last tid
+        patterns = [
+            FrequentPattern(
+                p.itemset,
+                tuple(changed_bits if i == item else b for i, b in zip(p.itemset, p.item_bits)),
+                p.support_count,
+            )
+            for p in mined
+        ]
+        changed = PatternSet(patterns, mined.n, mined.minisupport_abs)
+        assert changed.itemsets == mined.itemsets and changed.supports == mined.supports
+        assert changed != mined and mined != changed
+        assert changed.get((item,)).item_bits == (changed_bits,)
+
+    def test_an_item_given_two_bitsets_is_refused(self, baskets4):
+        fps = mine(baskets4, HALF)
+        first = fps.patterns[0]
+        clash = FrequentPattern(first.itemset, (first.item_bits[0] | 1 << 9,), 1)
+        with pytest.raises(ValueError, match="two level-1 bitsets"):
+            PatternSet(fps.patterns[1:] + (clash,), fps.n, fps.minisupport_abs)
+
+    def test_shared_scorer_slot_changes_neither_equality_nor_repr(self, baskets4):
+        fps, twin = mine(baskets4, HALF), mine(baskets4, HALF)
+        shown = repr(fps)
+        assert simple_fpof(baskets4[2], fps) == 9  # "1 2 3 5" holds every pattern
+        assert "_scorer" in vars(fps)
+        assert fps == twin and hash(fps) == hash(twin) and repr(fps) == shown == repr(twin)
 
 
 CODED_SCHEMA = AttributeSchema(

@@ -1,3 +1,4 @@
+import gc
 import io
 import random
 from math import fsum
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alertfp import scorer as scorer_module
+from alertfp import store as store_module
 from alertfp.errors import AlertFpError, EmptyPatternSetError, ModelFormatError
 from alertfp.evaluate import SyntheticSpec, gen_synthetic, sweep
 from alertfp.ingest import parse_log, write_log
-from alertfp.miner import MiningConfig, PatternSet, mine
+from alertfp.miner import FrequentPattern, MiningConfig, PatternSet, mine
 from alertfp.model import (
     Alert,
     AlertDataset,
@@ -125,6 +128,66 @@ class TestRank:
         empty = mine(baskets4, MiningConfig(minisupport=4))
         with pytest.raises(EmptyPatternSetError):
             rank(baskets4, empty)
+
+
+@pytest.fixture
+def collector_on():
+    """The cyclic collector on, as each test here starts, and on again
+    after it however the test ends."""
+    assert gc.isenabled()
+    yield
+    gc.enable()
+
+
+def record_collector(monkeypatch, module, name):
+    """Wrap module.name so each call appends whether the collector is on."""
+    seen = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+@pytest.mark.usefixtures("collector_on")
+class TestCollectorPause:
+    def test_rank_builds_and_ranks_with_the_collector_paused(self, monkeypatch, sample_dataset):
+        fps = mine(sample_dataset, MiningConfig(minisupport=2))
+        built = record_collector(monkeypatch, ConditionalScorer, "_take_apart")
+        ranked_with = record_collector(monkeypatch, scorer_module, "rank_with_scorer")
+        assert [sa.tid for sa in rank(sample_dataset, fps)] == [2, 0, 1]
+        assert built == ranked_with == [False]
+        assert gc.isenabled()
+
+    def test_a_failed_rank_turns_the_collector_back_on(self):
+        low, high = Item(0, "a"), Item(1, "b")
+        txns = [Transaction(0, frozenset({low, high}))]
+        fps = PatternSet([FrequentPattern((high, low), (1, 1), 1)], 1, 1)  # not ascending
+        with pytest.raises(ModelFormatError, match="not strictly ascending"):
+            rank(txns, fps)
+        assert gc.isenabled()
+
+    def test_a_collector_that_was_off_stays_off(self, baskets4, basket_fps):
+        gc.disable()
+        ranked = rank(baskets4, basket_fps)
+        assert not gc.isenabled()
+        gc.enable()
+        assert ranked == rank(baskets4, basket_fps)
+
+    def test_score_new_leaves_the_collector_as_the_caller_left_it(
+        self, monkeypatch, sample_dataset
+    ):
+        fps = mine(sample_dataset, MiningConfig(minisupport=2))
+        model = ClassifierModel.from_pattern_set(fps, sample_dataset.schema, built_at="t")
+        seen = record_collector(monkeypatch, store_module, "rank_with_scorer")
+        expected = score_new(sample_dataset, model)
+        gc.disable()
+        assert score_new(sample_dataset, model) == expected
+        assert not gc.isenabled()
+        assert seen == [True, False]
 
 
 class TestTopCandidates:
