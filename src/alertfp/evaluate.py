@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import AlertFpError
 from .ingest import COMMENT_PREFIX
-from .miner import MiningConfig, PatternSet, mine
+from .miner import MiningConfig, mine
 from .model import Alert, AlertDataset, snort_schema
 from .scorer import ScoreConfig, ScoredAlert, rank
 from .textio import Target, atomic_write
@@ -76,9 +76,9 @@ def sweep(
     Support is anti-monotone, so the pattern set at a threshold is exactly
     the patterns of any lower threshold's set that reach it, in the same
     canonical order. The distinct thresholds are mined in ascending order
-    until one mine succeeds; every higher threshold filters that set. A
-    cap or max_pattern_len the lowest mine passed cannot trip on a subset
-    of it.
+    until one mine succeeds; every higher threshold filters that set
+    (`PatternSet.at_least`). A cap or max_pattern_len the lowest mine
+    passed cannot trip on a subset of it.
 
     A failing threshold (explosion guard, empty pattern set) produces a
     row carrying the error instead of aborting the sweep: partial results
@@ -106,7 +106,7 @@ def sweep(
         if s_abs in failed:
             rows.append(SweepRow(s_abs, None, None, None, error=failed[s_abs]))
             continue
-        fps = lowest if s_abs == lowest.minisupport_abs else _at_least(lowest, s_abs)
+        fps = lowest.at_least(s_abs)
         try:
             ranked = rank(data, fps, score_config)
             worst = max(locate_attacks(ranked, attack_tids))
@@ -114,17 +114,6 @@ def sweep(
         except AlertFpError as exc:
             rows.append(SweepRow(s_abs, None, None, None, error=str(exc)))
     return rows
-
-
-def _at_least(fps: PatternSet, s_abs: int) -> PatternSet:
-    """The patterns of fps whose support reaches s_abs, in its order: the
-    set `mine` gives at s_abs when fps was mined at a lower threshold. It
-    shares fps's itemset tuples and level-1 bitsets."""
-    keep = [k for k, support in enumerate(fps.supports) if support >= s_abs]
-    itemsets = tuple(map(fps.itemsets.__getitem__, keep))
-    supports = tuple(map(fps.supports.__getitem__, keep))
-    item_bits = {item: fps.item_bits[item] for itemset in itemsets for item in itemset}
-    return PatternSet._of_columns(itemsets, supports, item_bits, fps.n, s_abs)
 
 
 def write_sweep_report(target: Target, rows: Iterable[SweepRow]) -> None:

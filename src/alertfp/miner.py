@@ -8,7 +8,8 @@ into a bitset, and `tids_of`, the one unpacker, serves
 `FrequentPattern.tidlist`. Only level-1 bitsets are kept: a PatternSet
 is its itemsets and supports, as columns, and its items' level-1 bitsets,
 and a pattern's tidlist is their intersection, computed when read. A
-longer level's bitsets live only until the next level is joined.
+longer level's bitsets live only until the next level is joined. A set
+filters to the set of any higher threshold (`PatternSet.at_least`).
 
 The first level counts items before it builds any tidlist: an
 AlertDataset is counted from its per-column value codes, without building
@@ -160,7 +161,7 @@ class PatternSet:
     item they hold. Iteration, `patterns` and `get` build a FrequentPattern
     view per pattern read. Built from patterns, a set refuses an itemset
     given twice or an item given two bitsets with ValueError; `mine` and
-    the sweep's filter build from columns (`_of_columns`)."""
+    the sweep's filter `at_least` build from columns (`_of_columns`)."""
 
     itemsets: tuple[Itemset, ...]
     supports: tuple[int, ...]
@@ -188,6 +189,20 @@ class PatternSet:
         fps = cls((), n, minisupport_abs)
         vars(fps).update(itemsets=itemsets, supports=supports, item_bits=item_bits)
         return fps
+
+    def at_least(self, s_abs: int) -> PatternSet:
+        """The set `mine` gives at s_abs, sharing this set's itemset tuples and
+        level-1 bitsets: the set itself at its own threshold. Below it, the
+        patterns the set lacks are unknown, and it raises ValueError."""
+        if s_abs < self.minisupport_abs:
+            raise ValueError(f"minisupport {s_abs} is below the set's own {self.minisupport_abs}")
+        if s_abs == self.minisupport_abs:
+            return self
+        keep = [k for k, support in enumerate(self.supports) if support >= s_abs]
+        itemsets = tuple(map(self.itemsets.__getitem__, keep))
+        supports = tuple(map(self.supports.__getitem__, keep))
+        item_bits = {item: self.item_bits[item] for itemset in itemsets for item in itemset}
+        return PatternSet._of_columns(itemsets, supports, item_bits, self.n, s_abs)
 
     def __len__(self) -> int:
         return len(self.itemsets)

@@ -18,14 +18,14 @@ stable sort of the tids orders the alerts.
 
 The patterns sit in a prefix trie (PatternScorer), the Apriori subset
 function (Agrawal & Srikant, VLDB 1994) laid out as a prefix tree in the
-manner of FP-growth (Han, Pei & Yin, SIGMOD 2000). Building the trie is
-the one check of an itemset's shape, for mined sets and for models saved
-or loaded alike. Each node holds its support ratio fl(s/n) as the exact
-integer ldexp(ratio, S), with S = n.bit_length() + 53: a ratio with
-s >= 1 is at least 1/n > 2**-(S - 53), so it is a multiple of 2**-S. A
-score adds integers, which is exact in any order, and divides by 2**S
-once; int / int is correctly rounded. Counting then takes one of two
-routes, with the same (count, raw sum) bit for bit:
+manner of FP-growth (Han, Pei & Yin, SIGMOD 2000). Each node holds its
+support ratio fl(s/n) as the exact integer ldexp(ratio, S), with
+S = n.bit_length() + 53: a ratio with s >= 1 is at least 1/n >
+2**-(S - 53), so it is a multiple of 2**-S. A score adds integers, which
+is exact in any order, and divides by 2**S once; int / int is correctly
+rounded. Counting takes one of two routes, with the same (count, raw sum)
+bit for bit; each files a pattern past one shape check (_check_shape),
+for mined sets and models saved or loaded alike:
 
 - The trie walk: each distinct set of frequent items walks the trie along
   its own items in ascending order. A loaded model (`store.score_new`)
@@ -35,8 +35,8 @@ routes, with the same (count, raw sum) bit for bit:
   scores for: in a PatternSet's `_scorer` slot for the per-alert calls,
   and as a ClassifierModel's `scorer` property for `store.score_new`.
 - Conditional decomposition (ConditionalScorer), FP-growth's conditional
-  pattern base: `rank`, and so `alertfp rank` and the sweep, takes the
-  checked trie apart into one conditional trie per item. Items are put in
+  pattern base: `rank`, and so `alertfp rank` and the sweep, files each
+  pattern straight onto one conditional trie per item. Items are put in
   descending order of level-1 support, and each pattern is filed under
   its last item x in that order, on x's conditional trie, which holds the
   pattern less x. A key's score is then the score of its prefix without
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ldexp
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import AlertFpError, EmptyPatternSetError, ModelFormatError
@@ -118,38 +118,24 @@ class PatternScorer:
         self._scale = 1 << shift
         self._scaled = _Scaled(n, shift)
         self._root: list = [None, {}]
-        self._items: set[Item] = set()  # every item on the trie
+        self._items: set[Item] = set()  # every item of a pattern
         self.count = 0
         self._build(patterns)
 
     def _build(self, patterns: Iterable[tuple[Sequence[Item], int]]) -> None:
         """Insert every pattern: the last step of __init__, so a subclass
-        that extends it builds inside the constructor."""
+        that overrides it builds inside the constructor."""
         add = self._add
         for itemset, support_count in patterns:
             add(itemset, support_count)
 
     def _add(self, itemset: Sequence[Item], support_count: int) -> list:
-        """Insert one pattern, walking from the root to the parent of its
-        last item and making what is missing, and return its node. A node
-        made for an item must follow the item before it; a node that
-        exists was checked when it was made. Every insert comes before the
-        first score."""
-        if not itemset:
-            raise ModelFormatError("empty itemset")
-        parent, previous = self._root, None
-        for item in itemset[:-1]:
-            children = parent[1]
-            if children is None:
-                children = parent[1] = {}
-            node = children.get(item)
-            if node is None:
-                if previous is not None and not previous < item:
-                    raise _not_ascending(itemset)
-                node = children[item] = [None, None]
-                self._items.add(item)
-            parent, previous = node, item
-        return self._add_child(parent, previous, itemset[-1], support_count, itemset)
+        """Insert one pattern and return its node, making the prefix nodes
+        that are missing. Every insert comes before the first score."""
+        _check_shape(itemset)
+        *prefix, last = itemset
+        self._items.update(prefix)
+        return self._add_child(_node_at(self._root, prefix), None, last, support_count, itemset)
 
     def _add_child(
         self,
@@ -159,10 +145,10 @@ class PatternScorer:
         support_count: int,
         itemset: Sequence[Item] | str,
     ) -> list:
-        """Insert the pattern that extends parent's, whose last item is
-        previous (None at the root), by item, and return its node: the one
-        check of an itemset's shape, named by itemset or by its row text.
-        The node may exist already, made by a walk from the root."""
+        """Insert the pattern that extends parent's by item, and return its
+        node. item must follow previous, parent's last item, unless that is
+        None: at the root, or for an itemset checked whole. The pattern is
+        named by itemset or its row text. The node may exist already."""
         children = parent[1]
         if children is None:
             children = parent[1] = {}
@@ -173,14 +159,14 @@ class PatternScorer:
             node = children[item] = [None, None]
             self._items.add(item)
         elif node[0] is not None:
-            raise ModelFormatError(f"itemset {_text_of(itemset)} repeats an earlier row")
+            raise _repeated(itemset)
         node[0] = self._scaled[support_count]
         self.count += 1
         return node
 
     @cached_property
     def _frequent(self) -> frozenset[Item]:
-        """Every item on the trie, the only items a key can hold. Made on
+        """Every item of a pattern, the only items a key can hold. Made on
         the first score."""
         return frozenset(self._items)
 
@@ -202,53 +188,37 @@ class ConditionalScorer(PatternScorer):
     """PatternScorer's scores by conditional decomposition (see the module
     docstring).
 
-    The trie is built, the one check of the patterns' shape, and taken
-    apart as the conditional form is built from it, so the two are never
-    held whole at once. Each item becomes its position in the order of
-    descending level-1 ratio, ties broken by Item; an item with no
-    1-itemset pattern (in a set that is not downward closed) comes last.
-    Any total order gives the same scores; this one makes keys share long
-    prefixes. `_conditional[x]` is item x's conditional trie: a node whose
-    own ratio is pattern {x}'s and whose paths, in ascending position, are
-    the patterns whose last item is x, less x. `_memo` is a trie of the key
-    prefixes counted so far, a node being [count, scaled sum, children dict].
+    The build makes two passes over the patterns. The first makes each
+    item its position in descending level-1 support, ties broken by Item;
+    an item with no 1-itemset pattern (in a set that is not downward
+    closed) comes last. Any total order gives the same scores; this one
+    makes keys share long prefixes. The second files each pattern whose
+    last item is x, less x, on x's conditional trie `_conditional[x]`,
+    along ascending positions; the trie's own ratio is pattern {x}'s, and
+    the root stays empty. `_memo` is a trie of the key prefixes counted
+    so far, a node being [count, scaled sum, children dict].
     """
 
     def _build(self, patterns: Iterable[tuple[Sequence[Item], int]]) -> None:
-        super()._build(patterns)
-        self._take_apart()
-        self._memo: list = [0, 0, {}]
-
-    def _take_apart(self) -> None:
-        root = self._root[1]
-
-        def level_1(item: Item) -> tuple:
-            scaled = root[item][0] if item in root else None
-            return (scaled is None, -(scaled or 0), item)
-
-        ordered = sorted(self._items, key=level_1)
+        itemsets, supports, level_1 = [], [], {}  # walked twice, kept as columns
+        for itemset, support_count in patterns:
+            itemsets.append(itemset)
+            supports.append(support_count)
+            if len(itemset) == 1:
+                level_1[itemset[0]] = support_count
+        self._items.update(*itemsets)
+        ordered = sorted(self._items, key=lambda i: (i not in level_1, -level_1.get(i, 0), i))
         self._position = position = {item: k for k, item in enumerate(ordered)}
-        conditional = [[None, None] for _ in ordered]
-        stack = [(root, ())]
-        while stack:
-            children, path = stack.pop()
-            while children:  # emptied as it goes, so each node dies once filed
-                item, (scaled, below) = children.popitem()
-                here = path + (position[item],)
-                if scaled is not None:
-                    rest = sorted(here)
-                    target = conditional[rest.pop()]
-                    for k in rest:
-                        if target[1] is None:
-                            target[1] = {}
-                        node = target[1].get(k)
-                        if node is None:
-                            node = target[1][k] = [None, None]
-                        target = node
-                    target[0] = scaled
-                if below:
-                    stack.append((below, here))
-        self._conditional = conditional
+        self._conditional = conditional = [[None, None] for _ in ordered]
+        for itemset, support_count in zip(itemsets, supports):
+            _check_shape(itemset)
+            rest = sorted(map(position.__getitem__, itemset))
+            node = _node_at(conditional[rest.pop()], rest)
+            if node[0] is not None:
+                raise _repeated(itemset)
+            node[0] = self._scaled[support_count]
+        self.count = len(itemsets)
+        self._memo: list = [0, 0, {}]
 
     def _count(self, key: frozenset[Item]) -> tuple[int, int]:
         members = sorted(map(self._position.__getitem__, key))
@@ -275,6 +245,19 @@ class ConditionalScorer(PatternScorer):
             step = memo[2][x] = [count, total, {}]
             memo = step
         return count, total
+
+
+def _node_at(node: list, path: Iterable) -> list:
+    """The node that path leads to from node, made with what is missing."""
+    for key in path:
+        children = node[1]
+        if children is None:
+            children = node[1] = {}
+        below = children.get(key)
+        if below is None:
+            below = children[key] = [None, None]
+        node = below
+    return node
 
 
 def _contained(children: dict, members: Sequence, end: int) -> tuple[int, int]:
@@ -320,7 +303,7 @@ def _collector_paused():
     `rank`, used. A build adds only containers and a ranking only acyclic
     ones (keys, the score dict, the rows), yet the collector's passes over
     the trie took about a sixth of a load of the seed-1 daytime model
-    (3,443 rows, one load per fresh process), and about a quarter of
+    (3,443 rows, one load per fresh process), and a sixth to a quarter of
     `rank` at the sweep's threshold 30 (55,643 patterns). A collector that
     was off stays off, and one that was on is on again however it ends."""
     enabled = gc.isenabled()
@@ -337,8 +320,20 @@ def _text_of(itemset: Sequence[Item] | str) -> str:
     return itemset if isinstance(itemset, str) else render_itemset(itemset)
 
 
+def _check_shape(itemset: Sequence[Item]) -> None:
+    """Refuse an empty itemset, which every alert contains, or one not strictly ascending."""
+    if not itemset:
+        raise ModelFormatError("empty itemset")
+    if not all(map(lt, itemset, itemset[1:])):
+        raise _not_ascending(itemset)
+
+
 def _not_ascending(itemset: Sequence[Item] | str) -> ModelFormatError:
     return ModelFormatError(f"items of itemset {_text_of(itemset)} are not strictly ascending")
+
+
+def _repeated(itemset: Sequence[Item] | str) -> ModelFormatError:
+    return ModelFormatError(f"itemset {_text_of(itemset)} repeats an earlier row")
 
 
 def _shared_scorer(fps: PatternSet) -> PatternScorer:
@@ -376,8 +371,8 @@ def rank(
 
     Both scores are always populated. Ties break by ascending tid, so the
     output is fully determined by the scores and the input order. Scores
-    by conditional decomposition; the trie, the conditional tries and the
-    memo all die with the ranking. The build and the ranking run under
+    by conditional decomposition; the conditional tries and the memo die
+    with the ranking. The build and the ranking run under
     `_collector_paused`; `rank_with_scorer`, which `store.score_new` calls
     too, does not pause the collector itself.
     """

@@ -23,8 +23,8 @@ load and scoring alike: the header's `n_train >= 1`, `minisupport` in
 `built_at` (`_check_header`), each row's
 support in `[minisupport, n_train]` and tidlist of exactly
 `support_count` strictly ascending tids in `[0, n_train)` (`_check_row`),
-and each itemset's shape in the scorer's insert
-(`PatternScorer._add_child`). So save refuses exactly the header numbers
+and each itemset's shape in the scorer's insert (`PatternScorer._add`,
+`_add_child`). So save refuses exactly the header numbers
 and rows that load refuses, with the same message less the line number
 that load adds, and a header string that load could not read back. The check
 puts each row onto the scorer's trie as it comes and builds no itemset.

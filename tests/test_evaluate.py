@@ -10,7 +10,6 @@ from alertfp.errors import AlertFpError
 from alertfp.evaluate import (
     SweepRow,
     SyntheticSpec,
-    _at_least,
     gen_synthetic,
     locate_attacks,
     reduction,
@@ -253,7 +252,7 @@ def assert_filter_equals_mining(data, low, highs):
     lowest = mine(data, MiningConfig(minisupport=low))
     ids = set(map(id, lowest.itemsets))
     for high in highs:
-        filtered, mined = _at_least(lowest, high), mine(data, MiningConfig(minisupport=high))
+        filtered, mined = lowest.at_least(high), mine(data, MiningConfig(minisupport=high))
         assert filtered.itemsets == mined.itemsets
         assert filtered.supports == mined.supports
         assert [p.tidlist for p in filtered] == [p.tidlist for p in mined]

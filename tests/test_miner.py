@@ -460,6 +460,17 @@ class TestPatternSet:
         assert fps.get(itemset("1", "5")) is None
         assert fps.get(itemset("4")) is None
 
+    def test_at_least_its_own_threshold_is_the_set_itself(self, baskets4):
+        fps = mine(baskets4, HALF)
+        assert fps.at_least(fps.minisupport_abs) is fps
+
+    def test_at_least_a_lower_threshold_is_refused(self, baskets4):
+        # the set mined at 2 lacks the patterns of support 1
+        fps = mine(baskets4, MiningConfig(minisupport=2))
+        assert mine(baskets4, MiningConfig(minisupport=1)).count > fps.count
+        with pytest.raises(ValueError, match="^minisupport 1 is below the set's own 2$"):
+            fps.at_least(1)
+
 
 @pytest.fixture
 def views_built(monkeypatch):

@@ -156,7 +156,7 @@ def record_collector(monkeypatch, module, name):
 class TestCollectorPause:
     def test_rank_builds_and_ranks_with_the_collector_paused(self, monkeypatch, sample_dataset):
         fps = mine(sample_dataset, MiningConfig(minisupport=2))
-        built = record_collector(monkeypatch, ConditionalScorer, "_take_apart")
+        built = record_collector(monkeypatch, ConditionalScorer, "_build")
         ranked_with = record_collector(monkeypatch, scorer_module, "rank_with_scorer")
         assert [sa.tid for sa in rank(sample_dataset, fps)] == [2, 0, 1]
         assert built == ranked_with == [False]
@@ -375,14 +375,16 @@ class TestScorerProperties:
     def test_repeated_itemset_rejected(self):
         # would count twice as a pattern of its own
         a, b = Item(0, "a"), Item(1, "b")
-        with pytest.raises(ModelFormatError, match="itemset 0=a repeats an earlier row"):
-            PatternScorer([((a,), 2), ((a,), 2), ((b, a), 2)], 5)
+        for route in ROUTES:
+            with pytest.raises(ModelFormatError, match="^itemset 0=a repeats an earlier row$"):
+                route([((a,), 2), ((a,), 2), ((b, a), 2)], 5)
 
     def test_empty_itemset_rejected(self):
         # contained in every transaction, so it would count for every alert
         a = Item(0, "a")
-        with pytest.raises(ModelFormatError, match="empty itemset"):
-            PatternScorer([((a,), 2), ((), 5)], 5)
+        for route in ROUTES:
+            with pytest.raises(ModelFormatError, match="^empty itemset$"):
+                route([((a,), 2), ((), 5)], 5)
 
     @pytest.mark.parametrize(
         "itemsets,rendered",
@@ -391,16 +393,24 @@ class TestScorerProperties:
             ([("a", "a")], "0=a,0=a"),
             ([("a",), ("a", "b"), ("a", "b", "a")], "0=a,1=b,0=a"),
             ([("b", "a", "c")], "1=b,0=a,2=c"),
+            # each route names the first faulty pattern in the order given
+            ([("a",), ("b", "a"), ("a",), ()], "1=b,0=a"),
         ],
-        ids=["descending", "repeated-item", "past-an-existing-path", "descending-before-the-last"],
+        ids=[
+            "descending",
+            "repeated-item",
+            "past-an-existing-path",
+            "descending-before-the-last",
+            "before-a-repeat-and-an-empty-itemset",
+        ],
     )
     def test_unordered_itemset_rejected(self, itemsets, rendered):
         by_name = {"a": Item(0, "a"), "b": Item(1, "b"), "c": Item(2, "c")}
         patterns = [(tuple(by_name[name] for name in names), 2) for names in itemsets]
-        with pytest.raises(
-            ModelFormatError, match=f"items of itemset {rendered} are not strictly ascending"
-        ):
-            PatternScorer(patterns, 5)
+        message = f"^items of itemset {rendered} are not strictly ascending$"
+        for route in ROUTES:
+            with pytest.raises(ModelFormatError, match=message):
+                route(patterns, 5)
 
 
 #: Items the hand-made pattern sets below draw from, over three columns.
@@ -487,10 +497,10 @@ class TestConditionalScorer:
             with pytest.raises(ValueError, match=message):
                 route([((a,), 2.0**-60)], 1)
 
-    def test_rank_takes_the_trie_apart_inside_the_constructor(self, monkeypatch, sample_dataset):
+    def test_rank_builds_inside_the_constructor(self, monkeypatch, sample_dataset):
         # a tracer that times PatternScorer.__init__ books the whole build
         inside, seen = [], []
-        init, take_apart = PatternScorer.__init__, ConditionalScorer._take_apart
+        init, build = PatternScorer.__init__, ConditionalScorer._build
 
         def timed_init(self, *args):
             inside.append(True)
@@ -499,20 +509,31 @@ class TestConditionalScorer:
             finally:
                 inside.pop()
 
-        def watched_take_apart(self):
+        def watched_build(self, patterns):
             seen.append(bool(inside))
-            take_apart(self)
+            build(self, patterns)
 
         monkeypatch.setattr(PatternScorer, "__init__", timed_init)
-        monkeypatch.setattr(ConditionalScorer, "_take_apart", watched_take_apart)
+        monkeypatch.setattr(ConditionalScorer, "_build", watched_build)
         rank(sample_dataset, mine(sample_dataset, MiningConfig(minisupport=2)))
         assert seen == [True]
 
-    def test_the_trie_is_taken_apart(self):
-        # the trie and the conditional form are never held whole at once
+    def test_rank_builds_no_trie_of_the_whole_set(self, monkeypatch, sample_dataset):
+        # each pattern is filed straight onto its conditional trie
+        def refused(*args):
+            raise AssertionError("rank put a pattern on the trie of the whole set")
+
+        expected = [sa.tid for sa in rank(sample_dataset, mine(sample_dataset, HALF))]
+        monkeypatch.setattr(PatternScorer, "_add", refused)
+        monkeypatch.setattr(PatternScorer, "_add_child", refused)
+        assert [sa.tid for sa in rank(sample_dataset, mine(sample_dataset, HALF))] == expected
+
+    def test_the_root_stays_empty(self):
+        # the conditional tries are the only trie the patterns are put on
         patterns = [((POOL[0],), 3), ((POOL[0], POOL[4]), 2), ((POOL[4], POOL[8]), 1)]
-        scorer = ConditionalScorer(patterns, 4)
+        scorer = ConditionalScorer(iter(patterns), 4)
         assert scorer._root == [None, {}]
+        assert scorer.count == 3
         assert scorer.score(set(POOL)) == (3, 6 / 4)
         # the memo keeps one node per prefix of the key scored
         memo, depth = scorer._memo, 0
