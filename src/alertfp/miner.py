@@ -7,9 +7,10 @@ Association Mining", IEEE TKDE 2000). `bits_of` packs transaction ids
 into a bitset, and `tids_of`, the one unpacker, serves
 `FrequentPattern.tidlist`. Only level-1 bitsets are kept: a PatternSet
 is its itemsets and supports, as columns, and its items' level-1 bitsets,
-and a pattern's tidlist is their intersection, computed when read. A
-longer level's bitsets live only until the next level is joined. A set
-filters to the set of any higher threshold (`PatternSet.at_least`).
+and a pattern's tidlist is their intersection, computed when read. Its
+one constructor takes those columns. A longer level's bitsets live only
+until the next level is joined. A set filters to the set of any higher
+threshold (`PatternSet.at_least`).
 
 The first level counts items before it builds any tidlist: an
 AlertDataset is counted from its per-column value codes, without building
@@ -17,7 +18,7 @@ a transaction per alert, and only the items that reach the threshold get
 a bitset. A dense item's bitset is read off a byte vector of its column's
 codes as a base-2 int, in C-level passes; the rarer items of a column
 share one pass that lists their transaction ids for `bits_of`, which also
-packs a Transaction list's items and the oracle's. From there the
+packs a Transaction list's items. From there the
 classic join of two k-itemsets sharing a (k-1)-prefix produces each
 (k+1)-candidate, whose bitset is the intersection of its two generators',
 so no further dataset scans are needed.
@@ -30,8 +31,8 @@ such column: the skipped candidates all have support 0. A plain
 Transaction list carries no schema, and every pair is joined.
 
 `brute_force_mine` is an independent oracle: it enumerates the powerset
-of every transaction and counts occurrences, sharing no code path with
-the level-wise miner.
+of every transaction and counts occurrences, and packs its own bitsets,
+sharing no code path with the level-wise miner.
 """
 
 from __future__ import annotations
@@ -137,9 +138,10 @@ class MiningConfig:
 
 @dataclass(frozen=True)
 class FrequentPattern:
-    """An itemset with its support, a view built when a PatternSet is read.
-    item_bits holds its items' level-1 bitsets, in itemset order, the
-    set's own; the tidlist is their intersection, computed on every read."""
+    """An itemset with its support, a view built when a PatternSet is read
+    and the form `PatternSet.from_patterns` takes. item_bits holds its
+    items' level-1 bitsets, in itemset order; the tidlist is their
+    intersection, computed on every read."""
 
     itemset: Itemset
     item_bits: tuple[int, ...] = field(repr=False)
@@ -153,15 +155,15 @@ class FrequentPattern:
         return len(self.itemset)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PatternSet:
     """All frequent patterns mined from one dataset, canonically ordered
     by (itemset length, itemset), as columns: `itemsets` and `supports`,
     one entry per pattern, and `item_bits`, the level-1 bitset of each
-    item they hold. Iteration, `patterns` and `get` build a FrequentPattern
-    view per pattern read. Built from patterns, a set refuses an itemset
-    given twice or an item given two bitsets with ValueError; `mine` and
-    the sweep's filter `at_least` build from columns (`_of_columns`)."""
+    item they hold and of no other item. The constructor keeps its columns
+    as given; `mine`, `at_least` and `brute_force_mine` fill them.
+    Iteration, `patterns` and `get` build a FrequentPattern view per
+    pattern read, and `from_patterns` builds a set from such views."""
 
     itemsets: tuple[Itemset, ...]
     supports: tuple[int, ...]
@@ -169,25 +171,19 @@ class PatternSet:
     n: int
     minisupport_abs: int
 
-    def __init__(self, patterns: Iterable[FrequentPattern], n: int, minisupport_abs: int):
+    @classmethod
+    def from_patterns(cls, patterns, n: int, minisupport_abs: int) -> PatternSet:
+        """The set of these FrequentPatterns, kept in the order given. An
+        itemset given twice or an item given two bitsets raises ValueError."""
         patterns = tuple(patterns)
         itemsets = tuple(p.itemset for p in patterns)
         if len(set(itemsets)) != len(itemsets):
             raise ValueError("duplicate itemsets in pattern set")
         supports = tuple(p.support_count for p in patterns)
         item_bits = {i: bits for p in patterns for i, bits in zip(p.itemset, p.item_bits)}
-        vars(self).update(itemsets=itemsets, supports=supports, item_bits=item_bits)
-        vars(self).update(n=n, minisupport_abs=minisupport_abs)
-        if self.patterns != patterns:  # a view differs: an item has two bitsets
+        fps = cls(itemsets, supports, item_bits, n, minisupport_abs)
+        if fps.patterns != patterns:  # a view differs: an item has two bitsets
             raise ValueError("an item has two level-1 bitsets in pattern set")
-
-    @classmethod
-    def _of_columns(cls, itemsets, supports, item_bits, n, minisupport_abs) -> PatternSet:
-        """The set of these columns, kept as given: each itemset once, in
-        canonical order, and item_bits holding the bitset of each of their
-        items and of no other item."""
-        fps = cls((), n, minisupport_abs)
-        vars(fps).update(itemsets=itemsets, supports=supports, item_bits=item_bits)
         return fps
 
     def at_least(self, s_abs: int) -> PatternSet:
@@ -202,7 +198,7 @@ class PatternSet:
         itemsets = tuple(map(self.itemsets.__getitem__, keep))
         supports = tuple(map(self.supports.__getitem__, keep))
         item_bits = {item: self.item_bits[item] for itemset in itemsets for item in itemset}
-        return PatternSet._of_columns(itemsets, supports, item_bits, self.n, s_abs)
+        return PatternSet(itemsets, supports, item_bits, self.n, s_abs)
 
     def __len__(self) -> int:
         return len(self.itemsets)
@@ -421,12 +417,13 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
         if len(kept) == config.max_pattern_len:
             break
         level = prune(candidate_gen(level, exclusive), s_abs)
-    return PatternSet._of_columns(tuple(itemsets), tuple(supports), singles, n, s_abs)
+    return PatternSet(tuple(itemsets), tuple(supports), singles, n, s_abs)
 
 
 def brute_force_mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     """Exhaustive oracle: enumerate the powerset of each transaction and
-    keep the itemsets occurring at least minisupport times.
+    keep the itemsets occurring at least minisupport times, as the columns
+    of a PatternSet.
 
     Exponential in transaction width, hence the guard; intended for tests
     and small spot checks only.
@@ -450,11 +447,9 @@ def brute_force_mine(data: Minable, config: MiningConfig | None = None) -> Patte
         for size in range(1, len(members) + 1):
             for combo in combinations(members, size):
                 occurrences.setdefault(combo, []).append(t.tid)
-    singles = {key[0]: bits_of(tids) for key, tids in occurrences.items() if len(key) == 1}
-    patterns = [
-        FrequentPattern(itemset, tuple(map(singles.__getitem__, itemset)), len(tids))
-        for itemset, tids in occurrences.items()
-        if len(tids) >= s_abs
-    ]
-    patterns.sort(key=lambda p: (len(p.itemset), p.itemset))
-    return PatternSet(tuple(patterns), n, s_abs)
+    frequent = [key for key, tids in occurrences.items() if len(tids) >= s_abs]
+    frequent.sort(key=lambda key: (len(key), key))
+    supports = tuple(len(occurrences[key]) for key in frequent)
+    # a frequent itemset's items are frequent 1-itemsets, each tid listed once
+    bits = {key[0]: sum(1 << tid for tid in occurrences[key]) for key in frequent if len(key) == 1}
+    return PatternSet(tuple(frequent), supports, bits, n, s_abs)

@@ -104,7 +104,7 @@ class AttributeSchema:
 
 _NUMERIC_RE = re.compile(r"[+-]?\d+")
 _TIMESTAMP_RE = re.compile(
-    r"(\d{1,2}/\d{1,2}/\d{4})\s+(\d{1,2}):(\d{2})(?::\d{2})?\s*([AaPp][Mm])"
+    r"(\d{1,2}/\d{1,2}/\d{4})\s+(\d{1,2}):(\d{2})(?::\d{2})?\s*([AaPp][Mm])", re.ASCII
 )
 
 

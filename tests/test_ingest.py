@@ -103,6 +103,20 @@ class TestParseLog:
         assert result.rejects[0].line_number == 2
         assert result.rejects[0].reason.endswith("(field 'ts')")
 
+    def test_timestamp_with_non_ascii_digits_rejected(self):
+        schema = AttributeSchema((SchemaField("ts", FieldKind.TIMESTAMP),))
+        text = (
+            "6/22/2010 8:57 AM\n\u0666/22/2010 8:57 AM\n"
+            "6/22/2010 \u0668:57 AM\n6/22/2010 8:\u0665\u0667 AM\n"
+        )
+        result = parse_log(io.StringIO(text), schema)
+        assert result.dataset.n == 1
+        assert [r.line_number for r in result.rejects] == [2, 3, 4]
+        assert all(r.reason.endswith("(field 'ts')") for r in result.rejects)
+        assert mine(result.dataset, MiningConfig(minisupport=1)).itemsets == (
+            ((0, "6/22/2010"),), ((0, "8:57AM"),), ((0, "6/22/2010"), (0, "8:57AM"))
+        )
+
     def test_comments_and_blanks_skipped(self):
         text = "# generated\n\nweb\t80\n"
         result = parse_log(io.StringIO(text), two_col_schema())

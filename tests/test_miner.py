@@ -380,6 +380,19 @@ class TestBruteForce:
         with pytest.raises(EmptyDatasetError, match="^cannot mine an empty dataset$"):
             brute_force_mine([])
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_packs_its_own_bitsets(self, monkeypatch, seed):
+        # an oracle that packed with the miner's bits_of would check it against itself
+        def refuse(tids):
+            raise AssertionError("the oracle called bits_of")
+
+        config = MiningConfig(minisupport=2)
+        for data in (random_baskets(random.Random(seed)), random_schema_dataset(random.Random(seed))):
+            mined = mine(data, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(miner, "bits_of", refuse)
+                assert brute_force_mine(data, config) == mined
+
 
 class TestMinerProperties:
     def test_oracle_equivalence_seeded_corpus(self):
@@ -452,7 +465,7 @@ class TestPatternSet:
     def test_duplicate_itemsets_rejected(self, baskets4):
         fps = mine(baskets4, HALF)
         with pytest.raises(ValueError):
-            PatternSet(fps.patterns + (fps.patterns[0],), fps.n, fps.minisupport_abs)
+            PatternSet.from_patterns(fps.patterns + (fps.patterns[0],), fps.n, fps.minisupport_abs)
 
     def test_lookup_and_support(self, baskets4):
         fps = mine(baskets4, HALF)
@@ -499,6 +512,9 @@ class TestPatternSetColumns:
         fps = mine(dataset, MiningConfig(minisupport=4))
         model = ClassifierModel.from_pattern_set(fps, dataset.schema, built_at="t")
         assert all(row.error is None for row in rows) and model.pattern_count == fps.count
+        two = MiningConfig(minisupport=2)
+        for data in (txns, random_schema_dataset(random.Random(5))):
+            assert brute_force_mine(data, two) == mine(data, two)
         assert views_built == []
         assert len(list(fps)) == len(views_built) == fps.count  # the wrapper does count
 
@@ -512,7 +528,7 @@ class TestPatternSetColumns:
     def test_mined_set_equals_the_set_of_its_patterns(self, seed):
         for data in (random_baskets(random.Random(seed)), random_schema_dataset(random.Random(seed))):
             mined = mine(data, MiningConfig(minisupport=2))
-            rebuilt = PatternSet(list(mined), mined.n, mined.minisupport_abs)
+            rebuilt = PatternSet.from_patterns(list(mined), mined.n, mined.minisupport_abs)
             assert rebuilt == mined and mined == rebuilt
             assert hash(rebuilt) == hash(mined) and repr(rebuilt) == repr(mined)
             assert (rebuilt.itemsets, rebuilt.supports) == (mined.itemsets, mined.supports)
@@ -531,7 +547,7 @@ class TestPatternSetColumns:
             )
             for p in mined
         ]
-        changed = PatternSet(patterns, mined.n, mined.minisupport_abs)
+        changed = PatternSet.from_patterns(patterns, mined.n, mined.minisupport_abs)
         assert changed.itemsets == mined.itemsets and changed.supports == mined.supports
         assert changed != mined and mined != changed
         assert changed.get((item,)).item_bits == (changed_bits,)
@@ -541,7 +557,7 @@ class TestPatternSetColumns:
         first = fps.patterns[0]
         clash = FrequentPattern(first.itemset, (first.item_bits[0] | 1 << 9,), 1)
         with pytest.raises(ValueError, match="two level-1 bitsets"):
-            PatternSet(fps.patterns[1:] + (clash,), fps.n, fps.minisupport_abs)
+            PatternSet.from_patterns(fps.patterns[1:] + (clash,), fps.n, fps.minisupport_abs)
 
     def test_shared_scorer_slot_changes_neither_equality_nor_repr(self, baskets4):
         fps, twin = mine(baskets4, HALF), mine(baskets4, HALF)

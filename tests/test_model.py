@@ -103,6 +103,17 @@ class TestSplitTimestamp:
         with pytest.raises(ValueParseError):
             split_timestamp("2010-06-11T08:57")
 
+    # ARABIC-INDIC DIGITs: a Unicode `\d` takes them, and only the hour goes
+    # through int(), so "8:\u0665\u0667AM" would be a second item for 8:57AM
+    @pytest.mark.parametrize(
+        "raw",
+        ["\u0666/22/2010 8:57 AM", "6/22/2010 \u0668:57 AM", "6/22/2010 8:\u0665\u0667 AM"],
+        ids=["date", "hour", "minute"],
+    )
+    def test_non_ascii_digits_raise(self, raw):
+        with pytest.raises(ValueParseError, match="^not a recognized timestamp"):
+            split_timestamp(raw)
+
 
 class TestItem:
     def test_same_value_different_columns_distinct(self):

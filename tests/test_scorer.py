@@ -165,7 +165,7 @@ class TestCollectorPause:
     def test_a_failed_rank_turns_the_collector_back_on(self):
         low, high = Item(0, "a"), Item(1, "b")
         txns = [Transaction(0, frozenset({low, high}))]
-        fps = PatternSet([FrequentPattern((high, low), (1, 1), 1)], 1, 1)  # not ascending
+        fps = PatternSet.from_patterns([FrequentPattern((high, low), (1, 1), 1)], 1, 1)  # not ascending
         with pytest.raises(ModelFormatError, match="not strictly ascending"):
             rank(txns, fps)
         assert gc.isenabled()
@@ -309,7 +309,7 @@ class TestScorerProperties:
         txns = [Transaction(tid, items) for tid, items in enumerate(rows)]
         mined = mine(txns, MiningConfig(minisupport=1))
         kept = tuple(p for p in mined if rng.random() < keep_share)
-        fps = PatternSet(kept, mined.n, mined.minisupport_abs)
+        fps = PatternSet.from_patterns(kept, mined.n, mined.minisupport_abs)
         everything = set(KNOWN_ITEMS + UNSEEN_ITEMS)  # holds every frequent item
         for route in ROUTES:
             scorer = route.from_pattern_set(fps)
@@ -341,7 +341,7 @@ class TestScorerProperties:
         txns = [Transaction(tid, items) for tid, items in enumerate(rows)]
         mined = mine(txns, MiningConfig(minisupport=1))
         kept = tuple(p for p in mined if rng.random() < keep_share)
-        fps = PatternSet(kept, mined.n, mined.minisupport_abs)
+        fps = PatternSet.from_patterns(kept, mined.n, mined.minisupport_abs)
         for route in ROUTES:
             scorer = route.from_pattern_set(fps)
             for items in [set(WIDE_ITEMS), *queries, *rows]:
@@ -474,7 +474,7 @@ class TestConditionalScorer:
             mined = mine(data, MiningConfig(minisupport=rng.randint(1, len(txns))))
             # every other trial drops patterns, so the set need not be downward closed
             kept = tuple(p for p in mined if trial % 4 < 2 or rng.random() < 0.6)
-            fps = PatternSet(kept, mined.n, mined.minisupport_abs)
+            fps = PatternSet.from_patterns(kept, mined.n, mined.minisupport_abs)
             if fps.count == 0:
                 continue
             by_walk = rank_with_scorer(txns, PatternScorer.from_pattern_set(fps), config)
@@ -667,7 +667,7 @@ class TestCodesRoute:
             mined = mine(ds, MiningConfig(minisupport=min(minisupport, ds.n)))
             # dropped patterns leave a set that need not be downward closed
             kept = tuple(p for k, p in enumerate(mined) if k not in dropped)
-            fps = PatternSet(kept, mined.n, mined.minisupport_abs)
+            fps = PatternSet.from_patterns(kept, mined.n, mined.minisupport_abs)
             if fps.count:
                 assert_ranks_as_its_transactions(ds, fps)
 
