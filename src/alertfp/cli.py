@@ -48,9 +48,17 @@ EXIT_SCHEMA = 4
 
 
 class _Parser(argparse.ArgumentParser):
+    build = None  # adds a command's options, once argparse dispatches to it
+
     def error(self, message):  # argparse would exit with code 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.build is not None:
+            build, self.build = self.build, None
+            build(self)
+        return super().parse_known_args(args, namespace)
 
 
 # Argument types reject bad values before any input is read or output
@@ -114,14 +122,20 @@ def _parse_delimiter(text: str) -> str:
 def build_parser() -> argparse.ArgumentParser:
     """The whole command line. Each command names its handler (`run`), and
     each path option says where it is added whether the command reads its
-    file (`reads`) or writes it (`writes`), in the order declared."""
+    file (`reads`) or writes it (`writes`), in the order declared. A
+    command's options are added only when argparse dispatches to it, so a
+    call builds one command's options, not all six."""
     parser = _Parser(prog="alertfp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run, reads=(), writes=())
-        return p
+        def register(build):
+            p = sub.add_parser(name, help=help)
+            p.set_defaults(run=run, reads=(), writes=())
+            p.build = build
+            return build
+
+        return register
 
     def path(p, role, flag, **kwargs):
         dest = p.add_argument(flag, **kwargs).dest
@@ -160,63 +174,69 @@ def build_parser() -> argparse.ArgumentParser:
         )
         path(p, "writes", "--candidates-out", help="candidate-set output path")
 
-    p_mine = command("mine", _cmd_mine, "mine a log into a classifier model")
-    path(p_mine, "writes", "--out", required=True, help="model output path")
-    add_common_io(p_mine)
-    add_mining(p_mine)
-    p_mine.add_argument("--emit-tidlists", action="store_true", help="store tidlists for audit")
+    @command("mine", _cmd_mine, "mine a log into a classifier model")
+    def mine_options(p):
+        path(p, "writes", "--out", required=True, help="model output path")
+        add_common_io(p)
+        add_mining(p)
+        p.add_argument("--emit-tidlists", action="store_true", help="store tidlists for audit")
 
-    p_rank = command("rank", _cmd_rank, "mine and rank a log in one pass")
-    path(p_rank, "writes", "--out", required=True, help="ranked output path")
-    add_common_io(p_rank)
-    add_mining(p_rank)
-    add_scoring(p_rank)
+    @command("rank", _cmd_rank, "mine and rank a log in one pass")
+    def rank_options(p):
+        path(p, "writes", "--out", required=True, help="ranked output path")
+        add_common_io(p)
+        add_mining(p)
+        add_scoring(p)
 
-    p_score = command("score", _cmd_score, "rank new alerts against a stored model")
-    path(p_score, "writes", "--out", required=True)
-    add_common_io(p_score)
-    add_scoring(p_score)
-    path(p_score, "reads", "--model", required=True)
-    p_score.add_argument(
-        "--force-schema", action="store_true", help="score despite a fingerprint mismatch"
-    )
+    @command("score", _cmd_score, "rank new alerts against a stored model")
+    def score_options(p):
+        path(p, "writes", "--out", required=True)
+        add_common_io(p)
+        add_scoring(p)
+        path(p, "reads", "--model", required=True)
+        p.add_argument(
+            "--force-schema", action="store_true", help="score despite a fingerprint mismatch"
+        )
 
-    p_eval = command("eval", _cmd_eval, "attack placement and reduction of a ranked file")
-    path(p_eval, "reads", "--ranked", required=True)
-    path(
-        p_eval, "reads", "--attacks", required=True, help="attack-id file (tid or field=value per line)"
-    )
-    path(p_eval, "reads", "--input", help="original log, needed for field=value selectors")
-    path(p_eval, "reads", "--schema", help="schema config, needed for field=value selectors")
-    p_eval.add_argument(
-        "--delimiter", type=_parse_delimiter, help="field delimiter of --input (default tab)"
-    )
-    path(p_eval, "writes", "--rejects-out", help="write --input's rejected lines report here")
+    @command("eval", _cmd_eval, "attack placement and reduction of a ranked file")
+    def eval_options(p):
+        path(p, "reads", "--ranked", required=True)
+        path(
+            p, "reads", "--attacks", required=True, help="attack-id file (tid or field=value per line)"
+        )
+        path(p, "reads", "--input", help="original log, needed for field=value selectors")
+        path(p, "reads", "--schema", help="schema config, needed for field=value selectors")
+        p.add_argument(
+            "--delimiter", type=_parse_delimiter, help="field delimiter of --input (default tab)"
+        )
+        path(p, "writes", "--rejects-out", help="write --input's rejected lines report here")
 
-    p_sweep = command("sweep", _cmd_sweep, "mine/rank/evaluate across minisupport values")
-    path(p_sweep, "writes", "--out", required=True, help="sweep report path")
-    add_common_io(p_sweep)
-    p_sweep.add_argument(
-        "--minisupport",
-        type=_parse_minisupport_list,
-        required=True,
-        help="comma-separated list, each N or P%%",
-    )
-    path(p_sweep, "reads", "--attacks", required=True)
-    add_guard(p_sweep)
+    @command("sweep", _cmd_sweep, "mine/rank/evaluate across minisupport values")
+    def sweep_options(p):
+        path(p, "writes", "--out", required=True, help="sweep report path")
+        add_common_io(p)
+        p.add_argument(
+            "--minisupport",
+            type=_parse_minisupport_list,
+            required=True,
+            help="comma-separated list, each N or P%%",
+        )
+        path(p, "reads", "--attacks", required=True)
+        add_guard(p)
 
-    p_gen = command("gen", _cmd_gen, "generate a seeded synthetic log with planted attacks")
-    p_gen.add_argument("--records", type=_parse_positive_int, required=True)
-    p_gen.add_argument(
-        "--attacks", type=_parse_positive_int, default=SyntheticSpec.n_attack, dest="n_attack"
-    )
-    p_gen.add_argument(
-        "--profiles", type=_parse_positive_int, default=SyntheticSpec.routine_profiles
-    )
-    p_gen.add_argument("--seed", type=int, required=True)
-    path(p_gen, "writes", "--out", required=True, help="log output path")
-    path(p_gen, "writes", "--attacks-out", required=True, help="attack-id output path")
-    path(p_gen, "writes", "--schema-out", help="also write the generator's schema config")
+    @command("gen", _cmd_gen, "generate a seeded synthetic log with planted attacks")
+    def gen_options(p):
+        p.add_argument("--records", type=_parse_positive_int, required=True)
+        p.add_argument(
+            "--attacks", type=_parse_positive_int, default=SyntheticSpec.n_attack, dest="n_attack"
+        )
+        p.add_argument(
+            "--profiles", type=_parse_positive_int, default=SyntheticSpec.routine_profiles
+        )
+        p.add_argument("--seed", type=int, required=True)
+        path(p, "writes", "--out", required=True, help="log output path")
+        path(p, "writes", "--attacks-out", required=True, help="attack-id output path")
+        path(p, "writes", "--schema-out", help="also write the generator's schema config")
 
     return parser
 

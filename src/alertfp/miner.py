@@ -8,9 +8,8 @@ into a bitset, and `tids_of`, the one unpacker, serves
 `FrequentPattern.tidlist`. Only level-1 bitsets are kept: a PatternSet
 is its itemsets and supports, as columns, and its items' level-1 bitsets,
 and a pattern's tidlist is their intersection, computed when read. Its
-one constructor takes those columns. A longer level's bitsets live only
-until the next level is joined. A set filters to the set of any higher
-threshold (`PatternSet.at_least`).
+one constructor takes those columns. A set filters to the set of any
+higher threshold (`PatternSet.at_least`).
 
 The first level counts items before it builds any tidlist: an
 AlertDataset is counted from its per-column value codes, without building
@@ -22,6 +21,16 @@ packs a Transaction list's items. From there the
 classic join of two k-itemsets sharing a (k-1)-prefix produces each
 (k+1)-candidate, whose bitset is the intersection of its two generators',
 so no further dataset scans are needed.
+
+A level is joined one prefix group at a time, and each intersection is
+counted once, as it is made: a candidate below the threshold keeps no
+bitset, prune reads the join's counts, and a group's bitsets are dropped
+once it is joined. So a level holds its
+survivors' bitsets and one group's candidates, not every candidate of the
+level beside all of the one before (Apriori joins a whole level, then
+prunes it: Agrawal & Srikant, VLDB 1994). Once the running count passes
+`max_patterns`, the rest of the level is counted, not kept, so the guard
+bounds memory as well as the count.
 
 A categorical or numeric column gives each alert exactly one item, so two
 of its items never occur together (the one-value-per-attribute property
@@ -43,6 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, combinations, groupby, repeat
+from math import inf
 from operator import and_, itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -335,9 +345,17 @@ def _sparse_bits(
 def prune(candidates, minisupport_abs: int):
     """Keep the (key, bitset) candidates whose support reaches the
     threshold, as (key, bitset, count) triples. Support is the bitset's
-    count of set bits, and this is the one place it is counted."""
+    count of set bits. candidate_gen's output carries the counts its join
+    made, and prune reads those instead of counting again; a candidate it
+    emptied for missing the threshold counts 0 and is dropped here."""
     if minisupport_abs < 1:
         raise ValueError("minisupport must be >= 1")
+    if isinstance(candidates, _Joined):
+        return [
+            (key, bits, count)
+            for (key, bits), count in zip(candidates, candidates.counts)
+            if count >= minisupport_abs
+        ]
     return [
         (key, bits, count)
         for key, bits in candidates
@@ -345,8 +363,19 @@ def prune(candidates, minisupport_abs: int):
     ]
 
 
+class _Joined(list):
+    """candidate_gen's (itemset, bitset) pairs, with `counts`, the count of
+    set bits of each pair's bitset as the join counted it, in pair order.
+    On 28,670 alerts, counting a bitset takes about ten times as long as
+    the `&` that made it, so prune does not count it again."""
+
+    counts: list[int]
+
+
 def candidate_gen(
-    frequent_k: Sequence[tuple], exclusive: frozenset[int] = frozenset()
+    frequent_k: Sequence[tuple],
+    exclusive: frozenset[int] = frozenset(),
+    minisupport_abs: int = 1,
 ) -> list[tuple[Itemset, int]]:
     """Join frequent k-itemsets into (k+1)-candidates, in itemset order.
 
@@ -356,28 +385,40 @@ def candidate_gen(
     sharing their first k-1 items combine, unless their last items share a
     field index in `exclusive`: such columns give an alert one item each,
     so the pair's support is 0. Each candidate's bitset is the intersection
-    of its generators'. No other k-subset is looked up: support is
+    of its generators', counted as it is made: one with fewer than
+    minisupport_abs bits carries 0, the empty bitset, so a level never
+    holds the bitset of a candidate prune drops. The list also holds the
+    counts, for prune. No other k-subset is looked up: support is
     anti-monotone, so prune drops a candidate with an infrequent one.
     """
-    out: list[tuple[Itemset, int]] = []
-    for _, group in groupby(frequent_k, key=lambda e: e[0][:-1]):
-        out.extend(_join_group(list(group), exclusive))
+    out = _Joined()
+    out.counts = []
+    for _, group in groupby(frequent_k, key=_prefix):
+        _join_group(list(group), exclusive, minisupport_abs, out)
     return out
 
 
-def _join_group(members, exclusive) -> list[tuple[Itemset, int]]:
+def _prefix(entry) -> Itemset:
+    return entry[0][:-1]
+
+
+def _join_group(members, exclusive, minisupport_abs, out: _Joined) -> None:
     # members are sorted by their last item, so the last items of one column
     # form a run; a member of an exclusive column joins from its run's end
     fields = [entry[0][-1][0] for entry in members]  # field indexes
-    out = []
+    counts = out.counts
     for i, entry in enumerate(members):
         left_set, left_bits = entry[0], entry[1]
         start = i + 1
         if fields[i] in exclusive:
             start = bisect_right(fields, fields[i], start)
         for right in members[start:]:
-            out.append((left_set + (right[0][-1],), left_bits & right[1]))
-    return out
+            bits = left_bits & right[1]
+            count = bits.bit_count()
+            if count < minisupport_abs:
+                bits = count = 0
+            out.append((left_set + (right[0][-1],), bits))
+            counts.append(count)
 
 
 def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
@@ -385,8 +426,12 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
 
     Levels proceed candidate-1 scan, prune, join, prune, ... until a level
     comes up empty or max_pattern_len is reached. Output is canonical.
-    Raises PatternExplosionError when the running pattern count exceeds
-    the configured cap.
+    Each level is joined and pruned one prefix group at a time, and a
+    group's bitsets are dropped once it is joined; a group of one itemset
+    joins nothing and is skipped. Raises
+    PatternExplosionError when the running pattern count exceeds the
+    configured cap; from there to the end of that level the frequent
+    candidates are only counted, not kept.
     """
     config = config or MiningConfig()
     exclusive: frozenset[int] = frozenset()
@@ -399,24 +444,38 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     if n == 0:
         raise EmptyDatasetError("cannot mine an empty dataset")
     s_abs = config.minisupport_abs(n)
+    cap = config.max_patterns or inf  # None: no cap
 
     level = prune(build_candidates_1(data, s_abs), s_abs)
     singles = {item: bits for item, bits, _ in level}
     level = [((item,), bits, count) for item, bits, count in level]
+    found = len(level)  # the level's frequent count, which can outrun `level`
     kept: list[int] = []
     itemsets: list[Itemset] = []
     supports: list[int] = []
-    while level:
-        kept.append(len(level))
-        if config.max_patterns is not None and sum(kept) > config.max_patterns:
-            raise PatternExplosionError(config.max_patterns, tuple(kept))
+    while found:
+        kept.append(found)
+        if sum(kept) > cap:
+            raise PatternExplosionError(cap, tuple(kept))
         # already canonical: level 1 comes sorted, and candidate_gen emits
         # each level in itemset order, which prune keeps
         itemsets += map(itemgetter(0), level)
         supports += map(itemgetter(2), level)
         if len(kept) == config.max_pattern_len:
             break
-        level = prune(candidate_gen(level, exclusive), s_abs)
+        groups = []
+        for _, group in groupby(level, key=_prefix):
+            group = list(group)
+            if len(group) > 1:  # a group of one joins nothing
+                groups.append(group)
+        groups.reverse()  # popped in itemset order, each dropped once joined
+        level, found = [], 0
+        room = cap - sum(kept)
+        while groups:
+            survivors = prune(candidate_gen(groups.pop(), exclusive, s_abs), s_abs)
+            found += len(survivors)
+            if found <= room:  # past the cap, count only
+                level += survivors
     return PatternSet(tuple(itemsets), tuple(supports), singles, n, s_abs)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import alertfp
+import alertfp.cli
 from alertfp.cli import build_parser, main
 from alertfp.ingest import parse_log
 from alertfp.model import Alert, snort_schema
@@ -1021,6 +1022,60 @@ def test_every_output_option_is_declared_as_written():
         assert set(outputs) <= set(args.writes), command
         assert not set(args.reads) & set(args.writes), command
         assert all(dest in args for dest in args.reads + args.writes), command
+
+
+def _whole_parser():
+    """build_parser with every command's options added up front."""
+    parser = build_parser()
+    for command in parser._subparsers._group_actions[0].choices.values():
+        build, command.build = command.build, None
+        build(command)
+    return parser
+
+
+def test_a_call_builds_only_the_dispatched_command():
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    parser.parse_args(["gen", "--records", "10", "--seed", "1", "--out", "o", "--attacks-out", "a"])
+    options = {name: len(command._actions) for name, command in commands.items()}
+    assert options == {"mine": 1, "rank": 1, "score": 1, "eval": 1, "sweep": 1, "gen": 8}
+    assert options["gen"] == len(_whole_parser()._subparsers._group_actions[0].choices["gen"]._actions)
+
+
+MINE_USAGE = """\
+usage: alertfp mine [-h] --out OUT --input INPUT --schema SCHEMA
+                    [--delimiter DELIMITER] [--rejects-out REJECTS_OUT]
+                    [--minisupport MINISUPPORT] [--max-patterns MAX_PATTERNS]
+                    [--max-pattern-len MAX_PATTERN_LEN] [--emit-tidlists]
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        [],
+        ["bogus"],
+        *([command, "--help"] for command in ("mine", "rank", "score", "eval", "sweep", "gen")),
+        *([command] for command in ("mine", "rank", "score", "eval", "sweep", "gen")),
+        ["mine", "--input", "a", "--schema", "b"],
+        ["rank", "--input", "a", "--schema", "b", "--out", "o", "--minisupport", "0"],
+        ["score", "--input", "a", "--schema", "b", "--out", "o", "--model", "m", "--top-p", "0"],
+        ["gen", "--records", "10", "--seed", "1", "--out", "o", "--attacks-out", "a", "--attacks", "20"],
+        ["eval", "--ranked", "r", "--attacks", "a", "--input", "i"],
+        ["mine", "--input", "a", "--schema", "b", "--out", "o", "--bogus"],
+    ],
+    ids=lambda argv: "_".join(argv) or "no-args",
+)
+def test_help_and_usage_errors_match_a_parser_built_whole(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    lazy = (main(argv), *capsys.readouterr())
+    monkeypatch.setattr(alertfp.cli, "build_parser", _whole_parser)
+    assert lazy == (main(argv), *capsys.readouterr())
+    if argv == ["mine"]:
+        assert lazy == (1, "", MINE_USAGE + (
+            "alertfp mine: error: the following arguments are required: --out, --input, --schema\n"
+        ))
 
 
 class TestOutputFiles:

@@ -2,6 +2,7 @@ import io
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -54,6 +55,20 @@ HALF = MiningConfig(minisupport=0.5)
 def level_from(pairs):
     """[(values, tids)] -> [(itemset, bitset)] for candidate_gen input."""
     return [(itemset(*values), bits_of(tids)) for values, tids in pairs]
+
+
+def traced_peak(fn, *args):
+    """fn(*args), or the PatternExplosionError it raised, and the peak of
+    the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        try:
+            outcome = fn(*args)
+        except PatternExplosionError as exc:
+            outcome = exc
+        return outcome, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture
@@ -204,6 +219,36 @@ class TestCandidateGen:
         assert tuple(i.value for i in iset) == ("2", "3", "5")
         assert tids_of(bits) == (1, 2)
 
+    def test_a_candidate_below_the_threshold_carries_no_bitset(self, baskets4):
+        f1 = [((item,), *rest) for item, *rest in prune(build_candidates_1(baskets4), 2)]
+        c2 = candidate_gen(f1, minisupport_abs=2)
+        as_values = {tuple(i.value for i in iset): tids_of(bits) for iset, bits in c2}
+        assert as_values == {
+            ("1", "2"): (),
+            ("1", "3"): (0, 2),
+            ("1", "5"): (),
+            ("2", "3"): (1, 2),
+            ("2", "5"): (1, 2, 3),
+            ("3", "5"): (1, 2),
+        }
+        assert candidate_gen(f1, minisupport_abs=1) == candidate_gen(f1)
+
+    @pytest.mark.parametrize("threshold", [1, 2, 3, 5, 10, 31])
+    def test_the_threshold_empties_exactly_the_thin_candidates(
+        self, threshold, baskets4, sample_times_ten
+    ):
+        single_item = frozenset(sample_times_ten.schema.single_item_indexes())
+        for data, exclusive in [(baskets4, frozenset()), (sample_times_ten, single_item)]:
+            level = [((item,), bits) for item, bits in build_candidates_1(data)]
+            while level:
+                full = candidate_gen(level, exclusive)
+                thin = candidate_gen(level, exclusive, threshold)
+                assert thin == [
+                    (iset, bits if bits.bit_count() >= threshold else 0) for iset, bits in full
+                ]
+                assert thin.counts == [bits.bit_count() for _, bits in thin]
+                level = prune(full, 1)
+
 
 # three values of column 1, one of column 2, and a timestamp's date and time
 # items under index 3
@@ -246,6 +291,32 @@ class TestExclusiveJoin:
         c3 = candidate_gen(c2, frozenset({1, 2}))
         assert c3 == candidate_gen(c2)
         assert ("a", "x", "6/11/2010") in self.pairs(c3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.sets(st.tuples(st.integers(0, 3), st.sampled_from("abc")), max_size=6),
+            min_size=1,
+            max_size=16,
+        ),
+        exclusive=st.frozensets(st.integers(0, 3)),
+        threshold=st.integers(min_value=1, max_value=6),
+    )
+    def test_the_threshold_in_the_join_changes_nothing_prune_keeps(
+        self, rows, exclusive, threshold
+    ):
+        txns = [
+            Transaction(tid, frozenset(Item(field, value) for field, value in row))
+            for tid, row in enumerate(rows)
+        ]
+        level = [((item,), bits) for item, bits in build_candidates_1(txns)]
+        while level:
+            joined = candidate_gen(level, exclusive)
+            thin = candidate_gen(level, exclusive, threshold)
+            assert prune(thin, threshold) == prune(joined, threshold) == prune(
+                list(joined), threshold
+            )
+            level = prune(joined, 1)
 
 
 class TestMine:
@@ -291,8 +362,11 @@ class TestMine:
     def test_explosion_guard_trips_with_level(self, baskets4):
         with pytest.raises(PatternExplosionError) as info:
             mine(baskets4, MiningConfig(minisupport=2, max_patterns=3))
-        assert info.value.level == 1
-        assert "minisupport" in str(info.value)
+        assert (info.value.level, info.value.kept) == (1, (4,))
+        assert str(info.value) == (
+            "frequent-pattern count exceeded the cap of 3 at itemset length 1 "
+            "(4 patterns so far); raise minisupport or the --max-patterns cap"
+        )
 
     def test_explosion_guard_carries_per_level_counts(self, baskets4):
         # 4 frequent items, then 4 pairs, then one triple
@@ -304,6 +378,57 @@ class TestMine:
             "frequent-pattern count exceeded the cap of 8 at itemset length 3 "
             "(9 patterns so far); raise minisupport or the --max-patterns cap"
         )
+
+    def test_a_total_equal_to_the_cap_does_not_trip(self, baskets4):
+        capped = mine(baskets4, MiningConfig(minisupport=2, max_patterns=9))
+        assert capped == mine(baskets4, MiningConfig(minisupport=2, max_patterns=None))
+        assert capped.count == 9
+
+    def test_every_cap_trips_at_the_level_its_running_total_passes(self):
+        rng = random.Random(31)
+        for _ in range(25):
+            txns = random_baskets(rng)
+            s_abs = rng.randint(1, 3)
+            full = mine(txns, MiningConfig(minisupport=s_abs, max_patterns=None))
+            lengths = Counter(map(len, full.itemsets))
+            counts = [lengths[k] for k in range(1, len(lengths) + 1)]
+            caps = {1, full.count - 1, full.count, rng.randint(1, full.count + 1)}
+            for cap in (cap for cap in caps if cap >= 1):
+                config = MiningConfig(minisupport=s_abs, max_patterns=cap)
+                if full.count <= cap:
+                    assert mine(txns, config) == full
+                    continue
+                with pytest.raises(PatternExplosionError) as info:
+                    mine(txns, config)
+                level = next(k for k in range(1, len(counts) + 1) if sum(counts[:k]) > cap)
+                assert info.value.kept == tuple(counts[:level])
+
+    def test_a_tripped_guard_keeps_no_more_than_the_cap(self):
+        # on 6,000 generated alerts at 10, levels 1 and 2 hold 124 + 1,939
+        # patterns, so a cap of 2,100 trips 37 patterns into level 3's 8,494.
+        # Kept whole, level 3 takes about 6 MiB of 750-byte bitsets, and its
+        # candidates before the support test about twice that
+        dataset, _ = gen_synthetic(SyntheticSpec(6000, 3, 5, 1))
+        dataset.columns()
+        error, peak = traced_peak(mine, dataset, MiningConfig(minisupport=10, max_patterns=2100))
+        assert isinstance(error, PatternExplosionError)
+        assert error.kept == (124, 1939, 8494)
+        assert str(error) == (
+            "frequent-pattern count exceeded the cap of 2100 at itemset length 3 "
+            "(10557 patterns so far); raise minisupport or the --max-patterns cap"
+        )
+        assert peak < 6 * 2**20
+
+    def test_a_level_of_dead_candidates_holds_no_bitsets(self):
+        # 120 items, 6 to a transaction: each item is held by about 400 of the
+        # 8,000 transactions and each pair by about 8, so at 100 all 7,140
+        # pairs die. With their 1 KB bitsets they would take 7 MiB
+        rng = random.Random(5)
+        alphabet = [Item(0, f"v{k}") for k in range(120)]
+        txns = [Transaction(tid, frozenset(rng.sample(alphabet, 6))) for tid in range(8000)]
+        fps, peak = traced_peak(mine, txns, MiningConfig(minisupport=100))
+        assert fps.count == 120
+        assert peak < 3 * 2**20
 
     @pytest.mark.parametrize(
         "name, value",
