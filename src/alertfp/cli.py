@@ -120,18 +120,20 @@ def _parse_delimiter(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The whole command line. Each command names its handler (`run`), and
-    each path option says where it is added whether the command reads its
-    file (`reads`) or writes it (`writes`), in the order declared. A
-    command's options are added only when argparse dispatches to it, so a
-    call builds one command's options, not all six."""
+    """The whole command line. Each command names its handler (`run`) and
+    its own parser (`parser`), whose usage line a usage error found after
+    parsing prints, and each path option says where it is added whether
+    the command reads its file (`reads`) or writes it (`writes`), in the
+    order declared. A command's options are added only when argparse
+    dispatches to it, so a call builds one command's options, not all
+    six."""
     parser = _Parser(prog="alertfp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, help):
         def register(build):
             p = sub.add_parser(name, help=help)
-            p.set_defaults(run=run, reads=(), writes=())
+            p.set_defaults(run=run, reads=(), writes=(), parser=p)
             p.build = build
             return build
 
@@ -242,30 +244,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        error = args.parser.error
         if args.command == "gen":  # a limit between two counts is a usage error too
             try:
                 args.spec = SyntheticSpec(args.records, args.n_attack, args.profiles, args.seed)
             except AlertFpError as exc:
-                parser.error(f"argument --attacks: {exc} (got {args.n_attack})")
+                error(f"argument --attacks: {exc} (got {args.n_attack})")
         if args.command == "eval":
             if (args.input is None) != (args.schema is None):
-                parser.error("eval takes --input and --schema together, or neither")
+                error("eval takes --input and --schema together, or neither")
             for attr in ("delimiter", "rejects_out"):
                 if args.input is None and getattr(args, attr) is not None:
-                    parser.error(f"eval takes {_option(attr)} only with --input")
+                    error(f"eval takes {_option(attr)} only with --input")
             if args.delimiter is None:
                 args.delimiter = "\t"
         if "top_p" in args:  # rank and score
             if args.top_p is not None:
                 args.candidates_out = args.candidates_out or f"{args.out}.candidates"
             elif args.candidates_out is not None:
-                parser.error(f"{args.command} takes --candidates-out only with --top-p")
+                error(f"{args.command} takes --candidates-out only with --top-p")
         clash = _same_file_clash(args)
         if clash:
-            parser.error(clash)
+            error(clash)
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:

@@ -4,19 +4,22 @@ Log format: one record per line, fields in schema order split by one
 delimiter character that check_delimiter allows, optional ``#`` comment
 lines and blank lines. A bad line is rejected and reported, never fatal;
 nightly rebuilds must survive one corrupt record, such as a line that is
-not valid UTF-8. Each line is coded by the model's column coder as it is
-read, so the parsed dataset comes with its columns coded. No Alert is
-built: the dataset keeps the codes and the raw strings of the columns that
-are not itemized, and builds its `alerts` from them on first read.
+not valid UTF-8. The log is read a block of lines at a time, and each
+block's records are coded by the model's coder one column at a time, so
+the parsed dataset comes with its columns coded. No Alert is built: the
+dataset keeps the codes and the raw strings of the columns that are not
+itemized, and builds its `alerts` from them on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import compress, repeat
+from operator import not_
+from typing import Iterable, Sequence
 
-from .errors import AlertFpError, EmptyDatasetError, SchemaError, ValueParseError
-from .model import AlertDataset, AttributeSchema, FieldKind, SchemaField, _RowCoder
+from .errors import AlertFpError, EmptyDatasetError, SchemaError
+from .model import AlertDataset, AttributeSchema, FieldKind, SchemaField, _BlockCoder
 from .textio import Source, Target, atomic_write, open_text
 
 #: A log line starting with this is a comment, as in schema and attack-id files.
@@ -51,6 +54,11 @@ class ParseResult:
     rejects: tuple[RejectedLine, ...]
 
 
+#: Characters parse_log asks readlines() for at a time: it holds one block
+#: of lines, and codes it column by column.
+_BLOCK = 1 << 16
+
+
 def parse_log(source: Source, schema: AttributeSchema, delimiter: str = "\t") -> ParseResult:
     """Parse a delimited log into an AlertDataset.
 
@@ -62,38 +70,76 @@ def parse_log(source: Source, schema: AttributeSchema, delimiter: str = "\t") ->
     empty, and its empty fields canonicalize to null like any other;
     only a line of whitespace alone is skipped as blank. A bad value's
     reject reason names its column.
+
+    The log is read a block of lines at a time. A few whole-block passes
+    find the lines that may not be records; only those go through the
+    rules one at a time, in the order blank, comment, not UTF-8, field
+    count. The block's records are then split into one list of fields and
+    coded one column at a time, so a line's fate never depends on where
+    a block ends.
     """
     check_delimiter(delimiter)
     if not schema.itemizable_indexes():
         raise SchemaError("schema has no itemizable fields; nothing to mine")
-    coder = _RowCoder(schema)
-    field_count = schema.field_count
+    coder = _BlockCoder(schema)
     rejects: list[RejectedLine] = []
-    with open_text(source, error=None) as lines:
-        for line_number, raw_line in enumerate(lines, start=1):
-            line = raw_line.rstrip("\r\n")
-            if not line.strip() and delimiter not in line:  # blank; _framed_line refuses these
-                continue
-            if line.startswith(COMMENT_PREFIX):
-                continue
-            if not line.isascii() and (reason := _undecodable(line)):
-                rejects.append(RejectedLine(line_number, reason))
-                continue
-            fields = line.split(delimiter)
-            if len(fields) != field_count:
-                rejects.append(
-                    RejectedLine(line_number, f"expected {field_count} fields, got {len(fields)}")
-                )
-                continue
-            try:
-                coder.row(fields)
-            except ValueParseError as exc:
-                rejects.append(RejectedLine(line_number, str(exc)))
+    first = 1  # line number of the block's first line
+    with open_text(source, error=None) as stream:
+        while lines := stream.readlines(_BLOCK):
+            lines = list(map(str.rstrip, lines, repeat("\r\n")))
+            fields, offsets, fates = _split_block(lines, delimiter, schema.field_count)
+            fates += ((offsets[row], str(error)) for row, error in coder.commit(fields))
+            rejects += (RejectedLine(first + k, reason) for k, reason in sorted(fates))
+            first += len(lines)
     if not coder.rows:
         raise EmptyDatasetError(
             f"no valid alert records in input ({len(rejects)} rejected)"
         )
     return ParseResult(coder.dataset(), tuple(rejects))
+
+
+def _split_block(
+    lines: list[str], delimiter: str, field_count: int
+) -> tuple[list[str], Sequence[int], list[tuple[int, str]]]:
+    """A block of lines, line ends stripped, as the fields of its records
+    row after row, each record's offset in the block, and (offset, reason)
+    for each line it rejects. A line is a record unless a whole-block pass
+    flags it: a delimiter count that is not field_count - 1, the comment
+    prefix, a block that is not UTF-8 and a line that is not ASCII, or a
+    one-field line of whitespace alone. Only flagged lines go through the
+    rules one at a time."""
+    gaps = field_count - 1
+    joined = delimiter.join(lines)
+    offsets = range(len(lines))
+    counts = list(map(str.count, lines, repeat(delimiter)))
+    comments = list(map(str.startswith, lines, repeat(COMMENT_PREFIX)))
+    flagged: set[int] = set()
+    if counts.count(gaps) != len(lines):
+        flagged.update(compress(offsets, map(gaps.__ne__, counts)))
+    if True in comments:
+        flagged.update(compress(offsets, comments))
+    if not joined.isascii() and _undecodable(joined):
+        flagged.update(compress(offsets, map(not_, map(str.isascii, lines))))
+    if not gaps:
+        flagged.update(compress(offsets, map(not_, map(str.strip, lines))))
+    if not flagged:
+        return joined.split(delimiter), offsets, []
+    keep = [True] * len(lines)
+    fates = []
+    for k in sorted(flagged):
+        line = lines[k]
+        if (not line.strip() and delimiter not in line) or line.startswith(COMMENT_PREFIX):
+            keep[k] = False  # blank, which _framed_line refuses to write, or a comment
+            continue
+        reason = None if line.isascii() else _undecodable(line)
+        if reason is None and line.count(delimiter) != gaps:
+            reason = f"expected {field_count} fields, got {line.count(delimiter) + 1}"
+        if reason is not None:
+            keep[k] = False
+            fates.append((k, reason))
+    records = list(compress(lines, keep))
+    fields = delimiter.join(records).split(delimiter) if records else []
+    return fields, list(compress(offsets, keep)), fates
 
 
 def _undecodable(line: str) -> str | None:

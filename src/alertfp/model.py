@@ -7,10 +7,11 @@ ignored columns contribute nothing; a timestamp column contributes two
 items, the calendar-day part and the minute-resolution time part, which
 lets the two halves recur independently across alerts.
 
-One column coder turns log values into canonical values, the
-plain-string keys of their items and int codes, once per distinct raw
-value of a column. parse_log drives it as it reads; a dataset built from
-Alerts drives it on its first `AlertDataset.columns()` call. The dataset
+One coder turns log values into canonical values, the plain-string keys
+of their items and int codes, once per distinct raw value of a column. It
+codes a block of rows at a time, one column at a time: parse_log hands it
+each block of lines it reads, and a dataset built from Alerts hands it
+all of them on its first `AlertDataset.columns()` call. The dataset
 parse_log returns is what the coder keeps: the codes, each code's
 canonical value, and the raw strings of the identifier and ignore
 columns. It builds no Alert; its `alerts` are built in one pass on first
@@ -26,9 +27,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import count
-from operator import getitem, itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, compress, count
+from operator import attrgetter
+from typing import Iterable, NamedTuple
 
 from .errors import SchemaError, ValueParseError
 
@@ -239,12 +240,13 @@ class ColumnCodes(NamedTuple):
     """One itemizable column of a dataset with its values coded.
 
     `codes[tid]` numbers alert tid's raw value among the column's distinct
-    raw values, in order of first appearance (a value seen only on rejected
-    log lines may hold a code no alert has). The value with code c reads
-    `values[c]` in canonical form and itemizes to Item(field_index, keys[c])
-    and, for a timestamp, also to Item(field_index, times[c]) unless that
-    is None (a null). `times` is None for other kinds, whose `values` are
-    their `keys`. The keys are plain strings: an Item is a tuple subclass,
+    raw values, in order of first appearance. A value seen only on rejected
+    log lines may hold a code no alert has: a block of lines is coded in
+    every column before any line of it is rejected for a bad value. The
+    value with code c reads `values[c]` in canonical form and itemizes to
+    Item(field_index, keys[c]) and, for a timestamp, also to
+    Item(field_index, times[c]) unless that is None (a null). `times` is
+    None for other kinds, whose `values` are their `keys`. The keys are plain strings: an Item is a tuple subclass,
     which the cyclic collector tracks for good, so Items are made only
     where needed.
     """
@@ -257,85 +259,93 @@ class ColumnCodes(NamedTuple):
 
 
 class _ColumnCoder(dict):
-    """An itemizable column's raw value -> code. A new raw value runs the
-    per-value step once and takes the next code c, whose canonical value is
-    values[c] and item values keys[c] and times[c]. A bad value raises
-    ValueParseError naming the field and is not stored, so each row holding
-    it raises."""
+    """An itemizable column's raw value -> code, and the codes committed so
+    far. A new raw value runs the per-value step once and takes the next
+    code c, whose canonical value is values[c] and item values keys[c] and
+    times[c]. A bad value codes to None, and its ValueParseError, naming
+    the field, goes to errors[raw]: each later row holding it fails on a
+    dict hit."""
 
     def __init__(self, index: int, f: SchemaField) -> None:
         super().__init__()
         self.index, self.field = index, f
         self.values, self.keys, self.times = [], [], []
+        self.errors: dict[str, ValueParseError] = {}
+        self.codes: list[int] = []
 
-    def __missing__(self, raw: str) -> int:
+    def __missing__(self, raw: str) -> int | None:
         try:
             value, key, time = _value_step(raw, self.field.kind)
         except ValueParseError as exc:
-            raise ValueParseError(str(exc), field=self.field.name) from None
+            self.errors[raw] = ValueParseError(exc.reason, field=self.field.name)
+            self[raw] = None
+            return None
+        code = self[raw] = len(self.values)
         self.values.append(value)
         self.keys.append(key)
         self.times.append(time)
-        code = self[raw] = len(self)
         return code
 
-    def column(self, codes: tuple[int, ...]) -> ColumnCodes:
+    def column(self) -> ColumnCodes:
+        """The column as committed. It takes the codes out, freeing their
+        list as their tuple is made, so it is called once, after the last
+        commit."""
+        codes, self.codes = tuple(self.codes), []
         keys = tuple(self.keys)
         if self.field.kind is not _TIMESTAMP:
             return ColumnCodes(self.index, codes, keys, None, keys)
         return ColumnCodes(self.index, codes, keys, tuple(self.times), tuple(self.values))
 
 
-def _picker(indexes: tuple[int, ...]):
-    """fields -> the fields at indexes, as a sequence also for one index or
-    none: itemgetter of a single index returns the bare field."""
-    if len(indexes) > 1:
-        return itemgetter(*indexes)
-    return itemgetter(slice(indexes[0], indexes[0] + 1) if indexes else slice(0))
-
-
-class _RowCoder:
-    """Codes a dataset row by row, the one place where log values become
-    canonical values, item keys and int codes. It keeps the itemizable
-    columns' codes and, for parse_log, the other columns' raw strings, each
-    row after row in one flat list. parse_log drives it line by line; a dataset built
-    from Alerts drives it on its first columns()."""
+class _BlockCoder:
+    """Codes a dataset a block of rows at a time, one column at a time: the
+    one place where log values become canonical values, item keys and int
+    codes. Each itemizable column keeps its codes in its _ColumnCoder, and
+    each other column its raw strings in `raws`. parse_log commits one
+    block of lines at a time; a dataset built from Alerts commits all its
+    alerts on its first columns()."""
 
     def __init__(self, schema: AttributeSchema) -> None:
         self.schema = schema
         itemizable = schema.itemizable_indexes()
-        self.others = tuple(i for i in range(schema.field_count) if i not in itemizable)
         self.coders = [_ColumnCoder(i, schema.fields[i]) for i in itemizable]
-        self.pick, self.pick_others = _picker(itemizable), _picker(self.others)
-        self.codes: list[int] = []
-        self.raws: list[str] = []
+        self.raws: dict[int, list[str]] = {
+            i: [] for i in range(schema.field_count) if i not in itemizable
+        }
+        self.rows = 0
 
-    def row_codes(self, fields: Sequence[str]) -> None:
-        """Commit the codes of a row of schema width; a bad value raises
-        and commits nothing."""
-        self.codes += tuple(map(getitem, self.coders, self.pick(fields)))
+    def commit(self, fields: list[str]) -> list[tuple[int, ValueParseError]]:
+        """Code a block of rows given as their fields, row after row, every
+        row of schema width. Commit the rows whose values all code, and
+        return (row, error) for each other row, in row order, with the
+        error of its first bad value in schema order."""
+        width = self.schema.field_count
+        columns = [
+            list(map(coder.__getitem__, fields[coder.index :: width])) for coder in self.coders
+        ]
+        bad: dict[int, ValueParseError] = {}
+        for coder, codes in zip(self.coders, columns):
+            if None in codes:
+                for row, code in enumerate(codes):
+                    if code is None:
+                        bad.setdefault(row, coder.errors[fields[row * width + coder.index]])
+        rows = len(fields) // width
+        keep = [row not in bad for row in range(rows)] if bad else None
+        for coder, codes in zip(self.coders, columns):
+            coder.codes += compress(codes, keep) if bad else codes
+        for index, raws in self.raws.items():
+            column = fields[index::width]
+            raws += compress(column, keep) if bad else column
+        self.rows += rows - len(bad)
+        return sorted(bad.items())
 
-    def row(self, fields: Sequence[str]) -> None:
-        """Commit a row's codes, then its other columns' raw strings, as
-        parse_log keeps them; a bad value raises and commits neither."""
-        self.row_codes(fields)
-        self.raws += self.pick_others(fields)
-
-    @property
-    def rows(self) -> int:
-        return len(self.codes) // len(self.coders)
-
-    def column_codes(self) -> tuple[ColumnCodes, ...]:
-        width = len(self.coders)
-        return tuple(
-            coder.column(tuple(self.codes[k::width])) for k, coder in enumerate(self.coders)
-        )
+    def columns(self) -> tuple[ColumnCodes, ...]:
+        return tuple(coder.column() for coder in self.coders)
 
     def dataset(self) -> AlertDataset:
         """The dataset of the committed rows, as parse_log returns it."""
-        width = len(self.others)
-        raws = {index: tuple(self.raws[k::width]) for k, index in enumerate(self.others)}
-        return _ParsedDataset(self.schema, self.rows, self.column_codes(), raws)
+        raws = {index: tuple(raws) for index, raws in self.raws.items()}
+        return _ParsedDataset(self.schema, self.rows, self.columns(), raws)
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,8 +383,10 @@ class AlertDataset:
 
     def columns(self) -> tuple[ColumnCodes, ...]:
         """Every itemizable column in code form, in schema order. A dataset
-        not parsed codes alert by alert on the first call, so it fails as
-        itemize at the lowest failing tid. Cached unless the build fails."""
+        not parsed codes all its alerts on the first call, and fails as
+        itemize does at the lowest failing tid: a value error below the
+        first alert of the wrong width is raised, else that width error.
+        Cached unless the build fails."""
         return self._columns
 
     def transactions(self) -> tuple[Transaction, ...]:
@@ -384,14 +396,17 @@ class AlertDataset:
 
     @cached_property
     def _columns(self) -> tuple[ColumnCodes, ...]:
-        coder = _RowCoder(self.schema)
-        for alert in self.alerts:
-            _check_width(alert, self.schema)
-            try:
-                coder.row_codes(alert.values)
-            except ValueParseError as exc:
-                raise ValueParseError(exc.reason, field=exc.field, tid=alert.tid) from None
-        return coder.column_codes()
+        width = self.schema.field_count
+        misfit = next((a for a in self.alerts if len(a.values) != width), None)
+        rows = self.alerts if misfit is None else self.alerts[: misfit.tid]
+        coder = _BlockCoder(self.schema)
+        failed = coder.commit(list(chain.from_iterable(map(attrgetter("values"), rows))))
+        if failed:
+            tid, error = failed[0]
+            raise ValueParseError(error.reason, field=error.field, tid=tid)
+        if misfit is not None:
+            _check_width(misfit, self.schema)
+        return coder.columns()
 
     @cached_property
     def _transactions(self) -> tuple[Transaction, ...]:

@@ -553,7 +553,7 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert errors == ["alertfp: error: eval takes --input and --schema together, or neither"]
+        assert errors == ["alertfp eval: error: eval takes --input and --schema together, or neither"]
 
     def test_delimiter_without_input_is_a_usage_error(
         self, sample_log_path, snort_schema_path, tmp_path, capsys
@@ -569,7 +569,7 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert errors == ["alertfp: error: eval takes --delimiter only with --input"]
+        assert errors == ["alertfp eval: error: eval takes --delimiter only with --input"]
 
     def test_input_rejects_are_reported(self, sample_log_path, snort_schema_path, tmp_path, capsys):
         ranked = tmp_path / "ranked.tsv"
@@ -606,7 +606,7 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert errors == ["alertfp: error: eval takes --rejects-out only with --input"]
+        assert errors == ["alertfp eval: error: eval takes --rejects-out only with --input"]
         assert not rejects.exists()
 
     def test_rejects_out_that_is_an_input_is_refused(
@@ -997,7 +997,7 @@ class TestSameFileRefused:
         capsys.readouterr()
         assert main(argv) == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert errors == [f"alertfp: error: {command} takes --candidates-out only with --top-p"]
+        assert errors == [f"alertfp {command}: error: {command} takes --candidates-out only with --top-p"]
         assert self.snapshot(files["d"]) == before
 
 
@@ -1040,6 +1040,59 @@ def test_a_call_builds_only_the_dispatched_command():
     options = {name: len(command._actions) for name, command in commands.items()}
     assert options == {"mine": 1, "rank": 1, "score": 1, "eval": 1, "sweep": 1, "gen": 8}
     assert options["gen"] == len(_whole_parser()._subparsers._group_actions[0].choices["gen"]._actions)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["sweep", "--input", "i", "--schema", "s", "--minisupport", "2",
+             "--attacks", "{d}/a.txt", "--out", "{d}/a.txt"],
+            "--out '{d}/a.txt' is the same file as --attacks '{d}/a.txt'",
+        ),
+        (
+            ["rank", "--input", "i", "--schema", "s", "--out", "{d}/r.tsv",
+             "--candidates-out", "{d}/c.txt"],
+            "rank takes --candidates-out only with --top-p",
+        ),
+        (
+            ["score", "--input", "i", "--schema", "s", "--model", "m", "--out", "{d}/r.tsv",
+             "--candidates-out", "{d}/c.txt"],
+            "score takes --candidates-out only with --top-p",
+        ),
+        (
+            ["eval", "--ranked", "r", "--attacks", "a", "--schema", "s"],
+            "eval takes --input and --schema together, or neither",
+        ),
+        (
+            ["eval", "--ranked", "r", "--attacks", "a", "--delimiter", ","],
+            "eval takes --delimiter only with --input",
+        ),
+        (
+            ["eval", "--ranked", "r", "--attacks", "a", "--rejects-out", "{d}/j.txt"],
+            "eval takes --rejects-out only with --input",
+        ),
+        (
+            ["gen", "--records", "10", "--seed", "1", "--out", "{d}/g.tsv",
+             "--attacks-out", "{d}/a.txt", "--attacks", "20"],
+            "argument --attacks: need 0 < n_attack < n_records (got 20)",
+        ),
+    ],
+    ids=["same-file", "rank-candidates", "score-candidates", "eval-pairing", "eval-delimiter",
+         "eval-rejects-out", "gen-attacks"],
+)
+def test_usage_error_after_parsing_prints_the_commands_usage(
+    argv, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [arg.format(d=tmp_path) for arg in argv]
+    command = argv[0]
+    usage = _whole_parser()._subparsers._group_actions[0].choices[command].format_usage()
+    assert usage.startswith(f"usage: alertfp {command} [-h] ")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == usage + f"alertfp {command}: error: {message.format(d=tmp_path)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 MINE_USAGE = """\

@@ -1,6 +1,11 @@
+import gc
 import io
+import random
+import re
 import tempfile
+import tracemalloc
 from dataclasses import FrozenInstanceError
+from itertools import accumulate, count, cycle
 from pathlib import Path
 
 import pytest
@@ -8,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alertfp.errors import AlertFpError, EmptyDatasetError, SchemaError, ValueParseError
+from alertfp.evaluate import SyntheticSpec, gen_synthetic
 from alertfp.ingest import (
+    _BLOCK,
     check_delimiter,
     load_schema,
     parse_log,
@@ -306,7 +313,7 @@ log_lines = st.tuples(
 
 
 class TestTwoRoutes:
-    """A parsed dataset arrives with its columns coded line by line; coding
+    """A parsed dataset arrives with its columns coded block by block; coding
     its alerts afresh, itemizing them one by one and the oracle must all
     agree with it, and no value seen only on a rejected line may count."""
 
@@ -627,3 +634,237 @@ class TestSchemaConfig:
     def test_empty_config_rejected(self):
         with pytest.raises(SchemaError):
             load_schema(io.StringIO("# nothing\n"))
+
+
+# --- parse_log against a per-line reference, over several blocks ----------
+
+ODD_SCHEMAS = {
+    "five-fields": AttributeSchema(
+        (
+            SchemaField("sig", FieldKind.CATEGORICAL),
+            SchemaField("cid", FieldKind.IDENTIFIER),
+            SchemaField("port", FieldKind.NUMERIC),
+            SchemaField("ts", FieldKind.TIMESTAMP),
+            SchemaField("note", FieldKind.IGNORE),
+        )
+    ),
+    "one-field": AttributeSchema((SchemaField("port", FieldKind.NUMERIC),)),
+}
+ODD_POOLS = {
+    FieldKind.CATEGORICAL: ["web", " web ", "ssh", "null", "", "WEB-MISC/doc/access"],
+    FieldKind.NUMERIC: ["80", "080", " 8,0 ", "443", "null", "-0"],
+    FieldKind.TIMESTAMP: [
+        "6/11/2010 8:57 AM", " 6/11/2010  8:57 am ", "6/11/2010 8:57:31 AM", "7/1/2010 9:02PM",
+        "null", "",
+    ],
+    FieldKind.IDENTIFIER: ["1", " 2 ", "", "null"],
+    FieldKind.IGNORE: ["x", " y ", ""],
+}
+ODD_KINDS = [
+    "blank", "spaces", "spaces-and-delimiter", "comment", "comment-with-delimiters", "crlf",
+    "lone-cr", "not-utf8", "non-ascii", "too-many", "too-few", "late-bad-value", "bad-value",
+    "two-bad-values",
+]
+
+
+def odd_log(seed: int, schema: AttributeSchema, delimiter: str) -> tuple[bytes, list]:
+    """A log of several parse blocks (as bytes) and, per line, its odd kind
+    or None. Around every block boundary it places a run of odd lines, so
+    odd lines end one block and start the next; the kinds take turns."""
+    rng = random.Random(seed)
+    turns = cycle(rng.sample(ODD_KINDS, len(ODD_KINDS)))
+    kinds = [f.kind for f in schema.fields]
+    words = kinds[0] is not FieldKind.NUMERIC
+    serial = count()
+
+    def record(put=()):
+        values = [rng.choice(ODD_POOLS[kind]) for kind in kinds]
+        if words:
+            values[0] = rng.choice([values[0], f"sig{rng.randrange(400)}"])
+        for index, value in put:
+            values[index] = value
+        return delimiter.join(values)
+
+    def odd(kind):
+        if kind == "blank":
+            return "", "\n"
+        if kind == "spaces":
+            return " " * rng.randint(1, 3), "\n"
+        if kind == "spaces-and-delimiter":
+            return f" {delimiter} ", "\n"
+        if kind == "comment":
+            return "# note", rng.choice(["\n", "\r\n"])
+        if kind == "comment-with-delimiters":
+            return "#" + record(), "\n"
+        if kind == "crlf":
+            return record(), "\r\n"
+        if kind == "lone-cr":
+            return record(), "\r"
+        if kind == "not-utf8":  # each byte that is not UTF-8 reads as a lone surrogate
+            return record([(0, "w" + rng.choice(["\udcff", "\udcc3", "\udce2\udc82"]))]), "\n"
+        if kind == "non-ascii":
+            return record([(0, "café" if words else "٨٠")]), "\n"
+        if kind == "too-many":
+            return record() + delimiter + "extra", "\n"
+        if kind == "too-few":  # a one-field line is blank or holds too many
+            return delimiter.join(["web"] * (len(kinds) - 1)) or "web" + delimiter, "\n"
+        # a bad value in a later column of a line whose first value occurs
+        # nowhere else, a bad value in every column that can hold one, or a
+        # bad value seen on many lines
+        bad = {FieldKind.NUMERIC: "eighty", FieldKind.TIMESTAMP: "yesterday"}
+        late = [i for i, k in enumerate(kinds) if k in bad][-1]
+        if kind == "late-bad-value" and late > 0:
+            return record([(0, f"only{next(serial)}"), (late, bad[kinds[late]])]), "\n"
+        if kind == "two-bad-values":
+            return record([(i, bad[k]) for i, k in enumerate(kinds) if k in bad]), "\n"
+        return record([(late, rng.choice(["8x", bad[kinds[late]]]))]), "\n"
+
+    lines: list[str] = []
+    odd_kinds: list[str | None] = []
+
+    def add(near):
+        kind = next(turns) if near else None
+        text, end = odd(kind) if near else (record(), "\n")
+        if lines and lines[-1].endswith("\r") and not text:
+            text = " "  # "\r" then "\n" would read as one "\r\n" line end
+        lines.append(text + end)
+        odd_kinds.append(kind)
+        return len(lines[-1])
+
+    length = 0  # characters of the current block so far, as readlines counts them
+    for _ in range(3):
+        while True:
+            size = add(near=_BLOCK - length < 300)
+            if size > _BLOCK - length:  # readlines(_BLOCK) ends a block with this line
+                break
+            length += size
+        length = sum(add(near=True) for _ in range(rng.randint(1, 6)))
+    for _ in range(rng.randint(1, 40)):
+        add(near=False)
+    if seed % 2:  # the last line without a line end
+        lines[-1] = lines[-1].rstrip("\n")
+    return "".join(lines).encode("utf-8", "surrogateescape"), odd_kinds
+
+
+def reference_parse(data: bytes, schema: AttributeSchema, delimiter: str):
+    """The log rules of parse_log's docstring and the README, one line at a
+    time: (rejects as (line number, reason), each record's values, each
+    record's items)."""
+    text = data.decode("utf-8", "surrogateescape")
+    lines = re.split("\r\n|\r|\n", text)
+    if lines[-1] == "":
+        lines.pop()
+    rejects, records, items = [], [], []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip() and delimiter not in line:
+            continue  # blank
+        if line.startswith("#"):
+            continue  # comment
+        surrogates = [char for char in line if "\ud800" <= char <= "\udfff"]
+        if surrogates:
+            rejects.append((number, f"not valid UTF-8 (byte 0x{ord(surrogates[0]) - 0xDC00:02x})"))
+            continue
+        fields = line.split(delimiter)
+        if len(fields) != schema.field_count:
+            rejects.append((number, f"expected {schema.field_count} fields, got {len(fields)}"))
+            continue
+        values, record_items = [], set()
+        for index, (raw, f) in enumerate(zip(fields, schema.fields)):
+            if f.kind not in ITEMIZABLE_KINDS:
+                values.append(raw.strip())
+                continue
+            try:
+                value = canonicalize_value(raw, f.kind)
+                parts = (value,)
+                if f.kind is FieldKind.TIMESTAMP and value != NULL_VALUE:
+                    parts = split_timestamp(value)
+            except ValueParseError as exc:
+                rejects.append((number, f"{exc} (field {f.name!r})"))
+                break
+            values.append(value)
+            record_items.update((index, part) for part in parts)
+        else:
+            records.append(tuple(values))
+            items.append(frozenset(record_items))
+    return rejects, records, items
+
+
+def items_from_codes(dataset):
+    """Each alert's items as its column codes spell them."""
+    items = [set() for _ in range(dataset.n)]
+    for column in dataset.columns():
+        for tid, code in enumerate(column.codes):
+            items[tid].add((column.field_index, column.keys[code]))
+            if column.times is not None and column.times[code] is not None:
+                items[tid].add((column.field_index, column.times[code]))
+    return [frozenset(i) for i in items]
+
+
+class TestBlocksAgainstAPerLineReference:
+    """parse_log reads a block of lines at a time and codes it column by
+    column; a line's fate must not depend on its block."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "shape, delimiter",
+        [("five-fields", "\t"), ("five-fields", "§"), ("one-field", ",")],
+        ids=["five-tab", "five-non-ascii-delimiter", "one-comma"],
+    )
+    def test_parse_log_equals_the_reference(self, shape, delimiter, seed):
+        schema = ODD_SCHEMAS[shape]
+        data, odd_kinds = odd_log(seed, schema, delimiter)
+        blocks = io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape", newline="")
+        sizes = list(iter(lambda: len(blocks.readlines(_BLOCK)), 0))
+        assert len(sizes) >= 4 and len(odd_kinds) == sum(sizes)
+        ends = list(accumulate(sizes))[:-1]
+        assert all(odd_kinds[end - 1] and odd_kinds[end] for end in ends)  # odd on both sides
+        assert set(odd_kinds) == {None, *ODD_KINDS}
+
+        result = parse_log(io.BytesIO(data), schema, delimiter)
+        rejects, records, items = reference_parse(data, schema, delimiter)
+        assert [(r.line_number, r.reason) for r in result.rejects] == rejects
+        assert [a.values for a in result.dataset.alerts] == records
+        assert [itemize(a, schema).items for a in result.dataset.alerts] == items
+        assert items_from_codes(result.dataset) == items
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        (
+            [("web", "80"), ("ssh", "eighty"), ("web",), ("dns", "8x")],
+            ValueParseError,
+            "not a numeric value: 'eighty' (field 'port', tid 1)",
+        ),
+        (
+            [("web", "80"), ("ssh", "22", "x"), ("web", "eighty")],
+            SchemaError,
+            "alert tid 1 has 3 values, schema defines 2 fields",
+        ),
+    ],
+    ids=["value-first", "width-first"],
+)
+def test_alert_built_dataset_fails_at_its_lowest_failing_tid(rows, error, message):
+    dataset = AlertDataset(two_col_schema(), tuple(map(Alert, count(), rows)))
+    with pytest.raises(error) as info:
+        dataset.columns()
+    assert str(info.value) == message
+    assert "_columns" not in dataset.__dict__
+
+
+def test_parse_log_holds_one_block_of_fields_at_a_time(tmp_path):
+    """parse_log keeps what the dataset needs and one block of the log; a
+    parse that read the whole file or split all its fields at once would
+    hold several times more."""
+    dataset, _ = gen_synthetic(SyntheticSpec(30_000, 5, 7, 3))
+    path = tmp_path / "log.tsv"
+    write_log(path, dataset)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parsed = parse_log(path, dataset.schema).dataset
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.n == 30_000
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
