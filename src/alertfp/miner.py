@@ -15,10 +15,11 @@ The first level counts items before it builds any tidlist: an
 AlertDataset is counted from its per-column value codes, without building
 a transaction per alert, and only the items that reach the threshold get
 a bitset. A dense item's bitset is read off a byte vector of its column's
-codes as a base-2 int, in C-level passes; the rarer items of a column
-share one pass that lists their transaction ids for `bits_of`, which also
-packs a Transaction list's items. From there the
-classic join of two k-itemsets sharing a (k-1)-prefix produces each
+codes as a base-2 int, in C-level passes; a column whose codes are bytes
+becomes that vector in C too, and, with few codes, is counted in C. The
+rarer items of a column share one pass that lists their transaction ids
+for `bits_of`, which also packs a Transaction list's items. From there
+the classic join of two k-itemsets sharing a (k-1)-prefix produces each
 (k+1)-candidate, whose bitset is the intersection of its two generators',
 so no further dataset scans are needed.
 
@@ -71,6 +72,9 @@ DEFAULT_PATTERN_CAP = 5_000_000
 BRUTE_FORCE_MAX_WIDTH = 20
 #: a frequent key held by at least 1/_SPARSE of the alerts is dense
 _SPARSE = 64
+#: a column of bytes with at most this many codes is counted one code at a
+#: time with bytes.count; past about 40 codes Counter is the faster count
+_COUNTED = 32
 #: slot -> the byte table that reads b"1" at that slot and b"0" elsewhere
 _DIGITS = tuple(b"0" * slot + b"1" + b"0" * (255 - slot) for slot in range(_SPARSE + 1))
 
@@ -283,6 +287,8 @@ def _candidates_from_codes(
 ) -> list[tuple[Item, int]]:
     """build_candidates_1 over coded columns. A key's count sums the counts
     of the codes that yield it, and only the frequent keys become Items.
+    A column of bytes with at most _COUNTED codes is counted with one
+    C-level bytes.count pass per code, any other with one Counter pass.
     A key held by at least 1/_SPARSE of the alerts is dense: its bitset is
     read off a byte vector in C-level passes, so each dense key costs C
     passes over every alert. The rarer frequent keys of a column share one
@@ -290,8 +296,12 @@ def _candidates_from_codes(
     the same however many rare keys the column has."""
     out = []
     for column in columns:
-        code_counts = Counter(column.codes)
-        n = len(column.codes)
+        codes = column.codes
+        n = len(codes)
+        if type(codes) is bytes and len(column.values) <= _COUNTED:
+            code_counts = dict(enumerate(map(codes.count, range(len(column.values)))))
+        else:
+            code_counts = Counter(codes)
         for keys in (column.keys, column.times):
             if keys is None:
                 continue
@@ -316,13 +326,17 @@ def _dense_bits(
 ) -> list[tuple[Item, int]]:
     """Each dense key with its bitset. Every code maps to its key's byte
     slot, 1 up, or to 0, and the codes, last tid first, become one byte
-    vector. A key's bitset is the vector translated to b"1" at its slot
-    and b"0" elsewhere, read as a base-2 int. Each dense key holds
-    1/_SPARSE of the alerts and an alert holds one key of `keys`, so there
-    are at most _SPARSE slots."""
+    vector: a column of bytes is reversed and translated in C, a column of
+    ints maps each code in Python. A key's bitset is the vector translated
+    to b"1" at its slot and b"0" elsewhere, read as a base-2 int. Each
+    dense key holds 1/_SPARSE of the alerts and an alert holds one key of
+    `keys`, so there are at most _SPARSE slots."""
     slot_of = {key: slot for slot, key in enumerate(dense, 1)}
     slots = list(map(slot_of.get, keys, repeat(0)))
-    vector = bytes(map(slots.__getitem__, reversed(column.codes)))
+    if type(column.codes) is bytes:
+        vector = column.codes[::-1].translate(bytes(slots).ljust(256, b"\0"))
+    else:
+        vector = bytes(map(slots.__getitem__, reversed(column.codes)))
     return [
         (Item(column.field_index, key), int(vector.translate(_DIGITS[slot]), 2))
         for slot, key in enumerate(dense, 1)

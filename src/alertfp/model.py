@@ -12,8 +12,9 @@ of their items and int codes, once per distinct raw value of a column. It
 codes a block of rows at a time, one column at a time: parse_log hands it
 each block of lines it reads, and a dataset built from Alerts hands it
 all of them on its first `AlertDataset.columns()` call. The dataset
-parse_log returns is what the coder keeps: the codes, each code's
-canonical value, and the raw strings of the identifier and ignore
+parse_log returns is what the coder keeps: the codes, one byte per alert
+in a column of at most 256 distinct raw values and else an int, each
+code's canonical value, and the raw strings of the identifier and ignore
 columns. It builds no Alert; its `alerts` are built in one pass on first
 read. The miner counts the codes and makes Items only for frequent keys,
 and the scorer keys each alert off the codes. The per-alert transactions
@@ -104,8 +105,13 @@ class AttributeSchema:
 
 
 _NUMERIC_RE = re.compile(r"[+-]?\d+")
+# month 1-12, day 1-31, hour 0-12, minute and second 00-59; a one-digit
+# month, day or hour may take a leading zero. Hour 0 is kept, as it always
+# was: some clocks write the hour after midnight as 0:MM AM.
 _TIMESTAMP_RE = re.compile(
-    r"(\d{1,2}/\d{1,2}/\d{4})\s+(\d{1,2}):(\d{2})(?::\d{2})?\s*([AaPp][Mm])", re.ASCII
+    r"((?:0?[1-9]|1[0-2])/(?:0?[1-9]|[12]\d|3[01])/\d{4})\s+(0?\d|1[0-2]):([0-5]\d)"
+    r"(?::[0-5]\d)?\s*([AaPp][Mm])",
+    re.ASCII,
 )
 
 
@@ -142,7 +148,10 @@ def split_timestamp(raw: str) -> tuple[str, str]:
     """Split "M/D/YYYY H:MM AM" into its date and time parts.
 
     The time part is minute-resolution with the meridiem attached and no
-    internal space ("8:57AM"); seconds, if present, are dropped.
+    internal space ("8:57AM"); seconds, if present, are dropped. A month
+    outside 1-12, a day outside 1-31, an hour outside 0-12, or a minute
+    or second outside 00-59 is not a timestamp: "6/22/2010 99:99 PM" and
+    "0/0/2010 8:57 AM" raise as "yesterday" does.
     """
     match = _TIMESTAMP_RE.fullmatch(raw.strip())
     if match is None:
@@ -240,19 +249,21 @@ class ColumnCodes(NamedTuple):
     """One itemizable column of a dataset with its values coded.
 
     `codes[tid]` numbers alert tid's raw value among the column's distinct
-    raw values, in order of first appearance. A value seen only on rejected
-    log lines may hold a code no alert has: a block of lines is coded in
-    every column before any line of it is rejected for a bad value. The
-    value with code c reads `values[c]` in canonical form and itemizes to
-    Item(field_index, keys[c]) and, for a timestamp, also to
+    raw values, in order of first appearance. `codes` is bytes, one byte
+    per alert, for a column of at most 256 distinct raw values, and else a
+    tuple of ints; read either as a sequence of ints. A value seen only on
+    rejected log lines may hold a code no alert has: a block of lines is
+    coded in every column before any line of it is rejected for a bad
+    value. The value with code c reads `values[c]` in canonical form and
+    itemizes to Item(field_index, keys[c]) and, for a timestamp, also to
     Item(field_index, times[c]) unless that is None (a null). `times` is
-    None for other kinds, whose `values` are their `keys`. The keys are plain strings: an Item is a tuple subclass,
-    which the cyclic collector tracks for good, so Items are made only
-    where needed.
+    None for other kinds, whose `values` are their `keys`. The keys are
+    plain strings: an Item is a tuple subclass, which the cyclic collector
+    tracks for good, so Items are made only where needed.
     """
 
     field_index: int
-    codes: tuple[int, ...]
+    codes: bytes | tuple[int, ...]
     keys: tuple[str, ...]
     times: tuple[str | None, ...] | None
     values: tuple[str, ...]
@@ -264,14 +275,19 @@ class _ColumnCoder(dict):
     code c, whose canonical value is values[c] and item values keys[c] and
     times[c]. A bad value codes to None, and its ValueParseError, naming
     the field, goes to errors[raw]: each later row holding it fails on a
-    dict hit."""
+    dict hit.
+
+    The committed codes are a bytearray, one byte per row, while the
+    column has at most 256 distinct raw values. The commit of the first
+    block that brings code 256 turns them into a list of ints, once: this
+    is the one place that decides a column's form."""
 
     def __init__(self, index: int, f: SchemaField) -> None:
         super().__init__()
         self.index, self.field = index, f
         self.values, self.keys, self.times = [], [], []
         self.errors: dict[str, ValueParseError] = {}
-        self.codes: list[int] = []
+        self.codes: bytearray | list[int] = bytearray()
 
     def __missing__(self, raw: str) -> int | None:
         try:
@@ -286,11 +302,30 @@ class _ColumnCoder(dict):
         self.times.append(time)
         return code
 
+    def code(self, raws: list[str]) -> bytes | list[int | None]:
+        """A block's codes, one per raw value: bytes while the column is
+        bytes and every code of the block fits a byte, else a list, with
+        None for each bad value."""
+        if type(self.codes) is bytearray:
+            try:
+                return bytes(map(self.__getitem__, raws))
+            except (TypeError, ValueError):  # a None, or a code past 255
+                pass  # the values coded so far hit the dict on the second pass
+        return list(map(self.__getitem__, raws))
+
+    def commit(self, codes: Iterable[int]) -> None:
+        """Append a block's committed codes, after switching the column to
+        ints if it has passed 256 distinct raw values."""
+        if len(self.values) > 256 and type(self.codes) is bytearray:
+            self.codes = list(self.codes)
+        self.codes.extend(codes)
+
     def column(self) -> ColumnCodes:
         """The column as committed. It takes the codes out, freeing their
-        list as their tuple is made, so it is called once, after the last
-        commit."""
-        codes, self.codes = tuple(self.codes), []
+        list or bytearray as their tuple or bytes is made, so it is called
+        once, after the last commit."""
+        codes, self.codes = self.codes, []
+        codes = bytes(codes) if type(codes) is bytearray else tuple(codes)
         keys = tuple(self.keys)
         if self.field.kind is not _TIMESTAMP:
             return ColumnCodes(self.index, codes, keys, None, keys)
@@ -300,10 +335,10 @@ class _ColumnCoder(dict):
 class _BlockCoder:
     """Codes a dataset a block of rows at a time, one column at a time: the
     one place where log values become canonical values, item keys and int
-    codes. Each itemizable column keeps its codes in its _ColumnCoder, and
-    each other column its raw strings in `raws`. parse_log commits one
-    block of lines at a time; a dataset built from Alerts commits all its
-    alerts on its first columns()."""
+    codes. Each itemizable column keeps its codes in its _ColumnCoder, as
+    bytes or ints, and each other column its raw strings in `raws`.
+    parse_log commits one block of lines at a time; a dataset built from
+    Alerts commits all its alerts on its first columns()."""
 
     def __init__(self, schema: AttributeSchema) -> None:
         self.schema = schema
@@ -318,21 +353,20 @@ class _BlockCoder:
         """Code a block of rows given as their fields, row after row, every
         row of schema width. Commit the rows whose values all code, and
         return (row, error) for each other row, in row order, with the
-        error of its first bad value in schema order."""
+        error of its first bad value in schema order. A column whose block
+        codes as bytes holds no bad value."""
         width = self.schema.field_count
-        columns = [
-            list(map(coder.__getitem__, fields[coder.index :: width])) for coder in self.coders
-        ]
+        columns = [coder.code(fields[coder.index :: width]) for coder in self.coders]
         bad: dict[int, ValueParseError] = {}
         for coder, codes in zip(self.coders, columns):
-            if None in codes:
+            if type(codes) is list and None in codes:
                 for row, code in enumerate(codes):
                     if code is None:
                         bad.setdefault(row, coder.errors[fields[row * width + coder.index]])
         rows = len(fields) // width
         keep = [row not in bad for row in range(rows)] if bad else None
         for coder, codes in zip(self.coders, columns):
-            coder.codes += compress(codes, keep) if bad else codes
+            coder.commit(compress(codes, keep) if bad else codes)
         for index, raws in self.raws.items():
             column = fields[index::width]
             raws += compress(column, keep) if bad else column

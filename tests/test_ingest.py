@@ -2,6 +2,7 @@ import gc
 import io
 import random
 import re
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import FrozenInstanceError
@@ -23,7 +24,7 @@ from alertfp.ingest import (
     write_rejects,
     write_schema,
 )
-from alertfp.miner import MiningConfig, brute_force_mine, mine
+from alertfp.miner import MiningConfig, brute_force_mine, build_candidates_1, mine
 from alertfp.model import (
     ITEMIZABLE_KINDS,
     NULL_VALUE,
@@ -828,6 +829,78 @@ class TestBlocksAgainstAPerLineReference:
         assert items_from_codes(result.dataset) == items
 
 
+def wide_log(case: str) -> bytes:
+    """A five-fields log in which port keeps to 256 distinct values, or
+    reaches its 257th (99999), once, where `case` says: on line 257,
+    inside the first block; on the first line of the second block; on a
+    line rejected for a bad timestamp; or never. sig keeps to 5 values
+    and ts to 3."""
+    stamps = ["6/11/2010 8:57 AM", "6/11/2010 9:02 PM", "null"]
+
+    def line(k, port, stamp=None):
+        return f"sig{k % 5}\t{k}\t{port}\t{stamp or stamps[k % 3]}\tnote\n"
+
+    lines = [line(k, 1000 + k % 256) for k in range(3000)]
+    stream = io.TextIOWrapper(io.BytesIO("".join(lines).encode()), "utf-8", newline="")
+    first = len(stream.readlines(_BLOCK))  # the lines of the first block parse_log reads
+    assert 300 < first < 2900  # so the first block holds all 256 ports
+    if case == "inside-a-block":
+        lines[256] = line(256, 99999)
+    elif case == "first-line-of-block-two":
+        lines[first] = line(first, 99999)
+    elif case == "on-a-rejected-line":
+        lines[300] = line(300, 99999, "yesterday")
+    return "".join(lines).encode()
+
+
+class TestByteAndIntColumns:
+    """A column keeps its codes as bytes while it has at most 256 distinct
+    raw values, and as ints from the block that brings the 257th; either
+    form codes, counts and mines as the per-line reference does."""
+
+    FORMS = {  # sig, port, ts
+        "inside-a-block": (bytes, tuple, bytes),
+        "first-line-of-block-two": (bytes, tuple, bytes),
+        "on-a-rejected-line": (bytes, tuple, bytes),
+        "never": (bytes, bytes, bytes),
+    }
+
+    @pytest.mark.parametrize("case", FORMS)
+    def test_either_form_equals_the_reference(self, case):
+        schema = ODD_SCHEMAS["five-fields"]
+        data = wide_log(case)
+        result = parse_log(io.BytesIO(data), schema)
+        rejects, records, items = reference_parse(data, schema, "\t")
+        assert [(r.line_number, r.reason) for r in result.rejects] == rejects
+        assert [a.values for a in result.dataset.alerts] == records
+        assert items_from_codes(result.dataset) == items
+        ds = result.dataset
+        columns = ds.columns()
+        assert tuple(type(c.codes) for c in columns) == self.FORMS[case]
+        port = columns[1]
+        assert len(port.values) == (256 if case == "never" else 257)
+        if case == "on-a-rejected-line":  # the 257th value's line is rejected
+            assert rejects == [(301, "not a recognized timestamp: 'yesterday' (field 'ts')")]
+            assert 256 not in port.codes
+        for column in columns:
+            if type(column.codes) is bytes:
+                assert sys.getsizeof(column.codes) <= ds.n + 64
+        for s in (1, 2, 40):
+            assert build_candidates_1(ds, s) == build_candidates_1(list(ds.transactions()), s)
+        config = MiningConfig(minisupport=2)
+        assert mine(ds, config) == brute_force_mine(ds, config)
+
+        # built from its Alerts, the dataset codes them as one block: port is
+        # bytes exactly when its alerts hold at most 256 distinct values
+        built = AlertDataset(schema, ds.alerts)
+        held = len({a.values[2] for a in ds.alerts})
+        assert tuple(type(c.codes) for c in built.columns()) == (
+            bytes, bytes if held <= 256 else tuple, bytes
+        )
+        for s in (1, 2, 40):
+            assert build_candidates_1(built, s) == build_candidates_1(ds, s)
+
+
 @pytest.mark.parametrize(
     "rows, error, message",
     [
@@ -868,3 +941,27 @@ def test_parse_log_holds_one_block_of_fields_at_a_time(tmp_path):
         tracemalloc.stop()
     assert parsed.n == 30_000
     assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_parse_log_keeps_a_byte_per_alert_in_a_column_of_at_most_256_values(tmp_path):
+    """A column of at most 256 distinct values keeps one byte per alert,
+    not an 8-byte pointer. On this log 8 of the 11 itemizable columns do,
+    and what the parse keeps held about 5.05 MiB on Python 3.10 and 3.11
+    (4.60 on 3.12), against about 6.66 (6.20) with every column of ints."""
+    dataset, _ = gen_synthetic(SyntheticSpec(30_000, 5, 7, 3))
+    path = tmp_path / "log.tsv"
+    write_log(path, dataset)
+    schema = dataset.schema
+    del dataset
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parsed = parse_log(path, schema).dataset
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    narrow = [column for column in parsed.columns() if len(column.values) <= 256]
+    assert len(narrow) == 8
+    assert all(sys.getsizeof(column.codes) <= parsed.n + 64 for column in narrow)
+    assert held < 5.6 * 2**20, f"held {held / 2**20:.2f} MiB"

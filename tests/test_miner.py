@@ -44,7 +44,7 @@ from alertfp.model import (
     SchemaField,
     Transaction,
 )
-from alertfp.scorer import ScoreConfig, rank, simple_fpof
+from alertfp.scorer import PatternScorer, ScoreConfig, rank, rank_with_scorer, simple_fpof
 from alertfp.store import ClassifierModel
 
 from conftest import baskets, itemset, random_baskets, random_schema_dataset
@@ -825,6 +825,28 @@ class TestCodedMining:
         port = ds.columns()[1]
         if ds.n >= 640:  # a column of more than 256 codes, some spelled alike
             assert 256 < len(port.keys) > len(set(port.keys))
+
+    def test_a_column_of_256_codes_all_frequent_keeps_bytes(self):
+        # 4 dense sig keys and 252 sparse ones, every one frequent at 3;
+        # a key's digit in a ranking key runs to 256, past a byte
+        ds = self.shaped_dataset([(40, 4), (3, 252)])
+        sig, port, ts = ds.columns()
+        assert (type(sig.codes), type(port.codes), type(ts.codes)) == (bytes, tuple, bytes)
+        assert len(sig.values) == 256 and len(port.values) > 256
+        c1 = self.assert_level_one(ds, 3)
+        counts = Counter(sig.codes)
+        assert sum(1 for item, _ in c1 if item.field_index == 0) == 256
+        assert sorted(Counter(counts.values()).items()) == [(3, 252), (40, 4)]
+        assert 3 * 64 < ds.n <= 40 * 64  # so the 40s are dense and the 3s sparse
+        config = MiningConfig(minisupport=3)
+        fps = mine(ds, config)
+        assert fps == brute_force_mine(ds, config)
+        txns = list(ds.transactions())
+        scorer = PatternScorer.from_pattern_set(fps)
+        for metric in ("simple", "fpof"):
+            assert rank(ds, fps, ScoreConfig(metric)) == rank_with_scorer(
+                txns, scorer, ScoreConfig(metric)
+            )
 
     @pytest.mark.parametrize("n", [1, 7, 9, 63, 64, 65, 130])
     def test_byte_vectors_at_odd_sizes(self, n):

@@ -1,8 +1,11 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alertfp.errors import SchemaError, ValueParseError
+from alertfp.ingest import parse_log
 from alertfp.miner import MiningConfig, build_candidates_1, mine
 from alertfp.model import (
     Alert,
@@ -111,6 +114,86 @@ class TestSplitTimestamp:
         ids=["date", "hour", "minute"],
     )
     def test_non_ascii_digits_raise(self, raw):
+        with pytest.raises(ValueParseError, match="^not a recognized timestamp"):
+            split_timestamp(raw)
+
+
+def padded(low, high):
+    """A number in [low, high] as a log may write it, with or without a
+    leading zero when it has one digit."""
+    return st.integers(low, high).flatmap(
+        lambda k: st.sampled_from([str(k), f"{k:02d}"]) if k < 10 else st.just(str(k))
+    )
+
+
+# a timestamp's parts as (month, day, year, hour, minute, second or None,
+# the space between date and time, the space before the meridiem, meridiem)
+stamp_parts = st.tuples(
+    padded(1, 12),
+    padded(1, 31),
+    st.integers(0, 9999).map("{:04d}".format),
+    padded(0, 12),
+    st.integers(0, 59).map("{:02d}".format),
+    st.none() | st.integers(0, 59).map("{:02d}".format),
+    st.sampled_from([" ", "  ", "\t"]),
+    st.sampled_from(["", " "]),
+    st.sampled_from(["AM", "PM", "am", "pm", "Am", "pM"]),
+)
+
+
+def spell(month, day, year, hour, minute, second, gap, before, meridiem):
+    seconds = "" if second is None else f":{second}"
+    return f"{month}/{day}/{year}{gap}{hour}:{minute}{seconds}{before}{meridiem}"
+
+
+# a part's spellings out of its range; each keeps the shape
+# "\d{1,2}/\d{1,2}/\d{4} \d{1,2}:\d{2}(:\d{2})?", so only a range check rejects it
+OUT_OF_RANGE = {
+    0: st.sampled_from(["0", "00"]) | st.integers(13, 99).map(str),  # month
+    1: st.sampled_from(["0", "00"]) | st.integers(32, 99).map(str),  # day
+    3: st.integers(13, 99).map(str),  # hour
+    4: st.integers(60, 99).map(str),  # minute
+    5: st.integers(60, 99).map(str),  # second
+}
+
+
+class TestTimestampRanges:
+    """A timestamp's month is 1-12, its day 1-31, its hour 0-12 and its
+    minute and second 00-59; any other value is not a timestamp."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stamp_parts)
+    def test_in_range_spellings_split_into_date_as_written_and_time(self, parts):
+        month, day, year, hour, minute = parts[:5]
+        expected = (f"{month}/{day}/{year}", f"{int(hour)}:{minute}{parts[-1].upper()}")
+        assert split_timestamp(spell(*parts)) == expected
+        schema = AttributeSchema((SchemaField("ts", FieldKind.TIMESTAMP),))
+        assert itemize(Alert(0, (spell(*parts),)), schema).items == {
+            Item(0, expected[0]), Item(0, expected[1])
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(stamp_parts, st.sampled_from(sorted(OUT_OF_RANGE)), st.data())
+    def test_out_of_range_spellings_reject_their_line(self, parts, part, data):
+        parts = list(parts)
+        parts[part] = data.draw(OUT_OF_RANGE[part], label="out of range")
+        raw = spell(*parts)
+        with pytest.raises(ValueParseError, match="^not a recognized timestamp"):
+            split_timestamp(raw)
+        schema = AttributeSchema(
+            (SchemaField("sig", FieldKind.CATEGORICAL), SchemaField("ts", FieldKind.TIMESTAMP))
+        )
+        log = f"web,6/22/2010 8:57 PM\nweb,{raw}\n"
+        result = parse_log(io.StringIO(log), schema, ",")
+        assert result.dataset.n == 1
+        assert [(r.line_number, r.reason) for r in result.rejects] == [
+            (2, f"not a recognized timestamp: {' '.join(raw.split())!r} (field 'ts')")
+        ]
+
+    @pytest.mark.parametrize(
+        "raw", ["6/22/2010 99:99 PM", "13/45/2010 8:57 AM", "0/0/0000 0:00 AM", "6/22/2010 13:30 PM"]
+    )
+    def test_out_of_range_examples_raise(self, raw):
         with pytest.raises(ValueParseError, match="^not a recognized timestamp"):
             split_timestamp(raw)
 
