@@ -23,15 +23,20 @@ the classic join of two k-itemsets sharing a (k-1)-prefix produces each
 (k+1)-candidate, whose bitset is the intersection of its two generators',
 so no further dataset scans are needed.
 
-A level is joined one prefix group at a time, and each intersection is
-counted once, as it is made: a candidate below the threshold keeps no
-bitset, prune reads the join's counts, and a group's bitsets are dropped
-once it is joined. So a level holds its
-survivors' bitsets and one group's candidates, not every candidate of the
-level beside all of the one before (Apriori joins a whole level, then
-prunes it: Agrawal & Srikant, VLDB 1994). Once the running count passes
-`max_patterns`, the rest of the level is counted, not kept, so the guard
-bounds memory as well as the count.
+A level is joined one prefix group at a time, and only a new tidset is
+counted, as it is made: a candidate whose intersection equals one of its
+generators' bitsets takes that generator's int and count, and one whose
+generators hold the same int skips the `&` too (the tidset property of
+CHARM, Zaki & Hsiao, SDM 2002; MAFIA's parent-equivalence pruning, Burdick
+et al., ICDE 2001). On logs that repeat a few alert profiles, a level
+holds about one int per distinct tidset. A candidate below the threshold
+keeps no bitset, prune reads the join's counts, and a group's bitsets are
+dropped once it is joined: a level holds its survivors' bitsets and one
+group's candidates, not every candidate of the level beside all of the
+one before (Apriori joins a whole level, then prunes it: Agrawal &
+Srikant, VLDB 1994). Once the running count passes `max_patterns`, the
+rest of the level is counted, not kept, so the guard bounds the patterns
+a level keeps; each still holds a bitset of up to n/8 bytes.
 
 A categorical or numeric column gives each alert exactly one item, so two
 of its items never occur together (the one-value-per-attribute property
@@ -379,9 +384,10 @@ def prune(candidates, minisupport_abs: int):
 
 class _Joined(list):
     """candidate_gen's (itemset, bitset) pairs, with `counts`, the count of
-    set bits of each pair's bitset as the join counted it, in pair order.
-    On 28,670 alerts, counting a bitset takes about ten times as long as
-    the `&` that made it, so prune does not count it again."""
+    set bits of each pair's bitset, in pair order: counted by the join for
+    a new tidset, taken from the generator whose int the pair shares
+    otherwise. On 28,670 alerts, counting a bitset takes about ten times as
+    long as the `&` that made it, so prune does not count it again."""
 
     counts: list[int]
 
@@ -395,11 +401,15 @@ def candidate_gen(
 
     frequent_k must be in itemset order, as mine passes each level: prune
     keeps the order it is given. It is grouped as given, not sorted again.
-    Only the itemset and the bitset of each entry are read. Two k-itemsets
-    sharing their first k-1 items combine, unless their last items share a
-    field index in `exclusive`: such columns give an alert one item each,
-    so the pair's support is 0. Each candidate's bitset is the intersection
-    of its generators', counted as it is made: one with fewer than
+    An entry is an (itemset, bitset) pair or prune's (itemset, bitset,
+    count) triple, whose count is read instead of counting the bitset. Two
+    k-itemsets sharing their first k-1 items combine, unless their last
+    items share a field index in `exclusive`: such columns give an alert
+    one item each, so the pair's support is 0. Each candidate's bitset is
+    the intersection of its generators'. When that equals a generator's
+    bitset, the candidate holds that generator's int and count; two
+    generators holding one int are not intersected at all. Any other
+    intersection is counted as it is made. A candidate with fewer than
     minisupport_abs bits carries 0, the empty bitset, so a level never
     holds the bitset of a candidate prune drops. The list also holds the
     counts, for prune. No other k-subset is looked up: support is
@@ -420,15 +430,23 @@ def _join_group(members, exclusive, minisupport_abs, out: _Joined) -> None:
     # members are sorted by their last item, so the last items of one column
     # form a run; a member of an exclusive column joins from its run's end
     fields = [entry[0][-1][0] for entry in members]  # field indexes
+    # prune's triples carry their counts; a plain pair is counted once here
+    sizes = [entry[2] if len(entry) > 2 else entry[1].bit_count() for entry in members]
     counts = out.counts
     for i, entry in enumerate(members):
-        left_set, left_bits = entry[0], entry[1]
+        left_set, left_bits, left_count = entry[0], entry[1], sizes[i]
         start = i + 1
         if fields[i] in exclusive:
             start = bisect_right(fields, fields[i], start)
-        for right in members[start:]:
-            bits = left_bits & right[1]
-            count = bits.bit_count()
+        for right, right_count in zip(members[start:], sizes[start:]):
+            # a tidset equal to a generator's takes that int and its count
+            right_bits = right[1]
+            if right_bits is left_bits or (bits := left_bits & right_bits) == left_bits:
+                bits, count = left_bits, left_count
+            elif bits == right_bits:
+                bits, count = right_bits, right_count
+            else:
+                count = bits.bit_count()
             if count < minisupport_abs:
                 bits = count = 0
             out.append((left_set + (right[0][-1],), bits))
@@ -442,7 +460,8 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     comes up empty or max_pattern_len is reached. Output is canonical.
     Each level is joined and pruned one prefix group at a time, and a
     group's bitsets are dropped once it is joined; a group of one itemset
-    joins nothing and is skipped. Raises
+    joins nothing and is skipped. A candidate whose tidset equals a
+    generator's holds that generator's int, not a copy of it. Raises
     PatternExplosionError when the running pattern count exceeds the
     configured cap; from there to the end of that level the frequent
     candidates are only counted, not kept.

@@ -6,7 +6,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +319,118 @@ class TestExclusiveJoin:
             level = prune(joined, 1)
 
 
+def generator_pairs(level, exclusive=frozenset()):
+    """The (left, right) entries of each candidate candidate_gen makes from
+    level, in its order, found by trying every pair of a prefix group."""
+    groups = groupby(level, key=lambda entry: entry[0][:-1])
+    return [
+        (left, right)
+        for _, group in groups
+        for left, right in combinations(list(group), 2)
+        if not (left[0][-1][0] == right[0][-1][0] and left[0][-1][0] in exclusive)
+    ]
+
+
+def shortcut_of(left_bits, right_bits):
+    """The join's case for a pair of generator bitsets."""
+    if right_bits is left_bits:
+        return "same object"
+    if left_bits & right_bits == left_bits:
+        return "left equal"
+    if left_bits & right_bits == right_bits:
+        return "right equal"
+    return "counted"
+
+
+def checked_join(level, exclusive, threshold):
+    """candidate_gen(level, exclusive, threshold), checked against each
+    candidate's generators: its bitset is their intersection, or 0 below
+    the threshold; a kept one whose tidset equals a generator's holds that
+    generator's int; and every count is its bitset's. Returns the join and
+    the count of each case."""
+    joined = candidate_gen(level, exclusive, threshold)
+    pairs = generator_pairs(level, exclusive)
+    assert [iset for iset, _ in joined] == [left[0] + right[0][-1:] for left, right in pairs]
+    assert joined.counts == [bits.bit_count() for _, bits in joined]
+    cases = Counter()
+    for (_, bits), (left, right) in zip(joined, pairs):
+        case = shortcut_of(left[1], right[1])
+        cases[case] += 1
+        tidset = left[1] & right[1]
+        if tidset.bit_count() < threshold:
+            assert bits == 0
+        elif case == "right equal":
+            assert bits is right[1]
+        elif case != "counted":
+            assert bits is left[1]
+        assert bits in (0, tidset)
+    return joined, cases
+
+
+def level_one(data, threshold):
+    """Level 1 of mine, as prune's (itemset, bitset, count) triples."""
+    return [((item,), *rest) for item, *rest in prune(build_candidates_1(data, threshold), threshold)]
+
+
+class TestSharedTidsets:
+    # ten times over, a {0,1,2}, b {0,1,2}, c {0,1,2,3}, d {2,3}, e {0}:
+    # ab and ac take a's int (left equal), so abc joins that int with
+    # itself (same object); ae takes e's (right equal); ad is new (counted).
+    # Forty transactions keep the bitsets out of CPython's small-int cache
+    ROWS = ["a b c e", "a b c", "a b c d", "c d"] * 10
+
+    def test_each_case_occurs_and_shares_its_generators_int(self):
+        txns = baskets(self.ROWS)
+        level = level_one(txns, 1)
+        a_bits = level[0][1]
+        seen = Counter()
+        while level:
+            joined, cases = checked_join(level, frozenset(), 1)
+            seen += cases
+            level = prune(joined, 1)
+            if level and len(level[0][0]) == 3:
+                assert level[0][0] == itemset("a", "b", "c") and level[0][1] is a_bits
+        assert seen == {"same object": 1, "left equal": 3, "right equal": 12, "counted": 10}
+        config = MiningConfig(minisupport=1)
+        assert mine(txns, config) == brute_force_mine(txns, config)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        profiles=st.lists(
+            st.frozensets(st.integers(0, 9), min_size=1, max_size=6), min_size=1, max_size=3
+        ),
+        rows=st.lists(
+            st.tuples(st.integers(0, 2), st.frozensets(st.integers(0, 9), max_size=2)),
+            min_size=1,
+            max_size=20,
+        ),
+        threshold=st.integers(min_value=1, max_value=6),
+    )
+    def test_repeated_profiles_with_noise(self, profiles, rows, threshold):
+        txns = [
+            Transaction(tid, frozenset(Item(0, str(v)) for v in profiles[k % len(profiles)] | noise))
+            for tid, (k, noise) in enumerate(rows)
+        ]
+        config = MiningConfig(minisupport=threshold)
+        assert mine(txns, config) == brute_force_mine(txns, config)
+        level = level_one(txns, threshold)
+        while level:
+            joined, _ = checked_join(level, frozenset(), threshold)
+            level = prune(joined, threshold)
+
+    def test_triples_and_plain_pairs_join_alike(self, sample_times_ten):
+        generated, _ = gen_synthetic(SyntheticSpec(600, 3, 5, 2))
+        for data, threshold in [(sample_times_ten, 2), (generated, 5)]:
+            exclusive = frozenset(data.schema.single_item_indexes())
+            level = level_one(data, threshold)
+            while level:
+                joined, _ = checked_join(level, exclusive, threshold)
+                plain = candidate_gen([entry[:2] for entry in level], exclusive, threshold)
+                assert plain == joined
+                assert plain.counts == joined.counts
+                level = prune(joined, threshold)
+
+
 class TestMine:
     def test_half_support_yields_nine_patterns(self, baskets4):
         fps = mine(baskets4, HALF)
@@ -429,6 +541,17 @@ class TestMine:
         fps, peak = traced_peak(mine, txns, MiningConfig(minisupport=100))
         assert fps.count == 120
         assert peak < 3 * 2**20
+
+    def test_itemsets_of_one_tidset_share_one_bitset(self):
+        # 6,000 generated alerts from 5 routine profiles at 30: 24,579
+        # patterns, most of whose tidsets equal a generator's. On Pythons
+        # 3.10 to 3.12, a bitset per candidate peaked at 7.0 MiB; sharing
+        # the generator's int, 3.1 MiB
+        dataset, _ = gen_synthetic(SyntheticSpec(6000, 3, 5, 1))
+        dataset.columns()
+        fps, peak = traced_peak(mine, dataset, MiningConfig(minisupport=30))
+        assert fps.count == 24579
+        assert peak < 5 * 2**20
 
     @pytest.mark.parametrize(
         "name, value",
