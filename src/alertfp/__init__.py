@@ -30,10 +30,7 @@ from .miner import (
     MiningConfig,
     PatternSet,
     brute_force_mine,
-    build_candidates_1,
-    candidate_gen,
     mine,
-    prune,
 )
 from .model import (
     Alert,
@@ -96,8 +93,6 @@ __all__ = [
     "Transaction",
     "ValueParseError",
     "brute_force_mine",
-    "build_candidates_1",
-    "candidate_gen",
     "canonicalize_value",
     "fpof",
     "gen_synthetic",
@@ -107,7 +102,6 @@ __all__ = [
     "locate_attacks",
     "mine",
     "parse_log",
-    "prune",
     "rank",
     "reduction",
     "save_model",

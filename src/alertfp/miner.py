@@ -29,14 +29,16 @@ generators' bitsets takes that generator's int and count, and one whose
 generators hold the same int skips the `&` too (the tidset property of
 CHARM, Zaki & Hsiao, SDM 2002; MAFIA's parent-equivalence pruning, Burdick
 et al., ICDE 2001). On logs that repeat a few alert profiles, a level
-holds about one int per distinct tidset. A candidate below the threshold
-keeps no bitset, prune reads the join's counts, and a group's bitsets are
-dropped once it is joined: a level holds its survivors' bitsets and one
-group's candidates, not every candidate of the level beside all of the
-one before (Apriori joins a whole level, then prunes it: Agrawal &
-Srikant, VLDB 1994). Once the running count passes `max_patterns`, the
-rest of the level is counted, not kept, so the guard bounds the patterns
-a level keeps; each still holds a bitset of up to n/8 bytes.
+holds about one int per distinct tidset. Every level, the first included,
+is a list of (itemset, bitset, count) triples, so prune reads each count
+where the scan or the join left it. A candidate below the threshold keeps
+no bitset, and a group's bitsets are dropped once it is joined: a level
+holds its survivors' bitsets and one group's candidates, not every
+candidate of the level beside all of the one before (Apriori joins a
+whole level, then prunes it: Agrawal & Srikant, VLDB 1994). Once the
+running count passes `max_patterns`, the rest of the level is counted,
+not kept, so the guard bounds the patterns a level keeps; each still
+holds a bitset of up to n/8 bytes.
 
 A categorical or numeric column gives each alert exactly one item, so two
 of its items never occur together (the one-value-per-attribute property
@@ -262,9 +264,10 @@ def _as_transactions(data: Minable) -> Sequence[Transaction]:
     return txns
 
 
-def build_candidates_1(data: Minable, minisupport_abs: int = 1) -> list[tuple[Item, int]]:
+def build_candidates_1(data: Minable, minisupport_abs: int = 1) -> list[tuple[Itemset, int, int]]:
     """Every item occurring in at least minisupport_abs transactions, in
-    item order, with the bitset of those transactions.
+    item order, as ((item,), bitset, count) triples: the entry shape of
+    every level of mine.
 
     Items are counted first and bitsets packed for the frequent ones only.
     An AlertDataset is counted from its column codes, so no per-alert
@@ -284,12 +287,12 @@ def build_candidates_1(data: Minable, minisupport_abs: int = 1) -> list[tuple[It
             tids = frequent.get(item)
             if tids is not None:
                 tids.append(t.tid)
-    return sorted((item, bits_of(tids)) for item, tids in frequent.items())
+    return sorted(((item,), bits_of(tids), len(tids)) for item, tids in frequent.items())
 
 
 def _candidates_from_codes(
     columns: Sequence[ColumnCodes], minisupport_abs: int
-) -> list[tuple[Item, int]]:
+) -> list[tuple[Itemset, int, int]]:
     """build_candidates_1 over coded columns. A key's count sums the counts
     of the codes that yield it, and only the frequent keys become Items.
     A column of bytes with at most _COUNTED codes is counted with one
@@ -316,26 +319,27 @@ def _candidates_from_codes(
                 counts[key] = counts.get(key, 0) + count
             counts.pop(None, None)  # a null timestamp has no time item
             frequent = [key for key, count in counts.items() if count >= minisupport_abs]
-            dense = [key for key in frequent if counts[key] * _SPARSE >= n]
+            dense = {key: counts[key] for key in frequent if counts[key] * _SPARSE >= n}
             if dense:
                 out += _dense_bits(column, keys, dense)
             if len(dense) < len(frequent):
-                sparse = {key: [] for key in frequent if counts[key] * _SPARSE < n}
+                sparse = {key: [] for key in frequent if key not in dense}
                 out += _sparse_bits(column, keys, sparse)
     out.sort()
     return out
 
 
 def _dense_bits(
-    column: ColumnCodes, keys: Sequence[str | None], dense: list[str]
-) -> list[tuple[Item, int]]:
-    """Each dense key with its bitset. Every code maps to its key's byte
-    slot, 1 up, or to 0, and the codes, last tid first, become one byte
-    vector: a column of bytes is reversed and translated in C, a column of
-    ints maps each code in Python. A key's bitset is the vector translated
-    to b"1" at its slot and b"0" elsewhere, read as a base-2 int. Each
-    dense key holds 1/_SPARSE of the alerts and an alert holds one key of
-    `keys`, so there are at most _SPARSE slots."""
+    column: ColumnCodes, keys: Sequence[str | None], dense: dict[str, int]
+) -> list[tuple[Itemset, int, int]]:
+    """Each dense key's level-1 triple, given the key's count. Every code
+    maps to its key's byte slot, 1 up, or to 0, and the codes, last tid
+    first, become one byte vector: a column of bytes is reversed and
+    translated in C, a column of ints maps each code in Python. A key's
+    bitset is the vector translated to b"1" at its slot and b"0"
+    elsewhere, read as a base-2 int. Each dense key holds 1/_SPARSE of the
+    alerts and an alert holds one key of `keys`, so there are at most
+    _SPARSE slots."""
     slot_of = {key: slot for slot, key in enumerate(dense, 1)}
     slots = list(map(slot_of.get, keys, repeat(0)))
     if type(column.codes) is bytes:
@@ -343,80 +347,59 @@ def _dense_bits(
     else:
         vector = bytes(map(slots.__getitem__, reversed(column.codes)))
     return [
-        (Item(column.field_index, key), int(vector.translate(_DIGITS[slot]), 2))
-        for slot, key in enumerate(dense, 1)
+        ((Item(column.field_index, key),), int(vector.translate(_DIGITS[slot]), 2), count)
+        for slot, (key, count) in enumerate(dense.items(), 1)
     ]
 
 
 def _sparse_bits(
     column: ColumnCodes, keys: Sequence[str | None], sparse: dict[str, list[int]]
-) -> list[tuple[Item, int]]:
-    """Each sparse key with its bitset, from tid lists that one pass over
+) -> list[tuple[Itemset, int, int]]:
+    """Each sparse key's level-1 triple, from tid lists that one pass over
     the codes fills."""
     feeds = {code: sparse[key] for code, key in enumerate(keys) if key in sparse}
     for tid, code in enumerate(column.codes):
         tids = feeds.get(code)
         if tids is not None:
             tids.append(tid)
-    return [(Item(column.field_index, key), bits_of(tids)) for key, tids in sparse.items()]
-
-
-def prune(candidates, minisupport_abs: int):
-    """Keep the (key, bitset) candidates whose support reaches the
-    threshold, as (key, bitset, count) triples. Support is the bitset's
-    count of set bits. candidate_gen's output carries the counts its join
-    made, and prune reads those instead of counting again; a candidate it
-    emptied for missing the threshold counts 0 and is dropped here."""
-    if minisupport_abs < 1:
-        raise ValueError("minisupport must be >= 1")
-    if isinstance(candidates, _Joined):
-        return [
-            (key, bits, count)
-            for (key, bits), count in zip(candidates, candidates.counts)
-            if count >= minisupport_abs
-        ]
     return [
-        (key, bits, count)
-        for key, bits in candidates
-        if (count := bits.bit_count()) >= minisupport_abs
+        ((Item(column.field_index, key),), bits_of(tids), len(tids))
+        for key, tids in sparse.items()
     ]
 
 
-class _Joined(list):
-    """candidate_gen's (itemset, bitset) pairs, with `counts`, the count of
-    set bits of each pair's bitset, in pair order: counted by the join for
-    a new tidset, taken from the generator whose int the pair shares
-    otherwise. On 28,670 alerts, counting a bitset takes about ten times as
-    long as the `&` that made it, so prune does not count it again."""
-
-    counts: list[int]
+def prune(entries, minisupport_abs: int):
+    """Keep the (itemset, bitset, count) entries whose count reaches the
+    threshold, in the order given: the entries themselves, not copies. A
+    candidate the join emptied for missing the threshold counts 0 and is
+    dropped here."""
+    if minisupport_abs < 1:
+        raise ValueError("minisupport must be >= 1")
+    return [entry for entry in entries if entry[2] >= minisupport_abs]
 
 
 def candidate_gen(
-    frequent_k: Sequence[tuple],
+    frequent_k: Sequence[tuple[Itemset, int, int]],
     exclusive: frozenset[int] = frozenset(),
     minisupport_abs: int = 1,
-) -> list[tuple[Itemset, int]]:
+) -> list[tuple[Itemset, int, int]]:
     """Join frequent k-itemsets into (k+1)-candidates, in itemset order.
 
-    frequent_k must be in itemset order, as mine passes each level: prune
-    keeps the order it is given. It is grouped as given, not sorted again.
-    An entry is an (itemset, bitset) pair or prune's (itemset, bitset,
-    count) triple, whose count is read instead of counting the bitset. Two
-    k-itemsets sharing their first k-1 items combine, unless their last
-    items share a field index in `exclusive`: such columns give an alert
-    one item each, so the pair's support is 0. Each candidate's bitset is
-    the intersection of its generators'. When that equals a generator's
-    bitset, the candidate holds that generator's int and count; two
-    generators holding one int are not intersected at all. Any other
-    intersection is counted as it is made. A candidate with fewer than
-    minisupport_abs bits carries 0, the empty bitset, so a level never
-    holds the bitset of a candidate prune drops. The list also holds the
-    counts, for prune. No other k-subset is looked up: support is
-    anti-monotone, so prune drops a candidate with an infrequent one.
+    frequent_k holds (itemset, bitset, count) entries in itemset order, as
+    mine passes each level: prune keeps the order it is given. It is
+    grouped as given, not sorted again. Two k-itemsets sharing their first
+    k-1 items combine, unless their last items share a field index in
+    `exclusive`: such columns give an alert one item each, so the pair's
+    support is 0. Each candidate's bitset is the intersection of its
+    generators'. When that equals a generator's bitset, the candidate
+    holds that generator's int and count; two generators holding one int
+    are not intersected at all. Any other intersection is counted as it is
+    made. A candidate with fewer than minisupport_abs bits carries 0 and
+    count 0, so a level never holds the bitset of a candidate prune drops.
+    No other k-subset is looked up: support is anti-monotone, so prune
+    drops a candidate with an infrequent one.
     """
-    out = _Joined()
-    out.counts = []
+    out: list[tuple[Itemset, int, int]] = []
     for _, group in groupby(frequent_k, key=_prefix):
         _join_group(list(group), exclusive, minisupport_abs, out)
     return out
@@ -426,21 +409,16 @@ def _prefix(entry) -> Itemset:
     return entry[0][:-1]
 
 
-def _join_group(members, exclusive, minisupport_abs, out: _Joined) -> None:
+def _join_group(members, exclusive, minisupport_abs, out: list) -> None:
     # members are sorted by their last item, so the last items of one column
     # form a run; a member of an exclusive column joins from its run's end
     fields = [entry[0][-1][0] for entry in members]  # field indexes
-    # prune's triples carry their counts; a plain pair is counted once here
-    sizes = [entry[2] if len(entry) > 2 else entry[1].bit_count() for entry in members]
-    counts = out.counts
-    for i, entry in enumerate(members):
-        left_set, left_bits, left_count = entry[0], entry[1], sizes[i]
+    for i, (left_set, left_bits, left_count) in enumerate(members):
         start = i + 1
         if fields[i] in exclusive:
             start = bisect_right(fields, fields[i], start)
-        for right, right_count in zip(members[start:], sizes[start:]):
+        for right_set, right_bits, right_count in members[start:]:
             # a tidset equal to a generator's takes that int and its count
-            right_bits = right[1]
             if right_bits is left_bits or (bits := left_bits & right_bits) == left_bits:
                 bits, count = left_bits, left_count
             elif bits == right_bits:
@@ -449,15 +427,15 @@ def _join_group(members, exclusive, minisupport_abs, out: _Joined) -> None:
                 count = bits.bit_count()
             if count < minisupport_abs:
                 bits = count = 0
-            out.append((left_set + (right[0][-1],), bits))
-            counts.append(count)
+            out.append((left_set + (right_set[-1],), bits, count))
 
 
 def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     """Mine every frequent itemset with its support.
 
     Levels proceed candidate-1 scan, prune, join, prune, ... until a level
-    comes up empty or max_pattern_len is reached. Output is canonical.
+    comes up empty or max_pattern_len is reached, each level a list of
+    (itemset, bitset, count) triples. Output is canonical.
     Each level is joined and pruned one prefix group at a time, and a
     group's bitsets are dropped once it is joined; a group of one itemset
     joins nothing and is skipped. A candidate whose tidset equals a
@@ -480,8 +458,7 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     cap = config.max_patterns or inf  # None: no cap
 
     level = prune(build_candidates_1(data, s_abs), s_abs)
-    singles = {item: bits for item, bits, _ in level}
-    level = [((item,), bits, count) for item, bits, count in level]
+    singles = {itemset[0]: bits for itemset, bits, _ in level}
     found = len(level)  # the level's frequent count, which can outrun `level`
     kept: list[int] = []
     itemsets: list[Itemset] = []

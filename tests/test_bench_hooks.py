@@ -3,11 +3,11 @@ functions by the names its callers look them up by. A rename or a dropped
 import of one of those names breaks the traced benchmark, so this checks
 every target here, in a fraction of a second, without running the
 benchmark, and that a traced parse and mine still report their lines,
-rejects and first two levels."""
+rejects and the candidates and patterns of every level."""
 
 import importlib
 import io
-from itertools import combinations
+from itertools import combinations, groupby
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ import alertfp.cli
 import alertfp.miner
 import alertfp.model
 import alertfp.store
+from alertfp.evaluate import SyntheticSpec, gen_synthetic
 from alertfp.miner import MiningConfig
 from alertfp.model import (
     Alert,
@@ -95,3 +96,33 @@ def test_traced_mine_counts_only_cross_column_joins(spans):
     metrics = spans.layer_metrics(tracer, tracer.spans, 1.0, lambda start, end: end - start)
     assert (len(singles), cross) == (7, 12)
     assert metrics["miner.L2.candidates"] == cross
+
+
+def test_traced_mine_counts_every_level_of_a_generated_log(spans):
+    ds, _ = gen_synthetic(SyntheticSpec(600, 3, 5, 2))
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        fps = alertfp.miner.mine(ds, MiningConfig(minisupport=5))
+    metrics = spans.layer_metrics(tracer, tracer.spans, 1.0, lambda start, end: end - start)
+    single_item = set(ds.schema.single_item_indexes())
+    by_length = [[] for _ in range(spans.MAX_LEVEL + 1)]
+    for itemset in fps.itemsets:
+        by_length[len(itemset)].append(itemset)
+    skipped = 0
+    for k in range(1, spans.MAX_LEVEL + 1):
+        assert metrics[f"miner.L{k}.kept"] == len(by_length[k])
+        if k == 1:  # level 1 is scanned at the threshold: every candidate is kept
+            assert metrics["miner.L1.candidates"] == len(by_length[1])
+            continue
+        pairs = [
+            (left[-1].field_index, right[-1].field_index)
+            for _, group in groupby(by_length[k - 1], key=lambda itemset: itemset[:-1])
+            for left, right in combinations(list(group), 2)
+        ]
+        within = sum(1 for a, b in pairs if a == b and a in single_item)
+        skipped += within
+        assert metrics[f"miner.L{k}.candidates"] == len(pairs) - within
+    deepest = max(k for k, level in enumerate(by_length) if level)
+    assert metrics["miner.levels"] == deepest == 10
+    assert fps.count == 21711
+    assert skipped > 0

@@ -53,8 +53,8 @@ HALF = MiningConfig(minisupport=0.5)
 
 
 def level_from(pairs):
-    """[(values, tids)] -> [(itemset, bitset)] for candidate_gen input."""
-    return [(itemset(*values), bits_of(tids)) for values, tids in pairs]
+    """[(values, tids)] -> [(itemset, bitset, count)] for candidate_gen input."""
+    return [(itemset(*values), bits_of(tids), len(tids)) for values, tids in pairs]
 
 
 def traced_peak(fn, *args):
@@ -132,7 +132,10 @@ class TestMinisupport:
 
 class TestCandidates1(object):
     def test_distinct_items_with_full_tidlists(self, baskets4):
-        c1 = {item: tids_of(bits) for item, bits in build_candidates_1(baskets4)}
+        c1 = {}
+        for (item,), bits, count in build_candidates_1(baskets4):
+            assert count == bits.bit_count()
+            c1[item] = tids_of(bits)
         expected = {
             Item(0, "1"): (0, 2),
             Item(0, "2"): (1, 2, 3),
@@ -144,12 +147,12 @@ class TestCandidates1(object):
 
     def test_singleton_dataset(self):
         txns = [Transaction(0, frozenset({Item(0, "a")}))]
-        assert build_candidates_1(txns) == [(Item(0, "a"), bits_of([0]))]
+        assert build_candidates_1(txns) == [((Item(0, "a"),), bits_of([0]), 1)]
 
     def test_sample_support_two_and_totals(self, sample_dataset):
         c1 = build_candidates_1(sample_dataset)
         assert len(c1) == 21
-        by_item = {item: tids_of(bits) for item, bits in c1}
+        by_item = {item: tids_of(bits) for (item,), bits, _ in c1}
         all_three = (0, 1, 2)
         assert by_item[Item(0, "7")] == all_three
         assert by_item[Item(2, "508")] == all_three
@@ -160,25 +163,30 @@ class TestCandidates1(object):
         assert by_item[Item(3, "WEB-MISC/robots.txt/access")] == (1, 2)
         assert by_item[Item(6, "6/11/2010")] == (0, 1)
         assert by_item[Item(6, "8:57AM")] == (0, 1)
-        assert sum(1 for _, bits in c1 if bits.bit_count() >= 2) == 9
+        assert sum(1 for _, _, count in c1 if count >= 2) == 9
 
 
 class TestPrune:
     def test_drops_singleton_below_threshold(self, baskets4):
         f1 = prune(build_candidates_1(baskets4), 2)
-        assert Item(0, "4") not in {item for item, _, _ in f1}
+        assert (Item(0, "4"),) not in {iset for iset, _, _ in f1}
         assert len(f1) == 4
 
     def test_minisupport_one_is_identity(self, baskets4):
         c1 = build_candidates_1(baskets4)
-        assert prune(c1, 1) == [(item, bits, bits.bit_count()) for item, bits in c1]
+        assert prune(c1, 1) == c1
 
     def test_impossible_threshold_empties_level(self, baskets4):
         assert prune(build_candidates_1(baskets4), 5) == []
 
     def test_works_on_bitsets_too(self):
         level = level_from([(("a",), (0, 1)), (("b",), (2,))])
-        assert prune(level, 2) == [(*level[0], 2)]
+        assert prune(level, 2) == [level[0]]
+
+    def test_keeps_the_entries_themselves(self):
+        level = level_from([(("a",), (0, 1)), (("b",), (2,)), (("c",), (0, 1, 2))])
+        kept = prune(level, 2)
+        assert len(kept) == 2 and all(entry is original for entry, original in zip(kept, level[::2]))
 
     def test_threshold_below_one_rejected(self, baskets4):
         with pytest.raises(ValueError, match="^minisupport must be >= 1$"):
@@ -187,10 +195,10 @@ class TestPrune:
 
 class TestCandidateGen:
     def test_pairwise_join_intersects_tidlists(self, baskets4):
-        f1 = [((item,), *rest) for item, *rest in prune(build_candidates_1(baskets4), 2)]
+        f1 = prune(build_candidates_1(baskets4), 2)
         c2 = candidate_gen(f1)
         as_values = {
-            tuple(i.value for i in iset): tids_of(bits) for iset, bits in c2
+            tuple(i.value for i in iset): tids_of(bits) for iset, bits, _ in c2
         }
         assert as_values == {
             ("1", "2"): (2,),
@@ -215,21 +223,21 @@ class TestCandidateGen:
         )
         c3 = candidate_gen(f2)
         assert len(c3) == 1
-        iset, bits = c3[0]
+        iset, bits, count = c3[0]
         assert tuple(i.value for i in iset) == ("2", "3", "5")
-        assert tids_of(bits) == (1, 2)
+        assert (tids_of(bits), count) == ((1, 2), 2)
 
     def test_a_candidate_below_the_threshold_carries_no_bitset(self, baskets4):
-        f1 = [((item,), *rest) for item, *rest in prune(build_candidates_1(baskets4), 2)]
+        f1 = prune(build_candidates_1(baskets4), 2)
         c2 = candidate_gen(f1, minisupport_abs=2)
-        as_values = {tuple(i.value for i in iset): tids_of(bits) for iset, bits in c2}
+        as_values = {tuple(i.value for i in iset): (tids_of(bits), n) for iset, bits, n in c2}
         assert as_values == {
-            ("1", "2"): (),
-            ("1", "3"): (0, 2),
-            ("1", "5"): (),
-            ("2", "3"): (1, 2),
-            ("2", "5"): (1, 2, 3),
-            ("3", "5"): (1, 2),
+            ("1", "2"): ((), 0),
+            ("1", "3"): ((0, 2), 2),
+            ("1", "5"): ((), 0),
+            ("2", "3"): ((1, 2), 2),
+            ("2", "5"): ((1, 2, 3), 3),
+            ("3", "5"): ((1, 2), 2),
         }
         assert candidate_gen(f1, minisupport_abs=1) == candidate_gen(f1)
 
@@ -239,37 +247,37 @@ class TestCandidateGen:
     ):
         single_item = frozenset(sample_times_ten.schema.single_item_indexes())
         for data, exclusive in [(baskets4, frozenset()), (sample_times_ten, single_item)]:
-            level = [((item,), bits) for item, bits in build_candidates_1(data)]
+            level = build_candidates_1(data)
             while level:
                 full = candidate_gen(level, exclusive)
                 thin = candidate_gen(level, exclusive, threshold)
                 assert thin == [
-                    (iset, bits if bits.bit_count() >= threshold else 0) for iset, bits in full
+                    (iset, bits, n) if n >= threshold else (iset, 0, 0) for iset, bits, n in full
                 ]
-                assert thin.counts == [bits.bit_count() for _, bits in thin]
+                assert all(n == bits.bit_count() for _, bits, n in full)
                 level = prune(full, 1)
 
 
 # three values of column 1, one of column 2, and a timestamp's date and time
 # items under index 3
 EXCLUSIVE_LEVEL = [
-    ((Item(1, value),), bits_of(tids))
+    ((Item(1, value),), bits_of(tids), len(tids))
     for value, tids in [("a", (0, 1)), ("b", (2,)), ("c", (3, 4))]
 ] + [
-    ((Item(2, "x"),), bits_of((0, 2, 3))),
-    ((Item(3, "6/11/2010"),), bits_of((0, 1, 2))),
-    ((Item(3, "8:57AM"),), bits_of((0, 1))),
+    ((Item(2, "x"),), bits_of((0, 2, 3)), 3),
+    ((Item(3, "6/11/2010"),), bits_of((0, 1, 2)), 3),
+    ((Item(3, "8:57AM"),), bits_of((0, 1)), 2),
 ]
 
 
 class TestExclusiveJoin:
     def pairs(self, candidates):
-        return [tuple(item.value for item in itemset) for itemset, _ in candidates]
+        return [tuple(item.value for item in itemset) for itemset, _, _ in candidates]
 
     def test_joins_only_across_an_exclusive_column(self):
         c2 = candidate_gen(EXCLUSIVE_LEVEL[:4], frozenset({1, 2}))
         assert self.pairs(c2) == [("a", "x"), ("b", "x"), ("c", "x")]
-        assert [tids_of(bits) for _, bits in c2] == [(0,), (2,), (3,)]
+        assert [(tids_of(bits), n) for _, bits, n in c2] == [((0,), 1), ((2,), 1), ((3,), 1)]
 
     def test_default_joins_every_pair(self):
         c2 = candidate_gen(EXCLUSIVE_LEVEL[:4])
@@ -277,8 +285,8 @@ class TestExclusiveJoin:
             ("a", "b"), ("a", "c"), ("a", "x"), ("b", "c"), ("b", "x"), ("c", "x")
         ]
         assert c2 == [
-            (left + right, left_bits & right_bits)
-            for (left, left_bits), (right, right_bits) in combinations(EXCLUSIVE_LEVEL[:4], 2)
+            (left + right, left_bits & right_bits, (left_bits & right_bits).bit_count())
+            for (left, left_bits, _), (right, right_bits, _) in combinations(EXCLUSIVE_LEVEL[:4], 2)
         ]
 
     def test_timestamp_date_and_time_still_join(self):
@@ -309,13 +317,13 @@ class TestExclusiveJoin:
             Transaction(tid, frozenset(Item(field, value) for field, value in row))
             for tid, row in enumerate(rows)
         ]
-        level = [((item,), bits) for item, bits in build_candidates_1(txns)]
+        level = build_candidates_1(txns)
         while level:
             joined = candidate_gen(level, exclusive)
             thin = candidate_gen(level, exclusive, threshold)
-            assert prune(thin, threshold) == prune(joined, threshold) == prune(
-                list(joined), threshold
-            )
+            assert prune(thin, threshold) == prune(joined, threshold) == [
+                entry for entry in joined if entry[1].bit_count() >= threshold
+            ]
             level = prune(joined, 1)
 
 
@@ -350,10 +358,10 @@ def checked_join(level, exclusive, threshold):
     the count of each case."""
     joined = candidate_gen(level, exclusive, threshold)
     pairs = generator_pairs(level, exclusive)
-    assert [iset for iset, _ in joined] == [left[0] + right[0][-1:] for left, right in pairs]
-    assert joined.counts == [bits.bit_count() for _, bits in joined]
+    assert [iset for iset, _, _ in joined] == [left[0] + right[0][-1:] for left, right in pairs]
+    assert all(count == bits.bit_count() for _, bits, count in joined)
     cases = Counter()
-    for (_, bits), (left, right) in zip(joined, pairs):
+    for (_, bits, _), (left, right) in zip(joined, pairs):
         case = shortcut_of(left[1], right[1])
         cases[case] += 1
         tidset = left[1] & right[1]
@@ -369,7 +377,7 @@ def checked_join(level, exclusive, threshold):
 
 def level_one(data, threshold):
     """Level 1 of mine, as prune's (itemset, bitset, count) triples."""
-    return [((item,), *rest) for item, *rest in prune(build_candidates_1(data, threshold), threshold)]
+    return prune(build_candidates_1(data, threshold), threshold)
 
 
 class TestSharedTidsets:
@@ -417,18 +425,6 @@ class TestSharedTidsets:
         while level:
             joined, _ = checked_join(level, frozenset(), threshold)
             level = prune(joined, threshold)
-
-    def test_triples_and_plain_pairs_join_alike(self, sample_times_ten):
-        generated, _ = gen_synthetic(SyntheticSpec(600, 3, 5, 2))
-        for data, threshold in [(sample_times_ten, 2), (generated, 5)]:
-            exclusive = frozenset(data.schema.single_item_indexes())
-            level = level_one(data, threshold)
-            while level:
-                joined, _ = checked_join(level, exclusive, threshold)
-                plain = candidate_gen([entry[:2] for entry in level], exclusive, threshold)
-                assert plain == joined
-                assert plain.counts == joined.counts
-                level = prune(joined, threshold)
 
 
 class TestMine:
@@ -863,32 +859,34 @@ class TestCodedMining:
         assert "_transactions" not in ds.__dict__
         txns = list(ds.transactions())
         assert coded == mine(txns, config) == brute_force_mine(ds, config)
-        assert c1 == [(item, bits) for item, bits, _ in prune(build_candidates_1(txns), s)]
+        assert c1 == prune(build_candidates_1(txns), s)
         assert build_candidates_1(txns, s) == c1
+        # a bytes column of at most 32 codes is counted by bytes.count
+        assert type(ds.columns()[0].codes) is bytes
+        assert all(count == bits.bit_count() for _, bits, count in c1)
         # level 1 equals an independent scan of the transactions
         holders = {}
         for t in txns:
             for item in t.items:
                 holders.setdefault(item, []).append(t.tid)
         assert c1 == sorted(
-            (item, bits_of(tids)) for item, tids in holders.items() if len(tids) >= s
+            ((item,), bits_of(tids), len(tids)) for item, tids in holders.items() if len(tids) >= s
         )
 
         # the join skip fires whenever sig or port has two frequent values,
         # and everything it skips has support 0
         exclusive = frozenset(CODED_SCHEMA.single_item_indexes())
         assert exclusive == {0, 2}
-        level1 = [((item,), bits) for item, bits in c1]
-        skipped = candidate_gen(level1, exclusive)
-        joined = candidate_gen(level1)
-        per_column = Counter(item.field_index for item, _ in c1)
+        skipped = candidate_gen(c1, exclusive)
+        joined = candidate_gen(c1)
+        per_column = Counter(item.field_index for (item,), _, _ in c1)
         if any(per_column[index] >= 2 for index in exclusive):
             assert len(skipped) < len(joined)
         else:
             assert skipped == joined
         kept = set(skipped)
         assert kept <= set(joined)
-        assert all(bits == 0 for itemset, bits in joined if (itemset, bits) not in kept)
+        assert all(entry[1:] == (0, 0) for entry in joined if entry not in kept)
 
     # sig column shapes, [(count, how many keys have it)], with a minisupport
     SHAPES = {
@@ -928,13 +926,17 @@ class TestCodedMining:
             for item in t.items:
                 holders.setdefault(item, []).append(t.tid)
         return sorted(
-            (item, sum(1 << tid for tid in tids)) for item, tids in holders.items() if len(tids) >= s
+            ((item,), sum(1 << tid for tid in tids), len(tids))
+            for item, tids in holders.items()
+            if len(tids) >= s
         )
 
     def assert_level_one(self, ds, s):
         c1 = build_candidates_1(ds, s)
         assert c1 == self.scanned(ds, s)
-        assert c1 == build_candidates_1(list(ds.transactions()), s)
+        txns = build_candidates_1(list(ds.transactions()), s)
+        assert c1 == txns
+        assert all(count == bits.bit_count() for _, bits, count in c1 + txns)
         return c1
 
     @pytest.mark.parametrize("name", SHAPES)
@@ -944,7 +946,7 @@ class TestCodedMining:
         assert ds.n == sum(count * keys for count, keys in shape)
         c1 = self.assert_level_one(ds, s)
         frequent_sigs = sum(keys for count, keys in shape if count >= s)
-        assert sum(1 for item, _ in c1 if item.field_index == 0) == frequent_sigs
+        assert sum(1 for (item,), _, _ in c1 if item.field_index == 0) == frequent_sigs
         port = ds.columns()[1]
         if ds.n >= 640:  # a column of more than 256 codes, some spelled alike
             assert 256 < len(port.keys) > len(set(port.keys))
@@ -958,7 +960,7 @@ class TestCodedMining:
         assert len(sig.values) == 256 and len(port.values) > 256
         c1 = self.assert_level_one(ds, 3)
         counts = Counter(sig.codes)
-        assert sum(1 for item, _ in c1 if item.field_index == 0) == 256
+        assert sum(1 for (item,), _, _ in c1 if item.field_index == 0) == 256
         assert sorted(Counter(counts.values()).items()) == [(3, 252), (40, 4)]
         assert 3 * 64 < ds.n <= 40 * 64  # so the 40s are dense and the 3s sparse
         config = MiningConfig(minisupport=3)
@@ -989,7 +991,7 @@ class TestCodedMining:
         assert "ghost" in sig.keys and sig.keys.index("ghost") not in sig.codes
         for s in (1, 2, 41):
             c1 = self.assert_level_one(ds, s)
-            assert all(item != Item(0, "ghost") for item, _ in c1)
+            assert all(item != Item(0, "ghost") for (item,), _, _ in c1)
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no digit limit"

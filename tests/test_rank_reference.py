@@ -1,11 +1,13 @@
-"""`alertfp rank`, end to end, against a from-scratch reference.
+"""`alertfp rank` and `alertfp mine`, end to end, against a from-scratch
+reference.
 
-Seeded random small logs run through the command line under both metrics
-at small absolute minisupports, and every ranked row must equal the one
-this file computes. The reference shares no code with alertfp: it is
-written from the documented formats, imports nothing from alertfp but the
-command-line entry point, counts supports by enumerating each alert's
-itemsets, and sums support ratios with math.fsum.
+Seeded random small logs run through the command line at small absolute
+minisupports: `rank` under both metrics, and `mine` with tidlists. Every
+ranked row and every model pattern row must equal the one this file
+computes. The reference shares no code with alertfp: it is written from
+the documented formats, imports nothing from alertfp but the command-line
+entry point, counts supports by enumerating each alert's itemsets, and
+sums support ratios with math.fsum.
 """
 
 from __future__ import annotations
@@ -51,25 +53,38 @@ def random_log(rng: random.Random) -> tuple[list[str], list[list[str]]]:
     return kinds, rows
 
 
-def reference_rows(kinds, rows, minisupport: int, metric: str) -> list[str]:
-    """The ranked file's rows: rank, tid, simple score, "%.6f" full score
-    and the canonical record, sorted by (simple, tid) or by (raw sum, tid)."""
-    n = len(rows)
+def itemized(kinds, rows):
+    """Each row's canonical record, and its items: the (column index,
+    value) pairs of its itemizable columns."""
     records = [[canonical(raw, kind) for raw, kind in zip(row, kinds)] for row in rows]
-    itemized = [index for index, kind in enumerate(kinds) if kind != "identifier"]
-    alert_items = [frozenset((i, record[i]) for i in itemized) for record in records]
+    indexes = [index for index, kind in enumerate(kinds) if kind != "identifier"]
+    return records, [frozenset((i, record[i]) for i in indexes) for record in records]
+
+
+def frequent(alert_items, minisupport: int) -> list[tuple[tuple, int]]:
+    """Every itemset held by at least minisupport alerts, as its sorted
+    items, with its count, in (length, itemset) order."""
     counts = Counter(
-        frozenset(subset)
+        subset
         for items in alert_items
         for size in range(1, len(items) + 1)
         for subset in combinations(sorted(items), size)
     )
-    patterns = [(itemset, count) for itemset, count in counts.items() if count >= minisupport]
+    found = [(itemset, count) for itemset, count in counts.items() if count >= minisupport]
+    return sorted(found, key=lambda pattern: (len(pattern[0]), pattern[0]))
+
+
+def reference_rows(kinds, rows, minisupport: int, metric: str) -> list[str]:
+    """The ranked file's rows: rank, tid, simple score, "%.6f" full score
+    and the canonical record, sorted by (simple, tid) or by (raw sum, tid)."""
+    n = len(rows)
+    records, alert_items = itemized(kinds, rows)
+    patterns = frequent(alert_items, minisupport)
     if not patterns:
         return []
     scored = []
     for tid, items in enumerate(alert_items):
-        contained = [count for itemset, count in patterns if itemset <= items]
+        contained = [count for itemset, count in patterns if items.issuperset(itemset)]
         raw = fsum(count / n for count in contained)
         scored.append((len(contained), raw, tid))
     scored.sort(key=lambda s: (s[0], s[2]) if metric == "simple" else (s[1], s[2]))
@@ -79,8 +94,21 @@ def reference_rows(kinds, rows, minisupport: int, metric: str) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("seed", range(100))
-def test_rank_matches_the_reference(tmp_path, seed):
+def reference_model_rows(kinds, rows, minisupport: int) -> list[str]:
+    """The model file's pattern rows with tidlists: support, the itemset as
+    `index=value` tokens in item order, and the ascending tids holding it.
+    No pool value holds a character the model escapes."""
+    _, alert_items = itemized(kinds, rows)
+    return [
+        f"{count}\t" + ",".join(f"{i}={value}" for i, value in itemset) + "\t"
+        + ",".join(str(tid) for tid, items in enumerate(alert_items) if items.issuperset(itemset))
+        for itemset, count in frequent(alert_items, minisupport)
+    ]
+
+
+def seeded_case(tmp_path, seed):
+    """A seeded random log and schema, written under tmp_path, and the two
+    minisupports to run it at."""
     rng = random.Random(seed)
     kinds, rows = random_log(rng)
     log, schema = tmp_path / "log.tsv", tmp_path / "log.schema"
@@ -88,7 +116,13 @@ def test_rank_matches_the_reference(tmp_path, seed):
     schema.write_text(
         "".join(f"c{index}\t{kind}\n" for index, kind in enumerate(kinds)), encoding="utf-8"
     )
-    for minisupport in rng.sample(range(1, 5), 2):
+    return kinds, rows, log, schema, rng.sample(range(1, 5), 2)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_rank_matches_the_reference(tmp_path, seed):
+    kinds, rows, log, schema, minisupports = seeded_case(tmp_path, seed)
+    for minisupport in minisupports:
         for metric in ("simple", "fpof"):
             out = tmp_path / f"ranked-{minisupport}-{metric}.tsv"
             code = main([
@@ -103,3 +137,24 @@ def test_rank_matches_the_reference(tmp_path, seed):
             header, *written = out.read_text(encoding="utf-8").split("\n")
             assert header == f"# alertfp-ranked v1 n={len(rows)} metric={metric}"
             assert written == expected + [""]
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_mine_matches_the_reference(tmp_path, seed):
+    kinds, rows, log, schema, minisupports = seeded_case(tmp_path, seed)
+    for minisupport in minisupports:
+        out = tmp_path / f"model-{minisupport}.fps"
+        code = main([
+            "mine", "--input", str(log), "--schema", str(schema),
+            "--minisupport", str(minisupport), "--emit-tidlists", "--out", str(out),
+        ])
+        expected = reference_model_rows(kinds, rows, minisupport)
+        if not expected:  # no frequent pattern: a data error, and nothing written
+            assert code == 2 and not out.exists()
+            continue
+        assert code == 0
+        lines = out.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == "# alertfp-model v1"
+        assert lines[1:3] == [f"n_train={len(rows)}", f"minisupport={minisupport}"]
+        assert lines[5] == f"patterns={len(expected)}"
+        assert lines[6:] == expected + [""]
