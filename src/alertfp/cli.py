@@ -2,9 +2,9 @@
 
 Subcommands: mine, rank, score, eval, sweep, gen. Exit codes: 0 success,
 1 usage, 2 I/O or parse failure, 3 mining guard tripped, 4 schema
-fingerprint mismatch. Diagnostics go to stderr; data files and stdout
-carry only the declared formats, so cron jobs can branch on the code and
-pipe the output.
+fingerprint mismatch, 130 interrupted (Ctrl-C). Diagnostics go to stderr;
+data files and stdout carry only the declared formats, so cron jobs can
+branch on the code and pipe the output.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_GUARD = 3
 EXIT_SCHEMA = 4
+EXIT_INTERRUPTED = 130  # as a shell reports a command ended by SIGINT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -281,6 +282,9 @@ def main(argv=None) -> int:
     except (AlertFpError, OSError) as exc:
         print(f"alertfp: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:  # an output being written was already removed
+        print("alertfp: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def _same_file_clash(args) -> str | None:

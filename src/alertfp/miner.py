@@ -159,10 +159,9 @@ class MiningConfig:
 
 @dataclass(frozen=True)
 class FrequentPattern:
-    """An itemset with its support, a view built when a PatternSet is read
-    and the form `PatternSet.from_patterns` takes. item_bits holds its
-    items' level-1 bitsets, in itemset order; the tidlist is their
-    intersection, computed on every read."""
+    """An itemset with its support, a view built when a PatternSet is
+    read. item_bits holds its items' level-1 bitsets, in itemset order;
+    the tidlist is their intersection, computed on every read."""
 
     itemset: Itemset
     item_bits: tuple[int, ...] = field(repr=False)
@@ -184,28 +183,13 @@ class PatternSet:
     item they hold and of no other item. The constructor keeps its columns
     as given; `mine`, `at_least` and `brute_force_mine` fill them.
     Iteration, `patterns` and `get` build a FrequentPattern view per
-    pattern read, and `from_patterns` builds a set from such views."""
+    pattern read."""
 
     itemsets: tuple[Itemset, ...]
     supports: tuple[int, ...]
     item_bits: dict[Item, int] = field(repr=False, hash=False)
     n: int
     minisupport_abs: int
-
-    @classmethod
-    def from_patterns(cls, patterns, n: int, minisupport_abs: int) -> PatternSet:
-        """The set of these FrequentPatterns, kept in the order given. An
-        itemset given twice or an item given two bitsets raises ValueError."""
-        patterns = tuple(patterns)
-        itemsets = tuple(p.itemset for p in patterns)
-        if len(set(itemsets)) != len(itemsets):
-            raise ValueError("duplicate itemsets in pattern set")
-        supports = tuple(p.support_count for p in patterns)
-        item_bits = {i: bits for p in patterns for i, bits in zip(p.itemset, p.item_bits)}
-        fps = cls(itemsets, supports, item_bits, n, minisupport_abs)
-        if fps.patterns != patterns:  # a view differs: an item has two bitsets
-            raise ValueError("an item has two level-1 bitsets in pattern set")
-        return fps
 
     def at_least(self, s_abs: int) -> PatternSet:
         """The set `mine` gives at s_abs, sharing this set's itemset tuples and

@@ -384,8 +384,8 @@ class _BlockCoder:
 
 @dataclass(frozen=True, eq=False)
 class AlertDataset:
-    """An ordered alert log under one schema. Immutable once built; two
-    datasets are equal when their schemas and alerts are.
+    """An ordered alert log under one schema. Immutable once built; a
+    dataset compares and hashes by identity, so neither builds an Alert.
 
     Built from Alerts, it keeps them as given, and codes its columns on
     the first columns() call. parse_log returns one that holds its columns
@@ -402,14 +402,6 @@ class AlertDataset:
                     f"alert at position {position} carries tid {alert.tid}; "
                     "tids must be 0..n-1 in order"
                 )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlertDataset):
-            return NotImplemented
-        return self.schema == other.schema and self.alerts == other.alerts
-
-    def __hash__(self) -> int:
-        return hash((self.schema, self.alerts))
 
     @property
     def n(self) -> int:

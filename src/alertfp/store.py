@@ -14,8 +14,8 @@ optionally be appended as a third tab-separated column for audit.
 A ClassifierModel is its header values and its rows, each row held as
 the file holds it: `from_patterns` renders them, load_model reads them
 and save_model writes them back. Two models are equal when their rows
-are. `patterns` and `tidlists` are read off the rows on first use, so
-saving, comparing and scoring a model build neither.
+are. `patterns` is read off the rows on first use, so saving, comparing
+and scoring a model do not build it.
 
 A model's rules are checked in one place, `_checked_scorer`, for save,
 load and scoring alike: the header's `n_train >= 1`, `minisupport` in
@@ -118,15 +118,6 @@ class ClassifierModel:
         item_of = _ItemMemo().__getitem__
         parts = (row.split("\t") for row in self.rows)
         return tuple((tuple(map(item_of, p[1].split(","))), int(p[0])) for p in parts)
-
-    @cached_property
-    def tidlists(self) -> tuple[tuple[int, ...], ...] | None:
-        """Each row's tidlist, read off the checked rows; None when the
-        rows carry none."""
-        self.scorer  # the check, so every tidlist parses
-        if self.rows[0].count("\t") != 2:
-            return None
-        return tuple(ints_of(row.rpartition("\t")[2]) for row in self.rows)
 
     @classmethod
     def from_patterns(

@@ -4,8 +4,8 @@ sweep and attack-id readers and writers.
 `int_of` reads an integer only as `str` writes it, and `ints_of` a run
 of them joined by commas, for the model and ranked-file readers.
 
-`open_text` reads a path, a text stream or a byte stream, and names the
-source in the error it raises for input that is not UTF-8. `atomic_write`
+`open_text` reads a path or a text stream, and names the source in the
+error it raises for input that is not UTF-8; `atomic_write`
 writes a path through a temp file in the same directory that replaces
 the target only once the whole output is written, so a reader racing a
 writer (a daytime scorer against a nightly rebuild) sees the old file or
@@ -15,7 +15,6 @@ are left open.
 
 from __future__ import annotations
 
-import io
 import os
 import re
 import stat
@@ -28,7 +27,7 @@ from .errors import AlertFpError
 
 _INTS = re.compile(r"(?:(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*)?")
 
-Source = Union[str, Path, IO[str], IO[bytes]]
+Source = Union[str, Path, IO[str]]
 Target = Union[str, Path, IO[str]]
 
 
@@ -57,23 +56,18 @@ def open_text(
     closed on exit.
 
     Input that is not UTF-8 raises `error`, with a message naming the
-    source. With `error=None`, each byte of a path or byte stream that does
-    not decode reads as a lone surrogate (errors="surrogateescape"), for a
-    reader that rejects such lines one at a time.
+    source. With `error=None`, each byte of a path that does not decode
+    reads as a lone surrogate (errors="surrogateescape"), for a reader
+    that rejects such lines one at a time; a text stream decodes as it was
+    opened to.
     """
     errors = "strict" if error else "surrogateescape"
     try:
         if isinstance(source, (str, Path)):
             with open(source, "r", encoding="utf-8", errors=errors, newline="") as handle:
                 yield handle
-        elif isinstance(source, io.TextIOBase) or hasattr(source, "encoding"):
-            yield source
         else:
-            wrapper = io.TextIOWrapper(source, encoding="utf-8", errors=errors, newline="")
-            try:
-                yield wrapper
-            finally:
-                wrapper.detach()  # leave the caller's byte stream open
+            yield source
     except UnicodeDecodeError as exc:
         if error is None:
             raise

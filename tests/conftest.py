@@ -4,6 +4,7 @@ import random
 import pytest
 
 from alertfp.ingest import parse_log
+from alertfp.miner import PatternSet
 from alertfp.model import (
     Alert,
     AlertDataset,
@@ -66,6 +67,16 @@ def random_schema_dataset(rng: random.Random, max_alerts=25):
         ]
         alerts.append(Alert(tid, tuple(values)))
     return AlertDataset(schema, tuple(alerts))
+
+
+def pattern_set(patterns, n, minisupport_abs):
+    """The PatternSet of these FrequentPatterns, in the order given, built
+    from its columns; a subset of a mined set need not be downward closed."""
+    patterns = tuple(patterns)
+    itemsets = tuple(p.itemset for p in patterns)
+    supports = tuple(p.support_count for p in patterns)
+    item_bits = {i: bits for p in patterns for i, bits in zip(p.itemset, p.item_bits)}
+    return PatternSet(itemsets, supports, item_bits, n, minisupport_abs)
 
 
 @pytest.fixture

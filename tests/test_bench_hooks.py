@@ -126,3 +126,37 @@ def test_traced_mine_counts_every_level_of_a_generated_log(spans):
     assert metrics["miner.levels"] == deepest == 10
     assert fps.count == 21711
     assert skipped > 0
+
+
+def test_traced_score_and_sweep_report_what_the_bench_reads(spans, tmp_path):
+    """The traced hooks read the model's patterns, the dataset's
+    transactions and the pattern set's iteration; a command run through
+    `main` must still feed each number the benchmark reports from them."""
+    n = 600
+    log, attacks, schema, model = (
+        str(tmp_path / name) for name in ("log.tsv", "attacks.txt", "log.schema", "model.fps")
+    )
+    gen = ["gen", "--records", str(n), "--seed", "1", "--out", log, "--attacks-out", attacks]
+    assert alertfp.cli.main([*gen, "--schema-out", schema]) == 0
+    common = ["--input", log, "--schema", schema]
+    assert alertfp.cli.main(["mine", *common, "--minisupport", "10", "--out", model]) == 0
+    thresholds = ["10", "30", "1%"]
+    runs = [
+        (["score", *common, "--model", model, "--out", str(tmp_path / "ranked.tsv")], 1),
+        (
+            ["sweep", *common, "--attacks", attacks, "--minisupport", ",".join(thresholds),
+             "--out", str(tmp_path / "sweep.txt")],
+            len(thresholds),
+        ),
+    ]
+    for argv, rankings in runs:
+        tracer = spans.Tracer()
+        with spans.traced(tracer):
+            assert alertfp.cli.main(argv) == 0
+        metrics = spans.layer_metrics(tracer, tracer.spans, 1.0, lambda start, end: end - start)
+        assert metrics["scorer.calls"] == rankings * n
+        # a key is an alert's frequent items, counted per ranking: one key for
+        # all of a ranking's alerts would mean no pattern was read
+        assert rankings < metrics["scorer.distinct_keys"] < metrics["scorer.calls"]
+        assert metrics["evaluate.rows"] == (len(thresholds) if argv[0] == "sweep" else 0)
+        assert metrics["model.items"] == 12 * n  # a generated alert itemizes to 12 items

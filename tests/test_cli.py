@@ -16,6 +16,7 @@ from alertfp.ingest import parse_log
 from alertfp.model import Alert, snort_schema
 from alertfp.scorer import read_ranked
 from alertfp.store import load_model, schema_fingerprint
+from alertfp.textio import atomic_write
 
 from conftest import SNORT_SAMPLE
 
@@ -694,6 +695,13 @@ class TestEvalCommand:
         assert code == 2
 
 
+def module_env(**extra):
+    """The environment for `python -m alertfp` to run this alertfp."""
+    src = str(Path(alertfp.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def gen_log(tmp_path):
     """A seeded 400-record gen log: (log, attacks, schema) paths."""
     log = tmp_path / "syn.tsv"
@@ -816,12 +824,9 @@ class TestGenCommand:
                 "--attacks-out", str(tmp_path / f"{stem}.txt"),
             ]
 
-        src = str(Path(alertfp.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         completed = subprocess.run(
             [sys.executable, "-m", "alertfp", *gen_args("module")],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=module_env(), capture_output=True, text=True, timeout=60,
         )
         assert completed.returncode == 0, completed.stderr
         assert main(gen_args("direct")) == 0
@@ -858,6 +863,38 @@ class TestGenCommand:
         )
         assert code == 0
         assert read_ranked(out).n == 50
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """The miner and the scorer build sets and dicts of Items, whose order
+    the hash seed decides; no output byte may follow it."""
+    log, attacks, schema = (str(tmp_path / name) for name in ("log.tsv", "a.txt", "log.schema"))
+    gen = ["gen", "--records", "1500", "--seed", "1", "--out", log, "--attacks-out", attacks]
+    assert main([*gen, "--schema-out", schema]) == 0
+    io_args = ["--input", log, "--schema", schema]
+    outputs = []
+    for seed in ("0", "12345"):
+        out = tmp_path / f"hash-seed-{seed}"
+        out.mkdir()
+        commands = [
+            ["mine", "--minisupport", "1%", "--emit-tidlists", "--out", str(out / "model.fps")],
+            ["rank", "--minisupport", "1%", "--top-p", "1", "--out", str(out / "ranked.tsv")],
+            ["sweep", "--minisupport", "10,30,1%", "--attacks", attacks,
+             "--out", str(out / "sweep.tsv")],
+        ]
+        for argv in commands:
+            completed = subprocess.run(
+                [sys.executable, "-m", "alertfp", *argv, *io_args],
+                env=module_env(PYTHONHASHSEED=seed),
+                capture_output=True, text=True, timeout=60,
+            )
+            assert completed.returncode == 0, completed.stderr
+        lines = (out / "model.fps").read_bytes().splitlines(keepends=True)
+        model = [line for line in lines if not line.startswith(b"built_at=")]
+        assert len(lines) - len(model) == 1
+        names = ("ranked.tsv", "ranked.tsv.candidates", "sweep.tsv")
+        outputs.append([model, *((out / name).read_bytes() for name in names)])
+    assert outputs[0] == outputs[1]
 
 
 def test_commands_write_nothing_to_stdout(tmp_path, capfd):
@@ -1148,6 +1185,54 @@ class TestOutputFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "model.fps", "ranked.tsv", "sample.tsv", "snort.schema"
         ]
+
+
+class TestInterrupt:
+    """Ctrl-C ends a command in one line and exit 130, with no output left.
+    The interrupt comes from a patched step, not from a real signal."""
+
+    @staticmethod
+    def interrupted_main(argv):
+        try:
+            return main(argv)
+        except KeyboardInterrupt:  # escaping, it would end the whole test run
+            pytest.fail("KeyboardInterrupt escaped main")
+
+    def test_an_interrupted_mine_writes_no_model(self, tmp_path, monkeypatch, capsys):
+        log, _, schema = gen_log(tmp_path)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(alertfp.cli, "mine", interrupted)
+        model = tmp_path / "model.fps"
+        capsys.readouterr()
+        argv = ["mine", "--input", str(log), "--schema", str(schema), "--out", str(model)]
+        assert self.interrupted_main(argv) == 130
+        assert capsys.readouterr().err == "alertfp: interrupted\n"
+        assert not model.exists()
+
+    def test_an_interrupted_write_leaves_no_target_and_no_temp_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        log, _, schema = gen_log(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        temps = []
+
+        def interrupted(target, *args):
+            with atomic_write(target) as out:
+                out.write("# alertfp-ranked v1\n")
+                temps.extend(tmp_path.glob("*.tmp"))
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(alertfp.cli, "write_ranked", interrupted)
+        ranked = tmp_path / "ranked.tsv"
+        argv = ["rank", "--input", str(log), "--schema", str(schema), "--out", str(ranked)]
+        capsys.readouterr()
+        assert self.interrupted_main([*argv, "--minisupport", "2%"]) == 130
+        assert capsys.readouterr().err == "alertfp: interrupted\n"
+        assert len(temps) == 1  # the line went to a temp file beside the target
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestRejects:

@@ -23,7 +23,6 @@ from alertfp.errors import (
 from alertfp.evaluate import SyntheticSpec, gen_synthetic, sweep
 from alertfp.ingest import parse_log
 from alertfp.miner import (
-    FrequentPattern,
     MiningConfig,
     PatternSet,
     bits_of,
@@ -47,7 +46,7 @@ from alertfp.model import (
 from alertfp.scorer import PatternScorer, ScoreConfig, rank, rank_with_scorer, simple_fpof
 from alertfp.store import ClassifierModel
 
-from conftest import baskets, itemset, random_baskets, random_schema_dataset
+from conftest import baskets, itemset, pattern_set, random_baskets, random_schema_dataset
 
 HALF = MiningConfig(minisupport=0.5)
 
@@ -706,11 +705,6 @@ class TestMinerProperties:
 
 
 class TestPatternSet:
-    def test_duplicate_itemsets_rejected(self, baskets4):
-        fps = mine(baskets4, HALF)
-        with pytest.raises(ValueError):
-            PatternSet.from_patterns(fps.patterns + (fps.patterns[0],), fps.n, fps.minisupport_abs)
-
     def test_lookup_and_support(self, baskets4):
         fps = mine(baskets4, HALF)
         assert fps.get(itemset("2", "5")).support_count == 3
@@ -772,7 +766,7 @@ class TestPatternSetColumns:
     def test_mined_set_equals_the_set_of_its_patterns(self, seed):
         for data in (random_baskets(random.Random(seed)), random_schema_dataset(random.Random(seed))):
             mined = mine(data, MiningConfig(minisupport=2))
-            rebuilt = PatternSet.from_patterns(list(mined), mined.n, mined.minisupport_abs)
+            rebuilt = pattern_set(mined, mined.n, mined.minisupport_abs)
             assert rebuilt == mined and mined == rebuilt
             assert hash(rebuilt) == hash(mined) and repr(rebuilt) == repr(mined)
             assert (rebuilt.itemsets, rebuilt.supports) == (mined.itemsets, mined.supports)
@@ -783,25 +777,11 @@ class TestPatternSetColumns:
         mined = mine(sample_times_ten, HALF)
         item = mined.itemsets[0][0]
         changed_bits = mined.item_bits[item] ^ 1 << mined.n  # a bit past the last tid
-        patterns = [
-            FrequentPattern(
-                p.itemset,
-                tuple(changed_bits if i == item else b for i, b in zip(p.itemset, p.item_bits)),
-                p.support_count,
-            )
-            for p in mined
-        ]
-        changed = PatternSet.from_patterns(patterns, mined.n, mined.minisupport_abs)
+        item_bits = {**mined.item_bits, item: changed_bits}
+        changed = PatternSet(mined.itemsets, mined.supports, item_bits, mined.n, mined.minisupport_abs)
         assert changed.itemsets == mined.itemsets and changed.supports == mined.supports
         assert changed != mined and mined != changed
         assert changed.get((item,)).item_bits == (changed_bits,)
-
-    def test_an_item_given_two_bitsets_is_refused(self, baskets4):
-        fps = mine(baskets4, HALF)
-        first = fps.patterns[0]
-        clash = FrequentPattern(first.itemset, (first.item_bits[0] | 1 << 9,), 1)
-        with pytest.raises(ValueError, match="two level-1 bitsets"):
-            PatternSet.from_patterns(fps.patterns[1:] + (clash,), fps.n, fps.minisupport_abs)
 
     def test_shared_scorer_slot_changes_neither_equality_nor_repr(self, baskets4):
         fps, twin = mine(baskets4, HALF), mine(baskets4, HALF)

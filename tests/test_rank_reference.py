@@ -1,9 +1,11 @@
-"""`alertfp rank` and `alertfp mine`, end to end, against a from-scratch
-reference.
+"""`alertfp rank`, `mine`, `score` and `sweep`, end to end, against a
+from-scratch reference.
 
 Seeded random small logs run through the command line at small absolute
-minisupports: `rank` under both metrics, and `mine` with tidlists. Every
-ranked row and every model pattern row must equal the one this file
+minisupports: `rank` under both metrics, `mine` with tidlists, `score`
+under both metrics against the model `mine` wrote from the same log, and
+`sweep` over those minisupports and one that no itemset reaches. Every
+ranked row, model pattern row and sweep row must equal the one this file
 computes. The reference shares no code with alertfp: it is written from
 the documented formats, imports nothing from alertfp but the command-line
 entry point, counts supports by enumerating each alert's itemsets, and
@@ -106,6 +108,27 @@ def reference_model_rows(kinds, rows, minisupport: int) -> list[str]:
     ]
 
 
+def reference_sweep_rows(kinds, rows, minisupports, attacks) -> list[str]:
+    """The sweep report's rows, in the order of minisupports: each
+    threshold's pattern count, the worst attack rank in the simple
+    ranking and the "%.3f" reduction 100 * (n - rank) / n. A threshold no
+    itemset reaches gives the failed row's prefix, which the error
+    follows."""
+    n = len(rows)
+    _, alert_items = itemized(kinds, rows)
+    out = []
+    for minisupport in minisupports:
+        ranked = reference_rows(kinds, rows, minisupport, "simple")
+        if not ranked:
+            out.append(f"{minisupport}\t-\t-\t-\t# ")
+            continue
+        rank_of = {int(tid): int(rank) for rank, tid, *_ in (row.split("\t") for row in ranked)}
+        worst = max(rank_of[tid] for tid in attacks)
+        count = len(frequent(alert_items, minisupport))
+        out.append(f"{minisupport}\t{count}\t{worst}\t{100 * (n - worst) / n:.3f}")
+    return out
+
+
 def seeded_case(tmp_path, seed):
     """A seeded random log and schema, written under tmp_path, and the two
     minisupports to run it at."""
@@ -158,3 +181,44 @@ def test_mine_matches_the_reference(tmp_path, seed):
         assert lines[1:3] == [f"n_train={len(rows)}", f"minisupport={minisupport}"]
         assert lines[5] == f"patterns={len(expected)}"
         assert lines[6:] == expected + [""]
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_score_matches_the_reference(tmp_path, seed):
+    kinds, rows, log, schema, minisupports = seeded_case(tmp_path, seed)
+    io_args = ["--input", str(log), "--schema", str(schema)]
+    for minisupport in minisupports:
+        model = tmp_path / f"model-{minisupport}.fps"
+        code = main(["mine", *io_args, "--minisupport", str(minisupport), "--out", str(model)])
+        if not reference_rows(kinds, rows, minisupport, "simple"):
+            assert code == 2 and not model.exists()
+            continue
+        assert code == 0
+        for metric in ("simple", "fpof"):
+            out = tmp_path / f"scored-{minisupport}-{metric}.tsv"
+            code = main(["score", *io_args, "--model", str(model), "--score", metric, "--out", str(out)])
+            assert code == 0
+            header, *written = out.read_text(encoding="utf-8").split("\n")
+            assert header == f"# alertfp-ranked v1 n={len(rows)} metric={metric}"
+            assert written == reference_rows(kinds, rows, minisupport, metric) + [""]
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_sweep_matches_the_reference(tmp_path, seed):
+    kinds, rows, log, schema, minisupports = seeded_case(tmp_path, seed)
+    rng = random.Random(f"attacks-{seed}")
+    attacks = rng.sample(range(len(rows)), min(len(rows), rng.randint(1, 2)))
+    attack_file = tmp_path / "attacks.txt"
+    attack_file.write_text("".join(f"{tid}\n" for tid in attacks), encoding="utf-8")
+    thresholds = [*minisupports, len(rows) + 1]  # the last one no itemset reaches
+    out = tmp_path / "sweep.tsv"
+    code = main([
+        "sweep", "--input", str(log), "--schema", str(schema), "--attacks", str(attack_file),
+        "--minisupport", ",".join(map(str, thresholds)), "--out", str(out),
+    ])
+    assert code == 0
+    written = out.read_text(encoding="utf-8").split("\n")
+    expected = reference_sweep_rows(kinds, rows, thresholds, attacks)
+    assert len(written) == len(expected) + 1 and written[-1] == ""
+    for row, want in zip(written, expected):
+        assert row.startswith(want) if want.endswith("# ") else row == want

@@ -12,7 +12,7 @@ from alertfp import store as store_module
 from alertfp.errors import AlertFpError, EmptyPatternSetError, ModelFormatError
 from alertfp.evaluate import SyntheticSpec, gen_synthetic, sweep
 from alertfp.ingest import parse_log, write_log
-from alertfp.miner import FrequentPattern, MiningConfig, PatternSet, mine
+from alertfp.miner import MiningConfig, PatternSet, mine
 from alertfp.model import (
     Alert,
     AlertDataset,
@@ -38,7 +38,7 @@ from alertfp.scorer import (
 )
 from alertfp.store import ClassifierModel, score_new
 
-from conftest import basket, random_baskets, random_schema_dataset
+from conftest import basket, pattern_set, random_baskets, random_schema_dataset
 
 HALF = MiningConfig(minisupport=0.5)
 
@@ -165,7 +165,7 @@ class TestCollectorPause:
     def test_a_failed_rank_turns_the_collector_back_on(self):
         low, high = Item(0, "a"), Item(1, "b")
         txns = [Transaction(0, frozenset({low, high}))]
-        fps = PatternSet.from_patterns([FrequentPattern((high, low), (1, 1), 1)], 1, 1)  # not ascending
+        fps = PatternSet(((high, low),), (1,), {high: 1, low: 1}, 1, 1)  # not ascending
         with pytest.raises(ModelFormatError, match="not strictly ascending"):
             rank(txns, fps)
         assert gc.isenabled()
@@ -309,7 +309,7 @@ class TestScorerProperties:
         txns = [Transaction(tid, items) for tid, items in enumerate(rows)]
         mined = mine(txns, MiningConfig(minisupport=1))
         kept = tuple(p for p in mined if rng.random() < keep_share)
-        fps = PatternSet.from_patterns(kept, mined.n, mined.minisupport_abs)
+        fps = pattern_set(kept, mined.n, mined.minisupport_abs)
         everything = set(KNOWN_ITEMS + UNSEEN_ITEMS)  # holds every frequent item
         for route in ROUTES:
             scorer = route.from_pattern_set(fps)
@@ -341,7 +341,7 @@ class TestScorerProperties:
         txns = [Transaction(tid, items) for tid, items in enumerate(rows)]
         mined = mine(txns, MiningConfig(minisupport=1))
         kept = tuple(p for p in mined if rng.random() < keep_share)
-        fps = PatternSet.from_patterns(kept, mined.n, mined.minisupport_abs)
+        fps = pattern_set(kept, mined.n, mined.minisupport_abs)
         for route in ROUTES:
             scorer = route.from_pattern_set(fps)
             for items in [set(WIDE_ITEMS), *queries, *rows]:
@@ -474,7 +474,7 @@ class TestConditionalScorer:
             mined = mine(data, MiningConfig(minisupport=rng.randint(1, len(txns))))
             # every other trial drops patterns, so the set need not be downward closed
             kept = tuple(p for p in mined if trial % 4 < 2 or rng.random() < 0.6)
-            fps = PatternSet.from_patterns(kept, mined.n, mined.minisupport_abs)
+            fps = pattern_set(kept, mined.n, mined.minisupport_abs)
             if fps.count == 0:
                 continue
             by_walk = rank_with_scorer(txns, PatternScorer.from_pattern_set(fps), config)
@@ -667,7 +667,7 @@ class TestCodesRoute:
             mined = mine(ds, MiningConfig(minisupport=min(minisupport, ds.n)))
             # dropped patterns leave a set that need not be downward closed
             kept = tuple(p for k, p in enumerate(mined) if k not in dropped)
-            fps = PatternSet.from_patterns(kept, mined.n, mined.minisupport_abs)
+            fps = pattern_set(kept, mined.n, mined.minisupport_abs)
             if fps.count:
                 assert_ranks_as_its_transactions(ds, fps)
 
@@ -827,8 +827,8 @@ class TestRankedFile:
         with pytest.raises(AlertFpError, match="^ranked file line 2: no newline at end of file$"):
             read_ranked(io.StringIO(text))
 
-    @pytest.mark.parametrize("as_bytes", [False, True], ids=["path", "byte-stream"])
-    def test_carriage_return_in_a_record_reads_back(self, as_bytes, tmp_path):
+    @pytest.mark.parametrize("as_stream", [False, True], ids=["path", "text-stream"])
+    def test_carriage_return_in_a_record_reads_back(self, as_stream, tmp_path):
         schema = AttributeSchema(
             (SchemaField("sig", FieldKind.CATEGORICAL), SchemaField("note", FieldKind.CATEGORICAL))
         )
@@ -836,8 +836,8 @@ class TestRankedFile:
         ranked = rank(ds, mine(ds, MiningConfig(minisupport=1)))
         path = tmp_path / "ranked.tsv"
         write_ranked(path, ranked, ds, "simple")
-        source = io.BytesIO(path.read_bytes()) if as_bytes else path
-        assert read_ranked(source).rows == tuple(ranked)
+        with open(path, encoding="utf-8", newline="") as stream:
+            assert read_ranked(stream if as_stream else path).rows == tuple(ranked)
 
     @pytest.mark.parametrize("value", ["2\n3", "\n", "2\r\n"], ids=["inner", "alone", "crlf"])
     def test_newline_in_a_record_raises_and_keeps_target(self, value, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from alertfp.evaluate import write_attack_ids
 from alertfp.scorer import ScoredAlert, write_ranked
-from alertfp.textio import atomic_write, open_text
+from alertfp.textio import atomic_write
 
 
 def test_failed_write_keeps_the_old_file_and_no_temp(sample_dataset, tmp_path):
@@ -69,12 +69,3 @@ def test_symlink_is_written_through_and_kept(tmp_path):
     assert link.is_symlink()
     assert real.read_text(encoding="utf-8") == "4\n"
     assert sorted(tmp_path.iterdir()) == [link, real]
-
-
-def test_byte_stream_is_read_and_left_open():
-    raw = io.BytesIO("café\n".encode("utf-8"))
-    with open_text(raw) as stream:
-        text = stream.read()
-    del stream  # a wrapper that still owned raw would close it here
-    assert text == "café\n"
-    assert not raw.closed
