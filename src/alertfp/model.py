@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain, compress, count, filterfalse, repeat
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -123,8 +123,9 @@ _NUMERIC, _TIMESTAMP = FieldKind.NUMERIC, FieldKind.TIMESTAMP
 def canonicalize_value(raw: str, kind: FieldKind) -> str:
     """Normalize one raw field value.
 
-    Numeric values lose thousands separators and leading zeros ("46,865"
-    becomes "46865", "007" becomes "7"). Other kinds are only trimmed.
+    Numeric values lose every comma, wherever it stands, and leading zeros
+    ("46,865" becomes "46865", "1,,2" becomes "12", "007" becomes "7"); a
+    value of commas alone is not a number. Other kinds are only trimmed.
     Empty or null-ish values canonicalize to the literal "null" for every
     kind; absence is itself a pattern-able feature.
     """
@@ -245,6 +246,32 @@ def _value_step(raw: str, kind: FieldKind) -> tuple[str, str, str | None]:
     return value, value, None
 
 
+# A numeric value that is its own canonical form: 0, or an integer in
+# ASCII digits with no "+", leading zero or comma, of at most 18 digits:
+# far below 640, the lowest limit sys.set_int_max_str_digits() accepts, so
+# a value too long for int() keeps its per-value error. One line per value
+# of a "\n"-joined list.
+_PLAIN_NUMBER = r"(?:0|-?[1-9][0-9]{0,17})"
+_PLAIN_NUMBERS = re.compile(f"{_PLAIN_NUMBER}(?:\n{_PLAIN_NUMBER})*")
+
+
+def _as_read(raws: list[str], kind: FieldKind) -> bool:
+    """True when _value_step gives each of `raws` the raw string itself as
+    its canonical value and key, and None as its time. One test of the
+    whole list: a false answer only means that each raw value must take the
+    per-value step. A timestamp always does."""
+    if kind is _TIMESTAMP:
+        return False
+    if kind is _NUMERIC:
+        lines = "\n".join(raws)  # a value holding "\n" would read as two
+        return lines.count("\n") == len(raws) - 1 and _PLAIN_NUMBERS.fullmatch(lines) is not None
+    return (
+        "" not in raws
+        and list(map(str.strip, raws)) == raws
+        and NULL_VALUE not in map(str.lower, raws)
+    )
+
+
 class ColumnCodes(NamedTuple):
     """One itemizable column of a dataset with its values coded.
 
@@ -271,11 +298,13 @@ class ColumnCodes(NamedTuple):
 
 class _ColumnCoder(dict):
     """An itemizable column's raw value -> code, and the codes committed so
-    far. A new raw value runs the per-value step once and takes the next
-    code c, whose canonical value is values[c] and item values keys[c] and
-    times[c]. A bad value codes to None, and its ValueParseError, naming
-    the field, goes to errors[raw]: each later row holding it fails on a
-    dict hit.
+    far. Each new raw value takes the next code c, whose canonical value is
+    values[c] and item values keys[c] and times[c]. A block's new raw
+    values are tested as a block: when every one is its own canonical value
+    and key, they take their codes at once, and else each runs the
+    per-value step in turn. A bad value codes to None, and its
+    ValueParseError, naming the field, goes to errors[raw]: each later row
+    holding it fails on a dict hit.
 
     The committed codes are a bytearray, one byte per row, while the
     column has at most 256 distinct raw values. The commit of the first
@@ -289,23 +318,41 @@ class _ColumnCoder(dict):
         self.errors: dict[str, ValueParseError] = {}
         self.codes: bytearray | list[int] = bytearray()
 
-    def __missing__(self, raw: str) -> int | None:
+    def _add(self, raw: str) -> None:
         try:
             value, key, time = _value_step(raw, self.field.kind)
         except ValueParseError as exc:
             self.errors[raw] = ValueParseError(exc.reason, field=self.field.name)
             self[raw] = None
-            return None
-        code = self[raw] = len(self.values)
+            return
+        self[raw] = len(self.values)
         self.values.append(value)
         self.keys.append(key)
         self.times.append(time)
-        return code
 
     def code(self, raws: list[str]) -> bytes | list[int | None]:
         """A block's codes, one per raw value: bytes while the column is
         bytes and every code of the block fits a byte, else a list, with
-        None for each bad value."""
+        None for each bad value. The block's new raw values, in order of
+        first appearance, take their codes before it is mapped again."""
+        try:
+            return self._mapped(raws)
+        except KeyError:  # a raw value not seen before
+            pass
+        # looked up before they are deduplicated: most raws of a block are not new
+        new = list(dict.fromkeys(filterfalse(self.__contains__, raws)))
+        if _as_read(new, self.field.kind):
+            start = len(self.values)
+            self.update(zip(new, range(start, start + len(new))))
+            self.values += new
+            self.keys += new
+            self.times += repeat(None, len(new))
+        else:
+            for raw in new:
+                self._add(raw)
+        return self._mapped(raws)
+
+    def _mapped(self, raws: list[str]) -> bytes | list[int | None]:
         if type(self.codes) is bytearray:
             try:
                 return bytes(map(self.__getitem__, raws))

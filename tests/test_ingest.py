@@ -33,6 +33,8 @@ from alertfp.model import (
     AttributeSchema,
     FieldKind,
     SchemaField,
+    _BlockCoder,
+    _value_step,
     canonicalize_value,
     itemize,
     snort_schema,
@@ -901,6 +903,146 @@ class TestByteAndIntColumns:
         )
         for s in (1, 2, 40):
             assert build_candidates_1(built, s) == build_candidates_1(ds, s)
+
+
+CODER_SCHEMA = AttributeSchema(
+    (
+        SchemaField("sig", FieldKind.CATEGORICAL),
+        SchemaField("cid", FieldKind.IDENTIFIER),
+        SchemaField("port", FieldKind.NUMERIC),
+        SchemaField("ts", FieldKind.TIMESTAMP),
+    )
+)
+# Each column's spellings that are not their own canonical value, or not a
+# value at all, and a few that are. "8\n0" only a dataset built from Alerts
+# can hold; it must not read as two lines of a joined block.
+CODER_SPELLINGS = {
+    "sig": ["web", " web ", "web ", "\tssh", "NULL", "Null", "null", "", "  ", "٨٠", "a b"],
+    "cid": ["1", " 2 ", "", "null"],
+    "port": [
+        "007", "+7", "-0", "0", "-5", "1,234", "1,,2", ",", " 80 ", "NULL", "Null", "null", "",
+        "٨٠", "8٠", "9" * 5000, "1" * 18, "1" * 19, "eighty", "8\n0", "-",
+    ],
+    "ts": ["6/11/2010 8:57 AM", " 6/11/2010  8:57 am ", "6/11/2010 8:57:31 AM", "null", "NULL",
+           "", "yesterday", "6/22/2010 99:99 PM"],
+}
+PLAIN = {
+    "sig": st.integers(0, 40).map("sig{}".format),
+    "cid": st.integers(1, 9).map(str),
+    "port": st.integers(-60, 400).map(str),
+    "ts": st.builds("6/{}/2010 {}:{:02d} PM".format, st.integers(1, 3), st.integers(1, 12),
+                    st.integers(0, 59)),
+}
+
+
+def burst(start, odd):
+    """A block of 300 rows whose ports are all new plain values but for
+    `odd`, if given, on its 150th row."""
+    rows = [(f"sig{k % 7}", "1", str(start + k), "6/1/2010 1:00 PM") for k in range(300)]
+    if odd is not None:
+        rows[150] = rows[150][:2] + (odd,) + rows[150][3:]
+    return rows
+
+
+@st.composite
+def coder_blocks(draw):
+    """Blocks of rows: each value plain or one of its column's spellings,
+    and now and then a block that brings more than 256 new ports at once."""
+    row = st.tuples(*(PLAIN[name] | st.sampled_from(CODER_SPELLINGS[name]) for name in PLAIN))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 4)) == 0:
+            odd = st.none() | st.sampled_from(CODER_SPELLINGS["port"])
+            blocks.append(burst(draw(st.integers(-300, 10**6)), draw(odd)))
+        else:
+            blocks.append(draw(st.lists(row, max_size=8)))
+    return blocks
+
+
+# one block per spelling, each spelling the only value of its block that
+# is new and not plain, so a block test that took it as read would code it
+# as read; then a burst with no odd value and one with a bad value
+ONE_SPELLING_A_BLOCK = [
+    [("sig0", "1", "1", "6/1/2010 1:00 PM"), (sig, cid, port, "6/1/2010 1:00 PM")]
+    for sig, cid, port in zip(
+        cycle(CODER_SPELLINGS["sig"]), cycle(CODER_SPELLINGS["cid"]), CODER_SPELLINGS["port"]
+    )
+] + [burst(1000, None), burst(5000, "eighty")]
+
+
+class PerValueCoder:
+    """A column coded one distinct raw value at a time through _value_step:
+    the reference the block coder must equal."""
+
+    def __init__(self, f):
+        self.field = f
+        self.codes, self.values, self.keys, self.times, self.errors = {}, [], [], [], {}
+        self.committed = []
+
+    def code(self, raw):
+        if raw not in self.codes:
+            try:
+                value, key, time = _value_step(raw, self.field.kind)
+            except ValueParseError as exc:
+                self.errors[raw] = f"{exc} (field {self.field.name!r})"
+                self.codes[raw] = None
+            else:
+                self.codes[raw] = len(self.values)
+                self.values.append(value)
+                self.keys.append(key)
+                self.times.append(time)
+        return self.codes[raw]
+
+
+class TestCoderAgainstAPerValueReference:
+    """A block's new raw values are tested as a block, and take their codes
+    at once when each is its own canonical value: every code, value, key,
+    time, error and rejected row is what the per-value step gives, and the
+    column turns from bytes to ints at the block that brings its 257th
+    value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(coder_blocks())
+    @example(ONE_SPELLING_A_BLOCK)
+    def test_block_coder_equals_a_per_value_coder(self, blocks):
+        schema = CODER_SCHEMA
+        coder = _BlockCoder(schema)
+        reference = {i: PerValueCoder(schema.fields[i]) for i in schema.itemizable_indexes()}
+        cids = []
+        for rows in blocks:
+            rejects = []
+            for row, values in enumerate(rows):
+                codes = {i: column.code(values[i]) for i, column in reference.items()}
+                bad = [i for i, code in codes.items() if code is None]
+                if bad:
+                    rejects.append((row, reference[bad[0]].errors[values[bad[0]]]))
+                    continue
+                for i, code in codes.items():
+                    reference[i].committed.append(code)
+                cids.append(values[1])
+            failed = coder.commit([value for values in rows for value in values])
+            assert [(row, str(error)) for row, error in failed] == rejects
+            for column in coder.coders:
+                expected = reference[column.index]
+                assert dict(column) == expected.codes
+                assert column.values == expected.values
+                assert column.keys == expected.keys
+                assert column.times == expected.times
+                assert {raw: str(e) for raw, e in column.errors.items()} == expected.errors
+                assert list(column.codes) == expected.committed
+                narrow = len(expected.values) <= 256
+                assert type(column.codes) is (bytearray if narrow else list)
+        assert coder.raws == {1: cids} and coder.rows == len(cids)
+        for column in coder.columns():
+            expected = reference[column.field_index]
+            assert type(column.codes) is (bytes if len(expected.values) <= 256 else tuple)
+            assert list(column.codes) == expected.committed
+            assert column.keys == tuple(expected.keys)
+            if expected.field.kind is FieldKind.TIMESTAMP:
+                assert column.times == tuple(expected.times)
+                assert column.values == tuple(expected.values)
+            else:
+                assert column.times is None and column.values == column.keys
 
 
 @pytest.mark.parametrize(

@@ -62,6 +62,14 @@ class TestCanonicalize:
     def test_numeric_strips_thousands_separators(self):
         assert canonicalize_value("46,865", FieldKind.NUMERIC) == "46865"
 
+    def test_numeric_drops_every_comma(self):
+        # not only thousands separators: any comma anywhere goes, and a
+        # value of commas alone is no number
+        assert canonicalize_value("1,2,3", FieldKind.NUMERIC) == "123"
+        assert canonicalize_value("1,,2", FieldKind.NUMERIC) == "12"
+        with pytest.raises(ValueParseError, match="not a numeric value: ','"):
+            canonicalize_value(",", FieldKind.NUMERIC)
+
     def test_categorical_identity_on_clean_input(self):
         value = "WEB-MISC/doc/access"
         assert canonicalize_value(value, FieldKind.CATEGORICAL) == value
