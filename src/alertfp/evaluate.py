@@ -23,7 +23,7 @@ from .errors import AlertFpError
 from .ingest import COMMENT_PREFIX
 from .miner import MiningConfig, mine
 from .model import Alert, AlertDataset, snort_schema
-from .scorer import ScoreConfig, ScoredAlert, rank
+from .scorer import ScoredAlert, rank
 from .textio import Target, atomic_write
 
 
@@ -69,9 +69,9 @@ def sweep(
     minisupports: Sequence[int | float],
     attack_tids: Iterable[int],
     config: MiningConfig | None = None,
-    score_config: ScoreConfig | None = None,
 ) -> list[SweepRow]:
-    """mine, rank, locate, reduce at each threshold; one row per value.
+    """mine, rank by the simple score, locate, reduce at each threshold;
+    one row per value.
 
     Support is anti-monotone, so the pattern set at a threshold is exactly
     the patterns of any lower threshold's set that reach it, in the same
@@ -88,7 +88,6 @@ def sweep(
     if not minisupports:
         raise AlertFpError("minisupport list is empty")
     base = config or MiningConfig()
-    score_config = score_config or ScoreConfig()
     attack_tids = tuple(attack_tids)
     n = data.n if isinstance(data, AlertDataset) else len(data)
     _check_attacks(set(attack_tids), range(n))
@@ -108,7 +107,7 @@ def sweep(
             continue
         fps = lowest.at_least(s_abs)
         try:
-            ranked = rank(data, fps, score_config)
+            ranked = rank(data, fps)
             worst = max(locate_attacks(ranked, attack_tids))
             rows.append(SweepRow(s_abs, fps.count, worst, reduction(n, worst)))
         except AlertFpError as exc:

@@ -12,10 +12,11 @@ so a row's itemset text is one-to-one with its itemset. Tidlists can
 optionally be appended as a third tab-separated column for audit.
 
 A ClassifierModel is its header values and its rows, each row held as
-the file holds it: `from_patterns` renders them, load_model reads them
-and save_model writes them back. Two models are equal when their rows
-are. `patterns` is read off the rows on first use, so saving, comparing
-and scoring a model do not build it.
+the file holds it: `from_patterns` renders each from its own pattern,
+tidlist included, load_model reads them and save_model writes them back
+line by line, so an audited save holds one copy of its rows. Two models
+are equal when their rows are. `patterns` is read off the rows on first
+use, so saving, comparing and scoring a model do not build it.
 
 A model's rules are checked in one place, `_checked_scorer`, for save,
 load and scoring alike: the header's `n_train >= 1`, `minisupport` in
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache, cached_property
 from itertools import count, repeat
-from operator import lt
+from operator import attrgetter, lt
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -126,18 +127,13 @@ class ClassifierModel:
         built_at: str,
         n_train: int,
         minisupport_abs: int,
-        patterns: Iterable[tuple[Sequence[Item], int]],
-        tidlists: Sequence[Sequence[int]] | None = None,
+        patterns: Iterable[tuple],
     ) -> "ClassifierModel":
-        """A model of (itemset, support_count) pairs and, optionally, one
-        tidlist per pair, rendered as save_model writes them. Only the
-        tidlist count is checked here; the rest is the scorer's check."""
-        rows = [f"{support}\t{render_itemset(itemset)}" for itemset, support in patterns]
-        if tidlists is not None:
-            if len(tidlists) != len(rows):
-                raise ModelFormatError("tidlist count does not match pattern count")
-            rows = [f"{row}\t{','.join(map(str, tids))}" for row, tids in zip(rows, tidlists)]
-        return cls(fingerprint, built_at, n_train, minisupport_abs, tuple(rows))
+        """A model of (itemset, support_count) patterns or, for audited
+        rows, (itemset, support_count, tidlist), each rendered from its own
+        tuple as save_model writes it. Nothing is checked here: rows that
+        disagree on the tidlist column are the scorer's check to refuse."""
+        return cls(fingerprint, built_at, n_train, minisupport_abs, tuple(map(_row_of, patterns)))
 
     @classmethod
     def from_pattern_set(
@@ -154,14 +150,19 @@ class ClassifierModel:
             )
         if built_at is None:
             built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        columns = [fps.itemsets, fps.supports]
+        if include_tidlists:  # lazily: one pattern's tid tuple is alive at a time
+            columns.append(map(attrgetter("tidlist"), fps))
         return cls.from_patterns(
-            schema_fingerprint(schema),
-            built_at,
-            fps.n,
-            fps.minisupport_abs,
-            zip(fps.itemsets, fps.supports),
-            [p.tidlist for p in fps] if include_tidlists else None,
+            schema_fingerprint(schema), built_at, fps.n, fps.minisupport_abs, zip(*columns)
         )
+
+
+def _row_of(pattern: tuple) -> str:
+    """The row save_model writes for (itemset, support_count[, tidlist])."""
+    itemset, support_count, *tidlist = pattern
+    tids_text = (",".join(map(str, tids)) for tids in tidlist)
+    return "\t".join((str(support_count), render_itemset(itemset), *tids_text))
 
 
 def _check_header(model: ClassifierModel) -> None:
@@ -252,19 +253,18 @@ def _checked_scorer(model: ClassifierModel, first_line: int | None = None) -> Pa
 
 def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
     """Check the model as load_model would, then write its header and rows
-    atomically. Saving a loaded model reproduces the file byte for byte."""
+    line by line, atomically. Saving a loaded model reproduces the file
+    byte for byte."""
     model.scorer  # the build is the check
-    lines = [
-        MODEL_MAGIC,
-        f"n_train={model.n_train}",
-        f"minisupport={model.minisupport_abs}",
-        f"schema_fp={model.schema_fingerprint}",
-        f"built_at={model.built_at}",
-        f"patterns={model.pattern_count}",
-        *model.rows,
-    ]
     with atomic_write(path) as out:
-        out.write("\n".join(lines) + "\n")
+        out.write(
+            f"{MODEL_MAGIC}\nn_train={model.n_train}\nminisupport={model.minisupport_abs}\n"
+            f"schema_fp={model.schema_fingerprint}\nbuilt_at={model.built_at}\n"
+            f"patterns={model.pattern_count}\n"
+        )
+        for row in model.rows:  # two writes: a new "row\n" string per row took longer
+            out.write(row)
+            out.write("\n")
 
 
 def load_model(path: Union[str, Path]) -> ClassifierModel:

@@ -29,7 +29,7 @@ from alertfp.model import (
     SchemaField,
     Transaction,
 )
-from alertfp.scorer import ScoreConfig, ScoredAlert, rank, simple_fpof
+from alertfp.scorer import ScoredAlert, rank, simple_fpof
 
 #: Items the sweep property test draws its baskets from.
 SWEEP_ITEMS = [Item(field, f"v{value}") for field in range(2) for value in range(3)]
@@ -178,7 +178,6 @@ class TestSweep:
         ),
         max_patterns=st.one_of(st.none(), st.integers(1, 40)),
         max_pattern_len=st.one_of(st.none(), st.integers(1, 3)),
-        metric=st.sampled_from(["simple", "fpof"]),
         attack_picks=st.sets(st.integers(0, 11), min_size=1),
     )
     # 1 and 3 trip the cap, 4 is mined, 6 and 13 filter it; 13 exceeds n,
@@ -190,18 +189,16 @@ class TestSweep:
         values=[4, 1, 13, 6, 3, 4],
         max_patterns=8,
         max_pattern_len=None,
-        metric="simple",
         attack_picks={6},
     )
     def test_filtering_equals_mining_each_threshold_hypothesis(
-        self, rows, values, max_patterns, max_pattern_len, metric, attack_picks
+        self, rows, values, max_patterns, max_pattern_len, attack_picks
     ):
         txns = [Transaction(tid, items) for tid, items in enumerate(rows)]
         attacks = sorted({pick % len(txns) for pick in attack_picks})
         config = MiningConfig(max_patterns=max_patterns, max_pattern_len=max_pattern_len)
-        score_config = ScoreConfig(metric=metric)
-        expected = sweep_each_threshold(txns, values, attacks, config, score_config)
-        assert sweep(txns, values, attacks, config, score_config) == expected
+        expected = sweep_each_threshold(txns, values, attacks, config)
+        assert sweep(txns, values, attacks, config) == expected
 
 
 FILTER_SIGS = ["web", " web", "ssh", "null", ""]
@@ -261,15 +258,16 @@ def assert_filter_equals_mining(data, low, highs):
         assert all(id(itemset) in ids for itemset in filtered.itemsets)
 
 
-def sweep_each_threshold(txns, values, attacks, config, score_config):
-    """Reference sweep: mine, rank and locate at each threshold on its own."""
+def sweep_each_threshold(txns, values, attacks, config):
+    """Reference sweep: mine, rank by the simple score and locate at each
+    threshold on its own."""
     rows = []
     for value in values:
         row_config = replace(config, minisupport=value)
         s_abs = row_config.minisupport_abs(len(txns))
         try:
             fps = mine(txns, row_config)
-            worst = max(locate_attacks(rank(txns, fps, score_config), attacks))
+            worst = max(locate_attacks(rank(txns, fps), attacks))
             rows.append(SweepRow(s_abs, fps.count, worst, reduction(len(txns), worst)))
         except AlertFpError as exc:
             rows.append(SweepRow(s_abs, None, None, None, error=str(exc)))

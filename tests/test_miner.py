@@ -745,7 +745,7 @@ class TestPatternSetColumns:
             fps = mine(data, MiningConfig(minisupport=low))
             for metric in ("simple", "fpof"):
                 rank(data, fps, ScoreConfig(metric))
-            sweep(data, [low, low + 3, 2 * low + 1], [0], score_config=ScoreConfig("fpof"))
+            sweep(data, [low, low + 3, 2 * low + 1], [0])
         rows = sweep(dataset, [4, 9, 20], attacks)
         fps = mine(dataset, MiningConfig(minisupport=4))
         model = ClassifierModel.from_pattern_set(fps, dataset.schema, built_at="t")

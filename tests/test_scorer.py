@@ -644,7 +644,7 @@ class TestCodesRoute:
         for metric in ("simple", "fpof"):
             rank(ds, fps, ScoreConfig(metric))
             score_new(ds, model, ScoreConfig(metric))
-            sweep(ds, [2, 3], [0], score_config=ScoreConfig(metric))
+        sweep(ds, [2, 3], [0])
         assert "_transactions" not in ds.__dict__
 
     @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@ import gc
 import random
 import re
 import tempfile
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from alertfp.errors import (
     ModelFormatError,
     SchemaMismatchError,
 )
+from alertfp.evaluate import SyntheticSpec, gen_synthetic
 from alertfp.miner import MiningConfig, mine
 from alertfp.model import (
     Alert,
@@ -488,11 +490,15 @@ class TestSaveLoad:
                 "minisupport 6 outside [1, 5]",
             ),
             (
-                ClassifierModel.from_patterns(
-                    "x", FIXED_TIME, 5, 2, (((A,), 3),), ((0, 1, 99, -4),)
-                ),
+                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((A,), 3, (0, 1, 99, -4)),)),
                 "tidlist of itemset 0=a is not 3 strictly ascending tids in [0, 5)",
                 "line 7: tidlist of itemset 0=a is not 3 strictly ascending tids in [0, 5)",
+            ),
+            (
+                # the first row carries a tidlist, so every row must
+                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((A,), 2, (0, 1)), ((B,), 2))),
+                "malformed pattern row",
+                "line 8: malformed pattern row",
             ),
             (
                 ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, ()),
@@ -510,6 +516,7 @@ class TestSaveLoad:
             "minisupport-0",
             "minisupport-above-n-train",
             "inconsistent-tidlist",
+            "tidlist-on-some-rows",
             "no-patterns",
         ],
     )
@@ -534,15 +541,6 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match="support 9 outside"):
             save_model(model, path)
         assert not path.exists()
-
-    def test_save_refuses_tidlist_count_mismatch(self, tmp_path):
-        path = tmp_path / "model.fps"
-        with pytest.raises(ModelFormatError, match="^tidlist count does not match pattern count$"):
-            model = ClassifierModel.from_patterns(
-                "x", FIXED_TIME, 5, 2, (((A,), 2), ((B,), 2)), ((0, 1),)
-            )
-            save_model(model, path)
-        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "fingerprint, built_at, message",
@@ -603,6 +601,28 @@ class TestSaveLoad:
         for (itemset, _), tids in zip(loaded.patterns, tidlists, strict=True):
             assert tids == ",".join(str(t.tid) for t in txns if t.items >= set(itemset))
 
+    def test_audited_save_holds_about_one_copy_of_its_rows(self, tmp_path):
+        """An audited model renders each row from its own pattern and is
+        written row by row. A build that held every tid tuple before the
+        first row, or a save that joined the whole file into one string,
+        peaked at about 7 times the file on this log."""
+        dataset, _ = gen_synthetic(SyntheticSpec(600, 5, 1, 3))
+        fps = mine(dataset, MiningConfig(minisupport=30))
+        assert sum(fps.supports) > 300_000  # tids written
+        path = tmp_path / "model.fps"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            model = ClassifierModel.from_pattern_set(
+                fps, dataset.schema, built_at=FIXED_TIME, include_tidlists=True
+            )
+            save_model(model, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < 3 * size, f"peak {peak / size:.2f} times the {size}-byte file"
+
     def test_atomic_write_replaces_not_appends(self, sample_model, tmp_path):
         path = tmp_path / "model.fps"
         save_model(sample_model, path)
@@ -640,7 +660,8 @@ PROBE_ITEMS = [Item(0, "a"), Item(0, "b"), Item(1, ","), Item(2, "a")]
 def hand_built_models(draw):
     """Models as a caller may build them: no patterns, empty, descending or
     repeated itemsets, supports just outside [minisupport, n_train], bad
-    tidlists, and rows that are fine."""
+    tidlists, rows that disagree on the tidlist column, and rows that are
+    fine."""
     n_train = draw(st.integers(0, 5))
     low, high = (1, n_train) if n_train and draw(st.booleans()) else (-1, n_train + 1)
     minisupport = draw(st.integers(low, high))
@@ -649,15 +670,17 @@ def hand_built_models(draw):
     itemsets = st.one_of(ascending.map(sorted), ascending.map(sorted), anyhow)
     supports = st.integers(min(minisupport, n_train), n_train) | st.integers(minisupport - 1, n_train + 1)
     patterns = draw(st.lists(st.tuples(itemsets.map(tuple), supports), max_size=5))
-    tidlists = None
-    if draw(st.booleans()):
-        tidlists = [
-            draw(st.just(tuple(range(support))) | st.lists(st.integers(-1, n_train)))
-            for _, support in patterns
-        ]
-    return ClassifierModel.from_patterns(
-        "x", FIXED_TIME, n_train, minisupport, patterns, tidlists
-    )
+    # a tidlist rides as a pattern's third field: on no row, on every row, or
+    # on some rows, which the first row's column count refuses
+    carries = draw(st.sampled_from([st.just(False), st.just(True), st.booleans()]))
+    tidlists = st.lists(st.integers(-1, n_train))
+    patterns = [
+        (itemset, support, draw(st.just(tuple(range(support))) | tidlists))
+        if draw(carries)
+        else (itemset, support)
+        for itemset, support in patterns
+    ]
+    return ClassifierModel.from_patterns("x", FIXED_TIME, n_train, minisupport, patterns)
 
 
 class TestSaveLoadAgreeProperty:
@@ -739,8 +762,10 @@ class TestLoadedTrieProperty:
             FIXED_TIME,
             fps.n,
             fps.minisupport_abs,
-            tuple((p.itemset, p.support_count) for p in kept),
-            tuple(p.tidlist for p in kept) if tidlists else None,
+            tuple(
+                (p.itemset, p.support_count, p.tidlist) if tidlists else (p.itemset, p.support_count)
+                for p in kept
+            ),
         )
         if len(kept) == fps.count:
             expected = PatternScorer.from_pattern_set(fps)
