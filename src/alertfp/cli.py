@@ -168,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="absolute count N or percentage P%% (default %(default)s)",
         )
         add_guard(p)
-        p.add_argument("--max-pattern-len", type=_parse_positive_int, default=None)
 
     def add_scoring(p):
         p.add_argument("--score", choices=("simple", "fpof"), default=ScoreConfig.metric)
@@ -338,11 +337,7 @@ def _load_inputs(args):
 
 
 def _mining_config(args) -> MiningConfig:
-    return MiningConfig(
-        minisupport=args.minisupport,
-        max_pattern_len=args.max_pattern_len,
-        max_patterns=args.max_patterns,
-    )
+    return MiningConfig(minisupport=args.minisupport, max_patterns=args.max_patterns)
 
 
 def _cmd_mine(args) -> int:

@@ -77,8 +77,8 @@ def sweep(
     the patterns of any lower threshold's set that reach it, in the same
     canonical order. The distinct thresholds are mined in ascending order
     until one mine succeeds; every higher threshold filters that set
-    (`PatternSet.at_least`). A cap or max_pattern_len the lowest mine
-    passed cannot trip on a subset of it.
+    (`PatternSet.at_least`). A cap the lowest mine passed cannot trip on
+    a subset of it.
 
     A failing threshold (explosion guard, empty pattern set) produces a
     row carrying the error instead of aborting the sweep: partial results

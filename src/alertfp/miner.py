@@ -124,14 +124,12 @@ class MiningConfig:
 
     minisupport is either an absolute count (int >= 1) or a ratio in
     (0, 1] that converts to ceil(ratio * n): half of 4 transactions means
-    2, never 1. max_pattern_len limits the itemset length, and max_patterns
-    guards against candidate explosion on low thresholds; each is an int
-    >= 1 (not a bool), or None to disable it. Building a config with a bad
-    value raises ValueError.
+    2, never 1. max_patterns guards against candidate explosion on low
+    thresholds; it is an int >= 1 (not a bool), or None to disable it.
+    Building a config with a bad value raises ValueError.
     """
 
     minisupport: int | float | Fraction = 2
-    max_pattern_len: int | None = None
     max_patterns: int | None = DEFAULT_PATTERN_CAP
 
     def __post_init__(self) -> None:
@@ -143,12 +141,9 @@ class MiningConfig:
                 raise ValueError("absolute minisupport must be >= 1")
         elif not 0 < Fraction(str(s)) <= 1:
             raise ValueError("minisupport ratio must be in (0, 1]")
-        for name in ("max_pattern_len", "max_patterns"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be >= 1 or None, as an int (got {value!r})")
+        cap = self.max_patterns
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
+            raise ValueError(f"max_patterns must be >= 1 or None, as an int (got {cap!r})")
 
     def minisupport_abs(self, n: int) -> int:
         if isinstance(self.minisupport, int):
@@ -418,8 +413,8 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
     """Mine every frequent itemset with its support.
 
     Levels proceed candidate-1 scan, prune, join, prune, ... until a level
-    comes up empty or max_pattern_len is reached, each level a list of
-    (itemset, bitset, count) triples. Output is canonical.
+    comes up empty, each level a list of (itemset, bitset, count) triples.
+    Output is canonical.
     Each level is joined and pruned one prefix group at a time, and a
     group's bitsets are dropped once it is joined; a group of one itemset
     joins nothing and is skipped. A candidate whose tidset equals a
@@ -455,8 +450,6 @@ def mine(data: Minable, config: MiningConfig | None = None) -> PatternSet:
         # each level in itemset order, which prune keeps
         itemsets += map(itemgetter(0), level)
         supports += map(itemgetter(2), level)
-        if len(kept) == config.max_pattern_len:
-            break
         groups = []
         for _, group in groupby(level, key=_prefix):
             group = list(group)

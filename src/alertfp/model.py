@@ -106,10 +106,10 @@ class AttributeSchema:
 
 _NUMERIC_RE = re.compile(r"[+-]?\d+")
 # month 1-12, day 1-31, hour 0-12, minute and second 00-59; a one-digit
-# month, day or hour may take a leading zero. Hour 0 is kept, as it always
-# was: some clocks write the hour after midnight as 0:MM AM.
+# month, day or hour may take a leading zero. Hour 0 is accepted: some
+# clocks write the hour after midnight as 0:MM AM.
 _TIMESTAMP_RE = re.compile(
-    r"((?:0?[1-9]|1[0-2])/(?:0?[1-9]|[12]\d|3[01])/\d{4})\s+(0?\d|1[0-2]):([0-5]\d)"
+    r"(0?[1-9]|1[0-2])/(0?[1-9]|[12]\d|3[01])/(\d{4})\s+(0?\d|1[0-2]):([0-5]\d)"
     r"(?::[0-5]\d)?\s*([AaPp][Mm])",
     re.ASCII,
 )
@@ -146,19 +146,22 @@ def canonicalize_value(raw: str, kind: FieldKind) -> str:
 
 
 def split_timestamp(raw: str) -> tuple[str, str]:
-    """Split "M/D/YYYY H:MM AM" into its date and time parts.
+    """Split "M/D/YYYY H:MM AM" into its date and time parts, one of
+    each for every spelling of a minute.
 
+    The date part has no leading zeros ("06/02/2010" gives "6/2/2010").
     The time part is minute-resolution with the meridiem attached and no
-    internal space ("8:57AM"); seconds, if present, are dropped. A month
-    outside 1-12, a day outside 1-31, an hour outside 0-12, or a minute
-    or second outside 00-59 is not a timestamp: "6/22/2010 99:99 PM" and
-    "0/0/2010 8:57 AM" raise as "yesterday" does.
+    internal space ("08:57 am" gives "8:57AM"); hour 0 reads as 12, the
+    hour it names ("0:30 AM" gives "12:30AM"), and seconds, if present,
+    are dropped. A month outside 1-12, a day outside 1-31, an hour outside
+    0-12, or a minute or second outside 00-59 is not a timestamp:
+    "6/22/2010 99:99 PM" and "0/0/2010 8:57 AM" raise as "yesterday" does.
     """
     match = _TIMESTAMP_RE.fullmatch(raw.strip())
     if match is None:
         raise ValueParseError(f"not a recognized timestamp: {raw!r}")
-    date_part, hour, minute, meridiem = match.groups()
-    return date_part, f"{int(hour)}:{minute}{meridiem.upper()}"
+    month, day, year, hour, minute, meridiem = match.groups()
+    return f"{int(month)}/{int(day)}/{year}", f"{int(hour) or 12}:{minute}{meridiem.upper()}"
 
 
 class Item(NamedTuple):

@@ -61,7 +61,7 @@ from .errors import AlertFpError, EmptyPatternSetError, ModelFormatError
 from .ingest import check_delimiter
 from .miner import Minable, PatternSet, _as_transactions
 from .model import AlertDataset, Item, Transaction, render_itemset
-from .textio import Source, Target, atomic_write, int_of, open_text
+from .textio import Source, Target, atomic_write, int_of, lines_of, open_text
 
 RANKED_MAGIC = "# alertfp-ranked v1"
 # the header and a full score ("%.6f" of a value in [0, 1]) as write_ranked writes them
@@ -506,8 +506,7 @@ def read_ranked(source: Source) -> RankedFile:
     last line without "\n", or a row count that differs from the header's
     n= raises AlertFpError."""
     with open_text(source) as stream:
-        # split on "\n" alone: an original record may hold "\r"
-        header, *lines = stream.read().split("\n")
+        header, *lines = lines_of(stream)
     match = _RANKED_HEADER.fullmatch(header)
     try:
         if not match:

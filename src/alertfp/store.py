@@ -13,10 +13,11 @@ optionally be appended as a third tab-separated column for audit.
 
 A ClassifierModel is its header values and its rows, each row held as
 the file holds it: `from_patterns` renders each from its own pattern,
-tidlist included, load_model reads them and save_model writes them back
-line by line, so an audited save holds one copy of its rows. Two models
-are equal when their rows are. `patterns` is read off the rows on first
-use, so saving, comparing and scoring a model do not build it.
+tidlist included, load_model reads them a block at a time and save_model
+writes them back line by line, so an audited save or load holds one copy
+of its rows. Two models are equal when their rows are. `patterns` is read
+off the rows on first use, so saving, comparing and scoring a model do
+not build it.
 
 A model's rules are checked in one place, `_checked_scorer`, for save,
 load and scoring alike: the header's `n_train >= 1`, `minisupport` in
@@ -71,7 +72,7 @@ from .scorer import (
     _collector_paused,
     rank_with_scorer,
 )
-from .textio import atomic_write, int_of, ints_of, open_text
+from .textio import atomic_write, int_of, ints_of, lines_of, open_text
 
 MODEL_MAGIC = "# alertfp-model v1"
 #: the keys of header lines 2-6, in the order save_model writes them
@@ -270,16 +271,13 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
 def load_model(path: Union[str, Path]) -> ClassifierModel:
     """Read and fully validate a model file in the layout save_model
     writes: the magic line, the header lines in save's order, then row k
-    on line 6 + k, each line ending in "\n". The model comes with the
-    scorer its check built."""
+    on line 6 + k, each line ending in "\n". The file is read a block at
+    a time (`lines_of`), so the load holds its lines and not the whole
+    text beside them. The model comes with the scorer its check built."""
     with open_text(path, ModelFormatError) as stream:
-        text = stream.read()
-    if not text:
+        lines = list(lines_of(stream))
+    if lines == [""]:
         raise ModelFormatError("empty model file")
-    # split on "\n" alone: it is the only line break the escaping covers, and
-    # a value may hold "\r", "\x0c", "\x85" or "\u2028", which splitlines()
-    # would also break on
-    lines = text.split("\n")
     if lines[0] != MODEL_MAGIC:
         raise ModelFormatError(f"expected {MODEL_MAGIC!r}, found {lines[0]!r}", line_number=1)
     if lines.pop():

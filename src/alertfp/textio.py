@@ -3,6 +3,8 @@ sweep and attack-id readers and writers.
 
 `int_of` reads an integer only as `str` writes it, and `ints_of` a run
 of them joined by commas, for the model and ranked-file readers.
+`lines_of` splits a stream's text into lines a block at a time, so a
+reader that keeps every line does not also hold the whole text.
 
 `open_text` reads a path or a text stream, and names the source in the
 error it raises for input that is not UTF-8; `atomic_write`
@@ -27,6 +29,9 @@ from .errors import AlertFpError
 
 _INTS = re.compile(r"(?:(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*)?")
 
+#: characters `lines_of` reads at a time
+BLOCK_SIZE = 1 << 16
+
 Source = Union[str, Path, IO[str]]
 Target = Union[str, Path, IO[str]]
 
@@ -46,6 +51,28 @@ def ints_of(text: str) -> tuple[int, ...]:
     if not _INTS.fullmatch(text):
         raise ValueError(f"not integers as alertfp writes them: {text!r}")
     return tuple(map(int, text.split(","))) if text else ()
+
+
+def lines_of(stream: IO[str]) -> Iterator[str]:
+    """The pieces of stream's text split on "\n" alone, as
+    stream.read().split("\n") gives them, the last one after the final
+    "\n", read BLOCK_SIZE characters at a time.
+
+    "\n" is the only line break the writers' escaping covers: a value may
+    hold "\r", "\x0c", "\x85" or "\u2028", which splitlines() would also
+    break on. A line that spans blocks is joined once, when its end is
+    read, so a line longer than a block is not copied once per block.
+    """
+    parts: list[str] = []
+    while block := stream.read(BLOCK_SIZE):
+        *done, last = block.split("\n")
+        if done:
+            parts.append(done[0])
+            done[0] = "".join(parts)
+            parts = []
+            yield from done
+        parts.append(last)
+    yield "".join(parts)
 
 
 @contextmanager

@@ -128,6 +128,7 @@ class TestMineCommand:
         ["sweep", "--minisupport", "5,abc"],
         ["sweep", "--minisupport", ","],
         ["mine", "--max-pattern-len", "0"],
+        ["rank", "--max-pattern-len", "2"],
         ["mine", "--max-patterns", "-5"],
         ["mine", "--delimiter", "ab"],
         ["mine", "--workers", "4"],
@@ -1136,7 +1137,7 @@ MINE_USAGE = """\
 usage: alertfp mine [-h] --out OUT --input INPUT --schema SCHEMA
                     [--delimiter DELIMITER] [--rejects-out REJECTS_OUT]
                     [--minisupport MINISUPPORT] [--max-patterns MAX_PATTERNS]
-                    [--max-pattern-len MAX_PATTERN_LEN] [--emit-tidlists]
+                    [--emit-tidlists]
 """
 
 

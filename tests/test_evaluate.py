@@ -119,10 +119,7 @@ class TestSweep:
         assert rows[1].error is None
         assert rows[1].pattern_count == 9
 
-    @pytest.mark.parametrize(
-        "name, value",
-        [("max_pattern_len", 0), ("max_pattern_len", -3), ("max_patterns", 0), ("max_patterns", -1)],
-    )
+    @pytest.mark.parametrize("name, value", [("max_patterns", 0), ("max_patterns", -1)])
     def test_limits_below_one_rejected(self, name, value, baskets4):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             sweep(baskets4, [2, 3], [0], MiningConfig(**{name: value}))
@@ -177,7 +174,6 @@ class TestSweep:
             max_size=5,
         ),
         max_patterns=st.one_of(st.none(), st.integers(1, 40)),
-        max_pattern_len=st.one_of(st.none(), st.integers(1, 3)),
         attack_picks=st.sets(st.integers(0, 11), min_size=1),
     )
     # 1 and 3 trip the cap, 4 is mined, 6 and 13 filter it; 13 exceeds n,
@@ -188,15 +184,14 @@ class TestSweep:
         + [frozenset(SWEEP_ITEMS[:1]), frozenset(SWEEP_ITEMS[4:])],
         values=[4, 1, 13, 6, 3, 4],
         max_patterns=8,
-        max_pattern_len=None,
         attack_picks={6},
     )
     def test_filtering_equals_mining_each_threshold_hypothesis(
-        self, rows, values, max_patterns, max_pattern_len, attack_picks
+        self, rows, values, max_patterns, attack_picks
     ):
         txns = [Transaction(tid, items) for tid, items in enumerate(rows)]
         attacks = sorted({pick % len(txns) for pick in attack_picks})
-        config = MiningConfig(max_patterns=max_patterns, max_pattern_len=max_pattern_len)
+        config = MiningConfig(max_patterns=max_patterns)
         expected = sweep_each_threshold(txns, values, attacks, config)
         assert sweep(txns, values, attacks, config) == expected
 

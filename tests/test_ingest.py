@@ -924,7 +924,8 @@ CODER_SPELLINGS = {
         "٨٠", "8٠", "9" * 5000, "1" * 18, "1" * 19, "eighty", "8\n0", "-",
     ],
     "ts": ["6/11/2010 8:57 AM", " 6/11/2010  8:57 am ", "6/11/2010 8:57:31 AM", "null", "NULL",
-           "", "yesterday", "6/22/2010 99:99 PM"],
+           "", "yesterday", "6/22/2010 99:99 PM", "06/11/2010 08:57 AM", "6/01/2010 1:00 PM",
+           "6/11/2010 0:57 AM", "06/01/2010 00:30 PM"],
 }
 PLAIN = {
     "sig": st.integers(0, 40).map("sig{}".format),

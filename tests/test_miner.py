@@ -121,7 +121,11 @@ class TestMinisupport:
         with pytest.raises(ValueError, match="^minisupport must be a count or a ratio$"):
             MiningConfig(minisupport=True)
 
-    @pytest.mark.parametrize("name", ["max_pattern_len", "max_patterns"])
+    def test_only_the_threshold_and_the_cap_are_settable(self):
+        with pytest.raises(TypeError):
+            MiningConfig(max_pattern_len=2)
+
+    @pytest.mark.parametrize("name", ["max_patterns"])
     @pytest.mark.parametrize("value", [2.5, 3.0, Fraction(3), True, False, "x", "3"])
     def test_cap_that_is_not_an_int_rejected(self, name, value):
         message = f"^{name} must be >= 1 or None, as an int \\(got {re.escape(repr(value))}\\)$"
@@ -461,11 +465,6 @@ class TestMine:
         with pytest.raises(EmptyDatasetError):
             mine([], HALF)
 
-    def test_max_pattern_len_caps_depth(self, baskets4):
-        fps = mine(baskets4, MiningConfig(minisupport=2, max_pattern_len=1))
-        assert all(len(p.itemset) == 1 for p in fps)
-        assert fps.count == 4
-
     def test_explosion_guard_trips_with_level(self, baskets4):
         with pytest.raises(PatternExplosionError) as info:
             mine(baskets4, MiningConfig(minisupport=2, max_patterns=3))
@@ -548,10 +547,7 @@ class TestMine:
         assert fps.count == 24579
         assert peak < 5 * 2**20
 
-    @pytest.mark.parametrize(
-        "name, value",
-        [("max_pattern_len", 0), ("max_pattern_len", -3), ("max_patterns", 0), ("max_patterns", -1)],
-    )
+    @pytest.mark.parametrize("name, value", [("max_patterns", 0), ("max_patterns", -1)])
     def test_limits_below_one_rejected_before_coding(self, name, value, sample_dataset, baskets4):
         fresh = AlertDataset(sample_dataset.schema, sample_dataset.alerts)
         for data in (fresh, baskets4):

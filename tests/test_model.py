@@ -149,6 +149,40 @@ stamp_parts = st.tuples(
 )
 
 
+# one minute: (month, day, year, hour 1-12, minute, meridiem), unpadded
+minutes = st.tuples(
+    st.integers(1, 12),
+    st.integers(1, 31),
+    st.integers(0, 9999).map("{:04d}".format),
+    st.integers(1, 12),
+    st.integers(0, 59).map("{:02d}".format),
+    st.sampled_from(["AM", "PM"]),
+)
+
+
+def spellings_of(month, day, year, hour, minute, meridiem):
+    """The spellings of one minute: month, day and hour with or without a
+    leading zero, hour 12 also as 0 or 00, any seconds, spacing and
+    meridiem case."""
+
+    def pad(k):
+        return st.sampled_from([str(k), f"{k:02d}"])
+
+    cases = {meridiem, meridiem.lower(), meridiem.capitalize(), meridiem[0].lower() + meridiem[1]}
+    return st.builds(
+        spell,
+        pad(month),
+        pad(day),
+        st.just(year),
+        st.sampled_from(["12", "0", "00"]) if hour == 12 else pad(hour),
+        st.just(minute),
+        st.none() | st.integers(0, 59).map("{:02d}".format),
+        st.sampled_from([" ", "  ", "\t"]),
+        st.sampled_from(["", " "]),
+        st.sampled_from(sorted(cases)),
+    )
+
+
 def spell(month, day, year, hour, minute, second, gap, before, meridiem):
     seconds = "" if second is None else f":{second}"
     return f"{month}/{day}/{year}{gap}{hour}:{minute}{seconds}{before}{meridiem}"
@@ -171,14 +205,29 @@ class TestTimestampRanges:
 
     @settings(max_examples=200, deadline=None)
     @given(stamp_parts)
-    def test_in_range_spellings_split_into_date_as_written_and_time(self, parts):
+    def test_in_range_spellings_split_into_unpadded_date_and_time(self, parts):
         month, day, year, hour, minute = parts[:5]
-        expected = (f"{month}/{day}/{year}", f"{int(hour)}:{minute}{parts[-1].upper()}")
+        expected = (
+            f"{int(month)}/{int(day)}/{year}",
+            f"{int(hour) or 12}:{minute}{parts[-1].upper()}",
+        )
         assert split_timestamp(spell(*parts)) == expected
         schema = AttributeSchema((SchemaField("ts", FieldKind.TIMESTAMP),))
         assert itemize(Alert(0, (spell(*parts),)), schema).items == {
             Item(0, expected[0]), Item(0, expected[1])
         }
+
+    @settings(max_examples=200, deadline=None)
+    @given(minutes, st.data())
+    def test_every_spelling_of_a_minute_itemizes_to_one_date_and_one_time(self, minute, data):
+        month, day, year, hour, mm, meridiem = minute
+        expected = {Item(0, f"{month}/{day}/{year}"), Item(0, f"{hour}:{mm}{meridiem}")}
+        schema = AttributeSchema((SchemaField("ts", FieldKind.TIMESTAMP),))
+        raws = data.draw(st.lists(spellings_of(*minute), min_size=1, max_size=4), label="raws")
+        dataset = AlertDataset(schema, tuple(Alert(tid, (raw,)) for tid, raw in enumerate(raws)))
+        for raw, txn in zip(raws, dataset.transactions(), strict=True):
+            assert itemize(Alert(0, (raw,)), schema).items == expected
+            assert txn.items == expected
 
     @settings(max_examples=200, deadline=None)
     @given(stamp_parts, st.sampled_from(sorted(OUT_OF_RANGE)), st.data())

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from alertfp import scorer as scorer_module
 from alertfp import store as store_module
+from alertfp import textio
 from alertfp.errors import AlertFpError, EmptyPatternSetError, ModelFormatError
 from alertfp.evaluate import SyntheticSpec, gen_synthetic, sweep
 from alertfp.ingest import parse_log, write_log
@@ -688,6 +689,20 @@ class TestRankedFile:
         assert loaded.metric == "simple"
         assert [r.tid for r in loaded.rows] == [2, 0, 1]
         assert [r.simple_fpof for r in loaded.rows] == [127, 255, 319]
+
+    @pytest.mark.parametrize("block_size", [1, 7])
+    def test_rows_that_straddle_blocks_read_as_one_block_does(
+        self, block_size, sample_dataset, monkeypatch, tmp_path
+    ):
+        ranked = rank(sample_dataset, mine(sample_dataset, MiningConfig(minisupport=2)))
+        path = tmp_path / "ranked.tsv"
+        write_ranked(path, ranked, sample_dataset, "simple")
+        whole = read_ranked(path)
+        monkeypatch.setattr(textio, "BLOCK_SIZE", block_size)
+        assert read_ranked(path) == whole
+        path.write_text(path.read_text(encoding="utf-8")[:-1], encoding="utf-8")
+        with pytest.raises(AlertFpError, match="^ranked file line 4: no newline at end of file$"):
+            read_ranked(path)
 
     def test_header_and_row_format(self, sample_dataset):
         fps = mine(sample_dataset, MiningConfig(minisupport=2))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alertfp import textio
 from alertfp.errors import (
     EmptyPatternSetError,
     ModelFormatError,
@@ -86,6 +87,14 @@ class TestModelBuild:
         assert "minisupport" in str(info.value)
 
 
+@pytest.fixture(scope="module")
+def audited_600():
+    """A 600-record one-profile log mined at 30: 511 patterns whose
+    tidlists make a model file of about 1.2 MB."""
+    dataset, _ = gen_synthetic(SyntheticSpec(600, 5, 1, 3))
+    return dataset, mine(dataset, MiningConfig(minisupport=30))
+
+
 @pytest.fixture
 def tidlist_model(sample_dataset):
     fps = mine(sample_dataset, MiningConfig(minisupport=2))
@@ -100,6 +109,56 @@ def tidlist_model(sample_dataset):
 UNCLOSED_MODEL = ClassifierModel.from_patterns(
     "x", FIXED_TIME, 5, 2, (((A, B, C), 2), ((A,), 4), ((A, B), 3), ((B, C), 2))
 )
+
+
+#: files whose framing load_model refuses: name -> (text, line number, message)
+OFF_LAYOUT = {
+    "reordered-header": (
+        "# alertfp-model v1\nminisupport=2\nn_train=5\nschema_fp=x\n"
+        f"built_at={FIXED_TIME}\npatterns=1\n2\t0=a\n",
+        2,
+        "expected header line n_train=..., found 'minisupport=2'",
+    ),
+    "unknown-header-key": (
+        "# alertfp-model v1\nn_train=5\nextra=1\nminisupport=2\nschema_fp=x\n"
+        f"built_at={FIXED_TIME}\npatterns=1\n2\t0=a\n",
+        3,
+        "expected header line minisupport=..., found 'extra=1'",
+    ),
+    "missing-built-at": (
+        "# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\npatterns=1\n2\t0=a\n",
+        5,
+        "expected header line built_at=..., found 'patterns=1'",
+    ),
+    "blank-line-among-rows": (
+        "# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\n"
+        f"built_at={FIXED_TIME}\npatterns=2\n2\t0=a\n\n2\t1=b\n",
+        6,
+        "header declares 2 patterns, file carries 3",
+    ),
+    "blank-line-counted-as-a-row": (
+        "# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\n"
+        f"built_at={FIXED_TIME}\npatterns=3\n2\t0=a\n\n2\t1=b\n",
+        8,
+        "malformed pattern row",
+    ),
+    "no-final-newline": (
+        "# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\n"
+        f"built_at={FIXED_TIME}\npatterns=1\n2\t0=a",
+        7,
+        "no newline at end of file",
+    ),
+    "header-cut-short": (
+        "# alertfp-model v1\nn_train=5\nminisupport=2\n",
+        4,
+        "expected header line schema_fp=..., found ''",
+    ),
+    "other-version": (
+        "# alertfp-model v2\nn_train=5\n",
+        1,
+        "expected '# alertfp-model v1', found '# alertfp-model v2'",
+    ),
+}
 
 
 class TestSaveLoad:
@@ -226,66 +285,7 @@ class TestSaveLoad:
             load_model(path)
         assert info.value.line_number == line_number
 
-    @pytest.mark.parametrize(
-        "text, line_number, message",
-        [
-            (
-                "# alertfp-model v1\nminisupport=2\nn_train=5\nschema_fp=x\n"
-                f"built_at={FIXED_TIME}\npatterns=1\n2\t0=a\n",
-                2,
-                "expected header line n_train=..., found 'minisupport=2'",
-            ),
-            (
-                "# alertfp-model v1\nn_train=5\nextra=1\nminisupport=2\nschema_fp=x\n"
-                f"built_at={FIXED_TIME}\npatterns=1\n2\t0=a\n",
-                3,
-                "expected header line minisupport=..., found 'extra=1'",
-            ),
-            (
-                "# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\npatterns=1\n2\t0=a\n",
-                5,
-                "expected header line built_at=..., found 'patterns=1'",
-            ),
-            (
-                "# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\n"
-                f"built_at={FIXED_TIME}\npatterns=2\n2\t0=a\n\n2\t1=b\n",
-                6,
-                "header declares 2 patterns, file carries 3",
-            ),
-            (
-                "# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\n"
-                f"built_at={FIXED_TIME}\npatterns=3\n2\t0=a\n\n2\t1=b\n",
-                8,
-                "malformed pattern row",
-            ),
-            (
-                "# alertfp-model v1\nn_train=5\nminisupport=2\nschema_fp=x\n"
-                f"built_at={FIXED_TIME}\npatterns=1\n2\t0=a",
-                7,
-                "no newline at end of file",
-            ),
-            (
-                "# alertfp-model v1\nn_train=5\nminisupport=2\n",
-                4,
-                "expected header line schema_fp=..., found ''",
-            ),
-            (
-                "# alertfp-model v2\nn_train=5\n",
-                1,
-                "expected '# alertfp-model v1', found '# alertfp-model v2'",
-            ),
-        ],
-        ids=[
-            "reordered-header",
-            "unknown-header-key",
-            "missing-built-at",
-            "blank-line-among-rows",
-            "blank-line-counted-as-a-row",
-            "no-final-newline",
-            "header-cut-short",
-            "other-version",
-        ],
-    )
+    @pytest.mark.parametrize("text, line_number, message", OFF_LAYOUT.values(), ids=list(OFF_LAYOUT))
     def test_off_layout_file_reports_line_number(self, text, line_number, message, tmp_path):
         path = tmp_path / "model.fps"
         path.write_text(text, encoding="utf-8")
@@ -293,6 +293,24 @@ class TestSaveLoad:
             load_model(path)
         assert str(info.value) == f"line {line_number}: {message}"
         assert info.value.line_number == line_number
+
+    @pytest.mark.parametrize("block_size", [1, 2, 5])
+    def test_lines_that_straddle_blocks_load_as_one_block_does(
+        self, block_size, tidlist_model, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(textio, "BLOCK_SIZE", block_size)
+        path = tmp_path / "model.fps"
+        save_model(tidlist_model, path)
+        assert load_model(path) == tidlist_model
+        cases = [("", None, "empty model file")] + [
+            (text, line_number, f"line {line_number}: {message}")
+            for text, line_number, message in OFF_LAYOUT.values()
+        ]
+        for text, line_number, message in cases:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ModelFormatError) as info:
+                load_model(path)
+            assert (str(info.value), info.value.line_number) == (message, line_number)
 
     def test_support_above_n_train_is_invariant_breach(self, sample_model, tmp_path):
         path = tmp_path / "model.fps"
@@ -601,13 +619,12 @@ class TestSaveLoad:
         for (itemset, _), tids in zip(loaded.patterns, tidlists, strict=True):
             assert tids == ",".join(str(t.tid) for t in txns if t.items >= set(itemset))
 
-    def test_audited_save_holds_about_one_copy_of_its_rows(self, tmp_path):
+    def test_audited_save_holds_about_one_copy_of_its_rows(self, audited_600, tmp_path):
         """An audited model renders each row from its own pattern and is
         written row by row. A build that held every tid tuple before the
         first row, or a save that joined the whole file into one string,
         peaked at about 7 times the file on this log."""
-        dataset, _ = gen_synthetic(SyntheticSpec(600, 5, 1, 3))
-        fps = mine(dataset, MiningConfig(minisupport=30))
+        dataset, fps = audited_600
         assert sum(fps.supports) > 300_000  # tids written
         path = tmp_path / "model.fps"
         gc.collect()
@@ -622,6 +639,27 @@ class TestSaveLoad:
             tracemalloc.stop()
         size = path.stat().st_size
         assert peak < 3 * size, f"peak {peak / size:.2f} times the {size}-byte file"
+
+    def test_audited_load_holds_about_one_copy_of_the_file(self, audited_600, tmp_path):
+        """load_model reads the file a block at a time into its lines. A
+        load that read the whole text before splitting it held both, and
+        peaked at about 2.3 times the file on this log."""
+        dataset, fps = audited_600
+        path = tmp_path / "model.fps"
+        model = ClassifierModel.from_pattern_set(
+            fps, dataset.schema, built_at=FIXED_TIME, include_tidlists=True
+        )
+        save_model(model, path)
+        del model
+        gc.collect()
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak < 1.5 * size, f"peak {peak / size:.2f} times the {size}-byte file"
 
     def test_atomic_write_replaces_not_appends(self, sample_model, tmp_path):
         path = tmp_path / "model.fps"

@@ -1,12 +1,16 @@
 import io
 import os
 import stat
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from alertfp import textio
 from alertfp.evaluate import write_attack_ids
 from alertfp.scorer import ScoredAlert, write_ranked
-from alertfp.textio import atomic_write
+from alertfp.textio import atomic_write, lines_of
 
 
 def test_failed_write_keeps_the_old_file_and_no_temp(sample_dataset, tmp_path):
@@ -69,3 +73,9 @@ def test_symlink_is_written_through_and_kept(tmp_path):
     assert link.is_symlink()
     assert real.read_text(encoding="utf-8") == "4\n"
     assert sorted(tmp_path.iterdir()) == [link, real]
+
+
+@given(text=st.text(st.sampled_from("ab\n\r\x85\u2028"), max_size=40), block_size=st.integers(1, 9))
+def test_lines_of_splits_as_one_read_does(text, block_size):
+    with mock.patch.object(textio, "BLOCK_SIZE", block_size):
+        assert list(lines_of(io.StringIO(text, newline=""))) == text.split("\n")
