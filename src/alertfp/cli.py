@@ -245,13 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        error = args.parser.error
+        args, extras = build_parser().parse_known_args(argv)
+        error = args.parser.error  # the dispatched command's usage, not the top level's
+        if extras:
+            error(f"unrecognized arguments: {' '.join(extras)}")
         if args.command == "gen":  # a limit between two counts is a usage error too
             try:
                 args.spec = SyntheticSpec(args.records, args.n_attack, args.profiles, args.seed)
-            except AlertFpError as exc:
-                error(f"argument --attacks: {exc} (got {args.n_attack})")
+            except AlertFpError as exc:  # every limit but the profiles' is the attacks'
+                flag, got = "--attacks", args.n_attack
+                if "profiles" in str(exc):
+                    flag, got = "--profiles", args.profiles
+                error(f"argument {flag}: {exc} (got {got})")
         if args.command == "eval":
             if (args.input is None) != (args.schema is None):
                 error("eval takes --input and --schema together, or neither")

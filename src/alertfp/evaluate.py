@@ -210,6 +210,9 @@ _PRIORITIES = ["1", "2", "3"]
 _DPORTS = ["80", "80", "443", "21", "25", "53"]
 _SIDS = ["5", "6", "7", "8"]
 _GEN_DATE = "6/22/2010"
+#: signature ids: one per routine profile, one per attack, never shared
+_ROUTINE_SIG_IDS = range(100, 900)
+_ATTACK_SIG_IDS = range(900, 1000)
 
 
 @dataclass(frozen=True)
@@ -226,8 +229,10 @@ class SyntheticSpec:
             raise AlertFpError("need 0 < n_attack < n_records")
         if self.routine_profiles < 1:
             raise AlertFpError("routine_profiles must be >= 1")
-        if self.n_attack > 100:
-            raise AlertFpError("at most 100 planted attacks are supported")
+        if self.n_attack > len(_ATTACK_SIG_IDS):
+            raise AlertFpError(f"at most {len(_ATTACK_SIG_IDS)} planted attacks are supported")
+        if self.routine_profiles > len(_ROUTINE_SIG_IDS):
+            raise AlertFpError(f"at most {len(_ROUTINE_SIG_IDS)} routine profiles are supported")
 
 
 def gen_synthetic(spec: SyntheticSpec) -> tuple[AlertDataset, tuple[int, ...]]:
@@ -247,7 +252,7 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[AlertDataset, tuple[int, ...]]:
     n = spec.n_records
 
     profile_count = spec.routine_profiles
-    sig_ids = rng.sample(range(100, 900), profile_count)
+    sig_ids = rng.sample(_ROUTINE_SIG_IDS, profile_count)
     names = list(_ROUTINE_SIG_NAMES)
     while len(names) < profile_count:
         names.append(f"GENERIC/service/access-{len(names)}")
@@ -273,7 +278,7 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[AlertDataset, tuple[int, ...]]:
 
     attack_tids = tuple(sorted(rng.sample(range(n), spec.n_attack)))
     attack_src = str(rng.randrange(3_700_000_000, 3_800_000_000))
-    attack_sig_ids = rng.sample(range(900, 1000), spec.n_attack)
+    attack_sig_ids = rng.sample(_ATTACK_SIG_IDS, spec.n_attack)
     attack_names = list(_ATTACK_SIG_NAMES)
     while len(attack_names) < spec.n_attack:
         attack_names.append(f"EXPLOIT/custom/probe-{len(attack_names)}")

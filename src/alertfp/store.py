@@ -12,12 +12,13 @@ so a row's itemset text is one-to-one with its itemset. Tidlists can
 optionally be appended as a third tab-separated column for audit.
 
 A ClassifierModel is its header values and its rows, each row held as
-the file holds it: `from_patterns` renders each from its own pattern,
-tidlist included, load_model reads them a block at a time and save_model
-writes them back line by line, so an audited save or load holds one copy
-of its rows. Two models are equal when their rows are. `patterns` is read
-off the rows on first use, so saving, comparing and scoring a model do
-not build it.
+the file holds it. A model comes from its rows (the constructor, which
+load_model calls after reading them a block at a time) or from a mined
+set (`from_pattern_set`, which renders each row from its own pattern,
+tidlist included), and save_model writes it back line by line, so an
+audited save or load holds one copy of its rows. Two models are equal
+when their rows are. `patterns` is read off the rows on first use, so
+saving, comparing and scoring a model do not build it.
 
 A model's rules are checked in one place, `_checked_scorer`, for save,
 load and scoring alike: the header's `n_train >= 1`, `minisupport` in
@@ -51,9 +52,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache, cached_property
 from itertools import count, repeat
-from operator import attrgetter, lt
+from operator import lt
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import EmptyPatternSetError, ModelFormatError, SchemaMismatchError
 from .miner import Itemset, PatternSet
@@ -122,21 +123,6 @@ class ClassifierModel:
         return tuple((tuple(map(item_of, p[1].split(","))), int(p[0])) for p in parts)
 
     @classmethod
-    def from_patterns(
-        cls,
-        fingerprint: str,
-        built_at: str,
-        n_train: int,
-        minisupport_abs: int,
-        patterns: Iterable[tuple],
-    ) -> "ClassifierModel":
-        """A model of (itemset, support_count) patterns or, for audited
-        rows, (itemset, support_count, tidlist), each rendered from its own
-        tuple as save_model writes it. Nothing is checked here: rows that
-        disagree on the tidlist column are the scorer's check to refuse."""
-        return cls(fingerprint, built_at, n_train, minisupport_abs, tuple(map(_row_of, patterns)))
-
-    @classmethod
     def from_pattern_set(
         cls,
         fps: PatternSet,
@@ -151,19 +137,11 @@ class ClassifierModel:
             )
         if built_at is None:
             built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        columns = [fps.itemsets, fps.supports]
-        if include_tidlists:  # lazily: one pattern's tid tuple is alive at a time
-            columns.append(map(attrgetter("tidlist"), fps))
-        return cls.from_patterns(
-            schema_fingerprint(schema), built_at, fps.n, fps.minisupport_abs, zip(*columns)
-        )
-
-
-def _row_of(pattern: tuple) -> str:
-    """The row save_model writes for (itemset, support_count[, tidlist])."""
-    itemset, support_count, *tidlist = pattern
-    tids_text = (",".join(map(str, tids)) for tids in tidlist)
-    return "\t".join((str(support_count), render_itemset(itemset), *tids_text))
+        columns = [map(str, fps.supports), map(render_itemset, fps.itemsets)]
+        if include_tidlists:  # lazily: one pattern's tidlist is alive at a time
+            columns.append(",".join(map(str, p.tidlist)) for p in fps)
+        rows = tuple(map("\t".join, zip(*columns)))
+        return cls(schema_fingerprint(schema), built_at, fps.n, fps.minisupport_abs, rows)
 
 
 def _check_header(model: ClassifierModel) -> None:
@@ -258,11 +236,10 @@ def save_model(model: ClassifierModel, path: Union[str, Path]) -> None:
     byte for byte."""
     model.scorer  # the build is the check
     with atomic_write(path) as out:
-        out.write(
-            f"{MODEL_MAGIC}\nn_train={model.n_train}\nminisupport={model.minisupport_abs}\n"
-            f"schema_fp={model.schema_fingerprint}\nbuilt_at={model.built_at}\n"
-            f"patterns={model.pattern_count}\n"
-        )
+        values = (model.n_train, model.minisupport_abs, model.schema_fingerprint, model.built_at,
+                  model.pattern_count)  # in _HEADER's order
+        out.write(f"{MODEL_MAGIC}\n")
+        out.writelines(f"{key}={value}\n" for key, value in zip(_HEADER, values, strict=True))
         for row in model.rows:  # two writes: a new "row\n" string per row took longer
             out.write(row)
             out.write("\n")

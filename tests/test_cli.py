@@ -1115,9 +1115,18 @@ def test_a_call_builds_only_the_dispatched_command():
              "--attacks-out", "{d}/a.txt", "--attacks", "20"],
             "argument --attacks: need 0 < n_attack < n_records (got 20)",
         ),
+        (
+            ["gen", "--records", "1000", "--profiles", "801", "--seed", "1",
+             "--out", "{d}/g.tsv", "--attacks-out", "{d}/a.txt"],
+            "argument --profiles: at most 800 routine profiles are supported (got 801)",
+        ),
+        (
+            ["mine", "--input", "i", "--schema", "s", "--out", "{d}/m.fps", "--workers", "4"],
+            "unrecognized arguments: --workers 4",
+        ),
     ],
     ids=["same-file", "rank-candidates", "score-candidates", "eval-pairing", "eval-delimiter",
-         "eval-rejects-out", "gen-attacks"],
+         "eval-rejects-out", "gen-attacks", "gen-profiles", "unknown-option"],
 )
 def test_usage_error_after_parsing_prints_the_commands_usage(
     argv, message, tmp_path, monkeypatch, capsys

@@ -367,6 +367,11 @@ class TestSyntheticSpec:
         with pytest.raises(AlertFpError, match="^routine_profiles must be >= 1$"):
             SyntheticSpec(n_records=10, n_attack=1, routine_profiles=0)
 
+    def test_profiles_fit_the_signature_ids(self):
+        SyntheticSpec(n_records=10, n_attack=1, routine_profiles=800)
+        with pytest.raises(AlertFpError, match="^at most 800 routine profiles are supported$"):
+            SyntheticSpec(n_records=10, n_attack=1, routine_profiles=801)
+
 
 class TestGenSynthetic:
     SPEC = SyntheticSpec(n_records=100, n_attack=2, routine_profiles=3, seed=42)

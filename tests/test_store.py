@@ -25,6 +25,7 @@ from alertfp.model import (
     FieldKind,
     Item,
     SchemaField,
+    render_itemset,
     snort_schema,
 )
 from alertfp.scorer import PatternScorer, ScoreConfig, rank, rank_with_scorer
@@ -39,7 +40,12 @@ from alertfp.store import (
 from conftest import random_schema_dataset
 
 FIXED_TIME = "2010-06-22T00:00:00+00:00"
-A, B, C = Item(0, "a"), Item(1, "b"), Item(2, "c")
+
+
+def row_of(itemset, support_count, tids=None):
+    """The row save_model writes for a pattern, with a tidlist column when tids is given."""
+    tids_text = () if tids is None else (",".join(map(str, tids)),)
+    return "\t".join((str(support_count), render_itemset(itemset), *tids_text))
 
 
 @pytest.fixture
@@ -106,8 +112,8 @@ def tidlist_model(sample_dataset):
 #: Not downward closed, nor in canonical order: the first row walks from the
 #: root and makes 0=a and 0=a,1=b as bare nodes, which the second row fills
 #: from the root and the third fills as the child of its prefix row.
-UNCLOSED_MODEL = ClassifierModel.from_patterns(
-    "x", FIXED_TIME, 5, 2, (((A, B, C), 2), ((A,), 4), ((A, B), 3), ((B, C), 2))
+UNCLOSED_MODEL = ClassifierModel(
+    "x", FIXED_TIME, 5, 2, ("2\t0=a,1=b,2=c", "4\t0=a", "3\t0=a,1=b", "2\t1=b,2=c")
 )
 
 
@@ -468,58 +474,58 @@ class TestSaveLoad:
         "model, save_message, load_message",
         [
             (
-                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((A,), 2), ((B, A), 2))),
+                ClassifierModel("x", FIXED_TIME, 5, 2, ("2\t0=a", "2\t1=b,0=a")),
                 "items of itemset 1=b,0=a are not strictly ascending",
                 "line 8: items of itemset 1=b,0=a are not strictly ascending",
             ),
             (
-                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((A,), 2), ((A,), 3))),
+                ClassifierModel("x", FIXED_TIME, 5, 2, ("2\t0=a", "3\t0=a")),
                 "itemset 0=a repeats an earlier row",
                 "line 8: itemset 0=a repeats an earlier row",
             ),
             (
-                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((), 2),)),
+                ClassifierModel("x", FIXED_TIME, 5, 2, ("2\t",)),
                 "malformed item token ''",
                 "line 7: malformed item token ''",
             ),
             (
-                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((A,), 9),)),
+                ClassifierModel("x", FIXED_TIME, 5, 2, ("9\t0=a",)),
                 "support 9 outside [2, 5] for itemset 0=a",
                 "line 7: support 9 outside [2, 5] for itemset 0=a",
             ),
             (
-                ClassifierModel.from_patterns("x", FIXED_TIME, 0, 0, (((Item(7, "a"),), 0),)),
+                ClassifierModel("x", FIXED_TIME, 0, 0, ("0\t7=a",)),
                 "n_train 0 is below 1",
                 "n_train 0 is below 1",
             ),
             (
-                ClassifierModel.from_patterns("x", FIXED_TIME, 5, -3, (((Item(9, "6"),), -2),)),
+                ClassifierModel("x", FIXED_TIME, 5, -3, ("-2\t9=6",)),
                 "minisupport -3 outside [1, 5]",
                 "minisupport -3 outside [1, 5]",
             ),
             (
-                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 0, (((A,), 1),)),
+                ClassifierModel("x", FIXED_TIME, 5, 0, ("1\t0=a",)),
                 "minisupport 0 outside [1, 5]",
                 "minisupport 0 outside [1, 5]",
             ),
             (
-                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 6, (((A,), 6),)),
+                ClassifierModel("x", FIXED_TIME, 5, 6, ("6\t0=a",)),
                 "minisupport 6 outside [1, 5]",
                 "minisupport 6 outside [1, 5]",
             ),
             (
-                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((A,), 3, (0, 1, 99, -4)),)),
+                ClassifierModel("x", FIXED_TIME, 5, 2, ("3\t0=a\t0,1,99,-4",)),
                 "tidlist of itemset 0=a is not 3 strictly ascending tids in [0, 5)",
                 "line 7: tidlist of itemset 0=a is not 3 strictly ascending tids in [0, 5)",
             ),
             (
                 # the first row carries a tidlist, so every row must
-                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((A,), 2, (0, 1)), ((B,), 2))),
+                ClassifierModel("x", FIXED_TIME, 5, 2, ("2\t0=a\t0,1", "2\t1=b")),
                 "malformed pattern row",
                 "line 8: malformed pattern row",
             ),
             (
-                ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, ()),
+                ClassifierModel("x", FIXED_TIME, 5, 2, ()),
                 "model contains no patterns",
                 "model contains no patterns",
             ),
@@ -554,7 +560,7 @@ class TestSaveLoad:
         assert str(info.value) == load_message
 
     def test_save_refuses_support_out_of_bounds(self, tmp_path):
-        model = ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((Item(0, "a"),), 9),))
+        model = ClassifierModel("x", FIXED_TIME, 5, 2, ("9\t0=a",))
         path = tmp_path / "model.fps"
         with pytest.raises(ModelFormatError, match="support 9 outside"):
             save_model(model, path)
@@ -572,7 +578,7 @@ class TestSaveLoad:
         self, fingerprint, built_at, message, tmp_path
     ):
         # the line would end at the newline, so load could not read the file back
-        model = ClassifierModel.from_patterns(fingerprint, built_at, 5, 2, (((A,), 2),))
+        model = ClassifierModel(fingerprint, built_at, 5, 2, ("2\t0=a",))
         with pytest.raises(ModelFormatError) as info:
             save_model(model, tmp_path / "model.fps")
         assert str(info.value) == message
@@ -708,17 +714,19 @@ def hand_built_models(draw):
     itemsets = st.one_of(ascending.map(sorted), ascending.map(sorted), anyhow)
     supports = st.integers(min(minisupport, n_train), n_train) | st.integers(minisupport - 1, n_train + 1)
     patterns = draw(st.lists(st.tuples(itemsets.map(tuple), supports), max_size=5))
-    # a tidlist rides as a pattern's third field: on no row, on every row, or
+    # a tidlist rides as a row's third column: on no row, on every row, or
     # on some rows, which the first row's column count refuses
     carries = draw(st.sampled_from([st.just(False), st.just(True), st.booleans()]))
     tidlists = st.lists(st.integers(-1, n_train))
-    patterns = [
-        (itemset, support, draw(st.just(tuple(range(support))) | tidlists))
-        if draw(carries)
-        else (itemset, support)
+    rows = tuple(
+        row_of(
+            itemset,
+            support,
+            draw(st.just(tuple(range(support))) | tidlists) if draw(carries) else None,
+        )
         for itemset, support in patterns
-    ]
-    return ClassifierModel.from_patterns("x", FIXED_TIME, n_train, minisupport, patterns)
+    )
+    return ClassifierModel("x", FIXED_TIME, n_train, minisupport, rows)
 
 
 class TestSaveLoadAgreeProperty:
@@ -728,7 +736,7 @@ class TestSaveLoadAgreeProperty:
 
     @settings(max_examples=300, deadline=None)
     @given(hand_built_models())
-    @example(ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, (((), 2),)))
+    @example(ClassifierModel("x", FIXED_TIME, 5, 2, ("2\t",)))
     def test_save_refuses_exactly_what_load_refuses(self, model):
         with tempfile.TemporaryDirectory() as scratch:
             checked, unchecked = Path(scratch, "a.fps"), Path(scratch, "b.fps")
@@ -768,8 +776,8 @@ class TestEscapingProperty:
     @example([",", "%2C", "%252C", "%", "%25"])
     def test_arbitrary_values_round_trip(self, values):
         items = sorted(Item(index, value) for value in values for index in (0, 1))
-        patterns = tuple(((item,), 2) for item in items) + ((tuple(items), 3),)
-        model = ClassifierModel.from_patterns("x", FIXED_TIME, 5, 2, patterns)
+        rows = tuple(row_of((item,), 2) for item in items) + (row_of(items, 3),)
+        model = ClassifierModel("x", FIXED_TIME, 5, 2, rows)
         with tempfile.TemporaryDirectory() as scratch:
             first, second = Path(scratch, "a.fps"), Path(scratch, "b.fps")
             save_model(model, first)
@@ -795,16 +803,10 @@ class TestLoadedTrieProperty:
         # the first column is constant, so every threshold keeps a pattern
         fps = mine(ds, MiningConfig(minisupport=rng.randint(1, ds.n)))
         kept = [p for p in fps if rng.random() >= drop] or [fps.patterns[-1]]
-        model = ClassifierModel.from_patterns(
-            "x",
-            FIXED_TIME,
-            fps.n,
-            fps.minisupport_abs,
-            tuple(
-                (p.itemset, p.support_count, p.tidlist) if tidlists else (p.itemset, p.support_count)
-                for p in kept
-            ),
+        rows = tuple(
+            row_of(p.itemset, p.support_count, p.tidlist if tidlists else None) for p in kept
         )
+        model = ClassifierModel("x", FIXED_TIME, fps.n, fps.minisupport_abs, rows)
         if len(kept) == fps.count:
             expected = PatternScorer.from_pattern_set(fps)
         else:  # rows whose prefix row was dropped take the walk from the root
